@@ -10,10 +10,12 @@ One process runs one workload as a closed loop with a single caller: for
 every instance it calls ``cli.main`` in-process for ``stats``, ``run --k``,
 ``verify`` on the certificate, and ``verify`` on one mutated certificate
 (the reject path), each call starting after the previous one returned.
-Passes over the instance list repeat until ``--seconds`` have elapsed; each
-reported time is the median over passes of the summed wall time of one op
-kind in a pass.  ``--workload all`` runs each workload in its own fresh
-interpreter and exits non-zero if any output check failed.
+After one warm-up pass, passes over the instance list repeat until
+``--seconds`` have elapsed.  Each op's wall time is scaled to a reference
+host speed (see ``reference.py``); each reported time is, for one op
+kind, the sum over instances of the median over passes of that op's scaled
+time.  ``--workload all`` runs each workload in its own fresh interpreter and
+exits non-zero if any output check failed.
 
 With ``--trace 0`` the last stdout line carries the end-to-end metrics,
 with ``--trace 1`` the per-layer metrics from a traced run (see
@@ -37,6 +39,8 @@ import sys
 import time
 from pathlib import Path
 
+from reference import REFERENCE_S, reference_s
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
@@ -45,7 +49,8 @@ DIGESTS = HERE / "digests.json"
 
 #: the seed whose outputs are pinned in digests.json
 DEFAULT_SEED = 0
-SETUP_SAMPLES = 5
+SETUP_SAMPLES = 7
+SETUP_KERNEL_REPEATS = 7
 MICROBENCH_PAIRS = 2000
 MICROBENCH_REPEATS = 7
 WORKLOADS = ("shrink-scan", "quad-build", "many-small")
@@ -61,7 +66,7 @@ END_TO_END_UNITS = {
 }
 
 # a fresh interpreter's set-up: import the package, then build and write
-# the workload's instance files
+# the workload's instance files; then print the host's current speed
 _SETUP_CHILD = """\
 import sys
 from pathlib import Path
@@ -69,7 +74,17 @@ sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import symgrowth.cli
 import workloads
 workloads.write_instances(sys.argv[3], int(sys.argv[4]), Path(sys.argv[5]))
+from reference import reference_s
+print(reference_s(int(sys.argv[6])))
 """
+
+
+def op_seconds(passes: list[dict[tuple[str, str], float]]) -> dict[str, float]:
+    """Per op kind, the sum over instances of the median over passes of the op's time."""
+    out = dict.fromkeys(OPS, 0.0)
+    for key in {key for p in passes for key in p}:
+        out[key[0]] += statistics.median(p[key] for p in passes if key in p)
+    return out
 
 
 def _sha(path: Path) -> str:
@@ -96,13 +111,18 @@ class Runner:
         self.crashed: dict[str, str] = {}
         self.tracer = None
         self.op_walls: dict[int, tuple[str, float]] = {}
+        self.times: dict[tuple[str, str], float] = {}
 
-    def _call(self, kind: str, argv: list[str]):
-        """One timed in-process CLI call: (exit code or exception, seconds, stderr)."""
+    def _call(self, kind: str, name: str, argv: list[str]):
+        """One timed in-process CLI call: (exit code or exception, stderr).
+
+        Records the call's scaled seconds under (kind, name) in ``times``.
+        """
         op_id = len(self.op_walls)
         if self.tracer is not None:
             self.tracer.op = op_id
         err = io.StringIO()
+        before = reference_s()
         with contextlib.redirect_stderr(err):
             start = time.perf_counter()
             try:
@@ -110,9 +130,11 @@ class Runner:
             except Exception as exc:  # a crash is an outcome to record, not to stop on
                 outcome = exc
             wall = time.perf_counter() - start
+        after = reference_s()
         self.op_walls[op_id] = (kind, wall)
+        self.times[(kind, name)] = wall * REFERENCE_S / ((before + after) / 2)
         self.attempted += 1
-        return outcome, wall, err.getvalue()
+        return outcome, err.getvalue()
 
     def _check_output(self, key: str, path: Path) -> None:
         digest = _sha(path)
@@ -125,9 +147,9 @@ class Runner:
         what = f"raised {type(outcome).__name__}: {outcome}" if isinstance(outcome, Exception) else f"exit {outcome}"
         self.failures.append(f"{key}: {what} {stderr.strip()[:200]}")
 
-    def run_pass(self) -> dict[str, float]:
-        """One pass over every instance; returns summed seconds per op kind."""
-        sums = dict.fromkeys(OPS, 0.0)
+    def run_pass(self) -> dict[tuple[str, str], float]:
+        """One pass over every instance; scaled seconds per (op kind, instance)."""
+        self.times = {}
         out = self.workdir / "out"
         out.mkdir(exist_ok=True)
         for inst, path in self.items:
@@ -136,23 +158,20 @@ class Runner:
             for f in (stats, cert, report, rejected):
                 f.unlink(missing_ok=True)
 
-            rc, wall, err = self._call("stats", ["stats", "--instance", str(path), "--out", str(stats)])
-            sums["stats"] += wall
+            rc, err = self._call("stats", name, ["stats", "--instance", str(path), "--out", str(stats)])
             if rc == 0:
                 self._check_output(f"{name}/stats", stats)
             else:
                 self._fail(f"{name}/stats", rc, err)
 
-            rc, wall, err = self._call("run", ["run", "--instance", str(path), "--k", str(inst.k), "--out", str(cert)])
-            sums["run"] += wall
+            rc, err = self._call("run", name, ["run", "--instance", str(path), "--k", str(inst.k), "--out", str(cert)])
             cert_json = json.loads(cert.read_text()) if rc == 0 else None
             if rc == 0 and cert_json.get("verified") is True:
                 self._check_output(f"{name}/cert", cert)
             else:
                 self._fail(f"{name}/run", rc, err)
 
-            rc, wall, err = self._call("verify", ["verify", "--instance", str(path), "--certificate", str(cert), "--out", str(report)])
-            sums["verify"] += wall
+            rc, err = self._call("verify", name, ["verify", "--instance", str(path), "--certificate", str(cert), "--out", str(report)])
             if rc == 0 and json.loads(report.read_text()).get("overall") is True:
                 self._check_output(f"{name}/verify", report)
             else:
@@ -164,8 +183,7 @@ class Runner:
                 continue
             rng = random.Random(f"{name}:{inst.mutation}")
             mutant.write_text(json.dumps(self.mutate(cert_json, inst.mutation, rng)))
-            rc, wall, err = self._call("reject", ["verify", "--instance", str(path), "--certificate", str(mutant), "--out", str(rejected)])
-            sums["reject"] += wall
+            rc, err = self._call("reject", name, ["verify", "--instance", str(path), "--certificate", str(mutant), "--out", str(rejected)])
             key = f"{name}/reject.{inst.mutation}"
             if isinstance(rc, Exception):
                 # the verifier crashed on a corrupted certificate: a known
@@ -181,9 +199,9 @@ class Runner:
                 continue
             if self.seen.setdefault(key, outcome) != outcome:
                 self.failures.append(f"{key}: outcome differs from an earlier pass")
-        return sums
+        return self.times
 
-    def passes(self, seconds: float) -> list[dict[str, float]]:
+    def passes(self, seconds: float) -> list[dict[tuple[str, str], float]]:
         """Repeat passes until ``seconds`` have elapsed (at least one)."""
         out = []
         start = time.perf_counter()
@@ -203,16 +221,22 @@ def _one_line_json_error(stderr: str) -> bool:
 
 
 def measure_setup(workload: str, seed: int, workdir: Path) -> float:
-    """Median wall time of fresh interpreters doing the workload's set-up."""
+    """Median wall time of fresh interpreters doing the workload's set-up.
+
+    Each sample is scaled by the reference kernel's time in its interpreter,
+    measured after the set-up.
+    """
     samples = []
     for i in range(SETUP_SAMPLES):
         target = workdir / f"setup{i}"
         start = time.perf_counter()
-        subprocess.run(
-            [sys.executable, "-c", _SETUP_CHILD, str(SRC), str(HERE), workload, str(seed), str(target)],
-            check=True,
+        child = subprocess.run(
+            [sys.executable, "-c", _SETUP_CHILD, str(SRC), str(HERE), workload, str(seed), str(target),
+             str(SETUP_KERNEL_REPEATS)],
+            check=True, stdout=subprocess.PIPE, text=True,
         )
-        samples.append(time.perf_counter() - start)
+        wall = time.perf_counter() - start
+        samples.append(wall * REFERENCE_S / float(child.stdout))
         shutil.rmtree(target)
     return statistics.median(samples)
 
@@ -257,19 +281,21 @@ def multiply_ns(workload: str, seed: int) -> dict[str, float]:
 def run_untraced(args, workdir: Path) -> tuple[dict, Runner]:
     setup_s = measure_setup(args.workload, args.seed, workdir)
     runner = Runner(args.workload, args.seed, workdir)
+    runner.run_pass()  # warm-up: fills the program's in-process caches
     passes = runner.passes(args.seconds)
-    metrics = {f"{op}_s": statistics.median(p[op] for p in passes) for op in OPS}
+    metrics = {f"{op}_s": seconds for op, seconds in op_seconds(passes).items()}
     metrics["setup_s"] = setup_s
     metrics["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     return {name: {"value": metrics[name], "unit": END_TO_END_UNITS[name]} for name in END_TO_END_UNITS}, runner
 
 
 def run_traced(args, workdir: Path) -> tuple[dict, Runner]:
-    """Untraced passes for half the time, then traced passes for the rest."""
+    """A warm-up pass, untraced passes for half the time, then traced passes for the rest."""
     from tracer import Tracer, layer_metrics, write_spans
 
     micro = multiply_ns(args.workload, args.seed)
     runner = Runner(args.workload, args.seed, workdir)
+    runner.run_pass()
     untraced = runner.passes(args.seconds / 2)
     tracer = Tracer()
     tracer.install()
@@ -299,7 +325,7 @@ def run_traced(args, workdir: Path) -> tuple[dict, Runner]:
             metrics[name] = statistics.median(values)
     metrics["oracle.reject.crashes"] = len(runner.crashed)
     metrics["trace.overhead_frac"] = (
-        statistics.median(sum(p.values()) for p in traced) / statistics.median(sum(p.values()) for p in untraced) - 1
+        sum(op_seconds(traced).values()) / sum(op_seconds(untraced).values()) - 1
     )
     return {name: {"value": value, "unit": _layer_unit(name)} for name, value in sorted(metrics.items())}, runner
 

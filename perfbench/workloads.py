@@ -7,9 +7,9 @@ files written from these specs.
 Seed variation is chosen so that the work in one pass stays nearly the same
 from seed to seed: intervals move their start, coset unions move their
 representatives within one conjugacy pattern, Heisenberg balls apply an
-automorphism to their generators, random sets average over several
-instances, and each ``many-small`` slot fixes its group, set kind, size
-and k.
+automorphism to their generators, random cyclic sets average over several
+instances, the S6 sets stay fixed, and each ``many-small`` slot fixes its
+group, set kind, size and k.
 """
 
 from __future__ import annotations
@@ -79,7 +79,10 @@ def _quad_build(rng: random.Random) -> list[Instance]:
         spec = {"group": {"type": "cyclic", "n": 800}, "set": {"type": "random", "size": 30, "seed": rng.randrange(2**32)}}
         out.append((f"cyclic{i}", spec))
     for i in range(3):
-        spec = {"group": {"type": "symmetric", "n": 6}, "set": {"type": "random", "size": 10, "seed": rng.randrange(2**32)}}
+        # fixed sets: conjugating an S6 set moves its first shrink witness
+        # in the canonical scan order, which changes the work of run and
+        # verify by up to a quarter
+        spec = {"group": {"type": "symmetric", "n": 6}, "set": {"type": "random", "size": 10, "seed": i}}
         out.append((f"symmetric{i}", spec))
     p = 9
     units = [u for u in range(1, p) if math.gcd(u, p) == 1]
