@@ -43,6 +43,10 @@ class Group(ABC):
 
     Instances are immutable after construction and all operations are pure,
     so a group may be shared freely across workers.
+
+    ``multiply`` and ``inverse`` trust their arguments: elements are checked
+    where they enter the program (``coerce``, ``GSet(...)``, instance load,
+    certificate decode), not on every operation.
     """
 
     kind: str
@@ -154,12 +158,9 @@ class CyclicGroup(Group):
         return (0,)
 
     def multiply(self, x: Element, y: Element) -> Element:
-        self.validate(x)
-        self.validate(y)
         return ((x[0] + y[0]) % self.n,)
 
     def inverse(self, x: Element) -> Element:
-        self.validate(x)
         return ((-x[0]) % self.n,)
 
     def validate(self, x: Element) -> None:
@@ -197,15 +198,12 @@ class DihedralGroup(Group):
         return (0, 0)
 
     def multiply(self, x: Element, y: Element) -> Element:
-        self.validate(x)
-        self.validate(y)
         a, e = x
         b, f = y
         rot = (a - b) % self.n if e else (a + b) % self.n
         return (rot, e ^ f)
 
     def inverse(self, x: Element) -> Element:
-        self.validate(x)
         a, e = x
         return x if e else ((-a) % self.n, 0)
 
@@ -261,22 +259,32 @@ class SymmetricGroup(Group):
         return (0,) * self.n
 
     def one_line(self, x: Element) -> tuple[int, ...]:
-        """Decode a Lehmer code to the one-line form (p(0), ..., p(n-1))."""
-        self.validate(x)
-        perm = self._perm_cache.get(x)
+        """Decode a Lehmer code to the one-line form (p(0), ..., p(n-1)).
+
+        Only codes that are not cached yet are validated.
+        """
+        try:
+            perm = self._perm_cache.get(x)
+        except TypeError:  # unhashable, so not a code; validate says why
+            perm = None
         if perm is None:
+            self.validate(x)
             free = list(range(self.n))
             perm = tuple(free.pop(d) for d in x)
             self._perm_cache[x] = perm
         return perm
 
     def encode_one_line(self, perm: Sequence[int]) -> Element:
-        """Encode a one-line permutation of {0..n-1} as a Lehmer code."""
-        perm = tuple(int(v) for v in perm)
-        if sorted(perm) != list(range(self.n)):
-            raise InvalidElementError(f"not a permutation of 0..{self.n - 1}: {perm!r}")
+        """Encode a one-line permutation of {0..n-1} as a Lehmer code.
+
+        Only permutations that are not cached yet are checked.
+        """
+        perm = tuple(perm)
         code = self._code_cache.get(perm)
         if code is None:
+            perm = tuple(int(v) for v in perm)
+            if sorted(perm) != list(range(self.n)):
+                raise InvalidElementError(f"not a permutation of 0..{self.n - 1}: {perm!r}")
             code = tuple(
                 sum(1 for j in range(i + 1, self.n) if perm[j] < perm[i])
                 for i in range(self.n)
@@ -343,13 +351,10 @@ class HeisenbergGroup(Group):
         return (0, 0, 0)
 
     def multiply(self, x: Element, y: Element) -> Element:
-        self.validate(x)
-        self.validate(y)
         p = self.p
         return ((x[0] + y[0]) % p, (x[1] + y[1]) % p, (x[2] + y[2] + x[0] * y[1]) % p)
 
     def inverse(self, x: Element) -> Element:
-        self.validate(x)
         p = self.p
         return ((-x[0]) % p, (-x[1]) % p, (x[0] * x[1] - x[2]) % p)
 
@@ -401,8 +406,6 @@ class DirectProductGroup(Group):
         ]
 
     def multiply(self, x: Element, y: Element) -> Element:
-        self.validate(x)
-        self.validate(y)
         xs, ys = self._split(x), self._split(y)
         return tuple(
             v
@@ -411,7 +414,6 @@ class DirectProductGroup(Group):
         )
 
     def inverse(self, x: Element) -> Element:
-        self.validate(x)
         return tuple(v for g, a in zip(self.factors, self._split(x)) for v in g.inverse(a))
 
     def validate(self, x: Element) -> None:
@@ -498,12 +500,9 @@ class TableGroup(Group):
         return (self.identity_index,)
 
     def multiply(self, x: Element, y: Element) -> Element:
-        self.validate(x)
-        self.validate(y)
         return (self.table[x[0]][y[0]],)
 
     def inverse(self, x: Element) -> Element:
-        self.validate(x)
         return (self._inv[x[0]],)
 
     def validate(self, x: Element) -> None:

@@ -21,7 +21,7 @@ from typing import Callable
 
 from .errors import InvariantViolation, ParameterError
 from .groups import Element
-from .gset import GSet, inverse_set, power, product
+from .gset import GSet, inverse_set, overlap_masks, power, product, row_product
 from .oracle import (
     CERTIFICATE_FORMAT,
     oracle_inverse,
@@ -30,7 +30,7 @@ from .oracle import (
     termination_cap,
 )
 from .serialize import elements_to_json, fraction_to_str
-from .symmetry import SymmetrySet, overlap, sym_set
+from .symmetry import SymmetrySet, sym_set
 
 #: closing-remark comparison recorded on certificates; informational only
 ALTERNATIVE_SIZE_BOUND = "|S| >= exp(-O(k^2 K log K)) |A|"
@@ -197,6 +197,10 @@ def shrink_step(aprime: GSet, a: GSet, eps) -> StepOutcome:
     case "shrink".  Not found: case "terminate", and the symmetry set of
     A'A at threshold 1-eps (clamped to 1/|A'A| when eps = 1) contains L.
 
+    L comes from one convolution table of A' with A'^-1 and the scan reuses
+    the rows of A'A, so a step costs |A'||A| + |A'|^2 multiplications, plus
+    |A'A|^2 for the symmetry set when it terminates.
+
     The step's inequalities hold unconditionally; if any fails the step
     raises InvariantViolation, since that means the computation is broken.
     """
@@ -207,14 +211,15 @@ def shrink_step(aprime: GSet, a: GSet, eps) -> StepOutcome:
         raise ParameterError("shrink step needs A' to be a subset of A")
     eps = _check_eps(eps)
 
-    p = product(aprime, a)
+    rows = row_product(aprime, a)
+    p = rows.support()
     np_, na, nap = len(p), len(a), len(aprime)
     tau = Fraction(nap**4, 2 * np_ * na**2)
 
-    candidates = product(aprime, inverse_set(aprime))
+    overlaps = overlap_masks(aprime)
     level = GSet(
         aprime.group,
-        [t for t in candidates if overlap(aprime, t) >= tau],
+        [t for t, mask in overlaps.items() if mask.bit_count() >= tau],
         validate=False,
     )
 
@@ -222,11 +227,13 @@ def shrink_step(aprime: GSet, a: GSet, eps) -> StepOutcome:
     if not entries[0].holds:
         raise InvariantViolation("level set undercut its counting bound")
 
+    # (A' ∩ tA')A is the union of the rows of the members of A' ∩ tA'
     limit = (1 - eps) * np_
     for t in level:
-        shrunk = aprime.intersect(aprime.translate_left(t))
-        shrunk_product = product(shrunk, a)
-        if len(shrunk_product) <= limit:
+        cover = rows.cover(overlaps[t])
+        if cover.bit_count() <= limit:
+            shrunk = aprime.pick(overlaps[t])
+            shrunk_product = rows.pick(cover)
             entries.append(_entry("shrink_size_lower", "ge", len(shrunk), tau))
             entries.append(_entry("shrink_product_upper", "le", len(shrunk_product), limit))
             if not all(e.holds for e in entries):
@@ -398,9 +405,8 @@ def stable_neighbourhood(
     ledger.extend(_trace_entries(trace, len(a)))
 
     # independent re-derivation of the headline containment
-    oracle_quad = set(
-        oracle_product(group, oracle_product(group, a, a), oracle_inverse(group, oracle_product(group, a, a)))
-    )
+    oracle_a2 = oracle_product(group, a, a)
+    oracle_quad = set(oracle_product(group, oracle_a2, oracle_inverse(group, oracle_a2)))
     oracle_ok = all(x in oracle_quad for x in oracle_power(group, s.elements, k))
 
     verified = oracle_ok and all(e.holds for e in ledger)

@@ -9,13 +9,18 @@ Product-style operations cost |A|*|B| group multiplications.  A global pair
 budget guards against accidentally quadratic-in-the-group blowups: when the
 multiplications needed by one call would exceed the remaining budget the
 call raises ``PairBudgetError`` before doing the work.
+
+Subsets of a set are also passed around as Python-int bitmasks, where bit i
+stands for the i-th element of the set in a fixed order; ``overlap_masks``
+and ``row_product`` build such masks so that the shrink scan needs no
+multiplications beyond one pass over each product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .budget import (  # noqa: F401  (re-exported as part of this module's API)
     DEFAULT_PAIR_BUDGET,
@@ -117,6 +122,15 @@ class GSet:
         """|A| / |G| as an exact fraction."""
         return Fraction(len(self._elems), self.group.order)
 
+    def pick(self, mask: int) -> "GSet":
+        """The members whose positions in canonical order are set in ``mask``."""
+        return GSet._trusted(self.group, frozenset(pick_bits(self._elems, mask)))
+
+
+def pick_bits(items: Sequence, mask: int) -> list:
+    """The entries of ``items`` at the positions of the set bits of ``mask``."""
+    return [items[i] for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
 
 def product(a: GSet, b: GSet) -> GSet:
     """The product set AB = {x*y : x in A, y in B}."""
@@ -177,6 +191,72 @@ def conv_table(a: GSet, b: GSet) -> "ConvTable":
             w = mul(u, v)
             counts[w] = counts.get(w, 0) + 1
     return ConvTable(group=g, counts=dict(sorted(counts.items())))
+
+
+def overlap_masks(a: GSet) -> dict[Element, int]:
+    """The convolution table of A with A^-1, with a bitmask for each count.
+
+    Maps every t in A A^-1 to the mask of A ∩ tA over A's canonical order,
+    so ``mask.bit_count()`` is |A ∩ tA|, the value of
+    ``conv_table(a, inverse_set(a))`` at t.  Costs |A|^2 multiplications.
+    """
+    charge_pairs(len(a) * len(a))
+    g = a.group
+    mul = g.multiply
+    inv = [g.inverse(v) for v in a]
+    masks: dict[Element, int] = {}
+    get = masks.get
+    for i, u in enumerate(a):
+        bit = 1 << i
+        for w in inv:
+            # t = u v^-1 puts u = t v in A ∩ tA
+            t = mul(u, w)
+            masks[t] = get(t, 0) | bit
+    return masks
+
+
+@dataclass(frozen=True)
+class RowProduct:
+    """The product set AB with one bitmask row per element of A.
+
+    ``elements`` holds AB in first-seen order; bit j of ``rows[i]`` is set
+    when ``elements[j]`` lies in u B for u the i-th element of A.  For a
+    subset of A given as a mask over A, its product with B is the union of
+    its rows (``cover``), found without multiplying again.
+    """
+
+    group: Group
+    elements: tuple[Element, ...]
+    rows: tuple[int, ...]
+
+    def support(self) -> GSet:
+        return GSet._trusted(self.group, frozenset(self.elements))
+
+    def cover(self, mask: int) -> int:
+        """Mask over ``elements`` of the product of the subset ``mask`` with B."""
+        out = 0
+        for row in pick_bits(self.rows, mask):
+            out |= row
+        return out
+
+    def pick(self, mask: int) -> GSet:
+        return GSet._trusted(self.group, frozenset(pick_bits(self.elements, mask)))
+
+
+def row_product(a: GSet, b: GSet) -> RowProduct:
+    """The product set AB together with the row of each u * B; |A|*|B| multiplications."""
+    a.same_group(b)
+    charge_pairs(len(a) * len(b))
+    mul = a.group.multiply
+    index: dict[Element, int] = {}
+    setdefault = index.setdefault
+    rows = []
+    for u in a:
+        row = 0
+        for v in b:
+            row |= 1 << setdefault(mul(u, v), len(index))
+        rows.append(row)
+    return RowProduct(group=a.group, elements=tuple(index), rows=tuple(rows))
 
 
 @dataclass(frozen=True)

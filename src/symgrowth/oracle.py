@@ -10,16 +10,20 @@ against code with no shared logic to fail in the same way.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .budget import charge_pairs
-from .errors import CertificateFormatError
+from .errors import CertificateFormatError, InvalidElementError
 from .groups import Element, Group, group_from_spec
 from .serialize import fraction_to_str, parse_fraction
 
 CERTIFICATE_FORMAT = "symgrowth.certificate/1"
+
+#: ledger names that carry a step index: step{i}.<field> and trace{i}.<field>
+_INDEXED_NAME = re.compile(r"(step|trace)([0-9]+)\.(.*)", re.DOTALL)
 
 
 def oracle_product(group: Group, a: Iterable[Element], b: Iterable[Element]) -> tuple[Element, ...]:
@@ -191,7 +195,8 @@ def _need(cert: dict, key: str, kind, what: str = "certificate"):
     return value
 
 
-def _decode_elements(raw, what: str) -> tuple[Element, ...]:
+def _decode_elements(group: Group, raw, what: str) -> tuple[Element, ...]:
+    """Decode a list of encodings, each checked to be an element of ``group``."""
     if not isinstance(raw, list):
         raise CertificateFormatError(f"{what} must be a list of element encodings")
     out = []
@@ -200,6 +205,10 @@ def _decode_elements(raw, what: str) -> tuple[Element, ...]:
             isinstance(v, int) and not isinstance(v, bool) for v in item
         ):
             raise CertificateFormatError(f"{what} entries must be int arrays, got {item!r}")
+        try:
+            group.validate(tuple(item))
+        except InvalidElementError as exc:
+            raise CertificateFormatError(f"{what} entry {item!r} is not a group element") from exc
         out.append(tuple(item))
     return tuple(out)
 
@@ -227,6 +236,8 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     """
     rec = _Recorder()
 
+    if not isinstance(cert, dict):
+        raise CertificateFormatError("certificate must be a JSON object")
     fmt = _need(cert, "format", str)
     rec.record("format", CERTIFICATE_FORMAT, fmt)
 
@@ -254,6 +265,9 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     if isinstance(k, bool) or k < 1:
         raise CertificateFormatError(f"certificate k must be a positive integer, got {k!r}")
     eps = parse_fraction(_need(cert, "epsilon", str), "certificate epsilon")
+    if not 0 < eps <= 1:
+        # the replay and the termination cap are only defined for these
+        raise CertificateFormatError(f"certificate epsilon must lie in (0, 1], got {eps}")
     rec.record("epsilon_matches_k", fraction_to_str(Fraction(1, k + 1)), fraction_to_str(eps))
 
     trace = _need(cert, "trace", dict)
@@ -333,7 +347,7 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     final_product = replayed_products[-1]
     threshold = (1 - eps) if eps < 1 else Fraction(1, len(final_product))
     rec.record("s_threshold", fraction_to_str(threshold), _need(cert, "s_threshold", str))
-    s = _decode_elements(_need(cert, "s", list), "certificate S")
+    s = _decode_elements(group, _need(cert, "s", list), "certificate S")
     rec.flag("s_sorted_unique", all(x < y for x, y in zip(s, s[1:])))
     expected_s = oracle_sym_members(group, final_product, threshold)
     rec.record("s_matches_symmetry_set", list(map(list, expected_s)), list(map(list, s)))
@@ -364,23 +378,25 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     expected_names += ["termination_bound"]
 
     seen = [e.get("name") if isinstance(e, dict) else None for e in ledger]
-    rec.record("ledger_names", sorted(expected_names), sorted(x for x in seen if x is not None))
+    rec.record("ledger_names", sorted(expected_names), sorted(x for x in seen if isinstance(x, str)))
 
     s_set = set(s)
 
     def recompute(name: str):
         """Return (relation, lhs, rhs) for a ledger entry name."""
-        if name.startswith("step") or name.startswith("trace"):
-            head, _, field = name.partition(".")
-            idx = int(head[5:]) if head.startswith("trace") else int(head[4:])
+        indexed = _INDEXED_NAME.fullmatch(name)
+        if indexed is not None:
+            head, idx, field = indexed.group(1), int(indexed.group(2)), indexed.group(3)
             if idx >= len(steps):
                 raise CertificateFormatError(f"ledger entry {name!r} indexes a missing step")
-            if head.startswith("step"):
+            if head == "step":
                 nA = len(a)
                 nAp = chain_sizes[idx]
                 nP = len(replayed_products[idx])
                 if field == "level_set_lower":
                     return "ge", Fraction(len(replayed_level_sets[idx])), Fraction(nAp**3, 2 * nP * nA)
+                if field in ("shrink_size_lower", "shrink_product_upper") and idx == i0:
+                    raise CertificateFormatError(f"ledger entry {name!r} shrinks past the last step")
                 if field == "shrink_size_lower":
                     return "ge", Fraction(chain_sizes[idx + 1]), taus[idx]
                 if field == "shrink_product_upper":
@@ -410,7 +426,7 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
         raise CertificateFormatError(f"unknown ledger entry {name!r}")
 
     for entry in ledger:
-        if not isinstance(entry, dict) or "name" not in entry:
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise CertificateFormatError("ledger entries must be objects with a name")
         name = entry["name"]
         relation, lhs, rhs = recompute(name)

@@ -7,9 +7,10 @@ eta * |A| points:
     sym(A, eta).members = { x : |A ∩ xA| >= eta |A| }
 
 Equivalently the members are the level set of the convolution of A with
-A^-1, so they all lie inside A A^-1.  The comparison is exact (rational
-against integer count) and non-strict, so boundary cases are decided the
-same way on every platform.
+A^-1, so they all lie inside A A^-1, and ``sym_set`` reads them off that
+convolution table.  The comparison is exact (rational against integer
+count) and non-strict, so boundary cases are decided the same way on every
+platform.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable
 
 from .errors import InvariantViolation, ParameterError
 from .groups import Element
-from .gset import GSet, charge_pairs, inverse_set, power, product
+from .gset import GSet, conv_table, inverse_set, power, product
 
 
 def check_eta(eta) -> Fraction:
@@ -57,22 +58,23 @@ class SymmetrySet:
 def sym_set(a: GSet, eta, *, domain: Iterable[Element] | None = None) -> SymmetrySet:
     """The symmetry set of A at threshold eta.
 
-    Any x with A ∩ xA nonempty lies in A A^-1, so candidates are scanned
-    over that product set by default; a caller who already holds A A^-1 (or
-    a superset of it) can pass it as ``domain`` to skip recomputing it.
+    |A ∩ xA| is the convolution count of A with A^-1 at x, so the members
+    are read off one ``conv_table(a, inverse_set(a))`` at |A|^2
+    multiplications; every member lies in A A^-1.  ``domain``, if given,
+    restricts the candidates to its elements, which are validated; any
+    superset of A A^-1 gives the full symmetry set.
     """
     a.require_nonempty("symmetry set input")
     eta = check_eta(eta)
     g = a.group
-    if domain is None:
-        cands = product(a, inverse_set(a)).elements
-    else:
-        cands = sorted(set(domain))
-        for t in cands:
+    if domain is not None:
+        domain = set(domain)
+        for t in domain:
             g.validate(t)
-    charge_pairs(len(cands) * len(a))
+    counts = conv_table(a, inverse_set(a)).counts
     need = eta * len(a)
-    members = GSet(g, [t for t in cands if overlap(a, t) >= need], validate=False)
+    cands = counts if domain is None else domain
+    members = GSet(g, [t for t in cands if counts.get(t, 0) >= need], validate=False)
     # identity and closure under inversion hold by definition; failing here means
     # the computation itself is broken, not the input
     if g.identity not in members:
@@ -92,9 +94,8 @@ def check_nesting(a: GSet, eta, eta_prime) -> bool:
     eta_prime = check_eta(eta_prime)
     if eta < eta_prime:
         raise ParameterError(f"nesting check needs eta >= eta', got {eta} < {eta_prime}")
-    domain = product(a, inverse_set(a)).elements
-    hi = sym_set(a, eta, domain=domain)
-    lo = sym_set(a, eta_prime, domain=domain)
+    hi = sym_set(a, eta)
+    lo = sym_set(a, eta_prime)
     return hi.members.subset_of(lo.members)
 
 
@@ -110,10 +111,9 @@ def check_submultiplicativity(a: GSet, eps, eps_prime) -> bool:
             raise ParameterError(f"slack must lie in [0, 1), got {e}")
     if eps + eps_prime >= 1:
         raise ParameterError(f"slacks must sum below 1, got {eps} + {eps_prime}")
-    domain = product(a, inverse_set(a)).elements
-    s1 = sym_set(a, 1 - eps, domain=domain)
-    s2 = sym_set(a, 1 - eps_prime, domain=domain)
-    s12 = sym_set(a, 1 - eps - eps_prime, domain=domain)
+    s1 = sym_set(a, 1 - eps)
+    s2 = sym_set(a, 1 - eps_prime)
+    s12 = sym_set(a, 1 - eps - eps_prime)
     return product(s1.members, s2.members).subset_of(s12.members)
 
 
@@ -128,7 +128,6 @@ def check_iterated_power(a: GSet, eps, k: int) -> bool:
         raise ParameterError(f"power must be a positive integer, got {k!r}")
     if not 0 <= eps < 1 or k * eps >= 1:
         raise ParameterError(f"need k*eps < 1, got k={k}, eps={eps}")
-    domain = product(a, inverse_set(a)).elements
-    s = sym_set(a, 1 - eps, domain=domain)
-    target = sym_set(a, 1 - k * eps, domain=domain)
+    s = sym_set(a, 1 - eps)
+    target = sym_set(a, 1 - k * eps)
     return power(s.members, k).subset_of(target.members)

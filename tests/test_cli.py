@@ -252,3 +252,15 @@ def test_console_script_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["stats"]["doubling"] == "1"
+
+
+def test_verify_rejects_s_entry_of_wrong_width_with_exit_2(capsys, tmp_path, interval_file):
+    cert_path = tmp_path / "cert.json"
+    assert run_cli(capsys, "run", "--instance", interval_file, "--k", "2", "--out", str(cert_path))[0] == 0
+    cert = json.loads(cert_path.read_text())
+    cert["s"][-1].append(0)
+    cert_path.write_text(json.dumps(cert))
+    code, out, err = run_cli(capsys, "verify", "--instance", interval_file, "--certificate", str(cert_path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip())["error"] == "CertificateFormatError"

@@ -86,6 +86,19 @@ def test_symmetric_one_line_round_trip():
         assert g.encode_one_line(g.one_line(code)) == code
 
 
+def test_symmetric_decoding_still_checks_uncached_input():
+    # multiply trusts its arguments, but the decoders check what they have
+    # not cached yet
+    g = SymmetricGroup(3)
+    g.multiply((2, 1, 0), (1, 0, 0))
+    for bad in [(3, 0, 0), (0, 0), [0, 0, 0], (0, [1], 0)]:
+        with pytest.raises(InvalidElementError):
+            g.one_line(bad)
+    for bad in [(0, 0, 1), (0, 1, 3)]:
+        with pytest.raises(InvalidElementError):
+            g.encode_one_line(bad)
+
+
 def test_symmetric_composition_convention():
     # (p * q)(i) = p(q(i))
     g = SymmetricGroup(3)

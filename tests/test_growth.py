@@ -20,6 +20,7 @@ from symgrowth.growth import (
     shrink_step,
     stable_neighbourhood,
 )
+from symgrowth.instances import generate
 from symgrowth.serialize import canonical_dumps
 
 C20 = CyclicGroup(20)
@@ -99,6 +100,39 @@ def test_step_proper_subset_input():
     assert out.aprime == sub
     assert out.product == product(sub, INTERVAL)
     assert all(e.holds for e in out.entries)
+
+
+class CountingDihedral(DihedralGroup):
+    """A dihedral group that counts its multiplications."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.calls = 0
+
+    def multiply(self, x, y):
+        self.calls += 1
+        return super().multiply(x, y)
+
+
+@pytest.mark.parametrize(
+    "reps, eps",
+    [
+        ([[0, 0], [1, 1]], Fraction(1, 3)),  # a subgroup of order 16
+        ([[0, 0], [1, 0]], Fraction(1, 2)),  # two rotation cosets, |A'A| = 24
+    ],
+)
+def test_step_multiplications_do_not_grow_with_the_level_set(reps, eps):
+    # one pass for A'A, one table of A' with A'^-1, one table of A'A with
+    # its inverse; the scan over the level set multiplies nothing
+    group = CountingDihedral(40)
+    spec = {"group": group.describe(), "set": {"type": "coset_union", "generators": [[5, 0]], "reps": reps}}
+    a = GSet(group, generate(spec).elements)
+    na, nprod = len(a), len(product(a, a))
+    group.calls = 0
+    out = shrink_step(a, a, eps)
+    assert out.case == "terminate"
+    assert len(out.level_set) >= na
+    assert group.calls <= na * na + na * na + nprod * nprod
 
 
 # -- the iteration ------------------------------------------------------------

@@ -20,9 +20,12 @@ from symgrowth.gset import (
     conv_value,
     doubling_stats,
     inverse_set,
+    overlap_masks,
     pair_energy,
+    pick_bits,
     power,
     product,
+    row_product,
     set_pair_budget,
 )
 from symgrowth.oracle import oracle_conv_table, oracle_product, oracle_quadruples
@@ -216,6 +219,49 @@ def test_conv_table_matches_oracle(stream):
         a = draw_subset(group, 1 + stream.below(6), stream)
         b = draw_subset(group, 1 + stream.below(6), stream)
         assert conv_table(a, b).counts == oracle_conv_table(group, a.elements, b.elements)
+
+
+# -- bitmask kernels -----------------------------------------------------------
+
+
+def test_pick_bits_reads_positions_low_bit_first():
+    assert pick_bits(("a", "b", "c", "d"), 0b1010) == ["b", "d"]
+    assert pick_bits(("a",), 0) == []
+
+
+def test_overlap_masks_are_the_convolution_table(stream):
+    # bit i of the mask at t marks the i-th element of A as lying in A ∩ tA
+    for group in small_group_pool():
+        a = draw_subset(group, 1 + stream.below(8), stream)
+        masks = overlap_masks(a)
+        counts = conv_table(a, inverse_set(a)).counts
+        assert {t: m.bit_count() for t, m in masks.items()} == counts
+        for t, m in masks.items():
+            assert a.pick(m) == a.intersect(a.translate_left(t))
+
+
+def test_row_product_covers_subset_products(stream):
+    for group in small_group_pool():
+        a = draw_subset(group, 1 + stream.below(8), stream)
+        b = draw_subset(group, 1 + stream.below(8), stream)
+        rows = row_product(a, b)
+        assert rows.support() == product(a, b)
+        for _ in range(5):
+            mask = stream.below(1 << len(a))
+            sub = a.pick(mask)
+            assert rows.pick(rows.cover(mask)) == product(sub, b)
+
+
+def test_kernels_charge_their_multiplications():
+    set_pair_budget(24)
+    try:
+        with pytest.raises(PairBudgetError) as info:
+            overlap_masks(INTERVAL)
+        assert info.value.needed == 25
+        with pytest.raises(PairBudgetError):
+            row_product(INTERVAL, INTERVAL)
+    finally:
+        set_pair_budget(None)
 
 
 # -- quadruple counts ---------------------------------------------------------

@@ -266,3 +266,80 @@ def test_verifier_wrong_format_string():
     cert["format"] = "symgrowth.certificate/0"
     report = verify_certificate(cert, INTERVAL.elements)
     assert "format" in {c.name for c in report.failures()}
+
+
+# -- certificate verification: the verifier is total -------------------------
+
+
+def _rename_first(cert, old, new):
+    entry = next(e for e in cert["ledger"] if e["name"] == old)
+    entry["name"] = new
+
+
+def _unparsable_step_index(cert):
+    _rename_first(cert, "step0.level_set_lower", "stepX.level_set_lower")
+
+
+def _shrink_after_last_step(cert):
+    last = len(cert["trace"]["steps"]) - 1
+    _rename_first(cert, f"step{last}.sym_size_lower", f"step{last}.shrink_size_lower")
+
+
+def _drop_first_trace_step(cert):
+    del cert["trace"]["steps"][0]
+
+
+def _drop_last_trace_step(cert):
+    del cert["trace"]["steps"][-1]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_unparsable_step_index, _shrink_after_last_step, _drop_first_trace_step, _drop_last_trace_step],
+)
+def test_verifier_fails_cleanly_on_mangled_ledger_and_trace(mutate):
+    # k = 5 on the interval takes several shrink steps before terminating
+    cert = fresh_cert(INTERVAL, k=5)
+    mutate(cert)
+    try:
+        report = verify_certificate(cert, INTERVAL.elements)
+    except CertificateFormatError:
+        return
+    assert not report.overall
+
+
+def test_verifier_rejects_s_entry_of_wrong_width():
+    cert = fresh_cert()
+    cert["s"][0].append(0)
+    with pytest.raises(CertificateFormatError):
+        verify_certificate(cert, INTERVAL.elements)
+
+
+def test_verifier_rejects_s_entry_outside_the_group():
+    cert = fresh_cert()
+    cert["s"][0] = [20]
+    with pytest.raises(CertificateFormatError):
+        verify_certificate(cert, INTERVAL.elements)
+
+
+@pytest.mark.parametrize("eps", ["-1/3", "0", "3/2"])
+def test_verifier_rejects_epsilon_out_of_range(eps):
+    # a negative epsilon used to send the termination cap into an endless loop
+    cert = fresh_cert()
+    cert["epsilon"] = eps
+    cert["trace"]["epsilon"] = eps
+    with pytest.raises(CertificateFormatError):
+        verify_certificate(cert, INTERVAL.elements)
+
+
+@pytest.mark.parametrize("cert", [[], "format", 7])
+def test_verifier_rejects_non_object_certificate(cert):
+    with pytest.raises(CertificateFormatError):
+        verify_certificate(cert, INTERVAL.elements)
+
+
+def test_verifier_rejects_non_string_ledger_name():
+    cert = fresh_cert()
+    cert["ledger"][0]["name"] = 7
+    with pytest.raises(CertificateFormatError):
+        verify_certificate(cert, INTERVAL.elements)
