@@ -18,7 +18,7 @@ import sys
 from .budget import set_pair_budget
 from .errors import InvariantViolation, PairBudgetError, SymGrowthError
 from .growth import almost_invariant, shrink_step, stable_neighbourhood
-from .gset import doubling_stats
+from .gset import DoublingStats, doubling_stats
 from .instances import family_sweep, generate
 from .oracle import verify_certificate
 from .serialize import (
@@ -30,9 +30,6 @@ from .serialize import (
     parse_fraction,
 )
 from .symmetry import sym_set
-
-STAT_COLUMNS = ("size", "product_size", "inverse_product_size", "quad_size", "doubling")
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -175,7 +172,7 @@ def cmd_sweep(args) -> int:
     keys = list(grid)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(keys) + list(STAT_COLUMNS))
+    writer.writerow(list(keys) + list(DoublingStats.FIELD_ORDER))
     for point, stats in rows:
         cells = []
         for key in keys:
@@ -183,8 +180,7 @@ def cmd_sweep(args) -> int:
             for part in key.split("."):
                 node = node[part]
             cells.append(node if isinstance(node, (int, str)) else json.dumps(node))
-        d = stats.as_dict()
-        cells += [d[c] if c != "doubling" else fraction_to_str(d[c]) for c in STAT_COLUMNS]
+        cells += [fraction_to_str(v) for v in stats.as_dict().values()]
         writer.writerow(cells)
     _emit(buf.getvalue(), args.out)
     return 0

@@ -152,7 +152,11 @@ def inverse_set(a: GSet) -> GSet:
 
 
 def power(a: GSet, k: int) -> GSet:
-    """The k-fold product set A^k; A^0 is the identity singleton."""
+    """The k-fold product set A^k; A^0 is the identity singleton.
+
+    Stops early once A^(j+1) equals A^j as a set: every later power is then
+    equal too.  (Equal sizes are not enough: {x}^j changes with j.)
+    """
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ParameterError(f"power exponent must be a nonnegative integer, got {k!r}")
     g = a.group
@@ -160,7 +164,10 @@ def power(a: GSet, k: int) -> GSet:
         return GSet(g, [g.identity])
     acc = a
     for _ in range(k - 1):
-        acc = product(acc, a)
+        nxt = product(acc, a)
+        if nxt == acc:
+            break
+        acc = nxt
     return acc
 
 
@@ -318,13 +325,7 @@ class DoublingStats:
     FIELD_ORDER = ("size", "product_size", "inverse_product_size", "quad_size", "doubling")
 
     def as_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "product_size": self.product_size,
-            "inverse_product_size": self.inverse_product_size,
-            "quad_size": self.quad_size,
-            "doubling": self.doubling,
-        }
+        return {name: getattr(self, name) for name in self.FIELD_ORDER}
 
 
 def doubling_stats(a: GSet) -> DoublingStats:

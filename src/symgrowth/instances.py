@@ -44,21 +44,12 @@ def _nat(spec: dict, key: str, *, minimum: int = 0) -> int:
 
 
 def closure(group: Group, generators: Iterable[Element]) -> GSet:
-    """The subgroup generated by ``generators`` (finite, so products suffice)."""
-    gens = [group.coerce(g) for g in generators]
-    members = {group.identity}
-    frontier = [group.identity]
-    while frontier:
-        charge_pairs(len(frontier) * len(gens))
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = group.multiply(x, g)
-                if y not in members:
-                    members.add(y)
-                    new.append(y)
-        frontier = new
-    return GSet(group, members, validate=False)
+    """The subgroup generated by ``generators`` (finite, so products suffice).
+
+    Every member is a word of length below |G|, so it is the ball of that
+    radius.
+    """
+    return ball(group, generators, group.order)
 
 
 def ball(group: Group, generators: Iterable[Element], radius: int) -> GSet:

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from symgrowth import growth
 from symgrowth.errors import EmptySetError, ParameterError
 from symgrowth.groups import CyclicGroup, DihedralGroup
 from symgrowth.gset import GSet, inverse_set, power, product
@@ -262,6 +263,35 @@ def test_driver_ledger_is_exact_fractions():
     size1 = by_name["trace1.size_lower_bound"]
     assert size1.lhs == 2
     assert size1.rhs == Fraction(5) / (2 * Fraction(9, 5))  # |A| / (2K0)^1
+
+
+def test_stable_neighbourhood_builds_the_quad_product_once(monkeypatch):
+    sizes = []
+
+    def recording(real):
+        def wrapped(*args):
+            sizes.append(tuple(len(x) for x in args[-2:]))
+            return real(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(growth, "product", recording(growth.product))
+    monkeypatch.setattr(growth, "oracle_product", recording(growth.oracle_product))
+    for a in (INTERVAL, GSet(DihedralGroup(6), [(0, 0), (1, 0), (0, 1), (2, 0)])):
+        sizes.clear()
+        n2 = len(product(a, a))
+        assert stable_neighbourhood(a, 2).verified
+        assert sizes.count((n2, n2)) == 1
+
+
+def test_stable_neighbourhood_reports_a_failed_containment_without_raising(monkeypatch):
+    # A²A⁻² of the interval {0..4} in C20 is {-8..8}, so 10 lies outside it
+    real = growth.oracle_power
+    monkeypatch.setattr(growth, "oracle_power", lambda group, a, k: real(group, a, k) + ((10,),))
+    cert = stable_neighbourhood(INTERVAL, 2)
+    assert cert.verified is False
+    entry = {e.name: e for e in cert.ledger}["power_containment"]
+    assert entry.lhs == 1 and not entry.holds
 
 
 def test_driver_embeds_default_instance():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from symgrowth import gset
 from symgrowth.errors import (
     EmptySetError,
     GroupMismatchError,
@@ -139,6 +140,26 @@ def test_power_examples():
     d6 = DihedralGroup(6)
     rs = GSet(d6, [(1, 0), (0, 1)])
     assert set(power(rs, 2).elements) == {(0, 0), (2, 0), (1, 1), (5, 1)}
+
+
+def test_power_of_a_singleton_keeps_moving():
+    # {x}^j has size 1 for every j, so only a set comparison may stop early
+    c12 = CyclicGroup(12)
+    assert power(GSet(c12, [(1,)]), 5) == GSet(c12, [(5,)])
+
+
+def test_power_stops_once_the_power_is_stable(monkeypatch):
+    c12 = CyclicGroup(12)
+    calls = []
+    real = gset.product
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(gset, "product", counting)
+    assert power(GSet(c12, [(0,), (1,)]), 10**6) == GSet(c12, [(i,) for i in range(12)])
+    assert len(calls) <= 12
 
 
 def test_power_of_empty_set():

@@ -1,12 +1,15 @@
 """Brute-force oracles and the certificate verifier."""
 
+import ast
 import copy
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from symgrowth.errors import CertificateFormatError, PairBudgetError, ParameterError
 from symgrowth.groups import CyclicGroup, DihedralGroup, HeisenbergGroup
+from symgrowth import oracle
 from symgrowth.gset import GSet, set_pair_budget
 from symgrowth.growth import stable_neighbourhood
 from symgrowth.oracle import (
@@ -41,6 +44,25 @@ def test_oracle_product_and_inverse():
     assert oracle_inverse(C20, [(1,), (3,)]) == ((17,), (19,))
     assert oracle_power(C20, [(0,), (1,)], 3) == ((0,), (1,), (2,), (3,))
     assert oracle_power(C20, [(7,)], 0) == ((0,),)
+
+
+def test_oracle_power_stops_once_the_power_is_stable(monkeypatch):
+    c12 = CyclicGroup(12)
+    calls = []
+    real = oracle.oracle_product
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "oracle_product", counting)
+    assert oracle_power(c12, [(0,), (1,)], 10**6) == tuple((i,) for i in range(12))
+    assert len(calls) <= 12
+
+
+def test_oracle_power_of_a_singleton_keeps_moving():
+    # {x}^j has size 1 for every j but is a different set at each step
+    assert oracle_power(CyclicGroup(12), [(1,)], 5) == ((5,),)
 
 
 def test_oracle_conv_value_and_table():
@@ -343,3 +365,34 @@ def test_verifier_rejects_non_string_ledger_name():
     cert["ledger"][0]["name"] = 7
     with pytest.raises(CertificateFormatError):
         verify_certificate(cert, INTERVAL.elements)
+
+
+def _float_size(steps):
+    steps[0]["aprime_size"] = float(steps[0]["aprime_size"])
+
+
+def _bool_index(steps):
+    steps[1]["index"] = True
+
+
+def _float_witness(steps):
+    steps[0]["t"] = [float(v) for v in steps[0]["t"]]
+
+
+@pytest.mark.parametrize("mutate", [_float_size, _bool_index, _float_witness])
+def test_verifier_flags_floats_and_bools_in_integer_fields(mutate):
+    # 5.0 == 5 and True == 1 in Python, but not as certificate JSON
+    cert = fresh_cert()
+    steps = cert["trace"]["steps"]
+    assert [step["action"] for step in steps] == ["shrink", "terminate"]
+    mutate(steps)
+    assert verify_certificate(cert, INTERVAL.elements).overall is False
+
+
+def test_oracle_imports_nothing_from_the_fast_path():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported |= {node.module} if node.module else {alias.name for alias in node.names}
+    assert imported <= {"budget", "errors", "groups", "serialize"}
