@@ -1,11 +1,14 @@
 """End-to-end CLI behaviour: payloads, files, exit codes, error lines."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import symgrowth
 from symgrowth.cli import main
 
 INTERVAL_SPEC = {
@@ -245,10 +248,14 @@ def test_console_script_entry_point(tmp_path):
     # one subprocess smoke test of the installed script
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(SUBGROUP_SPEC))
+    # the child imports symgrowth from where this process found it
+    source_root = str(Path(symgrowth.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "symgrowth.cli", "stats", "--instance", str(path)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["stats"]["doubling"] == "1"

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from symgrowth import growth
+from symgrowth import growth, oracle
 from symgrowth.errors import EmptySetError, ParameterError
 from symgrowth.groups import CyclicGroup, DihedralGroup
 from symgrowth.gset import GSet, inverse_set, power, product
@@ -22,6 +22,7 @@ from symgrowth.growth import (
     stable_neighbourhood,
 )
 from symgrowth.instances import generate
+from symgrowth.oracle import verify_certificate
 from symgrowth.serialize import canonical_dumps
 
 C20 = CyclicGroup(20)
@@ -265,23 +266,34 @@ def test_driver_ledger_is_exact_fractions():
     assert size1.rhs == Fraction(5) / (2 * Fraction(9, 5))  # |A| / (2K0)^1
 
 
-def test_stable_neighbourhood_builds_the_quad_product_once(monkeypatch):
-    sizes = []
+def test_containment_checks_build_no_quad_product(monkeypatch):
+    # S^k ⊆ A²A⁻² and S^kA ⊆ A²A⁻²A are decided by membership, so no
+    # product of A² with A⁻² is ever formed, on the fast path or the oracle
+    calls = []
 
     def recording(real):
         def wrapped(*args):
-            sizes.append(tuple(len(x) for x in args[-2:]))
+            calls.append(tuple(frozenset(x) for x in args[-2:]))
             return real(*args)
 
         return wrapped
 
     monkeypatch.setattr(growth, "product", recording(growth.product))
     monkeypatch.setattr(growth, "oracle_product", recording(growth.oracle_product))
+    monkeypatch.setattr(oracle, "oracle_product", recording(oracle.oracle_product))
     for a in (INTERVAL, GSet(DihedralGroup(6), [(0, 0), (1, 0), (0, 1), (2, 0)])):
-        sizes.clear()
-        n2 = len(product(a, a))
-        assert stable_neighbourhood(a, 2).verified
-        assert sizes.count((n2, n2)) == 1
+        a2 = product(a, a)
+        quad_factors = (frozenset(a2), frozenset(inverse_set(a2)))
+        cert = stable_neighbourhood(a, 2)
+        checks = (
+            lambda: stable_neighbourhood(a, 2).verified,
+            lambda: verify_certificate(cert.to_json_dict(), a.elements).overall,
+            lambda: almost_invariant(a, 2).ok,
+        )
+        for check in checks:
+            calls.clear()
+            assert check()
+            assert calls and quad_factors not in calls
 
 
 def test_stable_neighbourhood_reports_a_failed_containment_without_raising(monkeypatch):

@@ -2,21 +2,33 @@
 
 import ast
 import copy
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from symgrowth.errors import CertificateFormatError, PairBudgetError, ParameterError
-from symgrowth.groups import CyclicGroup, DihedralGroup, HeisenbergGroup
+from symgrowth.groups import (
+    CyclicGroup,
+    DihedralGroup,
+    DirectProductGroup,
+    HeisenbergGroup,
+    SymmetricGroup,
+    TableGroup,
+)
 from symgrowth import oracle
 from symgrowth.gset import GSet, set_pair_budget
+from symgrowth.instances import generate
+from symgrowth.prng import CounterStream
+from symgrowth.serialize import parse_fraction
 from symgrowth.growth import stable_neighbourhood
 from symgrowth.oracle import (
     oracle_conv_table,
     oracle_conv_value,
     oracle_inverse,
     oracle_level_set,
+    oracle_outside,
     oracle_overlap,
     oracle_power,
     oracle_product,
@@ -26,6 +38,8 @@ from symgrowth.oracle import (
     verify_certificate,
 )
 from symgrowth.symmetry import overlap, sym_set
+
+from conftest import draw_subset
 
 C20 = CyclicGroup(20)
 INTERVAL = GSet(C20, [(i,) for i in range(5)])
@@ -125,6 +139,89 @@ def test_termination_cap_values():
     assert termination_cap(Fraction(100), Fraction(1, 1)) == 1  # eps = 1 stops at once
 
 
+def _descent_cap(k0, eps):
+    """The cap by exact rational descent, one multiplication by 1-eps at a time."""
+    value, m = Fraction(k0), 0
+    while value > 1:
+        value *= 1 - Fraction(eps)
+        m += 1
+        if eps == 1:
+            break
+    return m
+
+
+def test_termination_cap_agrees_with_the_descent_on_a_grid():
+    for k0 in {Fraction(n, d) for n in range(1, 41) for d in range(1, 9)}:
+        for eps in {Fraction(n, d) for d in range(1, 13) for n in range(1, d + 1)}:
+            assert termination_cap(k0, eps) == _descent_cap(k0, eps), (k0, eps)
+
+
+def test_termination_cap_is_fast_at_large_k():
+    # the descent takes about k·log K0 steps with growing denominators
+    start = time.perf_counter()
+    cap = termination_cap(Fraction(9, 5), Fraction(1, 10**6 + 1))
+    assert time.perf_counter() - start < 0.25
+    assert cap == 587787
+    assert termination_cap(Fraction(9, 5), Fraction(1, 10**4 + 1)) == _descent_cap(Fraction(9, 5), Fraction(1, 10**4 + 1))
+
+
+@pytest.mark.parametrize("eps", [Fraction(0), Fraction(-1, 3), Fraction(3, 2)])
+def test_termination_cap_rejects_eps_outside_the_unit_interval(eps):
+    with pytest.raises(ParameterError):
+        termination_cap(Fraction(9, 5), eps)
+
+
+# -- membership containment ---------------------------------------------------
+
+
+def _table_copy(group):
+    """The same group as a TableGroup, indexed in encoding order."""
+    elems = [group.element_at(i) for i in range(group.order)]
+    index = {x: i for i, x in enumerate(elems)}
+    return TableGroup([[index[group.multiply(x, y)] for y in elems] for x in elems])
+
+
+MEMBERSHIP_BACKENDS = [
+    CyclicGroup(31),
+    DihedralGroup(7),
+    SymmetricGroup(4),
+    HeisenbergGroup(3),
+    DirectProductGroup([CyclicGroup(4), DihedralGroup(3)]),
+    _table_copy(DihedralGroup(5)),
+]
+
+
+@pytest.mark.parametrize("group", MEMBERSHIP_BACKENDS, ids=lambda g: g.describe()["type"])
+def test_oracle_outside_matches_a_built_quotient(group):
+    stream = CounterStream(0x0075)
+    elements = [group.element_at(i) for i in range(group.order)]
+    planted = inside = 0
+    for _ in range(12):
+        t = draw_subset(group, 1 + stream.below(5), stream).elements
+        w = draw_subset(group, 1 + stream.below(5), stream).elements
+        xs = set(draw_subset(group, 1 + stream.below(8), stream).elements)
+        quotient = set(oracle_product(group, t, oracle_inverse(group, w)))
+        outsiders = [x for x in elements if x not in quotient]
+        for _ in range(min(2, len(outsiders))):
+            xs.add(outsiders[stream.below(len(outsiders))])
+        expected = sum(1 for x in xs if x not in quotient)
+        planted += expected
+        inside += len(xs) - expected
+        assert oracle_outside(group, sorted(xs), t, w) == expected
+    assert planted > 0 and inside > 0
+
+
+def test_oracle_outside_charges_each_tested_member():
+    a2 = oracle_product(C20, INTERVAL, INTERVAL)
+    set_pair_budget(len(a2))
+    try:
+        assert oracle_outside(C20, [(0,), (8,), (10,)], a2, a2) == 1
+        with pytest.raises(PairBudgetError):
+            oracle_outside(C20, [(0,)], a2, a2 + ((9,),))
+    finally:
+        set_pair_budget(None)
+
+
 # -- certificate verification: honest certificates ----------------------------
 
 
@@ -171,6 +268,30 @@ def test_verifier_report_as_dict():
     assert all(c["pass"] for c in blob["checks"])
 
 
+def test_verifier_scan_stops_each_candidate_product_at_its_limit(monkeypatch):
+    # a subgroup of D40 of order 16: every level-set candidate is tried and
+    # none shrinks, the shrink-scan workload's pattern on a smaller group
+    spec = {"group": {"type": "dihedral", "n": 40},
+            "set": {"type": "coset_union", "generators": [[5, 0]], "reps": [[0, 0], [1, 1]]}}
+    a = generate(spec)
+    cert = stable_neighbourhood(a, 2, instance=spec).to_json_dict()
+    assert [step["action"] for step in cert["trace"]["steps"]] == ["terminate"]
+    level = oracle_level_set(a.group, a.elements, parse_fraction(cert["trace"]["steps"][0]["tau"]))
+    full_scan = sum(oracle_overlap(a.group, a.elements, t) * len(a) for t in level)
+
+    calls = []
+    real = DihedralGroup.multiply
+    monkeypatch.setattr(DihedralGroup, "multiply", lambda g, x, y: calls.append(1) or real(g, x, y))
+    report = verify_certificate(cert, a.elements, instance=spec)
+    assert report.overall
+    assert len(calls) < full_scan
+
+    # the same report as building every candidate's product in full
+    monkeypatch.setattr(oracle, "oracle_product_at_most",
+                        lambda group, x, y, limit: len(oracle_product(group, x, y)) <= limit)
+    assert verify_certificate(cert, a.elements, instance=spec).as_dict() == report.as_dict()
+
+
 # -- certificate verification: tampering --------------------------------------
 
 
@@ -181,6 +302,22 @@ def test_verifier_flags_corrupted_neighbourhood():
     assert not report.overall
     failed = {c.name for c in report.failures()}
     assert "s_matches_symmetry_set" in failed
+
+
+def test_verifier_counts_every_power_member_outside_the_quad_product():
+    # A²A⁻² of the interval {0..4} in C20 is {-8..8}; a planted 10 in S
+    # sends several members of S^2 outside it
+    cert = fresh_cert()
+    s = sorted({tuple(x) for x in cert["s"]} | {(10,)})
+    cert["s"] = [list(x) for x in s]
+    a2 = oracle_product(C20, INTERVAL, INTERVAL)
+    quad = set(oracle_product(C20, a2, oracle_inverse(C20, a2)))
+    expected = sum(1 for x in oracle_power(C20, s, 2) if x not in quad)
+    assert expected > 1
+    report = verify_certificate(cert, INTERVAL.elements)
+    check = {c.name: c for c in report.checks}["power_containment_violations"]
+    assert (check.expected, check.actual, check.passed) == (0, expected, False)
+    assert not {c.name: c for c in report.checks}["ledger.power_containment"].passed
 
 
 def test_verifier_flags_dropped_neighbourhood_element():
