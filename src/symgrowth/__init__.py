@@ -5,145 +5,4 @@ construction of a symmetric identity neighbourhood S with S^k contained in
 A^2 A^-2, and independently verifiable certificates for all of it.
 """
 
-from .budget import DEFAULT_PAIR_BUDGET, pair_budget, set_pair_budget
-from .errors import (
-    CertificateFormatError,
-    EmptySetError,
-    GroupMismatchError,
-    InvalidElementError,
-    InvalidGroupError,
-    InvariantViolation,
-    PairBudgetError,
-    ParameterError,
-    SymGrowthError,
-)
-from .groups import (
-    CyclicGroup,
-    DihedralGroup,
-    DirectProductGroup,
-    Element,
-    Group,
-    HeisenbergGroup,
-    SymmetricGroup,
-    TableGroup,
-    group_from_spec,
-)
-from .growth import (
-    AlmostInvariance,
-    Certificate,
-    IterationTrace,
-    LedgerEntry,
-    StepOutcome,
-    StepRecord,
-    almost_invariant,
-    iterate_shrink,
-    shrink_step,
-    stable_neighbourhood,
-)
-from .gset import (
-    ConvTable,
-    DoublingStats,
-    GSet,
-    conv_table,
-    conv_value,
-    doubling_stats,
-    inverse_set,
-    pair_energy,
-    power,
-    product,
-)
-from .instances import ball, closure, family_sweep, generate, perturbed_subgroup, random_set
-from .oracle import (
-    VerificationReport,
-    oracle_conv_table,
-    oracle_conv_value,
-    oracle_inverse,
-    oracle_level_set,
-    oracle_power,
-    oracle_product,
-    oracle_quadruples,
-    oracle_sym_members,
-    verify_certificate,
-)
-from .prng import CounterStream, splitmix64
-from .serialize import canonical_dumps, parse_fraction
-from .symmetry import (
-    SymmetrySet,
-    check_iterated_power,
-    check_nesting,
-    check_submultiplicativity,
-    overlap,
-    sym_set,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlmostInvariance",
-    "Certificate",
-    "CertificateFormatError",
-    "ConvTable",
-    "CounterStream",
-    "CyclicGroup",
-    "DEFAULT_PAIR_BUDGET",
-    "DihedralGroup",
-    "DirectProductGroup",
-    "DoublingStats",
-    "Element",
-    "EmptySetError",
-    "GSet",
-    "Group",
-    "GroupMismatchError",
-    "HeisenbergGroup",
-    "InvalidElementError",
-    "InvalidGroupError",
-    "InvariantViolation",
-    "IterationTrace",
-    "LedgerEntry",
-    "PairBudgetError",
-    "ParameterError",
-    "StepOutcome",
-    "StepRecord",
-    "SymGrowthError",
-    "SymmetricGroup",
-    "SymmetrySet",
-    "TableGroup",
-    "VerificationReport",
-    "almost_invariant",
-    "ball",
-    "canonical_dumps",
-    "check_iterated_power",
-    "check_nesting",
-    "check_submultiplicativity",
-    "closure",
-    "conv_table",
-    "conv_value",
-    "doubling_stats",
-    "family_sweep",
-    "generate",
-    "group_from_spec",
-    "inverse_set",
-    "iterate_shrink",
-    "oracle_conv_table",
-    "oracle_conv_value",
-    "oracle_inverse",
-    "oracle_level_set",
-    "oracle_power",
-    "oracle_product",
-    "oracle_quadruples",
-    "oracle_sym_members",
-    "overlap",
-    "pair_budget",
-    "pair_energy",
-    "parse_fraction",
-    "perturbed_subgroup",
-    "power",
-    "product",
-    "random_set",
-    "set_pair_budget",
-    "shrink_step",
-    "splitmix64",
-    "stable_neighbourhood",
-    "sym_set",
-    "verify_certificate",
-]

@@ -218,10 +218,8 @@ def shrink_step(aprime: GSet, a: GSet, eps) -> StepOutcome:
     tau = Fraction(nap**4, 2 * np_ * na**2)
 
     overlaps = overlap_masks(aprime)
-    level = GSet(
-        aprime.group,
-        [t for t, mask in overlaps.items() if mask.bit_count() >= tau],
-        validate=False,
+    level = GSet._trusted(
+        aprime.group, frozenset(t for t, mask in overlaps.items() if mask.bit_count() >= tau)
     )
 
     entries = [_entry("level_set_lower", "ge", len(level), Fraction(nap**3, 2 * np_ * na))]
@@ -285,7 +283,15 @@ def _record(index: int, out: StepOutcome) -> StepRecord:
     )
 
 
-def _run_iteration(a: GSet, eps: Fraction, step_hook: StepHook | None = None):
+def iterate_shrink(a: GSet, eps, step_hook: StepHook | None = None):
+    """Iterate shrink steps from A' = A until termination.
+
+    Returns (the step outcomes, the trace).  The last outcome terminates:
+    its ``aprime`` is the terminal A' and its ``sym`` the symmetry set of
+    A'A at threshold 1-eps, at least as large as the final level set.
+    """
+    a.require_nonempty("iteration input")
+    eps = _check_eps(eps)
     outcomes: list[StepOutcome] = []
     records: list[StepRecord] = []
     cur = a
@@ -314,20 +320,6 @@ def _run_iteration(a: GSet, eps: Fraction, step_hook: StepHook | None = None):
         termination_cap=cap,
     )
     return outcomes, trace
-
-
-def iterate_shrink(a: GSet, eps, step_hook: StepHook | None = None):
-    """Iterate shrink steps from A' = A until termination.
-
-    Returns (terminal A', the terminal symmetry set, the trace).  The
-    terminal symmetry set is taken on A'A at threshold 1-eps and is at
-    least as large as the final level set.
-    """
-    a.require_nonempty("iteration input")
-    eps = _check_eps(eps)
-    outcomes, trace = _run_iteration(a, eps, step_hook)
-    last = outcomes[-1]
-    return last.aprime, last.sym, trace
 
 
 def _trace_entries(trace: IterationTrace, a_size: int) -> list[LedgerEntry]:
@@ -379,7 +371,7 @@ def stable_neighbourhood(
     eps = Fraction(1, k + 1)
     group = a.group
 
-    outcomes, trace = _run_iteration(a, eps, step_hook)
+    outcomes, trace = iterate_shrink(a, eps, step_hook)
     last = outcomes[-1]
     aprime, sym = last.aprime, last.sym
     s = sym.members

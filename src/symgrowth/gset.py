@@ -1,9 +1,8 @@
 """Exact arithmetic on finite subsets of a group.
 
 A ``GSet`` is an immutable, canonically ordered subset of a fixed group.
-Every statistic that could be fractional (densities, doubling ratios,
-normalised convolution values) is a ``fractions.Fraction``; floats never
-enter any computation here.
+Every statistic that could be fractional (the doubling ratio) is a
+``fractions.Fraction``; floats never enter any computation here.
 
 Product-style operations cost |A|*|B| group multiplications.  A global pair
 budget guards against accidentally quadratic-in-the-group blowups: when the
@@ -22,12 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .budget import (  # noqa: F401  (re-exported as part of this module's API)
-    DEFAULT_PAIR_BUDGET,
-    charge_pairs,
-    pair_budget,
-    set_pair_budget,
-)
+from .budget import charge_pairs
 from .errors import EmptySetError, GroupMismatchError, ParameterError
 from .groups import Element, Group
 
@@ -37,18 +31,22 @@ class GSet:
 
     __slots__ = ("group", "_elems", "_members")
 
-    def __init__(self, group: Group, elems: Iterable[Element], *, validate: bool = True):
+    def __init__(self, group: Group, elems: Iterable[Element]):
         members = frozenset(elems)
-        if validate:
-            for x in members:
-                group.validate(x)
+        for x in members:
+            group.validate(x)
         self.group = group
         self._members = members
         self._elems = tuple(sorted(members))
 
     @classmethod
     def _trusted(cls, group: Group, members: frozenset[Element]) -> "GSet":
-        return cls(group, members, validate=False)
+        """A GSet of members already known to lie in ``group``, built without validation."""
+        self = cls.__new__(cls)
+        self.group = group
+        self._members = members
+        self._elems = tuple(sorted(members))
+        return self
 
     # -- container protocol -------------------------------------------------
 
@@ -92,14 +90,6 @@ class GSet:
                 f"sets live in different groups: {self.group.describe()} vs {other.group.describe()}"
             )
 
-    def union(self, other: "GSet") -> "GSet":
-        self.same_group(other)
-        return GSet._trusted(self.group, self._members | other._members)
-
-    def intersect(self, other: "GSet") -> "GSet":
-        self.same_group(other)
-        return GSet._trusted(self.group, self._members & other._members)
-
     def subset_of(self, other: "GSet") -> bool:
         self.same_group(other)
         return self._members <= other._members
@@ -111,16 +101,6 @@ class GSet:
         """True when the set equals its elementwise inverse."""
         g = self.group
         return all(g.inverse(x) in self._members for x in self._elems)
-
-    def translate_left(self, t: Element) -> "GSet":
-        """The set t*A."""
-        g = self.group
-        g.validate(t)
-        return GSet._trusted(g, frozenset(g.multiply(t, x) for x in self._elems))
-
-    def density(self) -> Fraction:
-        """|A| / |G| as an exact fraction."""
-        return Fraction(len(self._elems), self.group.order)
 
     def pick(self, mask: int) -> "GSet":
         """The members whose positions in canonical order are set in ``mask``."""
@@ -169,21 +149,6 @@ def power(a: GSet, k: int) -> GSet:
             break
         acc = nxt
     return acc
-
-
-def conv_value(a: GSet, b: GSet, x: Element) -> int:
-    """The convolution count  1_A * 1_B (x) = #{(u, v) in A x B : u*v = x}.
-
-    Equal to |A ∩ x B^-1|, computed by iterating over the smaller of the two
-    sets and testing membership in the other.
-    """
-    a.same_group(b)
-    g = a.group
-    g.validate(x)
-    if len(a) <= len(b):
-        # u*v = x  <=>  v = u^-1 x
-        return sum(1 for u in a if g.multiply(g.inverse(u), x) in b)
-    return sum(1 for v in b if g.multiply(x, g.inverse(v)) in a)
 
 
 def conv_table(a: GSet, b: GSet) -> "ConvTable":

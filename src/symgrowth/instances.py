@@ -74,7 +74,7 @@ def ball(group: Group, generators: Iterable[Element], radius: int) -> GSet:
         if not new:
             break
         frontier = new
-    return GSet(group, members, validate=False)
+    return GSet._trusted(group, frozenset(members))
 
 
 def random_set(group: Group, size: int, seed: int) -> GSet:
@@ -89,7 +89,7 @@ def random_set(group: Group, size: int, seed: int) -> GSet:
         index = splitmix64(seed, counter) % group.order
         chosen.add(group.element_at(index))
         counter += 1
-    return GSet(group, chosen, validate=False)
+    return GSet._trusted(group, frozenset(chosen))
 
 
 def perturbed_subgroup(group: Group, generators: Iterable[Element], swaps: int, seed: int) -> GSet:
@@ -111,7 +111,7 @@ def perturbed_subgroup(group: Group, generators: Iterable[Element], swaps: int, 
             continue
         cur.append(complement[splitmix64(seed, 2 * j + 1) % len(complement)])
         cur.sort()
-    return GSet(group, cur, validate=False)
+    return GSet._trusted(group, frozenset(cur))
 
 
 def generate(spec: dict) -> GSet:
@@ -136,7 +136,7 @@ def generate(spec: dict) -> GSet:
         for rep in reps:
             for h in sub:
                 members.add(group.multiply(rep, h))
-        return GSet(group, members, validate=False)
+        return GSet._trusted(group, frozenset(members))
     if kind == "interval":
         if group.kind != "cyclic":
             raise ParameterError(f"interval sets require a cyclic group, got {group.kind}")
@@ -146,7 +146,7 @@ def generate(spec: dict) -> GSet:
         length = _nat(set_spec, "length", minimum=1)
         if length > group.order:
             raise ParameterError(f"interval length {length} exceeds the group order {group.order}")
-        return GSet(group, (((start + i) % group.order,) for i in range(length)), validate=False)
+        return GSet._trusted(group, frozenset(((start + i) % group.order,) for i in range(length)))
     if kind == "ball":
         return ball(
             group,

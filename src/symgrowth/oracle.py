@@ -10,7 +10,6 @@ against code with no shared logic to fail in the same way.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -21,9 +20,6 @@ from .groups import Element, Group, group_from_spec
 from .serialize import elements_from_json, fraction_to_str, parse_fraction
 
 CERTIFICATE_FORMAT = "symgrowth.certificate/1"
-
-#: ledger names that carry a step index: step{i}.<field> and trace{i}.<field>
-_INDEXED_NAME = re.compile(r"(step|trace)([0-9]+)\.(.*)", re.DOTALL)
 
 
 def oracle_product(group: Group, a: Iterable[Element], b: Iterable[Element]) -> tuple[Element, ...]:
@@ -428,74 +424,43 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     violations = oracle_outside(group, oracle_power(group, s, k), a2, a2)
     rec.record("power_containment_violations", 0, violations)
 
-    # every ledger line, recomputed
+    # every ledger line, recomputed once: name -> (relation, lhs, rhs)
+    n_a = len(a)
+    table: dict[str, tuple[str, Fraction, Fraction]] = {}
+    for i in range(len(steps)):
+        n_ap, n_p = chain_sizes[i], len(replayed_products[i])
+        level_bound = Fraction(n_ap**3, 2 * n_p * n_a)
+        table[f"step{i}.level_set_lower"] = ("ge", Fraction(len(replayed_level_sets[i])), level_bound)
+        if i < i0:
+            table[f"step{i}.shrink_size_lower"] = ("ge", Fraction(chain_sizes[i + 1]), taus[i])
+            next_p = len(replayed_products[i + 1])
+            table[f"step{i}.shrink_product_upper"] = ("le", Fraction(next_p), (1 - eps) * n_p)
+        table[f"trace{i}.product_growth_bound"] = ("le", Fraction(n_p), (1 - eps) ** i * k0 * n_a)
+        exponent = (4**i - 1) // 3
+        table[f"trace{i}.size_lower_bound"] = ("ge", Fraction(n_ap), Fraction(n_a) / (2 * k0) ** exponent)
+    last_level = replayed_level_sets[i0]
+    table[f"step{i0}.sym_size_lower"] = ("ge", Fraction(len(s)), Fraction(len(last_level)))
+    level_outside = sum(1 for t in last_level if t not in s_set)
+    table[f"step{i0}.level_set_in_sym"] = ("eq", Fraction(level_outside), Fraction(0))
+    table["identity_in_neighbourhood"] = ("eq", Fraction(1 if group.identity in s_set else 0), Fraction(1))
+    asymmetric = sum(1 for x in s if group.inverse(x) not in s_set)
+    table["neighbourhood_symmetric"] = ("eq", Fraction(asymmetric), Fraction(0))
+    table["power_containment"] = ("eq", Fraction(violations), Fraction(0))
+    size_bound = Fraction(len(aprime) ** 3, 2 * len(final_product) * n_a)
+    table["neighbourhood_size_lower_bound"] = ("ge", Fraction(len(s)), size_bound)
+    table["termination_bound"] = ("le", Fraction(i0), Fraction(cap))
+
     ledger = _need(cert, "ledger", list)
-    expected_names = ["step%d.level_set_lower" % i for i in range(len(steps))]
-    for i in range(len(steps) - 1):
-        expected_names += ["step%d.shrink_size_lower" % i, "step%d.shrink_product_upper" % i]
-    expected_names += [
-        "step%d.sym_size_lower" % i0,
-        "step%d.level_set_in_sym" % i0,
-        "identity_in_neighbourhood",
-        "neighbourhood_symmetric",
-        "power_containment",
-        "neighbourhood_size_lower_bound",
-    ]
-    expected_names += ["trace%d.product_growth_bound" % i for i in range(len(steps))]
-    expected_names += ["trace%d.size_lower_bound" % i for i in range(len(steps))]
-    expected_names += ["termination_bound"]
-
     seen = [e.get("name") if isinstance(e, dict) else None for e in ledger]
-    rec.record("ledger_names", sorted(expected_names), sorted(x for x in seen if isinstance(x, str)))
-
-    def recompute(name: str):
-        """Return (relation, lhs, rhs) for a ledger entry name."""
-        indexed = _INDEXED_NAME.fullmatch(name)
-        if indexed is not None:
-            head, idx, field = indexed.group(1), int(indexed.group(2)), indexed.group(3)
-            if idx >= len(steps):
-                raise CertificateFormatError(f"ledger entry {name!r} indexes a missing step")
-            if head == "step":
-                nA = len(a)
-                nAp = chain_sizes[idx]
-                nP = len(replayed_products[idx])
-                if field == "level_set_lower":
-                    return "ge", Fraction(len(replayed_level_sets[idx])), Fraction(nAp**3, 2 * nP * nA)
-                if field in ("shrink_size_lower", "shrink_product_upper") and idx == i0:
-                    raise CertificateFormatError(f"ledger entry {name!r} shrinks past the last step")
-                if field == "shrink_size_lower":
-                    return "ge", Fraction(chain_sizes[idx + 1]), taus[idx]
-                if field == "shrink_product_upper":
-                    return "le", Fraction(len(replayed_products[idx + 1])), (1 - eps) * nP
-                if field == "sym_size_lower":
-                    return "ge", Fraction(len(s)), Fraction(len(replayed_level_sets[idx]))
-                if field == "level_set_in_sym":
-                    outside = sum(1 for t in replayed_level_sets[idx] if t not in s_set)
-                    return "eq", Fraction(outside), Fraction(0)
-            else:
-                if field == "product_growth_bound":
-                    return "le", Fraction(len(replayed_products[idx])), (1 - eps) ** idx * k0 * len(a)
-                if field == "size_lower_bound":
-                    exponent = (4**idx - 1) // 3
-                    return "ge", Fraction(chain_sizes[idx]), Fraction(len(a)) / (2 * k0) ** exponent
-            raise CertificateFormatError(f"unknown ledger entry {name!r}")
-        if name == "identity_in_neighbourhood":
-            return "eq", Fraction(1 if group.identity in s_set else 0), Fraction(1)
-        if name == "neighbourhood_symmetric":
-            return "eq", Fraction(sum(1 for x in s if group.inverse(x) not in s_set)), Fraction(0)
-        if name == "power_containment":
-            return "eq", Fraction(violations), Fraction(0)
-        if name == "neighbourhood_size_lower_bound":
-            return "ge", Fraction(len(s)), Fraction(len(aprime) ** 3, 2 * len(final_product) * len(a))
-        if name == "termination_bound":
-            return "le", Fraction(i0), Fraction(cap)
-        raise CertificateFormatError(f"unknown ledger entry {name!r}")
+    rec.record("ledger_names", sorted(table), sorted(x for x in seen if isinstance(x, str)))
 
     for entry in ledger:
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise CertificateFormatError("ledger entries must be objects with a name")
         name = entry["name"]
-        relation, lhs, rhs = recompute(name)
+        if name not in table:
+            raise CertificateFormatError(f"unknown ledger entry {name!r}")
+        relation, lhs, rhs = table[name]
         ok = (
             entry.get("relation") == relation
             and entry.get("lhs") == fraction_to_str(lhs)

@@ -17,10 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .errors import InvariantViolation, ParameterError
-from .groups import Element
 from .gset import GSet, conv_table, inverse_set, power, product
 
 
@@ -30,14 +28,6 @@ def check_eta(eta) -> Fraction:
     if not 0 < eta <= 1:
         raise ParameterError(f"threshold must lie in (0, 1], got {eta}")
     return eta
-
-
-def overlap(a: GSet, t: Element) -> int:
-    """|A ∩ tA|, the number of v in A with t*v still in A."""
-    g = a.group
-    g.validate(t)
-    mul = g.multiply
-    return sum(1 for v in a if mul(t, v) in a)
 
 
 @dataclass(frozen=True)
@@ -55,26 +45,19 @@ class SymmetrySet:
         return len(self.members)
 
 
-def sym_set(a: GSet, eta, *, domain: Iterable[Element] | None = None) -> SymmetrySet:
+def sym_set(a: GSet, eta) -> SymmetrySet:
     """The symmetry set of A at threshold eta.
 
     |A ∩ xA| is the convolution count of A with A^-1 at x, so the members
     are read off one ``conv_table(a, inverse_set(a))`` at |A|^2
-    multiplications; every member lies in A A^-1.  ``domain``, if given,
-    restricts the candidates to its elements, which are validated; any
-    superset of A A^-1 gives the full symmetry set.
+    multiplications; every member lies in A A^-1.
     """
     a.require_nonempty("symmetry set input")
     eta = check_eta(eta)
     g = a.group
-    if domain is not None:
-        domain = set(domain)
-        for t in domain:
-            g.validate(t)
     counts = conv_table(a, inverse_set(a)).counts
     need = eta * len(a)
-    cands = counts if domain is None else domain
-    members = GSet(g, [t for t in cands if counts.get(t, 0) >= need], validate=False)
+    members = GSet._trusted(g, frozenset(t for t, n in counts.items() if n >= need))
     # identity and closure under inversion hold by definition; failing here means
     # the computation itself is broken, not the input
     if g.identity not in members:

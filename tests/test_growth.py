@@ -142,7 +142,9 @@ def test_step_multiplications_do_not_grow_with_the_level_set(reps, eps):
 
 def test_iteration_shrinks_to_singleton_at_small_eps():
     seen = []
-    aprime, sym, trace = iterate_shrink(INTERVAL, Fraction(1, 10), step_hook=seen.append)
+    outcomes, trace = iterate_shrink(INTERVAL, Fraction(1, 10), step_hook=seen.append)
+    aprime, sym = outcomes[-1].aprime, outcomes[-1].sym
+    assert [out.case for out in outcomes] == [r.action for r in trace.steps]
     assert [r.aprime_size for r in trace.steps] == [5, 4, 3, 2, 1]
     assert [r.action for r in trace.steps] == ["shrink"] * 4 + ["terminate"]
     assert all(r.t == (1,) for r in trace.steps[:4])
@@ -156,14 +158,16 @@ def test_iteration_shrinks_to_singleton_at_small_eps():
 
 
 def test_iteration_terminates_immediately_at_large_eps():
-    aprime, sym, trace = iterate_shrink(INTERVAL, Fraction(1, 2))
+    outcomes, trace = iterate_shrink(INTERVAL, Fraction(1, 2))
+    aprime, sym = outcomes[-1].aprime, outcomes[-1].sym
     assert trace.i0 == 0
     assert aprime == INTERVAL
     assert len(sym.members) == 9
 
 
 def test_iteration_on_subgroup_is_trivial():
-    aprime, sym, trace = iterate_shrink(H5, Fraction(1, 4))
+    outcomes, trace = iterate_shrink(H5, Fraction(1, 4))
+    sym = outcomes[-1].sym
     assert trace.i0 == 0
     assert sym.members == H5
     assert trace.doubling == 1
@@ -171,7 +175,7 @@ def test_iteration_on_subgroup_is_trivial():
 
 
 def test_iteration_product_sizes_decay_geometrically():
-    _, _, trace = iterate_shrink(INTERVAL, Fraction(1, 10))
+    _, trace = iterate_shrink(INTERVAL, Fraction(1, 10))
     k0 = trace.doubling
     for rec in trace.steps:
         assert rec.product_size <= (1 - trace.epsilon) ** rec.index * k0 * 5
@@ -181,7 +185,8 @@ def test_iteration_product_sizes_decay_geometrically():
 def test_iteration_with_eps_one_clamps_the_threshold():
     # no shrink is possible at eps = 1, so the run terminates at once and
     # the symmetry threshold clamps to 1/|A'A|, keeping it positive
-    aprime, sym, trace = iterate_shrink(INTERVAL, 1)
+    outcomes, trace = iterate_shrink(INTERVAL, 1)
+    sym = outcomes[-1].sym
     assert trace.i0 == 0
     assert sym.eta == Fraction(1, 9)
     assert len(sym.members) == 17

@@ -142,7 +142,7 @@ def test_coset_union_uses_left_cosets():
                          "reps": [[0, 1]]}))
     # (0,1) * {(0,0),(2,0)} under s r^2 = r^-2 s
     assert set(got.elements) == {(0, 1), (2, 1)}
-    assert got == closure(d4, [(2, 0)]).translate_left((0, 1))
+    assert got == GSet(d4, [d4.multiply((0, 1), h) for h in closure(d4, [(2, 0)])])
 
 
 def test_generate_interval():

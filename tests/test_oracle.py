@@ -18,7 +18,8 @@ from symgrowth.groups import (
     TableGroup,
 )
 from symgrowth import oracle
-from symgrowth.gset import GSet, set_pair_budget
+from symgrowth.budget import set_pair_budget
+from symgrowth.gset import GSet, overlap_masks
 from symgrowth.instances import generate
 from symgrowth.prng import CounterStream
 from symgrowth.serialize import parse_fraction
@@ -37,7 +38,7 @@ from symgrowth.oracle import (
     termination_cap,
     verify_certificate,
 )
-from symgrowth.symmetry import overlap, sym_set
+from symgrowth.symmetry import sym_set
 
 from conftest import draw_subset
 
@@ -116,9 +117,10 @@ def test_oracle_sym_members_matches_fast_path():
 def test_oracle_overlap_agrees_with_fast_overlap():
     d6 = DihedralGroup(6)
     a = GSet(d6, [(0, 0), (1, 0), (0, 1), (2, 1)])
+    masks = overlap_masks(a)
     for i in range(d6.order):
         t = d6.element_at(i)
-        assert overlap(a, t) == oracle_overlap(d6, a.elements, t)
+        assert masks.get(t, 0).bit_count() == oracle_overlap(d6, a.elements, t)
 
 
 def test_oracle_quadruples_respects_budget():
@@ -465,6 +467,15 @@ def test_verifier_fails_cleanly_on_mangled_ledger_and_trace(mutate):
     except CertificateFormatError:
         return
     assert not report.overall
+
+
+def test_verifier_rejects_terminal_ledger_line_on_a_shrink_step():
+    # step0 shrinks at k = 5, so its ledger has no step0.sym_size_lower line
+    cert = fresh_cert(INTERVAL, k=5)
+    assert cert["trace"]["steps"][0]["action"] == "shrink"
+    _rename_first(cert, "step0.level_set_lower", "step0.sym_size_lower")
+    with pytest.raises(CertificateFormatError):
+        verify_certificate(cert, INTERVAL.elements)
 
 
 def test_verifier_rejects_s_entry_of_wrong_width():
