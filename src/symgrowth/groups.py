@@ -87,11 +87,10 @@ class Group(ABC):
         return (self.element_at(i) for i in range(self.order))
 
     def coerce(self, raw: Sequence[int]) -> Element:
-        """Convert a raw int sequence to a validated element encoding."""
-        try:
-            enc = tuple(int(v) for v in raw)
-        except (TypeError, ValueError) as exc:
-            raise InvalidElementError(f"not an int sequence: {raw!r}") from exc
+        """Validate a raw int sequence as an element encoding; bools, strings and floats are refused."""
+        if not isinstance(raw, (list, tuple)) or not all(type(v) is int for v in raw):
+            raise InvalidElementError(f"not an int sequence: {raw!r}")
+        enc = tuple(raw)
         self.validate(enc)
         return enc
 

@@ -31,7 +31,7 @@ from .oracle import (
     termination_cap,
 )
 from .serialize import elements_to_json, fraction_to_str
-from .symmetry import SymmetrySet, sym_set
+from .symmetry import SymmetrySet, check_eta, sym_set
 
 #: closing-remark comparison recorded on certificates; informational only
 ALTERNATIVE_SIZE_BOUND = "|S| >= exp(-O(k^2 K log K)) |A|"
@@ -182,13 +182,6 @@ class Certificate:
         }
 
 
-def _check_eps(eps) -> Fraction:
-    eps = Fraction(eps)
-    if not 0 < eps <= 1:
-        raise ParameterError(f"shrink slack must lie in (0, 1], got {eps}")
-    return eps
-
-
 def shrink_step(aprime: GSet, a: GSet, eps) -> StepOutcome:
     """One dichotomy step on A' ⊆ A.
 
@@ -210,7 +203,7 @@ def shrink_step(aprime: GSet, a: GSet, eps) -> StepOutcome:
     a.require_nonempty("shrink step input A")
     if not aprime.subset_of(a):
         raise ParameterError("shrink step needs A' to be a subset of A")
-    eps = _check_eps(eps)
+    eps = check_eta(eps)
 
     rows = row_product(aprime, a)
     p = rows.support()
@@ -291,7 +284,7 @@ def iterate_shrink(a: GSet, eps, step_hook: StepHook | None = None):
     A'A at threshold 1-eps, at least as large as the final level set.
     """
     a.require_nonempty("iteration input")
-    eps = _check_eps(eps)
+    eps = check_eta(eps)
     outcomes: list[StepOutcome] = []
     records: list[StepRecord] = []
     cur = a

@@ -71,23 +71,6 @@ def oracle_outside(group: Group, xs: Iterable[Element], t: Iterable[Element], w:
     return outside
 
 
-def oracle_product_at_most(group: Group, a: Iterable[Element], b: Iterable[Element], limit) -> bool:
-    """Whether |AB| <= limit, by double loop that stops once AB has more than limit elements."""
-    a = tuple(a)
-    b = tuple(b)
-    charge_pairs(len(a) * len(b))
-    mul = group.multiply
-    out = set()
-    for x in a:
-        for y in b:
-            z = mul(x, y)
-            if z not in out:
-                out.add(z)
-                if len(out) > limit:
-                    return False
-    return True
-
-
 def oracle_conv_value(group: Group, a: Iterable[Element], b: Iterable[Element], x: Element) -> int:
     """Number of ways to write x = u*v with u in A, v in B, by double loop."""
     a = tuple(a)
@@ -145,11 +128,15 @@ def oracle_sym_members(group: Group, a: Iterable[Element], eta: Fraction) -> tup
 
 
 def oracle_level_set(group: Group, aprime: Iterable[Element], tau: Fraction) -> tuple[Element, ...]:
-    """All t with |A' ∩ tA'| >= tau, scanned over A'A'^-1."""
-    aprime = tuple(sorted(set(aprime)))
-    candidates = oracle_product(group, aprime, oracle_inverse(group, aprime))
-    charge_pairs(len(candidates) * len(aprime))
-    return tuple(t for t in candidates if oracle_overlap(group, aprime, t) >= tau)
+    """All t with |A' ∩ tA'| >= tau, read off the convolution table of A' with A'^-1.
+
+    t = u·v⁻¹ with u, v in A' exactly when u = tv lies in A' ∩ tA', so the
+    table's count at t is |A' ∩ tA'|; ``oracle_overlap`` is the check by
+    definition.
+    """
+    aprime = set(aprime)
+    counts = oracle_conv_table(group, aprime, oracle_inverse(group, aprime))
+    return tuple(t for t, n in counts.items() if n >= tau)
 
 
 def termination_cap(k0: Fraction, eps: Fraction) -> int:
@@ -356,7 +343,11 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
         chain_sizes.append(len(cur))
         rec.record(f"{tag}.index", i, step.get("index"))
         rec.record(f"{tag}.aprime_size", len(cur), step.get("aprime_size"))
-        prod = oracle_product(group, cur, a)
+        # one row xA per x in A': the step's product A'A is their union, and a
+        # candidate's product (A' ∩ tA')A the union of its members' rows
+        charge_pairs(len(cur) * len(a))
+        rows = {x: frozenset(mul(x, v) for v in a) for x in cur}
+        prod = tuple(sorted(frozenset().union(*rows.values())))
         replayed_products.append(prod)
         rec.record(f"{tag}.product_size", len(prod), step.get("product_size"))
         tau = Fraction(len(cur) ** 4, 2 * len(prod) * len(a) ** 2)
@@ -371,8 +362,8 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
         shrunk = None
         limit = (1 - eps) * len(prod)
         for t in level:
-            cand = tuple(sorted(set(cur) & {mul(t, v) for v in cur}))
-            if cand and oracle_product_at_most(group, cand, a, limit):
+            cand = tuple(sorted(rows.keys() & {mul(t, v) for v in cur}))
+            if len(frozenset().union(*(rows[x] for x in cand))) <= limit:
                 witness = t
                 shrunk = cand
                 break

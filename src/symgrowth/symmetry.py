@@ -23,7 +23,7 @@ from .gset import GSet, conv_table, inverse_set, power, product
 
 
 def check_eta(eta) -> Fraction:
-    """Validate a symmetry threshold, returning it as an exact Fraction."""
+    """Validate a threshold or shrink slack in (0, 1], returning it as an exact Fraction."""
     eta = Fraction(eta)
     if not 0 < eta <= 1:
         raise ParameterError(f"threshold must lie in (0, 1], got {eta}")

@@ -15,6 +15,10 @@ INTERVAL_SPEC = {
     "group": {"type": "cyclic", "n": 20},
     "set": {"type": "interval", "start": 0, "length": 5},
 }
+S6_RANDOM_SPEC = {
+    "group": {"type": "symmetric", "n": 6},
+    "set": {"type": "random", "size": 10, "seed": 0},
+}
 SUBGROUP_SPEC = {
     "group": {"type": "cyclic", "n": 20},
     "set": {"type": "subgroup", "generators": [[4]]},
@@ -229,6 +233,34 @@ def test_budget_does_not_leak_between_invocations(capsys, interval_file):
     assert code == 3
     code, _, _ = run_cli(capsys, "stats", "--instance", interval_file)
     assert code == 0
+
+
+@pytest.mark.parametrize("spec, k, budget", [(S6_RANDOM_SPEC, "2", "400"), (INTERVAL_SPEC, "5", "25")],
+                         ids=["s6-random", "c20-interval"])
+def test_verify_fits_in_the_budget_run_used(capsys, tmp_path, spec, k, budget):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(spec))
+    cert_path = tmp_path / "cert.json"
+    assert run_cli(capsys, "run", "--instance", str(inst), "--k", k,
+                   "--out", str(cert_path), "--budget-pairs", budget)[0] == 0
+    code, out, err = run_cli(capsys, "verify", "--instance", str(inst),
+                             "--certificate", str(cert_path), "--budget-pairs", budget)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["overall"] is True
+
+
+@pytest.mark.parametrize("entry", [[True], ["3"], [2.7]], ids=["bool", "string", "float"])
+@pytest.mark.parametrize("set_spec", [
+    lambda e: {"type": "explicit", "elements": [e, [0]]},
+    lambda e: {"type": "subgroup", "generators": [e]},
+    lambda e: {"type": "coset_union", "generators": [[4]], "reps": [[0], e]},
+], ids=["elements", "generators", "reps"])
+def test_instance_element_entries_must_be_ints(capsys, tmp_path, entry, set_spec):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"group": {"type": "cyclic", "n": 20}, "set": set_spec(entry)}))
+    code, out, err = run_cli(capsys, "run", "--instance", str(path), "--k", "2")
+    assert (code, out) == (2, "")
+    assert json.loads(err.strip())["error"] == "InvalidElementError"
 
 
 def test_usage_errors_exit_2(capsys, interval_file):

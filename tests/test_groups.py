@@ -186,6 +186,9 @@ def test_coerce_validates_and_normalizes():
         g.coerce([6])
     with pytest.raises(InvalidElementError):
         g.coerce("x")
+    for loose in ([True], ["3"], [2.7], [4.0]):
+        with pytest.raises(InvalidElementError):
+            g.coerce(loose)
 
 
 def test_group_equality_is_structural():

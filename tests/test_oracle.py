@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +18,7 @@ from symgrowth.groups import (
     SymmetricGroup,
     TableGroup,
 )
-from symgrowth import oracle
+from symgrowth import budget, oracle
 from symgrowth.budget import set_pair_budget
 from symgrowth.gset import GSet, overlap_masks
 from symgrowth.instances import generate
@@ -40,7 +41,7 @@ from symgrowth.oracle import (
 )
 from symgrowth.symmetry import sym_set
 
-from conftest import draw_subset
+from conftest import draw_subset, small_group_pool
 
 C20 = CyclicGroup(20)
 INTERVAL = GSet(C20, [(i,) for i in range(5)])
@@ -270,28 +271,101 @@ def test_verifier_report_as_dict():
     assert all(c["pass"] for c in blob["checks"])
 
 
-def test_verifier_scan_stops_each_candidate_product_at_its_limit(monkeypatch):
+D40_COSETS = {"group": {"type": "dihedral", "n": 40},
+              "set": {"type": "coset_union", "generators": [[5, 0]], "reps": [[0, 0], [1, 1]]}}
+C20_INTERVAL = {"group": {"type": "cyclic", "n": 20}, "set": {"type": "interval", "start": 0, "length": 5}}
+S6_RANDOM = {"group": {"type": "symmetric", "n": 6}, "set": {"type": "random", "size": 10, "seed": 0}}
+
+
+def _metered(monkeypatch, group_class, work):
+    """Run ``work()`` counting group_class.multiply calls and the largest single pair charge."""
+    seen = {"multiplies": 0, "largest_charge": 0}
+    real_charge = budget.charge_pairs
+    real_multiply = group_class.multiply
+
+    def charge(n):
+        seen["largest_charge"] = max(seen["largest_charge"], n)
+        real_charge(n)
+
+    def multiply(g, x, y):
+        seen["multiplies"] += 1
+        return real_multiply(g, x, y)
+
+    with monkeypatch.context() as m:
+        # every module that imported charge_pairs by name
+        for mod in list(sys.modules.values()):
+            if getattr(mod, "__name__", "").startswith("symgrowth") and getattr(mod, "charge_pairs", None) is real_charge:
+                m.setattr(mod, "charge_pairs", charge)
+        m.setattr(group_class, "multiply", multiply)
+        result = work()
+    return result, seen
+
+
+def _reference_scan(group, aprime, a, eps):
+    """The first level-set t whose (A' ∩ tA')A has at most (1-eps)|A'A| elements, by full products."""
+    n_p = len(oracle_product(group, aprime, a))
+    for t in oracle_level_set(group, aprime, Fraction(len(aprime) ** 4, 2 * n_p * len(a) ** 2)):
+        translate = {group.multiply(t, v) for v in aprime}
+        cand = tuple(x for x in aprime if x in translate)
+        if len(oracle_product(group, cand, a)) <= (1 - eps) * n_p:
+            return t, cand
+    return None, None
+
+
+def test_verifier_scan_replays_the_canonical_witness_from_the_row_table(monkeypatch):
     # a subgroup of D40 of order 16: every level-set candidate is tried and
     # none shrinks, the shrink-scan workload's pattern on a smaller group
-    spec = {"group": {"type": "dihedral", "n": 40},
-            "set": {"type": "coset_union", "generators": [[5, 0]], "reps": [[0, 0], [1, 1]]}}
-    a = generate(spec)
-    cert = stable_neighbourhood(a, 2, instance=spec).to_json_dict()
+    a = generate(D40_COSETS)
+    cert = stable_neighbourhood(a, 2, instance=D40_COSETS).to_json_dict()
     assert [step["action"] for step in cert["trace"]["steps"]] == ["terminate"]
     level = oracle_level_set(a.group, a.elements, parse_fraction(cert["trace"]["steps"][0]["tau"]))
     full_scan = sum(oracle_overlap(a.group, a.elements, t) * len(a) for t in level)
-
-    calls = []
-    real = DihedralGroup.multiply
-    monkeypatch.setattr(DihedralGroup, "multiply", lambda g, x, y: calls.append(1) or real(g, x, y))
-    report = verify_certificate(cert, a.elements, instance=spec)
+    report, seen = _metered(monkeypatch, DihedralGroup,
+                            lambda: verify_certificate(cert, a.elements, instance=D40_COSETS))
     assert report.overall
-    assert len(calls) < full_scan
+    assert seen["multiplies"] < full_scan
 
-    # the same report as building every candidate's product in full
-    monkeypatch.setattr(oracle, "oracle_product_at_most",
-                        lambda group, x, y, limit: len(oracle_product(group, x, y)) <= limit)
-    assert verify_certificate(cert, a.elements, instance=spec).as_dict() == report.as_dict()
+    # every step's witness is the first t of a scan that builds each product in full;
+    # the interval at k = 5 shrinks before it terminates
+    shrinks = 0
+    for spec, k in ((D40_COSETS, 2), (C20_INTERVAL, 5)):
+        a = generate(spec)
+        cert = stable_neighbourhood(a, k, instance=spec).to_json_dict()
+        checks = {c.name: c for c in verify_certificate(cert, a.elements, instance=spec).checks}
+        aprime = a.elements
+        for i, step in enumerate(cert["trace"]["steps"]):
+            t, cand = _reference_scan(a.group, aprime, a.elements, Fraction(1, k + 1))
+            if step["action"] == "shrink":
+                assert checks[f"step{i}.t"].expected == list(t) == step["t"]
+                aprime = cand
+                shrinks += 1
+            else:
+                assert t is None and checks[f"step{i}.no_shrink_witness"].passed
+    assert shrinks > 0
+
+
+@pytest.mark.parametrize("spec, k", [(D40_COSETS, 2), (S6_RANDOM, 2), (C20_INTERVAL, 5)],
+                         ids=["d40-cosets", "s6-random", "c20-interval"])
+def test_verify_costs_what_run_costs(monkeypatch, spec, k):
+    a = generate(spec)
+    cert, run = _metered(monkeypatch, type(a.group),
+                         lambda: stable_neighbourhood(a, k, instance=spec).to_json_dict())
+    report, verify = _metered(monkeypatch, type(a.group),
+                              lambda: verify_certificate(cert, a.elements, instance=spec))
+    assert report.overall
+    assert run["multiplies"] > 0
+    assert verify["multiplies"] <= run["multiplies"]
+    assert verify["largest_charge"] <= run["largest_charge"]
+
+
+def test_oracle_level_set_equals_the_overlap_scan_over_the_group(stream):
+    for group in small_group_pool():
+        everything = [group.element_at(i) for i in range(group.order)]
+        for _ in range(4):
+            a = draw_subset(group, 1 + stream.below(min(group.order, 12)), stream).elements
+            tau = Fraction(1 + stream.below(2 * len(a)), 2)
+            by_definition = tuple(t for t in everything if oracle_overlap(group, a, t) >= tau)
+            assert oracle_level_set(group, a, tau) == tuple(sorted(by_definition))
 
 
 # -- certificate verification: tampering --------------------------------------
