@@ -450,7 +450,9 @@ class TableGroup(Group):
             raise InvalidGroupError("empty multiplication table")
         rows: list[tuple[int, ...]] = []
         for i, row in enumerate(table):
-            row = tuple(int(v) for v in row)
+            if not isinstance(row, (list, tuple)) or not all(type(v) is int for v in row):
+                raise InvalidGroupError(f"table row {i} is not a list of integers: {row!r}")
+            row = tuple(row)
             if len(row) != n:
                 raise InvalidGroupError(f"table row {i} has length {len(row)}, expected {n}")
             if any(not 0 <= v < n for v in row):

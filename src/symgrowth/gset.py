@@ -7,7 +7,9 @@ Every statistic that could be fractional (the doubling ratio) is a
 Product-style operations cost |A|*|B| group multiplications.  A global pair
 budget guards against accidentally quadratic-in-the-group blowups: when the
 multiplications needed by one call would exceed the remaining budget the
-call raises ``PairBudgetError`` before doing the work.
+call raises ``PairBudgetError`` before doing the work.  ``product`` stops
+multiplying once its output is the whole group, but it is still charged
+the full |A|*|B| up front.
 
 Subsets of a set are also passed around as Python-int bitmasks, where bit i
 stands for the i-th element of the set in a fixed order; ``overlap_masks``
@@ -113,15 +115,18 @@ def pick_bits(items: Sequence, mask: int) -> list:
 
 
 def product(a: GSet, b: GSet) -> GSet:
-    """The product set AB = {x*y : x in A, y in B}."""
+    """The product set AB = {x*y : x in A, y in B}; stops early once AB = G."""
     a.same_group(b)
     charge_pairs(len(a) * len(b))
     g = a.group
     mul = g.multiply
+    whole = g.order
     out = set()
     for x in a:
         for y in b:
             out.add(mul(x, y))
+        if len(out) == whole:
+            break
     return GSet._trusted(g, frozenset(out))
 
 
@@ -294,16 +299,30 @@ class DoublingStats:
 
 
 def doubling_stats(a: GSet) -> DoublingStats:
-    """Exact sizes of A, A^2, A A^-1, A^2 A^-2 and the doubling |A^2|/|A|."""
+    """Exact sizes of A, A^2, A A^-1, A^2 A^-2 and the doubling |A^2|/|A|.
+
+    A^2 A^-2 is the whole group when A^2 or A A^-1 is.  Otherwise it is
+    built as ((A^2)A^-1)A^-1 when that costs fewer multiplications than
+    squaring A^2, bounding |A^2 A^-1| by min(|G|, |A^2||A|), and as
+    A^2 (A^2)^-1 when it does not.
+    """
     a.require_nonempty("doubling input")
     size = len(a)
+    whole = a.group.order
+    inv = inverse_set(a)
     square = product(a, a)
-    times_inverse = product(a, inverse_set(a))
-    quad = product(square, inverse_set(square))
+    times_inverse = product(a, inv)
+    n2 = len(square)
+    if whole in (n2, len(times_inverse)):
+        quad_size = whole
+    elif n2 * size + min(whole, n2 * size) * size < n2 * n2:
+        quad_size = len(product(product(square, inv), inv))
+    else:
+        quad_size = len(product(square, inverse_set(square)))
     return DoublingStats(
         size=size,
-        product_size=len(square),
+        product_size=n2,
         inverse_product_size=len(times_inverse),
-        quad_size=len(quad),
-        doubling=Fraction(len(square), size),
+        quad_size=quad_size,
+        doubling=Fraction(n2, size),
     )

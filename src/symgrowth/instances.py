@@ -102,14 +102,19 @@ def perturbed_subgroup(group: Group, generators: Iterable[Element], swaps: int, 
     base = closure(group, generators)
     charge_pairs(group.order * max(swaps, 1))
     cur = list(base.elements)
+    members = set(cur)
     for j in range(swaps):
         rm_index = splitmix64(seed, 2 * j) % len(cur)
         removed = cur.pop(rm_index)
-        complement = [x for x in group.elements() if x not in cur and x != removed]
+        # ``members`` still holds ``removed``, so it is never re-admitted
+        complement = [x for x in group.elements() if x not in members]
         if not complement:
             cur.append(removed)
             continue
-        cur.append(complement[splitmix64(seed, 2 * j + 1) % len(complement)])
+        added = complement[splitmix64(seed, 2 * j + 1) % len(complement)]
+        members.remove(removed)
+        members.add(added)
+        cur.append(added)
         cur.sort()
     return GSet._trusted(group, frozenset(cur))
 

@@ -218,6 +218,18 @@ def test_bad_instance_spec(capsys, tmp_path):
     assert json.loads(err.strip())["error"] == "ParameterError"
 
 
+@pytest.mark.parametrize("table", [[["0"]], ["0"], [[0.0]], [0]],
+                         ids=["string-entry", "string-row", "float-entry", "int-row"])
+def test_table_spec_rows_must_be_lists_of_ints(capsys, tmp_path, table):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"group": {"type": "table", "table": table},
+                                "set": {"type": "explicit", "elements": [[0]]}}))
+    code, out, err = run_cli(capsys, "stats", "--instance", str(path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip())["error"] == "InvalidGroupError"
+
+
 def test_budget_exhaustion_exit_code(capsys, interval_file):
     code, _, err = run_cli(capsys, "stats", "--instance", interval_file,
                            "--budget-pairs", "10")

@@ -179,6 +179,13 @@ def test_table_group_rejects_bad_tables():
         TableGroup(bad)
 
 
+@pytest.mark.parametrize("table", [[["0"]], ["0"], [[0.0]], [0], [[False]]],
+                         ids=["string-entry", "string-row", "float-entry", "int-row", "bool-entry"])
+def test_table_spec_rows_must_be_lists_of_ints(table):
+    with pytest.raises(InvalidGroupError):
+        group_from_spec({"type": "table", "table": table})
+
+
 def test_coerce_validates_and_normalizes():
     g = CyclicGroup(6)
     assert g.coerce([4]) == (4,)

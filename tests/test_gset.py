@@ -15,7 +15,7 @@ from symgrowth.errors import (
     PairBudgetError,
     ParameterError,
 )
-from symgrowth.groups import CyclicGroup, DihedralGroup, HeisenbergGroup
+from symgrowth.groups import CyclicGroup, DihedralGroup, HeisenbergGroup, SymmetricGroup
 from symgrowth.gset import (
     GSet,
     conv_table,
@@ -28,7 +28,8 @@ from symgrowth.gset import (
     product,
     row_product,
 )
-from symgrowth.oracle import oracle_conv_table, oracle_product, oracle_quadruples
+from symgrowth.instances import generate
+from symgrowth.oracle import oracle_conv_table, oracle_inverse, oracle_product, oracle_quadruples
 from symgrowth.prng import CounterStream
 
 from conftest import draw_subset, small_group_pool
@@ -343,6 +344,89 @@ def test_doubling_sizes_dominate_size(stream):
         assert s.inverse_product_size >= s.size
         assert s.quad_size >= s.product_size
         assert s.doubling >= 1
+
+
+def _counting_multiply(monkeypatch, group):
+    """Count ``group``'s multiplications from now on; returns the live counter."""
+    seen = {"multiplies": 0}
+    real = type(group).multiply
+
+    def multiply(g, x, y):
+        seen["multiplies"] += 1
+        return real(g, x, y)
+
+    monkeypatch.setattr(type(group), "multiply", multiply)
+    return seen
+
+
+def _quad_by_definition(a):
+    g = a.group
+    square = oracle_product(g, a.elements, a.elements)
+    return len(oracle_product(g, square, oracle_inverse(g, square)))
+
+
+def test_doubling_stats_quad_size_matches_oracle(stream):
+    for group in small_group_pool():
+        for _ in range(4):
+            a = draw_subset(group, 1 + stream.below(min(group.order, 12)), stream)
+            assert doubling_stats(a).quad_size == _quad_by_definition(a)
+
+
+# One named set per way of building A^2 A^-2, with the most multiplications
+# that way may take (n = |A|, n2 = |A^2|, g = |G|): the whole group once A^2
+# or A A^-1 is; the chain ((A^2)A^-1)A^-1; squaring A^2.
+QUAD_WAYS = {
+    "c20-interval-11-whole": ({"group": {"type": "cyclic", "n": 20},
+                               "set": {"type": "interval", "start": 0, "length": 11}}, "whole"),
+    "c7-difference-set-whole": ({"group": {"type": "cyclic", "n": 7},
+                                 "set": {"type": "explicit", "elements": [[0], [1], [3]]}}, "whole"),
+    "c800-random-30-chain": ({"group": {"type": "cyclic", "n": 800},
+                              "set": {"type": "random", "size": 30, "seed": 0}}, "chain"),
+    "s6-random-10-chain": ({"group": {"type": "symmetric", "n": 6},
+                            "set": {"type": "random", "size": 10, "seed": 0}}, "chain"),
+    # the chain stops short of the whole group here: |A^2 A^-2| = 59 of 60
+    "d30-explicit-5-chain": ({"group": {"type": "dihedral", "n": 30},
+                              "set": {"type": "explicit",
+                                      "elements": [[13, 1], [18, 1], [21, 0], [22, 1], [29, 1]]}}, "chain"),
+    "c20-interval-5-square": ({"group": {"type": "cyclic", "n": 20},
+                               "set": {"type": "interval", "start": 0, "length": 5}}, "square"),
+    "d40-coset-union-square": ({"group": {"type": "dihedral", "n": 40},
+                                "set": {"type": "coset_union", "generators": [[5, 0]],
+                                        "reps": [[0, 0], [1, 1]]}}, "square"),
+}
+MOST_MULTIPLIES = {
+    "whole": lambda n, n2, g: 2 * n * n,
+    "chain": lambda n, n2, g: 2 * n * n + n2 * n + min(g, n2 * n) * n,
+    "square": lambda n, n2, g: 2 * n * n + n2 * n2,
+}
+
+
+@pytest.mark.parametrize("name", list(QUAD_WAYS))
+def test_doubling_stats_builds_the_quad_the_cheapest_way(monkeypatch, name):
+    spec, way = QUAD_WAYS[name]
+    a = generate(spec)
+    n, n2, g = len(a), len(product(a, a)), a.group.order
+    seen = _counting_multiply(monkeypatch, a.group)
+    stats = doubling_stats(a)
+    monkeypatch.undo()
+    assert stats.quad_size == _quad_by_definition(a)
+    assert seen["multiplies"] <= MOST_MULTIPLIES[way](n, n2, g)
+    if way != "square":
+        # all of doubling_stats costs less than squaring A^2 alone
+        assert seen["multiplies"] < n2 * n2
+
+
+def test_product_stops_at_the_whole_group_but_charges_every_pair(monkeypatch):
+    s3 = SymmetricGroup(3)
+    gens = GSet(s3, [s3.encode_one_line((1, 0, 2)), s3.encode_one_line((1, 2, 0))])
+    whole = GSet(s3, s3.elements())
+    charged = []
+    monkeypatch.setattr(gset, "charge_pairs", charged.append)
+    seen = _counting_multiply(monkeypatch, s3)
+    # the first row g * G is already G, so the product stops after |G| multiplications
+    assert product(gens, whole) == whole
+    assert seen["multiplies"] == len(whole)
+    assert charged == [len(gens) * len(whole)]
 
 
 # -- pair budget --------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Instance generators: closures, balls, random draws, sweeps."""
 
+import hashlib
+import time
 from fractions import Fraction
 
 import pytest
 
 from symgrowth.errors import EmptySetError, ParameterError
-from symgrowth.groups import CyclicGroup, DihedralGroup, HeisenbergGroup
+from symgrowth.groups import CyclicGroup, DihedralGroup, HeisenbergGroup, SymmetricGroup
 from symgrowth.gset import GSet, inverse_set, product
 from symgrowth.instances import (
     ball,
@@ -108,6 +110,30 @@ def test_perturbed_subgroup_keeps_size_and_changes_content():
     assert got != base
     again = perturbed_subgroup(CyclicGroup(32), [(4,)], swaps=2, seed=5)
     assert got == again
+
+
+@pytest.mark.parametrize("group, generators, swaps, seed, expected", [
+    (CyclicGroup(32), [(4,)], 2, 5, [(0,), (4,), (7,), (12,), (16,), (20,), (22,), (24,)]),
+    (DihedralGroup(6), [(1, 0)], 3, 7, [(0, 1), (1, 0), (2, 0), (3, 0), (3, 1), (5, 0)]),
+    (SymmetricGroup(4), [(1, 0, 0, 0), (0, 1, 0, 0)], 2, 11,
+     [(0, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (1, 2, 1, 0), (2, 1, 0, 0), (3, 0, 1, 0)]),
+    (HeisenbergGroup(3), [(1, 0, 0)], 2, 4, [(0, 2, 1), (2, 0, 0), (2, 0, 1)]),
+], ids=["c32", "d6", "s4", "heisenberg3"])
+def test_perturbed_subgroup_is_pinned(group, generators, swaps, seed, expected):
+    assert list(perturbed_subgroup(group, generators, swaps, seed).elements) == expected
+
+
+def test_perturbed_alternating_group_in_s7_is_quick():
+    # A7 = <(0 1 2), (0 1 2 3 4 5 6)>, 2520 members; each swap scans the 5040
+    # elements of S7 against a set, not a list (a list took about a second)
+    s7 = SymmetricGroup(7)
+    gens = [s7.encode_one_line((1, 2, 0, 3, 4, 5, 6)), s7.encode_one_line((1, 2, 3, 4, 5, 6, 0))]
+    start = time.perf_counter()
+    got = perturbed_subgroup(s7, gens, swaps=3, seed=1)
+    elapsed = time.perf_counter() - start
+    assert len(got) == 2520
+    assert hashlib.sha256(repr(got.elements).encode()).hexdigest()[:16] == "237c55542f6f405a"
+    assert elapsed < 0.5
 
 
 def test_perturbed_whole_group_is_a_noop():
