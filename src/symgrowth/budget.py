@@ -3,38 +3,22 @@
 Product-style operations cost one group multiplication per element pair.
 Any single call whose pair count would exceed the budget is refused up
 front with ``PairBudgetError`` so runaway instances fail fast instead of
-grinding.  The default is 10^8 pairs; the environment variable
-``SYMGROWTH_BUDGET_PAIRS`` or ``set_pair_budget`` overrides it.
+grinding.  The default is 10^8 pairs; ``set_pair_budget`` (the CLI's
+``--budget-pairs``) overrides it.
 """
 
 from __future__ import annotations
 
-import os
-
 from .errors import PairBudgetError, ParameterError
 
 DEFAULT_PAIR_BUDGET = 10**8
-BUDGET_ENV = "SYMGROWTH_BUDGET_PAIRS"
 
 _pair_budget: int | None = None
 
 
-def _env_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_PAIR_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ParameterError(f"{BUDGET_ENV} must be an integer, got {raw!r}") from exc
-    if value <= 0:
-        raise ParameterError(f"{BUDGET_ENV} must be positive, got {value}")
-    return value
-
-
 def pair_budget() -> int:
     """Current cap on group multiplications per product-style call."""
-    return _pair_budget if _pair_budget is not None else _env_budget()
+    return _pair_budget if _pair_budget is not None else DEFAULT_PAIR_BUDGET
 
 
 def set_pair_budget(value: int | None) -> None:

@@ -17,7 +17,7 @@ import sys
 
 from .budget import set_pair_budget
 from .errors import InvariantViolation, PairBudgetError, SymGrowthError
-from .growth import almost_invariant, shrink_step, stable_neighbourhood
+from .growth import almost_invariant, shrink_step, stable_neighbourhood, trace_row
 from .gset import DoublingStats, doubling_stats
 from .instances import family_sweep, generate
 from .oracle import verify_certificate
@@ -95,8 +95,8 @@ def _step_logger(enabled: bool):
     if not enabled:
         return None
 
-    def hook(record):
-        print(json.dumps(record.as_dict(), sort_keys=True), file=sys.stderr)
+    def hook(index, outcome):
+        print(json.dumps(trace_row(index, outcome), sort_keys=True), file=sys.stderr)
 
     return hook
 
@@ -111,13 +111,14 @@ def cmd_stats(args) -> int:
 def cmd_sym(args) -> int:
     spec = load_json(args.instance, "instance")
     eta = parse_fraction(args.eta, "--eta")
-    result = sym_set(generate(spec), eta)
+    a = generate(spec)
+    members = sym_set(a, eta)
     payload = {
         "instance": spec,
         "eta": eta,
-        "base_size": len(result.base),
-        "members": elements_to_json(result.members.elements),
-        "size": len(result.members),
+        "base_size": len(a),
+        "members": elements_to_json(members.elements),
+        "size": len(members),
     }
     _emit_json(payload, args.out)
     return 0
@@ -144,8 +145,8 @@ def cmd_lemma(args) -> int:
         payload["shrunk_product_size"] = len(out.shrunk_product)
     else:
         payload["threshold"] = out.threshold
-        payload["sym_size"] = len(out.sym.members)
-        payload["sym_members"] = elements_to_json(out.sym.members.elements)
+        payload["sym_size"] = len(out.sym)
+        payload["sym_members"] = elements_to_json(out.sym.elements)
     _emit_json(payload, args.out)
     return 0
 

@@ -31,7 +31,7 @@ from .oracle import (
     termination_cap,
 )
 from .serialize import elements_to_json, fraction_to_str
-from .symmetry import SymmetrySet, check_eta, sym_set
+from .symmetry import check_eta, sym_set
 
 #: closing-remark comparison recorded on certificates; informational only
 ALTERNATIVE_SIZE_BOUND = "|S| >= exp(-O(k^2 K log K)) |A|"
@@ -88,9 +88,9 @@ class StepOutcome:
 
     case "shrink": ``t`` witnesses the shrink, ``shrunk`` is A' ∩ tA' and
     ``shrunk_product`` its product with A.  case "terminate": ``sym`` is
-    the symmetry set of A'A at the step threshold and contains the whole
-    level set.  ``entries`` holds the step's proven inequalities with
-    unprefixed names; callers add a step index when assembling a ledger.
+    the symmetry set of A'A at ``threshold`` and contains the whole level
+    set.  ``entries`` holds the step's proven inequalities with unprefixed
+    names; callers add a step index when assembling a ledger.
     """
 
     case: str
@@ -102,47 +102,40 @@ class StepOutcome:
     t: Element | None = None
     shrunk: GSet | None = None
     shrunk_product: GSet | None = None
-    sym: SymmetrySet | None = None
+    sym: GSet | None = None
     threshold: Fraction | None = None
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """Trace row for one step (sizes only; sets live in StepOutcome)."""
-
-    index: int
-    aprime_size: int
-    product_size: int
-    tau: Fraction
-    level_set_size: int
-    action: str
-    t: Element | None = None
-
-    def as_dict(self) -> dict:
-        row = {
-            "index": self.index,
-            "aprime_size": self.aprime_size,
-            "product_size": self.product_size,
-            "tau": fraction_to_str(self.tau),
-            "level_set_size": self.level_set_size,
-            "action": self.action,
-        }
-        if self.action == "shrink":
-            row["t"] = list(self.t)
-        return row
+def trace_row(index: int, out: StepOutcome) -> dict:
+    """The certificate's trace row for step ``index`` (sizes only)."""
+    row = {
+        "index": index,
+        "aprime_size": len(out.aprime),
+        "product_size": len(out.product),
+        "tau": fraction_to_str(out.tau),
+        "level_set_size": len(out.level_set),
+        "action": out.case,
+    }
+    if out.case == "shrink":
+        row["t"] = list(out.t)
+    return row
 
 
 @dataclass(frozen=True)
 class IterationTrace:
-    steps: tuple[StepRecord, ...]
+    steps: tuple[StepOutcome, ...]
     epsilon: Fraction
     doubling: Fraction  # K0 = |AA| / |A|
-    i0: int
     termination_cap: int
+
+    @property
+    def i0(self) -> int:
+        """Index of the terminating step."""
+        return len(self.steps) - 1
 
     def as_dict(self) -> dict:
         return {
-            "steps": [s.as_dict() for s in self.steps],
+            "steps": [trace_row(i, s) for i, s in enumerate(self.steps)],
             "epsilon": fraction_to_str(self.epsilon),
             "doubling": fraction_to_str(self.doubling),
             "i0": self.i0,
@@ -244,8 +237,8 @@ def shrink_step(aprime: GSet, a: GSet, eps) -> StepOutcome:
 
     threshold = (1 - eps) if eps < 1 else Fraction(1, np_)
     sym = sym_set(p, threshold)
-    entries.append(_entry("sym_size_lower", "ge", len(sym.members), len(level)))
-    outside = sum(1 for t in level if t not in sym.members)
+    entries.append(_entry("sym_size_lower", "ge", len(sym), len(level)))
+    outside = sum(1 for t in level if t not in sym)
     entries.append(_entry("level_set_in_sym", "eq", outside, 0))
     if not all(e.holds for e in entries):
         raise InvariantViolation("terminate case inequalities failed")
@@ -261,41 +254,28 @@ def shrink_step(aprime: GSet, a: GSet, eps) -> StepOutcome:
     )
 
 
-StepHook = Callable[[StepRecord], None]
-
-
-def _record(index: int, out: StepOutcome) -> StepRecord:
-    return StepRecord(
-        index=index,
-        aprime_size=len(out.aprime),
-        product_size=len(out.product),
-        tau=out.tau,
-        level_set_size=len(out.level_set),
-        action=out.case,
-        t=out.t,
-    )
+StepHook = Callable[[int, StepOutcome], None]
 
 
 def iterate_shrink(a: GSet, eps, step_hook: StepHook | None = None):
     """Iterate shrink steps from A' = A until termination.
 
-    Returns (the step outcomes, the trace).  The last outcome terminates:
-    its ``aprime`` is the terminal A' and its ``sym`` the symmetry set of
-    A'A at threshold 1-eps, at least as large as the final level set.
+    Returns (the step outcomes, the trace whose steps are those outcomes).
+    The last outcome terminates: its ``aprime`` is the terminal A' and its
+    ``sym`` the symmetry set of A'A at threshold 1-eps, at least as large
+    as the final level set.  ``step_hook(index, outcome)`` is called after
+    each step.
     """
     a.require_nonempty("iteration input")
     eps = check_eta(eps)
     outcomes: list[StepOutcome] = []
-    records: list[StepRecord] = []
     cur = a
     cap = None
     while True:
         out = shrink_step(cur, a, eps)
-        rec = _record(len(outcomes), out)
-        outcomes.append(out)
-        records.append(rec)
         if step_hook is not None:
-            step_hook(rec)
+            step_hook(len(outcomes), out)
+        outcomes.append(out)
         if cap is None:
             k0 = Fraction(len(out.product), len(a))
             cap = termination_cap(k0, eps)
@@ -305,26 +285,19 @@ def iterate_shrink(a: GSet, eps, step_hook: StepHook | None = None):
             # a shrink past the cap would contradict |A'A| >= |A|
             raise InvariantViolation("iteration ran past its termination cap")
         cur = out.shrunk
-    trace = IterationTrace(
-        steps=tuple(records),
-        epsilon=eps,
-        doubling=k0,
-        i0=len(records) - 1,
-        termination_cap=cap,
-    )
+    trace = IterationTrace(steps=tuple(outcomes), epsilon=eps, doubling=k0, termination_cap=cap)
     return outcomes, trace
 
 
 def _trace_entries(trace: IterationTrace, a_size: int) -> list[LedgerEntry]:
     eps, k0 = trace.epsilon, trace.doubling
     entries = []
-    for step in trace.steps:
-        i = step.index
+    for i, step in enumerate(trace.steps):
         entries.append(
             _entry(
                 f"trace{i}.product_growth_bound",
                 "le",
-                step.product_size,
+                len(step.product),
                 (1 - eps) ** i * k0 * a_size,
             )
         )
@@ -333,7 +306,7 @@ def _trace_entries(trace: IterationTrace, a_size: int) -> list[LedgerEntry]:
             _entry(
                 f"trace{i}.size_lower_bound",
                 "ge",
-                step.aprime_size,
+                len(step.aprime),
                 Fraction(a_size) / (2 * k0) ** exponent,
             )
         )
@@ -366,8 +339,7 @@ def stable_neighbourhood(
 
     outcomes, trace = iterate_shrink(a, eps, step_hook)
     last = outcomes[-1]
-    aprime, sym = last.aprime, last.sym
-    s = sym.members
+    aprime, s = last.aprime, last.sym
 
     ledger: list[LedgerEntry] = []
     for i, out in enumerate(outcomes):

@@ -81,6 +81,7 @@ def oracle_conv_value(group: Group, a: Iterable[Element], b: Iterable[Element], 
 
 
 def oracle_conv_table(group: Group, a: Iterable[Element], b: Iterable[Element]) -> dict[Element, int]:
+    """Number of ways to write each x = u*v, by double loop; the reference for fast-path conv_table."""
     a = tuple(a)
     b = tuple(b)
     charge_pairs(len(a) * len(b))
@@ -121,6 +122,24 @@ def oracle_overlap(group: Group, a: Sequence[Element], t: Element) -> int:
     return sum(1 for v in a if mul(t, v) in members)
 
 
+def oracle_overlaps(group: Group, a: Iterable[Element]) -> dict[Element, list[Element]]:
+    """For every t in AA⁻¹, the members of A ∩ tA in ascending order, keyed by t in ascending order.
+
+    t = u·v⁻¹ with u, v in A exactly when u = tv lies in A ∩ tA, so one
+    double loop over (u, v⁻¹), charged |A|², lists every overlap at once;
+    ``oracle_overlap`` is the check by definition.
+    """
+    a = tuple(sorted(set(a)))
+    inv = oracle_inverse(group, a)
+    charge_pairs(len(a) * len(inv))
+    mul = group.multiply
+    table: dict[Element, list[Element]] = {}
+    for u in a:
+        for w in inv:
+            table.setdefault(mul(u, w), []).append(u)
+    return dict(sorted(table.items()))
+
+
 def oracle_sym_members(group: Group, a: Iterable[Element], eta: Fraction) -> tuple[Element, ...]:
     """Symmetry-set members recomputed from the definition: |A ∩ tA| >= eta |A|."""
     a = set(a)
@@ -128,15 +147,8 @@ def oracle_sym_members(group: Group, a: Iterable[Element], eta: Fraction) -> tup
 
 
 def oracle_level_set(group: Group, aprime: Iterable[Element], tau: Fraction) -> tuple[Element, ...]:
-    """All t with |A' ∩ tA'| >= tau, read off the convolution table of A' with A'^-1.
-
-    t = u·v⁻¹ with u, v in A' exactly when u = tv lies in A' ∩ tA', so the
-    table's count at t is |A' ∩ tA'|; ``oracle_overlap`` is the check by
-    definition.
-    """
-    aprime = set(aprime)
-    counts = oracle_conv_table(group, aprime, oracle_inverse(group, aprime))
-    return tuple(t for t, n in counts.items() if n >= tau)
+    """All t with |A' ∩ tA'| >= tau, in ascending order, filtered from ``oracle_overlaps(A')``."""
+    return tuple(t for t, inside in oracle_overlaps(group, aprime).items() if len(inside) >= tau)
 
 
 def termination_cap(k0: Fraction, eps: Fraction) -> int:
@@ -279,11 +291,15 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
 
     The only trusted inputs are the group spec inside the certificate and
     the instance set supplied by the caller.  The shrinking chain is
-    replayed step by step, the final symmetry set is recomputed from its
-    definition, the power containment is re-derived by membership tests
-    against A², and every ledger line's numbers are recomputed and compared
-    as exact strings.  Structural problems raise CertificateFormatError;
-    semantic mismatches come back as failed checks.
+    replayed step by step: each step builds the rows xA for x in A' and
+    the table ``oracle_overlaps(A')``, and reads its level set, every
+    candidate's A' ∩ tA' and the next A' off that table, so the scan
+    itself multiplies nothing.  The final symmetry set is recomputed from
+    its definition, the power containment is re-derived by membership
+    tests against A², and every ledger line's numbers are recomputed once,
+    during the replay, and compared as exact strings.  Structural problems
+    raise CertificateFormatError; semantic mismatches come back as failed
+    checks.
     """
     rec = _Recorder()
 
@@ -327,49 +343,54 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
         raise CertificateFormatError("trace has no steps")
     rec.record("trace_epsilon", fraction_to_str(eps), _need(trace, "epsilon", str, "trace"))
 
-    # replay the shrinking chain from A, checking each recorded step
+    # replay the shrinking chain from A, checking each recorded step and
+    # recomputing its ledger lines once: name -> (relation, lhs, rhs)
+    n_a = len(a)
+    table: dict[str, tuple[str, Fraction, Fraction]] = {}
     cur = a
     mul = group.multiply
-    chain_sizes: list[int] = []
-    replayed_level_sets: list[tuple[Element, ...]] = []
-    replayed_products: list[tuple[Element, ...]] = []
-    taus: list[Fraction] = []
-    final_level_set: tuple[Element, ...] | None = None
+    terminated = False
     shape_ok = True
     for i, step in enumerate(steps):
         if not isinstance(step, dict):
             raise CertificateFormatError(f"trace step {i} is not an object")
         tag = f"step{i}"
-        chain_sizes.append(len(cur))
         rec.record(f"{tag}.index", i, step.get("index"))
         rec.record(f"{tag}.aprime_size", len(cur), step.get("aprime_size"))
         # one row xA per x in A': the step's product A'A is their union, and a
         # candidate's product (A' ∩ tA')A the union of its members' rows
-        charge_pairs(len(cur) * len(a))
+        charge_pairs(len(cur) * n_a)
         rows = {x: frozenset(mul(x, v) for v in a) for x in cur}
-        prod = tuple(sorted(frozenset().union(*rows.values())))
-        replayed_products.append(prod)
-        rec.record(f"{tag}.product_size", len(prod), step.get("product_size"))
-        tau = Fraction(len(cur) ** 4, 2 * len(prod) * len(a) ** 2)
-        taus.append(tau)
+        prod = frozenset().union(*rows.values())
+        n_ap, n_p = len(cur), len(prod)
+        if i == 0:
+            a2 = tuple(sorted(prod))  # the replay's first product is A·A
+            k0 = Fraction(n_p, n_a)
+        rec.record(f"{tag}.product_size", n_p, step.get("product_size"))
+        tau = Fraction(n_ap**4, 2 * n_p * n_a**2)
         rec.record(f"{tag}.tau", fraction_to_str(tau), step.get("tau"))
-        level = oracle_level_set(group, cur, tau)
-        replayed_level_sets.append(level)
+        # the step's overlaps A' ∩ tA' give its level set and every candidate
+        overlaps = oracle_overlaps(group, cur)
+        level = tuple(t for t, inside in overlaps.items() if len(inside) >= tau)
         rec.record(f"{tag}.level_set_size", len(level), step.get("level_set_size"))
 
         # the canonical scan: first t in the level set whose shrink passes
         witness = None
-        shrunk = None
-        limit = (1 - eps) * len(prod)
+        limit = (1 - eps) * n_p
         for t in level:
-            cand = tuple(sorted(rows.keys() & {mul(t, v) for v in cur}))
-            if len(frozenset().union(*(rows[x] for x in cand))) <= limit:
+            cover = frozenset().union(*(rows[x] for x in overlaps[t]))
+            if len(cover) <= limit:
                 witness = t
-                shrunk = cand
                 break
 
+        table[f"{tag}.level_set_lower"] = ("ge", Fraction(len(level)), Fraction(n_ap**3, 2 * n_p * n_a))
+        table[f"trace{i}.product_growth_bound"] = ("le", Fraction(n_p), (1 - eps) ** i * k0 * n_a)
+        exponent = (4**i - 1) // 3
+        table[f"trace{i}.size_lower_bound"] = ("ge", Fraction(n_ap), Fraction(n_a) / (2 * k0) ** exponent)
         action = step.get("action")
         last = i == len(steps) - 1
+        # the next A' and A'A; a terminate step before the last leaves them as they are
+        nxt, nxt_prod = cur, prod
         if action == "shrink":
             shape_ok = shape_ok and not last
             rec.record(f"{tag}.t", list(witness) if witness is not None else None,
@@ -377,20 +398,23 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
             if witness is None:
                 # recorded chain diverges; replay cannot continue faithfully
                 break
-            cur = shrunk
+            nxt, nxt_prod = tuple(overlaps[witness]), cover
         elif action == "terminate":
             shape_ok = shape_ok and last
             rec.flag(f"{tag}.no_shrink_witness", witness is None)
-            final_level_set = level
+            terminated = True
         else:
             raise CertificateFormatError(f"trace step {i} has unknown action {action!r}")
-    rec.flag("trace_shape", shape_ok and final_level_set is not None)
-    if final_level_set is None:
+        if not last:
+            table[f"{tag}.shrink_size_lower"] = ("ge", Fraction(len(nxt)), tau)
+            table[f"{tag}.shrink_product_upper"] = ("le", Fraction(len(nxt_prod)), limit)
+        cur = nxt
+    rec.flag("trace_shape", shape_ok and terminated)
+    if not terminated:
         return VerificationReport(tuple(rec.checks))
 
     i0 = len(steps) - 1
     rec.record("i0", i0, _need(trace, "i0", int, "trace"))
-    k0 = Fraction(len(replayed_products[0]), len(a))
     rec.record("doubling", fraction_to_str(k0), _need(trace, "doubling", str, "trace"))
     cap = termination_cap(k0, eps)
     rec.record("termination_cap", cap, _need(trace, "termination_cap", int, "trace"))
@@ -398,46 +422,30 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     aprime = cur
     rec.record("aprime_matches", list(map(list, aprime)), _need(cert, "aprime", list))
 
-    # the terminal symmetry set, recomputed from its definition
-    final_product = replayed_products[-1]
-    threshold = (1 - eps) if eps < 1 else Fraction(1, len(final_product))
+    # the terminal symmetry set, recomputed from its definition; prod and
+    # level are the last replayed step's
+    threshold = (1 - eps) if eps < 1 else Fraction(1, len(prod))
     rec.record("s_threshold", fraction_to_str(threshold), _need(cert, "s_threshold", str))
     s = _decode_elements(group, _need(cert, "s", list), "certificate S")
     rec.flag("s_sorted_unique", all(x < y for x, y in zip(s, s[1:])))
-    expected_s = oracle_sym_members(group, final_product, threshold)
+    expected_s = oracle_sym_members(group, prod, threshold)
     rec.record("s_matches_symmetry_set", list(map(list, expected_s)), list(map(list, s)))
     s_set = set(s)
     rec.flag("s_contains_identity", group.identity in s_set)
     rec.flag("s_symmetric", all(group.inverse(x) in s_set for x in s))
 
     # the headline containment, member by member: x ∈ A²A⁻² iff xA² ∩ A² ≠ ∅
-    a2 = replayed_products[0]  # the replay's first product is A·A
     violations = oracle_outside(group, oracle_power(group, s, k), a2, a2)
     rec.record("power_containment_violations", 0, violations)
 
-    # every ledger line, recomputed once: name -> (relation, lhs, rhs)
-    n_a = len(a)
-    table: dict[str, tuple[str, Fraction, Fraction]] = {}
-    for i in range(len(steps)):
-        n_ap, n_p = chain_sizes[i], len(replayed_products[i])
-        level_bound = Fraction(n_ap**3, 2 * n_p * n_a)
-        table[f"step{i}.level_set_lower"] = ("ge", Fraction(len(replayed_level_sets[i])), level_bound)
-        if i < i0:
-            table[f"step{i}.shrink_size_lower"] = ("ge", Fraction(chain_sizes[i + 1]), taus[i])
-            next_p = len(replayed_products[i + 1])
-            table[f"step{i}.shrink_product_upper"] = ("le", Fraction(next_p), (1 - eps) * n_p)
-        table[f"trace{i}.product_growth_bound"] = ("le", Fraction(n_p), (1 - eps) ** i * k0 * n_a)
-        exponent = (4**i - 1) // 3
-        table[f"trace{i}.size_lower_bound"] = ("ge", Fraction(n_ap), Fraction(n_a) / (2 * k0) ** exponent)
-    last_level = replayed_level_sets[i0]
-    table[f"step{i0}.sym_size_lower"] = ("ge", Fraction(len(s)), Fraction(len(last_level)))
-    level_outside = sum(1 for t in last_level if t not in s_set)
+    table[f"step{i0}.sym_size_lower"] = ("ge", Fraction(len(s)), Fraction(len(level)))
+    level_outside = sum(1 for t in level if t not in s_set)
     table[f"step{i0}.level_set_in_sym"] = ("eq", Fraction(level_outside), Fraction(0))
     table["identity_in_neighbourhood"] = ("eq", Fraction(1 if group.identity in s_set else 0), Fraction(1))
     asymmetric = sum(1 for x in s if group.inverse(x) not in s_set)
     table["neighbourhood_symmetric"] = ("eq", Fraction(asymmetric), Fraction(0))
     table["power_containment"] = ("eq", Fraction(violations), Fraction(0))
-    size_bound = Fraction(len(aprime) ** 3, 2 * len(final_product) * n_a)
+    size_bound = Fraction(len(aprime) ** 3, 2 * len(prod) * n_a)
     table["neighbourhood_size_lower_bound"] = ("ge", Fraction(len(s)), size_bound)
     table["termination_bound"] = ("le", Fraction(i0), Fraction(cap))
 

@@ -4,7 +4,7 @@ For a nonempty set A and a rational threshold eta in (0, 1], the symmetry
 set collects the group elements whose left translate overlaps A in at least
 eta * |A| points:
 
-    sym(A, eta).members = { x : |A ∩ xA| >= eta |A| }
+    sym(A, eta) = { x : |A ∩ xA| >= eta |A| }
 
 Equivalently the members are the level set of the convolution of A with
 A^-1, so they all lie inside A A^-1, and ``sym_set`` reads them off that
@@ -15,7 +15,6 @@ platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvariantViolation, ParameterError
@@ -30,23 +29,8 @@ def check_eta(eta) -> Fraction:
     return eta
 
 
-@dataclass(frozen=True)
-class SymmetrySet:
-    """A symmetry-set query result: the base set, the threshold, the members."""
-
-    base: GSet
-    eta: Fraction
-    members: GSet
-
-    def __contains__(self, x: object) -> bool:
-        return x in self.members
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-def sym_set(a: GSet, eta) -> SymmetrySet:
-    """The symmetry set of A at threshold eta.
+def sym_set(a: GSet, eta) -> GSet:
+    """The members of the symmetry set of A at threshold eta.
 
     |A ∩ xA| is the convolution count of A with A^-1 at x, so the members
     are read off one ``conv_table(a, inverse_set(a))`` at |A|^2
@@ -64,11 +48,11 @@ def sym_set(a: GSet, eta) -> SymmetrySet:
         raise InvariantViolation("identity escaped a symmetry set")
     if not members.is_symmetric():
         raise InvariantViolation("symmetry set not closed under inversion")
-    return SymmetrySet(base=a, eta=eta, members=members)
+    return members
 
 
 def check_nesting(a: GSet, eta, eta_prime) -> bool:
-    """Whether sym(A, eta).members ⊆ sym(A, eta').members for eta >= eta'.
+    """Whether sym(A, eta) ⊆ sym(A, eta') for eta >= eta'.
 
     True for every valid input; a False return signals a bug, and tests
     treat it as one.
@@ -77,13 +61,11 @@ def check_nesting(a: GSet, eta, eta_prime) -> bool:
     eta_prime = check_eta(eta_prime)
     if eta < eta_prime:
         raise ParameterError(f"nesting check needs eta >= eta', got {eta} < {eta_prime}")
-    hi = sym_set(a, eta)
-    lo = sym_set(a, eta_prime)
-    return hi.members.subset_of(lo.members)
+    return sym_set(a, eta).subset_of(sym_set(a, eta_prime))
 
 
 def check_submultiplicativity(a: GSet, eps, eps_prime) -> bool:
-    """Whether sym(A,1-eps).members * sym(A,1-eps').members ⊆ sym(A,1-eps-eps').members.
+    """Whether sym(A,1-eps) * sym(A,1-eps') ⊆ sym(A,1-eps-eps').
 
     Requires eps, eps' in [0, 1) with eps + eps' < 1 so the combined
     threshold stays positive.  True for every valid input.
@@ -97,11 +79,11 @@ def check_submultiplicativity(a: GSet, eps, eps_prime) -> bool:
     s1 = sym_set(a, 1 - eps)
     s2 = sym_set(a, 1 - eps_prime)
     s12 = sym_set(a, 1 - eps - eps_prime)
-    return product(s1.members, s2.members).subset_of(s12.members)
+    return product(s1, s2).subset_of(s12)
 
 
 def check_iterated_power(a: GSet, eps, k: int) -> bool:
-    """Whether power(sym(A,1-eps).members, k) ⊆ sym(A,1-k*eps).members.
+    """Whether power(sym(A,1-eps), k) ⊆ sym(A,1-k*eps).
 
     Requires k*eps < 1.  This is the iterated form of sub-multiplicativity
     and drives the power containment of the main construction.
@@ -113,4 +95,4 @@ def check_iterated_power(a: GSet, eps, k: int) -> bool:
         raise ParameterError(f"need k*eps < 1, got k={k}, eps={eps}")
     s = sym_set(a, 1 - eps)
     target = sym_set(a, 1 - k * eps)
-    return power(s.members, k).subset_of(target.members)
+    return power(s, k).subset_of(target)

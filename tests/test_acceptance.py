@@ -190,7 +190,7 @@ def test_criterion_step_ledger(suite):
                 failures.append((row["name"], e.name))
         # the terminate-case size guarantee, restated from the recorded sizes
         last = cert.trace.steps[-1]
-        bound = Fraction(last.aprime_size**3, 2 * last.product_size * a_size)
+        bound = Fraction(len(last.aprime) ** 3, 2 * len(last.product) * a_size)
         if not len(cert.s) >= bound:
             failures.append((row["name"], "terminal symmetry set size"))
     ok = not failures
@@ -406,14 +406,14 @@ def test_criterion_oracle_equivalence_and_faults(suite):
             product(a, b).elements == oracle_product(group, a.elements, b.elements)
             and conv_table(a, b).counts == oracle_conv_table(group, a.elements, b.elements)
             and conv_table(a, b).value(x) == oracle_conv_value(group, a.elements, b.elements, x)
-            and sym_set(a, eta).members.elements == oracle_sym_members(group, a.elements, eta)
+            and sym_set(a, eta).elements == oracle_sym_members(group, a.elements, eta)
         )
         out = shrink_step(a, a, eps)
         ocase, ot, opayload = _oracle_step(group, a.elements, a.elements, eps)
         if out.case == "shrink":
             agreed = agreed and ocase == "shrink" and out.t == ot and out.shrunk.elements == opayload
         else:
-            agreed = agreed and ocase == "terminate" and out.sym.members.elements == opayload
+            agreed = agreed and ocase == "terminate" and out.sym.elements == opayload
         if not agreed:
             mismatches += 1
 

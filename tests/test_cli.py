@@ -135,8 +135,10 @@ def test_run_trace_logs_steps_to_stderr(capsys, interval_file):
     assert [r["index"] for r in records] == [0, 1]
     assert records[0]["action"] == "shrink"
     assert records[-1]["action"] == "terminate"
-    # stdout still carries only the certificate
-    assert json.loads(out)["verified"] is True
+    # stdout still carries only the certificate, whose trace rows are the logged ones
+    cert = json.loads(out)
+    assert cert["verified"] is True
+    assert records == cert["trace"]["steps"]
 
 
 def test_verify_round_trip(capsys, tmp_path, interval_file):

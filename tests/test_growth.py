@@ -57,10 +57,10 @@ def test_step_terminate_case_on_interval():
     assert out.case == "terminate"
     assert out.threshold == Fraction(1, 2)
     # |A'A ∩ t + A'A| = 9 - |t| >= 4.5 exactly when |t| <= 4
-    assert set(out.sym.members.elements) == {
+    assert set(out.sym.elements) == {
         (0,), (1,), (2,), (3,), (4,), (16,), (17,), (18,), (19,)
     }
-    assert out.level_set.subset_of(out.sym.members)
+    assert out.level_set.subset_of(out.sym)
     names = [e.name for e in out.entries]
     assert names == ["level_set_lower", "sym_size_lower", "level_set_in_sym"]
     assert all(e.holds for e in out.entries)
@@ -78,7 +78,7 @@ def test_step_on_subgroup_terminates_with_subgroup():
     out = shrink_step(H5, H5, Fraction(1, 3))
     assert out.case == "terminate"
     assert out.level_set == H5
-    assert out.sym.members == H5
+    assert out.sym == H5
 
 
 def test_step_identity_is_always_a_candidate():
@@ -142,19 +142,19 @@ def test_step_multiplications_do_not_grow_with_the_level_set(reps, eps):
 
 def test_iteration_shrinks_to_singleton_at_small_eps():
     seen = []
-    outcomes, trace = iterate_shrink(INTERVAL, Fraction(1, 10), step_hook=seen.append)
+    outcomes, trace = iterate_shrink(INTERVAL, Fraction(1, 10), step_hook=lambda i, out: seen.append((i, out)))
     aprime, sym = outcomes[-1].aprime, outcomes[-1].sym
-    assert [out.case for out in outcomes] == [r.action for r in trace.steps]
-    assert [r.aprime_size for r in trace.steps] == [5, 4, 3, 2, 1]
-    assert [r.action for r in trace.steps] == ["shrink"] * 4 + ["terminate"]
-    assert all(r.t == (1,) for r in trace.steps[:4])
+    assert trace.steps == tuple(outcomes)
+    assert [len(out.aprime) for out in trace.steps] == [5, 4, 3, 2, 1]
+    assert [out.case for out in trace.steps] == ["shrink"] * 4 + ["terminate"]
+    assert all(out.t == (1,) for out in trace.steps[:4])
     assert trace.i0 == 4
     assert trace.termination_cap == 6
     assert trace.doubling == Fraction(9, 5)
     assert len(aprime) == 1
-    assert sym.members.elements == ((0,),)
+    assert sym.elements == ((0,),)
     # hook fires once per step, in order
-    assert [r.index for r in seen] == [0, 1, 2, 3, 4]
+    assert seen == list(enumerate(outcomes))
 
 
 def test_iteration_terminates_immediately_at_large_eps():
@@ -162,14 +162,14 @@ def test_iteration_terminates_immediately_at_large_eps():
     aprime, sym = outcomes[-1].aprime, outcomes[-1].sym
     assert trace.i0 == 0
     assert aprime == INTERVAL
-    assert len(sym.members) == 9
+    assert len(sym) == 9
 
 
 def test_iteration_on_subgroup_is_trivial():
     outcomes, trace = iterate_shrink(H5, Fraction(1, 4))
     sym = outcomes[-1].sym
     assert trace.i0 == 0
-    assert sym.members == H5
+    assert sym == H5
     assert trace.doubling == 1
     assert trace.termination_cap == 0
 
@@ -177,9 +177,9 @@ def test_iteration_on_subgroup_is_trivial():
 def test_iteration_product_sizes_decay_geometrically():
     _, trace = iterate_shrink(INTERVAL, Fraction(1, 10))
     k0 = trace.doubling
-    for rec in trace.steps:
-        assert rec.product_size <= (1 - trace.epsilon) ** rec.index * k0 * 5
-        assert rec.aprime_size >= Fraction(5) / (2 * k0) ** ((4**rec.index - 1) // 3)
+    for i, out in enumerate(trace.steps):
+        assert len(out.product) <= (1 - trace.epsilon) ** i * k0 * 5
+        assert len(out.aprime) >= Fraction(5) / (2 * k0) ** ((4**i - 1) // 3)
 
 
 def test_iteration_with_eps_one_clamps_the_threshold():
@@ -188,8 +188,8 @@ def test_iteration_with_eps_one_clamps_the_threshold():
     outcomes, trace = iterate_shrink(INTERVAL, 1)
     sym = outcomes[-1].sym
     assert trace.i0 == 0
-    assert sym.eta == Fraction(1, 9)
-    assert len(sym.members) == 17
+    assert outcomes[-1].threshold == Fraction(1, 9)
+    assert len(sym) == 17
     assert trace.termination_cap == 1
 
 
@@ -203,7 +203,7 @@ def test_driver_interval_k2():
     assert set(cert.s.elements) == {(0,), (1,), (2,), (18,), (19,)}
     assert cert.s_threshold == Fraction(2, 3)
     assert cert.trace.i0 == 1
-    assert [r.action for r in cert.trace.steps] == ["shrink", "terminate"]
+    assert [out.case for out in cert.trace.steps] == ["shrink", "terminate"]
     assert cert.trace.steps[0].t == (3,)
     assert cert.aprime.elements == ((3,), (4,))
 

@@ -32,6 +32,7 @@ from symgrowth.oracle import (
     oracle_level_set,
     oracle_outside,
     oracle_overlap,
+    oracle_overlaps,
     oracle_power,
     oracle_product,
     oracle_quadruples,
@@ -110,7 +111,7 @@ def test_oracle_sym_members_matches_fast_path():
         pool = [group.element_at(i) for i in range(0, group.order, 3)]
         a = GSet(group, pool)
         for eta in (Fraction(1, 3), Fraction(2, 3), 1):
-            fast = sym_set(a, eta).members.elements
+            fast = sym_set(a, eta).elements
             slow = oracle_sym_members(group, a.elements, eta)
             assert fast == slow
 
@@ -278,17 +279,23 @@ S6_RANDOM = {"group": {"type": "symmetric", "n": 6}, "set": {"type": "random", "
 
 
 def _metered(monkeypatch, group_class, work):
-    """Run ``work()`` counting group_class.multiply calls and the largest single pair charge."""
-    seen = {"multiplies": 0, "largest_charge": 0}
+    """Run ``work()`` counting group_class.multiply calls and pair charges.
+
+    ``most_ahead`` is the largest lead, at any multiply, of the
+    multiplications done so far over the pairs charged so far.
+    """
+    seen = {"multiplies": 0, "charged": 0, "largest_charge": 0, "most_ahead": 0}
     real_charge = budget.charge_pairs
     real_multiply = group_class.multiply
 
     def charge(n):
         seen["largest_charge"] = max(seen["largest_charge"], n)
+        seen["charged"] += n
         real_charge(n)
 
     def multiply(g, x, y):
         seen["multiplies"] += 1
+        seen["most_ahead"] = max(seen["most_ahead"], seen["multiplies"] - seen["charged"])
         return real_multiply(g, x, y)
 
     with monkeypatch.context() as m:
@@ -356,6 +363,8 @@ def test_verify_costs_what_run_costs(monkeypatch, spec, k):
     assert run["multiplies"] > 0
     assert verify["multiplies"] <= run["multiplies"]
     assert verify["largest_charge"] <= run["largest_charge"]
+    # every multiplication of the replay is paid for before it is made
+    assert verify["most_ahead"] == 0
 
 
 def test_oracle_level_set_equals_the_overlap_scan_over_the_group(stream):
@@ -366,6 +375,20 @@ def test_oracle_level_set_equals_the_overlap_scan_over_the_group(stream):
             tau = Fraction(1 + stream.below(2 * len(a)), 2)
             by_definition = tuple(t for t in everything if oracle_overlap(group, a, t) >= tau)
             assert oracle_level_set(group, a, tau) == tuple(sorted(by_definition))
+
+
+def test_oracle_overlaps_lists_each_overlap_by_definition(stream):
+    for group in small_group_pool():
+        everything = [group.element_at(i) for i in range(group.order)]
+        for _ in range(4):
+            a = draw_subset(group, 1 + stream.below(min(group.order, 12)), stream).elements
+            table = oracle_overlaps(group, reversed(a))
+            assert list(table) == sorted(table)
+            for t in everything:
+                translate = {group.multiply(t, v) for v in a}
+                inside = [u for u in a if u in translate]
+                assert table.get(t, []) == inside
+                assert len(inside) == oracle_overlap(group, a, t)
 
 
 # -- certificate verification: tampering --------------------------------------
@@ -585,6 +608,18 @@ def test_verifier_rejects_non_object_certificate(cert):
 def test_verifier_rejects_non_string_ledger_name():
     cert = fresh_cert()
     cert["ledger"][0]["name"] = 7
+    with pytest.raises(CertificateFormatError):
+        verify_certificate(cert, INTERVAL.elements)
+
+
+def test_verifier_reports_a_chain_that_diverges_after_a_terminate_step():
+    # the replay stops at the shrink it cannot reproduce, before the last step;
+    # this used to raise IndexError while building the ledger table
+    cert = fresh_cert(k=1)
+    steps = cert["trace"]["steps"]
+    assert [step["action"] for step in steps] == ["terminate"]
+    end = steps[0]
+    steps[:] = [end, dict(end, index=1, action="shrink", t=[0]), dict(end, index=2)]
     with pytest.raises(CertificateFormatError):
         verify_certificate(cert, INTERVAL.elements)
 
