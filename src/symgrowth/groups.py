@@ -1,19 +1,30 @@
-"""Finite group backends with canonical fixed-width integer-tuple encodings.
+"""Finite group backends with canonical mixed-radix digit-tuple encodings.
 
-Every element of a group is encoded as a tuple of small ints whose width is
-fixed per backend.  Equal elements have equal encodings, and ordinary tuple
-comparison is a deterministic total order, so sets of elements sort the same
-way in every run and in every implementation of the same encodings.
+Every element of a group is encoded as a tuple of digits.  Each backend sets
+``radices``, the per-digit bounds: an encoding is a tuple of
+``len(radices)`` ints with digit ``i`` in ``range(radices[i])``, every such
+tuple encodes exactly one element, and the group order is the product of
+the radices.  Equal elements have equal encodings, and ordinary tuple
+comparison is a deterministic total order, the order of the mixed-radix
+index (last digit least significant), so sets of elements sort the same way
+in every run and in every implementation of the same encodings.  The
+``Group`` base class derives ``order``, ``validate`` and ``element_at`` from
+``radices``, once for every backend.
 
-Encodings:
+Encodings and their radices:
 
-* ``cyclic(n)``          -- ``(r,)`` with ``r`` the residue mod n
+* ``cyclic(n)``          -- ``(r,)`` with ``r`` the residue mod n; ``(n,)``
 * ``dihedral(n)``        -- ``(rot, flip)`` for the element rot^a * flip^b,
-                            i.e. ``(a, b)`` means r^a s^b with s r s = r^-1
-* ``symmetric(n)``       -- the length-n Lehmer code of the permutation
-* ``heisenberg_mod(p)``  -- ``(a, b, c)`` for [[1,a,c],[0,1,b],[0,0,1]] mod p
-* ``direct_product``     -- concatenation of the factor encodings
-* ``table``              -- ``(i,)`` with ``i`` the row index of the table
+                            i.e. ``(a, b)`` means r^a s^b with s r s = r^-1;
+                            ``(n, 2)``
+* ``symmetric(n)``       -- the length-n Lehmer code of the permutation;
+                            ``(n, n-1, ..., 1)``
+* ``heisenberg_mod(p)``  -- ``(a, b, c)`` for [[1,a,c],[0,1,b],[0,0,1]] mod p;
+                            ``(p, p, p)``
+* ``direct_product``     -- concatenation of the factor encodings; the
+                            factors' radices, concatenated
+* ``table``              -- ``(i,)`` with ``i`` the row index of the table;
+                            ``(n,)``
 """
 
 from __future__ import annotations
@@ -50,11 +61,13 @@ class Group(ABC):
     """
 
     kind: str
+    #: per-digit bounds of the encoding, set by each backend's ``__init__``
+    radices: tuple[int, ...]
 
     @property
-    @abstractmethod
     def order(self) -> int:
         """Number of elements of the group."""
+        return math.prod(self.radices)
 
     @property
     @abstractmethod
@@ -70,14 +83,6 @@ class Group(ABC):
         ...
 
     @abstractmethod
-    def validate(self, x: Element) -> None:
-        """Raise InvalidElementError unless ``x`` is a valid encoding."""
-
-    @abstractmethod
-    def element_at(self, index: int) -> Element:
-        """The ``index``-th element in encoding order (0 <= index < order)."""
-
-    @abstractmethod
     def describe(self) -> dict:
         """JSON-compatible spec fragment that reconstructs this group."""
 
@@ -86,10 +91,33 @@ class Group(ABC):
     def elements(self) -> Iterator[Element]:
         return (self.element_at(i) for i in range(self.order))
 
+    def validate(self, x: Element) -> None:
+        """Raise InvalidElementError unless ``x`` is a tuple of ``len(radices)`` ints, digit ``i`` in ``range(radices[i])``.
+
+        Bools, floats and strings are not ints here.
+        """
+        radices = self.radices
+        if isinstance(x, tuple) and len(x) == len(radices):
+            for d, r in zip(x, radices):
+                if type(d) is not int or not 0 <= d < r:
+                    break
+            else:
+                return
+        raise InvalidElementError(f"bad {self.kind} element {x!r} for digit bounds {radices}")
+
+    def element_at(self, index: int) -> Element:
+        """The ``index``-th element in encoding order (0 <= index < order): its mixed-radix digits."""
+        digits = []
+        for r in reversed(self.radices):
+            digits.append(index % r)
+            index //= r
+        digits.reverse()
+        return tuple(digits)
+
     def coerce(self, raw: Sequence[int]) -> Element:
-        """Validate a raw int sequence as an element encoding; bools, strings and floats are refused."""
-        if not isinstance(raw, (list, tuple)) or not all(type(v) is int for v in raw):
-            raise InvalidElementError(f"not an int sequence: {raw!r}")
+        """Decode an instance's or a certificate's int array (or a tuple) as an element encoding."""
+        if not isinstance(raw, (list, tuple)):
+            raise InvalidElementError(f"bad {self.kind} element {raw!r}: not an int array")
         enc = tuple(raw)
         self.validate(enc)
         return enc
@@ -119,8 +147,9 @@ class Group(ABC):
         """Sampled associativity/identity/inverse check; raises on failure."""
         n = self.order
         e = self.identity
-        draws = trials * 3
-        sample = [self.element_at(splitmix64(seed, i) % n) for i in range(draws)]
+        indices = [splitmix64(seed, i) % n for i in range(3 * trials)]
+        decoded = {i: self.element_at(i) for i in set(indices)}
+        sample = [decoded[i] for i in indices]
         for i in range(trials):
             x, y, z = sample[3 * i], sample[3 * i + 1], sample[3 * i + 2]
             if self.multiply(self.multiply(x, y), z) != self.multiply(x, self.multiply(y, z)):
@@ -147,10 +176,7 @@ class CyclicGroup(Group):
         if n < 1:
             raise InvalidGroupError(f"cyclic order must be >= 1, got {n}")
         self.n = n
-
-    @property
-    def order(self) -> int:
-        return self.n
+        self.radices = (n,)
 
     @property
     def identity(self) -> Element:
@@ -161,13 +187,6 @@ class CyclicGroup(Group):
 
     def inverse(self, x: Element) -> Element:
         return ((-x[0]) % self.n,)
-
-    def validate(self, x: Element) -> None:
-        if not (isinstance(x, tuple) and len(x) == 1 and type(x[0]) is int and 0 <= x[0] < self.n):
-            raise InvalidElementError(f"bad cyclic({self.n}) element {x!r}")
-
-    def element_at(self, index: int) -> Element:
-        return (index,)
 
     def describe(self) -> dict:
         return {"type": "cyclic", "n": self.n}
@@ -187,10 +206,7 @@ class DihedralGroup(Group):
         if n < 1:
             raise InvalidGroupError(f"dihedral degree must be >= 1, got {n}")
         self.n = n
-
-    @property
-    def order(self) -> int:
-        return 2 * self.n
+        self.radices = (n, 2)
 
     @property
     def identity(self) -> Element:
@@ -205,20 +221,6 @@ class DihedralGroup(Group):
     def inverse(self, x: Element) -> Element:
         a, e = x
         return x if e else ((-a) % self.n, 0)
-
-    def validate(self, x: Element) -> None:
-        if not (
-            isinstance(x, tuple)
-            and len(x) == 2
-            and type(x[0]) is int
-            and type(x[1]) is int
-            and 0 <= x[0] < self.n
-            and x[1] in (0, 1)
-        ):
-            raise InvalidElementError(f"bad dihedral({self.n}) element {x!r}")
-
-    def element_at(self, index: int) -> Element:
-        return (index // 2, index % 2)
 
     def describe(self) -> dict:
         return {"type": "dihedral", "n": self.n}
@@ -246,12 +248,9 @@ class SymmetricGroup(Group):
             )
         self.n = n
         self.limit = limit
+        self.radices = tuple(range(n, 0, -1))
         self._perm_cache: dict[Element, tuple[int, ...]] = {}
         self._code_cache: dict[tuple[int, ...], Element] = {}
-
-    @property
-    def order(self) -> int:
-        return math.factorial(self.n)
 
     @property
     def identity(self) -> Element:
@@ -303,22 +302,6 @@ class SymmetricGroup(Group):
             inv[v] = i
         return self.encode_one_line(tuple(inv))
 
-    def validate(self, x: Element) -> None:
-        if not (
-            isinstance(x, tuple)
-            and len(x) == self.n
-            and all(type(x[i]) is int and 0 <= x[i] <= self.n - 1 - i for i in range(self.n))
-        ):
-            raise InvalidElementError(f"bad symmetric({self.n}) element {x!r}")
-
-    def element_at(self, index: int) -> Element:
-        code = []
-        for i in range(self.n):
-            f = math.factorial(self.n - 1 - i)
-            code.append(index // f)
-            index %= f
-        return tuple(code)
-
     def describe(self) -> dict:
         spec: dict = {"type": "symmetric", "n": self.n}
         if self.limit != SYMMETRIC_DEGREE_LIMIT:
@@ -340,10 +323,7 @@ class HeisenbergGroup(Group):
         if p < 2:
             raise InvalidGroupError(f"heisenberg modulus must be >= 2, got {p}")
         self.p = p
-
-    @property
-    def order(self) -> int:
-        return self.p**3
+        self.radices = (p, p, p)
 
     @property
     def identity(self) -> Element:
@@ -356,18 +336,6 @@ class HeisenbergGroup(Group):
     def inverse(self, x: Element) -> Element:
         p = self.p
         return ((-x[0]) % p, (-x[1]) % p, (x[0] * x[1] - x[2]) % p)
-
-    def validate(self, x: Element) -> None:
-        if not (
-            isinstance(x, tuple)
-            and len(x) == 3
-            and all(type(v) is int and 0 <= v < self.p for v in x)
-        ):
-            raise InvalidElementError(f"bad heisenberg_mod({self.p}) element {x!r}")
-
-    def element_at(self, index: int) -> Element:
-        p = self.p
-        return (index // (p * p), (index // p) % p, index % p)
 
     def describe(self) -> dict:
         return {"type": "heisenberg_mod", "p": self.p}
@@ -383,17 +351,13 @@ class DirectProductGroup(Group):
         if not factors:
             raise InvalidGroupError("direct product needs at least one factor")
         self.factors = factors
-        self._widths = tuple(len(g.identity) for g in factors)
+        self.radices = tuple(r for g in factors for r in g.radices)
+        self._widths = tuple(len(g.radices) for g in factors)
         self._offsets = []
         pos = 0
         for w in self._widths:
             self._offsets.append(pos)
             pos += w
-        self._width = pos
-
-    @property
-    def order(self) -> int:
-        return math.prod(g.order for g in self.factors)
 
     @property
     def identity(self) -> Element:
@@ -414,20 +378,6 @@ class DirectProductGroup(Group):
 
     def inverse(self, x: Element) -> Element:
         return tuple(v for g, a in zip(self.factors, self._split(x)) for v in g.inverse(a))
-
-    def validate(self, x: Element) -> None:
-        if not (isinstance(x, tuple) and len(x) == self._width):
-            raise InvalidElementError(f"bad direct product element {x!r}")
-        for g, part in zip(self.factors, self._split(x)):
-            g.validate(part)
-
-    def element_at(self, index: int) -> Element:
-        parts: list[Element] = []
-        for g in reversed(self.factors):
-            parts.append(g.element_at(index % g.order))
-            index //= g.order
-        parts.reverse()
-        return tuple(v for part in parts for v in part)
 
     def describe(self) -> dict:
         return {"type": "direct_product", "factors": [g.describe() for g in self.factors]}
@@ -460,6 +410,7 @@ class TableGroup(Group):
             rows.append(row)
         self.table = tuple(rows)
         self.n = n
+        self.radices = (n,)
         if identity_index is None:
             identity_index = self._find_identity()
         else:
@@ -493,10 +444,6 @@ class TableGroup(Group):
         return tuple(inv)
 
     @property
-    def order(self) -> int:
-        return self.n
-
-    @property
     def identity(self) -> Element:
         return (self.identity_index,)
 
@@ -505,13 +452,6 @@ class TableGroup(Group):
 
     def inverse(self, x: Element) -> Element:
         return (self._inv[x[0]],)
-
-    def validate(self, x: Element) -> None:
-        if not (isinstance(x, tuple) and len(x) == 1 and type(x[0]) is int and 0 <= x[0] < self.n):
-            raise InvalidElementError(f"bad table element {x!r}")
-
-    def element_at(self, index: int) -> Element:
-        return (index,)
 
     def describe(self) -> dict:
         return {

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from .budget import charge_pairs
 from .errors import CertificateFormatError, InvalidElementError, ParameterError
 from .groups import Element, Group, group_from_spec
-from .serialize import elements_from_json, fraction_to_str, parse_fraction
+from .serialize import fraction_to_str, parse_fraction
 
 CERTIFICATE_FORMAT = "symgrowth.certificate/1"
 
@@ -41,17 +41,40 @@ def oracle_inverse(group: Group, a: Iterable[Element]) -> tuple[Element, ...]:
 
 
 def oracle_power(group: Group, a: Iterable[Element], k: int) -> tuple[Element, ...]:
-    """A^k by repeated products, stopping once A^(j+1) equals A^j as a set."""
+    """A^k by repeated products, stopping once A^(j+1) equals A^j as a set.
+
+    A set without the identity may never repeat (as {x}^j), so the loop
+    also stops once only the sizes agree: if |A^(j+1)| = |A^j|, then for
+    each s in A, A^j·s ⊆ A^(j+1) has the same size, so A^(j+1) = A^j·s and
+    A^(j+i) = A·A^(j+i-1) = A^j·s^i.  A^k is then the one translate
+    A^j·s^(k-j), so the work does not grow with k.
+    """
     if k == 0:
         return (group.identity,)
     a = tuple(sorted(set(a)))
     acc = a
-    for _ in range(k - 1):
+    for j in range(1, k):
         nxt = oracle_product(group, acc, a)
         if nxt == acc:
             break
+        if len(nxt) == len(acc):
+            return oracle_product(group, acc, (_element_power(group, a[0], k - j),))
         acc = nxt
     return acc
+
+
+def _element_power(group: Group, s: Element, e: int) -> Element:
+    """s^e for e >= 1 by square-and-multiply, charged before it multiplies."""
+    charge_pairs(e.bit_count() + e.bit_length() - 1)
+    mul = group.multiply
+    result = group.identity
+    while e:
+        if e & 1:
+            result = mul(result, s)
+        e >>= 1
+        if e:
+            s = mul(s, s)
+    return result
 
 
 def oracle_outside(group: Group, xs: Iterable[Element], t: Iterable[Element], w: Iterable[Element]) -> int:
@@ -265,15 +288,18 @@ def _need(cert: dict, key: str, kind, what: str = "certificate"):
     return value
 
 
-def _decode_elements(group: Group, raw, what: str) -> tuple[Element, ...]:
-    """Decode a list of encodings, each checked to be an element of ``group``."""
-    out = tuple(elements_from_json(raw, what))
-    for x in out:
+def _decode_elements(group: Group, raw: list, what: str) -> tuple[Element, ...]:
+    """Decode a certificate's element arrays with ``group.coerce``, the decoder instances use too.
+
+    An entry that is not an element of ``group`` is a CertificateFormatError.
+    """
+    out = []
+    for item in raw:
         try:
-            group.validate(x)
+            out.append(group.coerce(item))
         except InvalidElementError as exc:
-            raise CertificateFormatError(f"{what} entry {list(x)!r} is not a group element") from exc
-    return out
+            raise CertificateFormatError(f"{what} entry {item!r} is not a group element") from exc
+    return tuple(out)
 
 
 def _relation_holds(relation: str, lhs: Fraction, rhs: Fraction) -> bool:
@@ -290,16 +316,18 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     """Recompute a certificate from scratch and report every discrepancy.
 
     The only trusted inputs are the group spec inside the certificate and
-    the instance set supplied by the caller.  The shrinking chain is
-    replayed step by step: each step builds the rows xA for x in A' and
-    the table ``oracle_overlaps(A')``, and reads its level set, every
-    candidate's A' ∩ tA' and the next A' off that table, so the scan
-    itself multiplies nothing.  The final symmetry set is recomputed from
-    its definition, the power containment is re-derived by membership
-    tests against A², and every ledger line's numbers are recomputed once,
-    during the replay, and compared as exact strings.  Structural problems
-    raise CertificateFormatError; semantic mismatches come back as failed
-    checks.
+    the instance set supplied by the caller; both the instance set and
+    the certificate's S are decoded by ``group.coerce``, as instance files
+    are.  The shrinking chain is replayed step by step: each step builds
+    the rows xA for x in A' and the table ``oracle_overlaps(A')``, and
+    reads its level set, every candidate's A' ∩ tA' and the next A' off
+    that table, so the scan itself multiplies nothing.  The final symmetry
+    set is recomputed from its definition, the power containment is
+    re-derived by membership tests of S^k against A² (``oracle_power``,
+    whose work does not grow with the certificate's k), and every ledger
+    line's numbers are recomputed once, during the replay, and compared as
+    exact strings.  Structural problems raise CertificateFormatError;
+    semantic mismatches come back as failed checks.
     """
     rec = _Recorder()
 
@@ -321,9 +349,7 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
             json.dumps(inst, sort_keys=True),
         )
 
-    a = tuple(sorted(set(tuple(x) for x in a_elements)))
-    for x in a:
-        group.validate(x)
+    a = tuple(sorted({group.coerce(x) for x in a_elements}))
     if not a:
         raise CertificateFormatError("instance set is empty")
     rec.record("instance_set_matches", list(map(list, a)), _need(cert, "a", list))

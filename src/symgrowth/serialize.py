@@ -14,7 +14,7 @@ import re
 import tempfile
 from fractions import Fraction
 
-from .errors import CertificateFormatError, ParameterError
+from .errors import ParameterError
 
 _FRACTION_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -58,20 +58,6 @@ def encode_value(value):
 def elements_to_json(elements) -> list[list[int]]:
     """Encode an iterable of element tuples as a list of int arrays."""
     return [list(x) for x in elements]
-
-
-def elements_from_json(raw, what: str = "element list") -> list[tuple[int, ...]]:
-    """Decode a JSON list of int arrays back to element tuples."""
-    if not isinstance(raw, list):
-        raise CertificateFormatError(f"{what} must be a list, got {type(raw).__name__}")
-    out = []
-    for item in raw:
-        if not isinstance(item, list) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in item
-        ):
-            raise CertificateFormatError(f"{what} entries must be int arrays, got {item!r}")
-        out.append(tuple(item))
-    return out
 
 
 def canonical_dumps(obj) -> str:

@@ -1,5 +1,7 @@
 """Group backends: axioms, encodings, element order, spec round trips."""
 
+import math
+
 import pytest
 
 from symgrowth.errors import InvalidElementError, InvalidGroupError
@@ -13,6 +15,22 @@ from symgrowth.groups import (
     TableGroup,
     group_from_spec,
 )
+from symgrowth.serialize import elements_to_json
+
+
+def relabelled_table(group, labels):
+    """``group`` as a TableGroup in which ``group.element_at(i)`` is row ``labels[i]``."""
+    elems = [group.element_at(i) for i in range(group.order)]
+    label = {x: labels[i] for i, x in enumerate(elems)}
+    table = [[0] * len(elems) for _ in elems]
+    for x in elems:
+        for y in elems:
+            table[label[x]][label[y]] = label[group.multiply(x, y)]
+    return TableGroup(table)
+
+
+# S3 with its identity on row 4, not row 0
+S3_TABLE = relabelled_table(SymmetricGroup(3), [4, 0, 5, 2, 1, 3])
 
 BACKENDS = [
     CyclicGroup(1),
@@ -26,6 +44,8 @@ BACKENDS = [
     HeisenbergGroup(5),
     DirectProductGroup([CyclicGroup(4), DihedralGroup(3)]),
     DirectProductGroup([CyclicGroup(2), CyclicGroup(3), CyclicGroup(5)]),
+    S3_TABLE,
+    DirectProductGroup([SymmetricGroup(3), S3_TABLE]),
 ]
 
 
@@ -50,6 +70,38 @@ def test_spec_round_trip(group):
     assert clone == group
     assert clone.order == group.order
     assert hash(clone) == hash(group)
+
+
+@pytest.mark.parametrize("group", BACKENDS, ids=lambda g: repr(g.describe()))
+def test_validate_is_the_digit_rule(group):
+    assert group.order == math.prod(group.radices)
+    x = group.element_at(group.order - 1)
+    assert x == tuple(r - 1 for r in group.radices)
+    # the wire form round-trips through the one decoder
+    assert [group.coerce(raw) for raw in elements_to_json([group.identity, x])] == [group.identity, x]
+    for i, radix in enumerate(group.radices):
+        for bad in (radix, -1, True):
+            with pytest.raises(InvalidElementError):
+                group.validate(x[:i] + (bad,) + x[i + 1:])
+    for bad in (x + (0,), x[:-1], list(x)):
+        with pytest.raises(InvalidElementError):
+            group.validate(bad)
+
+
+def test_table_load_decodes_each_sampled_element_once(monkeypatch):
+    # the sampled axiom check draws 3000 indices but decodes each distinct one once
+    table = relabelled_table(HeisenbergGroup(3), list(range(27))).table
+    calls = []
+    real = TableGroup.element_at
+
+    def counting(self, index):
+        calls.append(index)
+        return real(self, index)
+
+    monkeypatch.setattr(TableGroup, "element_at", counting)
+    g = TableGroup(table)
+    assert g.order == 27
+    assert len(calls) <= 27
 
 
 def test_cyclic_arithmetic():

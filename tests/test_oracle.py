@@ -82,6 +82,33 @@ def test_oracle_power_of_a_singleton_keeps_moving():
     assert oracle_power(CyclicGroup(12), [(1,)], 5) == ((5,),)
 
 
+def test_oracle_power_equals_the_plain_product_with_and_without_the_identity(stream):
+    # past the first equal-size step a set without the identity only
+    # translates, which oracle_power jumps over; the plain fold does not
+    cases = 0
+    for group in small_group_pool():
+        mul = group.multiply
+        for _ in range(3):
+            drawn = set(draw_subset(group, 1 + stream.below(4), stream).elements)
+            for a in (drawn | {group.identity}, drawn - {group.identity}):
+                if not a:
+                    continue
+                plain = set(a)
+                for k in range(1, 2 * group.order + 2):
+                    assert oracle_power(group, a, k) == tuple(sorted(plain)), (group, sorted(a), k)
+                    plain = {mul(x, y) for x in plain for y in a}
+                    cases += 1
+    assert cases > 1000
+
+
+def test_oracle_power_charges_its_element_power_before_multiplying(monkeypatch):
+    # {1, 4}^j in C12 is {j + 3i : 0 <= i <= j}, the whole coset j + 3Z from j = 3 on
+    power, seen = _metered(monkeypatch, CyclicGroup, lambda: oracle_power(CyclicGroup(12), [(1,), (4,)], 10**6))
+    assert power == ((1,), (4,), (7,), (10,))
+    assert seen["most_ahead"] == 0
+    assert seen["multiplies"] < 100
+
+
 def test_oracle_conv_value_and_table():
     c4 = CyclicGroup(4)
     a = [(0,), (1,)]
@@ -578,8 +605,37 @@ def test_verifier_rejects_terminal_ledger_line_on_a_shrink_step():
 def test_verifier_rejects_s_entry_of_wrong_width():
     cert = fresh_cert()
     cert["s"][0].append(0)
+    with pytest.raises(CertificateFormatError) as err:
+        verify_certificate(cert, INTERVAL.elements)
+    assert str(err.value) == f"certificate S entry {cert['s'][0]!r} is not a group element"
+
+
+@pytest.mark.parametrize("entry", [[True], ["1"], [0.5], 0, "nope"], ids=repr)
+def test_verifier_rejects_loose_s_entries(entry):
+    # S entries are decoded as strictly as instance elements: JSON int arrays only
+    cert = fresh_cert()
+    cert["s"][0] = entry
     with pytest.raises(CertificateFormatError):
         verify_certificate(cert, INTERVAL.elements)
+
+
+def test_verify_of_a_forged_large_k_makes_a_bounded_number_of_products(monkeypatch):
+    # S = {1} lacks the identity, so S^j never stops moving, and the
+    # certificate sets k; the power is one translate once |S^j| settles
+    cert = fresh_cert(k=10**6)
+    assert cert["epsilon"] == "1/1000001"
+    cert["s"] = [[1]]
+    calls = []
+    real = oracle.oracle_product
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(oracle, "oracle_product", counting)
+    report = verify_certificate(cert, INTERVAL.elements)
+    assert not report.overall
+    assert len(calls) <= 5
 
 
 def test_verifier_rejects_s_entry_outside_the_group():

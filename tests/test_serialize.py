@@ -6,12 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from symgrowth.errors import CertificateFormatError, ParameterError
+from symgrowth.errors import ParameterError
 from symgrowth.serialize import (
     atomic_write_text,
     canonical_dumps,
-    elements_from_json,
-    elements_to_json,
     encode_value,
     fraction_to_str,
     load_json,
@@ -52,17 +50,6 @@ def test_encode_value_handles_nested_structures():
 def test_encode_value_rejects_floats():
     with pytest.raises(ParameterError):
         encode_value({"x": 0.5})
-
-
-def test_elements_round_trip():
-    elems = [(0, 1), (2, 0)]
-    assert elements_from_json(elements_to_json(elems)) == elems
-
-
-def test_elements_from_json_rejects_non_ints():
-    for bad in ("nope", [[0.5]], [[True]], [["1"]], [0]):
-        with pytest.raises(CertificateFormatError):
-            elements_from_json(bad)
 
 
 def test_canonical_dumps_is_byte_stable():
