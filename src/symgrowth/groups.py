@@ -32,21 +32,15 @@ from __future__ import annotations
 import json
 import math
 from abc import ABC, abstractmethod
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .errors import InvalidElementError, InvalidGroupError, ParameterError
-from .prng import splitmix64
 
 Element = tuple[int, ...]
 
 #: default cap on the degree of symmetric-group backends
 SYMMETRIC_DEGREE_LIMIT = 10
-
-#: table backends up to this order get an eager sampled axiom check on load
-TABLE_CHECK_LIMIT = 512
-
-_AXIOM_TRIALS = 1000
-_AXIOM_SEED = 0x5E7A
 
 
 class Group(ABC):
@@ -143,22 +137,6 @@ class Group(ABC):
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.describe()})"
 
-    def check_axioms(self, trials: int = _AXIOM_TRIALS, seed: int = _AXIOM_SEED) -> None:
-        """Sampled associativity/identity/inverse check; raises on failure."""
-        n = self.order
-        e = self.identity
-        indices = [splitmix64(seed, i) % n for i in range(3 * trials)]
-        decoded = {i: self.element_at(i) for i in set(indices)}
-        sample = [decoded[i] for i in indices]
-        for i in range(trials):
-            x, y, z = sample[3 * i], sample[3 * i + 1], sample[3 * i + 2]
-            if self.multiply(self.multiply(x, y), z) != self.multiply(x, self.multiply(y, z)):
-                raise InvalidGroupError(f"associativity fails on {x}, {y}, {z}")
-            if self.multiply(x, e) != x or self.multiply(e, x) != x:
-                raise InvalidGroupError(f"identity fails on {x}")
-            if self.multiply(x, self.inverse(x)) != e or self.multiply(self.inverse(x), x) != e:
-                raise InvalidGroupError(f"inverse fails on {x}")
-
 
 def _require_index(value, name: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
@@ -249,7 +227,7 @@ class SymmetricGroup(Group):
         self.n = n
         self.limit = limit
         self.radices = tuple(range(n, 0, -1))
-        self._perm_cache: dict[Element, tuple[int, ...]] = {}
+        self._perm_cache: dict[Element, tuple[int, ...]] = {(0,) * n: tuple(range(n))}
         self._code_cache: dict[tuple[int, ...], Element] = {}
 
     @property
@@ -275,7 +253,8 @@ class SymmetricGroup(Group):
     def encode_one_line(self, perm: Sequence[int]) -> Element:
         """Encode a one-line permutation of {0..n-1} as a Lehmer code.
 
-        Only permutations that are not cached yet are checked.
+        Only permutations that are not cached yet are checked.  The code is
+        cached for ``one_line`` too, so a product is never re-validated.
         """
         perm = tuple(perm)
         code = self._code_cache.get(perm)
@@ -288,6 +267,7 @@ class SymmetricGroup(Group):
                 for i in range(self.n)
             )
             self._code_cache[perm] = code
+            self._perm_cache.setdefault(code, perm)
         return code
 
     def multiply(self, x: Element, y: Element) -> Element:
@@ -387,9 +367,18 @@ class TableGroup(Group):
     """Group given by an explicit multiplication table; encoding ``(i,)``.
 
     ``table[i][j]`` is the index of element i times element j.  The identity
-    index may be designated; otherwise it is located by scanning.  Tables of
-    order <= 512 get an eager sampled axiom check so corrupt tables fail on
-    load.
+    index may be designated; otherwise it is located by comparing rows.
+    Every table is checked exactly on load, so a table that is not a group
+    fails there: each row must be a permutation of ``0..n-1``, the identity
+    and every inverse must be two-sided, and associativity is decided by
+    Light's test (Clifford and Preston, *The Algebraic Theory of Semigroups*
+    I, 1961, section 1.2).  Light's test checks ``x(ay) == (xa)y`` for every
+    ``x`` and ``y`` only for ``a`` in a generating set, one whole row
+    comparison per ``(a, x)``: the elements that pass form a submagma, so
+    passing generators make the whole table associative.  Generators are
+    picked greedily, and each one at least doubles the subgroup reached in
+    a group, so a table that needs more than ``n.bit_length()`` of them is
+    refused unchecked.
     """
 
     kind = "table"
@@ -398,50 +387,62 @@ class TableGroup(Group):
         n = len(table)
         if n == 0:
             raise InvalidGroupError("empty multiplication table")
+        full = set(range(n))
         rows: list[tuple[int, ...]] = []
         for i, row in enumerate(table):
-            if not isinstance(row, (list, tuple)) or not all(type(v) is int for v in row):
+            if not isinstance(row, (list, tuple)) or set(map(type, row)) != {int}:
                 raise InvalidGroupError(f"table row {i} is not a list of integers: {row!r}")
-            row = tuple(row)
-            if len(row) != n:
-                raise InvalidGroupError(f"table row {i} has length {len(row)}, expected {n}")
-            if any(not 0 <= v < n for v in row):
-                raise InvalidGroupError(f"table row {i} has out-of-range entries")
-            rows.append(row)
+            if len(row) != n or set(row) != full:
+                raise InvalidGroupError(f"table row {i} is not a permutation of 0..{n - 1}")
+            rows.append(tuple(row))
         self.table = tuple(rows)
         self.n = n
         self.radices = (n,)
+        line = tuple(range(n))
         if identity_index is None:
-            identity_index = self._find_identity()
-        else:
-            identity_index = _require_index(identity_index, "identity")
-            if not 0 <= identity_index < n:
-                raise InvalidGroupError(f"identity index {identity_index} out of range")
-            if any(self.table[identity_index][j] != j or self.table[j][identity_index] != j for j in range(n)):
-                raise InvalidGroupError(f"designated identity {identity_index} is not two-sided")
-        self.identity_index = identity_index
-        self._inv = self._build_inverses()
-        if n <= TABLE_CHECK_LIMIT:
-            self.check_axioms()
-
-    def _find_identity(self) -> int:
-        for i in range(self.n):
-            if all(self.table[i][j] == j and self.table[j][i] == j for j in range(self.n)):
-                return i
-        raise InvalidGroupError("table has no two-sided identity")
-
-    def _build_inverses(self) -> tuple[int, ...]:
-        e = self.identity_index
-        inv = []
-        for i in range(self.n):
-            j = next(
-                (j for j in range(self.n) if self.table[i][j] == e and self.table[j][i] == e),
+            identity_index = next(
+                (i for i in range(n) if rows[i] == line and tuple(map(itemgetter(i), rows)) == line),
                 None,
             )
-            if j is None:
+            if identity_index is None:
+                raise InvalidGroupError("table has no two-sided identity")
+        elif type(identity_index) is not int or not 0 <= identity_index < n:
+            raise InvalidGroupError(f"identity index {identity_index!r} is not a row index")
+        elif rows[identity_index] != line or tuple(map(itemgetter(identity_index), rows)) != line:
+            raise InvalidGroupError(f"designated identity {identity_index} is not two-sided")
+        self.identity_index = e = identity_index
+        inv = tuple(row.index(e) for row in rows)
+        for i, j in enumerate(inv):
+            if rows[j][i] != e:
                 raise InvalidGroupError(f"element {i} has no two-sided inverse")
-            inv.append(j)
-        return tuple(inv)
+        self._inv = inv
+        for a in self._generators():
+            row_a = itemgetter(*rows[a])
+            for x, row in enumerate(rows):
+                if rows[row[a]] != row_a(row):
+                    raise InvalidGroupError(f"table is not associative: ({x}*{a})*y != {x}*({a}*y) for some y")
+
+    def _generators(self) -> list[int]:
+        """A greedy generating set: the smallest index not yet reached, until every index is.
+
+        Reached means reached from the identity by right multiplications
+        by the generators so far.  Raises once more than
+        ``n.bit_length()`` are needed, which no group of order n does.
+        """
+        rows, n = self.table, self.n
+        reached = {self.identity_index}
+        gens: list[int] = []
+        while len(reached) < n:
+            if len(gens) == n.bit_length():
+                raise InvalidGroupError(f"table needs more than {len(gens)} generators, so it is not a group")
+            a = min(set(range(n)) - reached)
+            gens.append(a)
+            # ``reached`` is closed under the earlier generators already
+            fresh = {rows[x][a] for x in reached} - reached
+            while fresh:
+                reached |= fresh
+                fresh = {rows[x][g] for x in fresh for g in gens} - reached
+        return gens
 
     @property
     def identity(self) -> Element:

@@ -30,10 +30,14 @@ SET_TYPES = (
 )
 
 
-def _coerce_all(group: Group, raw, what: str) -> list[Element]:
+def _nonempty_list(raw, what: str) -> list:
     if not isinstance(raw, list) or not raw:
         raise ParameterError(f"{what} must be a nonempty list of element encodings")
-    return [group.coerce(x) for x in raw]
+    return raw
+
+
+def _coerce_all(group: Group, raw, what: str) -> list[Element]:
+    return [group.coerce(x) for x in _nonempty_list(raw, what)]
 
 
 def _nat(spec: dict, key: str, *, minimum: int = 0) -> int:
@@ -57,7 +61,8 @@ def ball(group: Group, generators: Iterable[Element], radius: int) -> GSet:
 
     The generating set is used exactly as given: inverses participate only
     if listed, so the ball is the breadth-first expansion of {identity}
-    under right multiplication.
+    under right multiplication.  Each generator is decoded once, with
+    ``group.coerce``, so it may be a JSON array or an element tuple.
     """
     gens = [group.coerce(g) for g in generators]
     members = {group.identity}
@@ -130,11 +135,12 @@ def generate(spec: dict) -> GSet:
     kind = set_spec["type"]
 
     if kind == "explicit":
-        return GSet(group, _coerce_all(group, set_spec.get("elements"), "explicit elements"))
+        elems = _coerce_all(group, set_spec.get("elements"), "explicit elements")
+        return GSet._trusted(group, frozenset(elems))
     if kind == "subgroup":
-        return closure(group, _coerce_all(group, set_spec.get("generators"), "subgroup generators"))
+        return closure(group, _nonempty_list(set_spec.get("generators"), "subgroup generators"))
     if kind == "coset_union":
-        sub = closure(group, _coerce_all(group, set_spec.get("generators"), "subgroup generators"))
+        sub = closure(group, _nonempty_list(set_spec.get("generators"), "subgroup generators"))
         reps = _coerce_all(group, set_spec.get("reps"), "coset representatives")
         members = set()
         charge_pairs(len(reps) * len(sub))
@@ -155,7 +161,7 @@ def generate(spec: dict) -> GSet:
     if kind == "ball":
         return ball(
             group,
-            _coerce_all(group, set_spec.get("generators"), "ball generators"),
+            _nonempty_list(set_spec.get("generators"), "ball generators"),
             _nat(set_spec, "radius"),
         )
     if kind == "random":
@@ -163,7 +169,7 @@ def generate(spec: dict) -> GSet:
     if kind == "perturbed_subgroup":
         return perturbed_subgroup(
             group,
-            _coerce_all(group, set_spec.get("generators"), "subgroup generators"),
+            _nonempty_list(set_spec.get("generators"), "subgroup generators"),
             _nat(set_spec, "swaps"),
             _nat(set_spec, "seed"),
         )

@@ -10,6 +10,7 @@ import pytest
 
 import symgrowth
 from symgrowth.cli import main
+from symgrowth.groups import SymmetricGroup
 
 INTERVAL_SPEC = {
     "group": {"type": "cyclic", "n": 20},
@@ -317,3 +318,44 @@ def test_verify_rejects_s_entry_of_wrong_width_with_exit_2(capsys, tmp_path, int
     assert code == 2
     assert out == ""
     assert json.loads(err.strip())["error"] == "CertificateFormatError"
+
+
+def s3_table_spec():
+    g = SymmetricGroup(3)
+    elems = [g.element_at(i) for i in range(g.order)]
+    return {"type": "table", "table": [[elems.index(g.multiply(x, y)) for y in elems] for x in elems], "identity": 0}
+
+
+def _set_cell(i, j, value):
+    def mutate(spec):
+        spec["table"][i][j] = value(spec["table"][i][j])
+    return mutate
+
+
+def _swap_cells(spec):
+    row = spec["table"][1]
+    row[2], row[3] = row[3], row[2]
+
+
+@pytest.mark.parametrize("mutate", [
+    _set_cell(1, 0, bool),
+    _set_cell(2, 3, float),
+    _set_cell(1, 1, lambda v: 6),
+    lambda spec: spec["table"][3].pop(),
+    _set_cell(1, 2, lambda v: v + 1 if v < 5 else 0),
+    _swap_cells,
+    lambda spec: spec.update(identity=1),
+    lambda spec: spec.update(identity=True),
+], ids=["bool", "float", "out-of-range", "short-row", "duplicate", "swap", "wrong-identity", "bool-identity"])
+def test_verify_refuses_a_certificate_whose_table_is_not_a_group(capsys, tmp_path, mutate):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"group": s3_table_spec(), "set": {"type": "explicit", "elements": [[0], [1], [2]]}}))
+    cert_path = tmp_path / "cert.json"
+    assert run_cli(capsys, "run", "--instance", str(inst), "--k", "2", "--out", str(cert_path))[0] == 0
+    cert = json.loads(cert_path.read_text())
+    mutate(cert["instance"]["group"])
+    cert_path.write_text(json.dumps(cert))
+    code, out, err = run_cli(capsys, "verify", "--instance", str(inst), "--certificate", str(cert_path))
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert json.loads(err)["error"] == "CertificateFormatError"

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from symgrowth.errors import EmptySetError, ParameterError
-from symgrowth.groups import CyclicGroup, DihedralGroup, HeisenbergGroup, SymmetricGroup
+from symgrowth.groups import CyclicGroup, DihedralGroup, Group, HeisenbergGroup, SymmetricGroup
 from symgrowth.gset import GSet, inverse_set, product
 from symgrowth.instances import (
     ball,
@@ -209,6 +209,29 @@ def test_generate_rejects_unknown_type():
         generate(spec({"type": "cyclic", "n": 20}, {}))
     with pytest.raises(ParameterError):
         generate("not a dict")
+
+
+@pytest.mark.parametrize("group_spec, set_spec, calls", [
+    ({"type": "cyclic", "n": 100}, {"type": "explicit", "elements": [[i] for i in range(0, 80, 2)]}, 40),
+    ({"type": "cyclic", "n": 100}, {"type": "coset_union", "generators": [[10], [25]], "reps": [[1], [2], [3]]}, 5),
+    ({"type": "cyclic", "n": 100}, {"type": "ball", "generators": [[1], [7], [30]], "radius": 3}, 3),
+    ({"type": "cyclic", "n": 100}, {"type": "perturbed_subgroup", "generators": [[20], [50]], "swaps": 2, "seed": 1}, 2),
+    # the symmetric backend checks a code again the first time it decodes
+    # it, so each generator counts twice; the closure's products, which it
+    # encoded itself, and the identity are not checked
+    ({"type": "symmetric", "n": 4}, {"type": "subgroup", "generators": [[1, 1, 1, 0], [0, 2, 1, 0]]}, 4),
+], ids=["explicit", "coset_union", "ball", "perturbed_subgroup", "s4-subgroup"])
+def test_generate_validates_each_given_element_once(monkeypatch, group_spec, set_spec, calls):
+    seen = []
+    real = Group.validate
+
+    def counting(self, x):
+        seen.append(x)
+        return real(self, x)
+
+    monkeypatch.setattr(Group, "validate", counting)
+    generate(spec(group_spec, set_spec))
+    assert len(seen) == calls
 
 
 def test_generate_validates_elements():
