@@ -142,7 +142,7 @@ def cmd_lemma(args) -> int:
     if out.case == "shrink":
         payload["t"] = list(out.t)
         payload["shrunk_size"] = len(out.shrunk)
-        payload["shrunk_product_size"] = len(out.shrunk_product)
+        payload["shrunk_product_size"] = out.shrunk_product_size
     else:
         payload["threshold"] = out.threshold
         payload["sym_size"] = len(out.sym)

@@ -87,10 +87,11 @@ class StepOutcome:
     """Result of one shrink step: exactly one of the two cases.
 
     case "shrink": ``t`` witnesses the shrink, ``shrunk`` is A' ∩ tA' and
-    ``shrunk_product`` its product with A.  case "terminate": ``sym`` is
-    the symmetry set of A'A at ``threshold`` and contains the whole level
-    set.  ``entries`` holds the step's proven inequalities with unprefixed
-    names; callers add a step index when assembling a ledger.
+    ``shrunk_product_size`` the size of its product with A.  case
+    "terminate": ``sym`` is the symmetry set of A'A at ``threshold`` and
+    contains the whole level set.  ``entries`` holds the step's proven
+    inequalities with unprefixed names; callers add a step index when
+    assembling a ledger.
     """
 
     case: str
@@ -101,7 +102,7 @@ class StepOutcome:
     entries: tuple[LedgerEntry, ...]
     t: Element | None = None
     shrunk: GSet | None = None
-    shrunk_product: GSet | None = None
+    shrunk_product_size: int | None = None
     sym: GSet | None = None
     threshold: Fraction | None = None
 
@@ -215,12 +216,11 @@ def shrink_step(aprime: GSet, a: GSet, eps) -> StepOutcome:
     # (A' ∩ tA')A is the union of the rows of the members of A' ∩ tA'
     limit = (1 - eps) * np_
     for t in level:
-        cover = rows.cover(overlaps[t])
-        if cover.bit_count() <= limit:
+        shrunk_product_size = rows.cover(overlaps[t]).bit_count()
+        if shrunk_product_size <= limit:
             shrunk = aprime.pick(overlaps[t])
-            shrunk_product = rows.pick(cover)
             entries.append(_entry("shrink_size_lower", "ge", len(shrunk), tau))
-            entries.append(_entry("shrink_product_upper", "le", len(shrunk_product), limit))
+            entries.append(_entry("shrink_product_upper", "le", shrunk_product_size, limit))
             if not all(e.holds for e in entries):
                 raise InvariantViolation("shrink case inequalities failed")
             return StepOutcome(
@@ -232,7 +232,7 @@ def shrink_step(aprime: GSet, a: GSet, eps) -> StepOutcome:
                 entries=tuple(entries),
                 t=t,
                 shrunk=shrunk,
-                shrunk_product=shrunk_product,
+                shrunk_product_size=shrunk_product_size,
             )
 
     threshold = (1 - eps) if eps < 1 else Fraction(1, np_)
@@ -257,10 +257,10 @@ def shrink_step(aprime: GSet, a: GSet, eps) -> StepOutcome:
 StepHook = Callable[[int, StepOutcome], None]
 
 
-def iterate_shrink(a: GSet, eps, step_hook: StepHook | None = None):
+def iterate_shrink(a: GSet, eps, step_hook: StepHook | None = None) -> IterationTrace:
     """Iterate shrink steps from A' = A until termination.
 
-    Returns (the step outcomes, the trace whose steps are those outcomes).
+    Returns the trace whose ``steps`` are the step outcomes, in order.
     The last outcome terminates: its ``aprime`` is the terminal A' and its
     ``sym`` the symmetry set of A'A at threshold 1-eps, at least as large
     as the final level set.  ``step_hook(index, outcome)`` is called after
@@ -285,8 +285,7 @@ def iterate_shrink(a: GSet, eps, step_hook: StepHook | None = None):
             # a shrink past the cap would contradict |A'A| >= |A|
             raise InvariantViolation("iteration ran past its termination cap")
         cur = out.shrunk
-    trace = IterationTrace(steps=tuple(outcomes), epsilon=eps, doubling=k0, termination_cap=cap)
-    return outcomes, trace
+    return IterationTrace(steps=tuple(outcomes), epsilon=eps, doubling=k0, termination_cap=cap)
 
 
 def _trace_entries(trace: IterationTrace, a_size: int) -> list[LedgerEntry]:
@@ -337,12 +336,12 @@ def stable_neighbourhood(
     eps = Fraction(1, k + 1)
     group = a.group
 
-    outcomes, trace = iterate_shrink(a, eps, step_hook)
-    last = outcomes[-1]
+    trace = iterate_shrink(a, eps, step_hook)
+    last = trace.steps[-1]
     aprime, s = last.aprime, last.sym
 
     ledger: list[LedgerEntry] = []
-    for i, out in enumerate(outcomes):
+    for i, out in enumerate(trace.steps):
         ledger.extend(_prefixed(f"step{i}", e) for e in out.entries)
 
     ledger.append(_entry("identity_in_neighbourhood", "eq", 1 if s.contains_identity() else 0, 1))

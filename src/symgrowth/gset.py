@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .budget import charge_pairs
-from .errors import EmptySetError, GroupMismatchError, ParameterError
+from .errors import EmptySetError, GroupMismatchError
 from .groups import Element, Group
 
 
@@ -78,9 +78,6 @@ class GSet:
     def elements(self) -> tuple[Element, ...]:
         """All members in canonical sorted order."""
         return self._elems
-
-    def is_empty(self) -> bool:
-        return not self._elems
 
     def require_nonempty(self, what: str = "set") -> None:
         if not self._elems:
@@ -136,38 +133,17 @@ def inverse_set(a: GSet) -> GSet:
     return GSet._trusted(g, frozenset(g.inverse(x) for x in a))
 
 
-def power(a: GSet, k: int) -> GSet:
-    """The k-fold product set A^k; A^0 is the identity singleton.
-
-    Stops early once A^(j+1) equals A^j as a set: every later power is then
-    equal too.  (Equal sizes are not enough: {x}^j changes with j.)
-    """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
-        raise ParameterError(f"power exponent must be a nonnegative integer, got {k!r}")
-    g = a.group
-    if k == 0:
-        return GSet(g, [g.identity])
-    acc = a
-    for _ in range(k - 1):
-        nxt = product(acc, a)
-        if nxt == acc:
-            break
-        acc = nxt
-    return acc
-
-
-def conv_table(a: GSet, b: GSet) -> "ConvTable":
-    """All nonzero values of 1_A * 1_B, indexed by product element."""
+def conv_table(a: GSet, b: GSet) -> dict[Element, int]:
+    """All nonzero values of 1_A * 1_B: each product element -> its count."""
     a.same_group(b)
     charge_pairs(len(a) * len(b))
-    g = a.group
-    mul = g.multiply
+    mul = a.group.multiply
     counts: dict[Element, int] = {}
     for u in a:
         for v in b:
             w = mul(u, v)
             counts[w] = counts.get(w, 0) + 1
-    return ConvTable(group=g, counts=dict(sorted(counts.items())))
+    return counts
 
 
 def overlap_masks(a: GSet) -> dict[Element, int]:
@@ -216,9 +192,6 @@ class RowProduct:
             out |= row
         return out
 
-    def pick(self, mask: int) -> GSet:
-        return GSet._trusted(self.group, frozenset(pick_bits(self.elements, mask)))
-
 
 def row_product(a: GSet, b: GSet) -> RowProduct:
     """The product set AB together with the row of each u * B; |A|*|B| multiplications."""
@@ -234,47 +207,6 @@ def row_product(a: GSet, b: GSet) -> RowProduct:
             row |= 1 << setdefault(mul(u, v), len(index))
         rows.append(row)
     return RowProduct(group=a.group, elements=tuple(index), rows=tuple(rows))
-
-
-@dataclass(frozen=True)
-class ConvTable:
-    """Sparse convolution table: element -> positive count.
-
-    The support of the table is exactly the product set of its arguments,
-    and the counts sum to |A| * |B|.
-    """
-
-    group: Group
-    counts: dict[Element, int]
-
-    def support(self) -> GSet:
-        return GSet._trusted(self.group, frozenset(self.counts))
-
-    def value(self, x: Element) -> int:
-        return self.counts.get(x, 0)
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def energy(self) -> int:
-        """Sum of squared counts: the number of quadruples (u,v,u',v') with
-        u v = u' v'."""
-        return sum(c * c for c in self.counts.values())
-
-
-def pair_energy(a: GSet, b: GSet, c: GSet, d: GSet) -> int:
-    """Count solutions of u*v = w*z with u in A, v in B, w in C, z in D.
-
-    Computed as the inner product of the two convolution tables, which
-    matches the quadruple count exactly.
-    """
-    a.same_group(b)
-    a.same_group(c)
-    a.same_group(d)
-    left = conv_table(a, b)
-    right = conv_table(c, d)
-    small, big = (left.counts, right.counts) if len(left.counts) <= len(right.counts) else (right.counts, left.counts)
-    return sum(n * big.get(x, 0) for x, n in small.items())
 
 
 @dataclass(frozen=True)

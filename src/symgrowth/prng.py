@@ -17,19 +17,3 @@ def splitmix64(seed: int, index: int) -> int:
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
     return (z ^ (z >> 31)) & _MASK
 
-
-class CounterStream:
-    """Sequential reader over the splitmix64 stream for one seed."""
-
-    def __init__(self, seed: int, start: int = 0):
-        self.seed = seed
-        self.index = start
-
-    def next(self) -> int:
-        value = splitmix64(self.seed, self.index)
-        self.index += 1
-        return value
-
-    def below(self, bound: int) -> int:
-        """Next value reduced mod ``bound`` (bound >= 1)."""
-        return self.next() % bound

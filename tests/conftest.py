@@ -1,7 +1,9 @@
-"""Shared test fixtures and the acceptance summary hook.
+"""Shared test fixtures, structure checks and the acceptance summary hook.
 
 Unit tests draw random instances through CounterStream so every run sees the
-same data.  Acceptance tests register one line per criterion here; the
+same data.  The ``check_*`` helpers state the paper's structural facts about
+symmetry sets; every one of them returns True on every input, so a False
+signals a bug.  Acceptance tests register one line per criterion here; the
 terminal-summary hook prints them after the run, outside pytest's capture.
 """
 
@@ -17,8 +19,10 @@ from symgrowth.groups import (
     HeisenbergGroup,
     SymmetricGroup,
 )
-from symgrowth.gset import GSet
-from symgrowth.prng import CounterStream
+from symgrowth.gset import GSet, conv_table, product
+from symgrowth.oracle import oracle_power
+from symgrowth.prng import splitmix64
+from symgrowth.symmetry import sym_set
 
 try:
     from hypothesis import settings
@@ -43,6 +47,48 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for name, status, detail in ACCEPTANCE_LINES:
         terminalreporter.write_line(f"[{status}] {name}: {detail}")
+
+
+class CounterStream:
+    """Sequential reader over the splitmix64 stream for one seed."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self.index = 0
+
+    def next(self) -> int:
+        value = splitmix64(self.seed, self.index)
+        self.index += 1
+        return value
+
+    def below(self, bound: int) -> int:
+        """Next value reduced mod ``bound`` (bound >= 1)."""
+        return self.next() % bound
+
+
+def pair_energy(a: GSet, b: GSet, c: GSet, d: GSet) -> int:
+    """#{(u, v, w, z) in A x B x C x D : uv = wz}, the inner product of two convolution tables."""
+    right = conv_table(c, d)
+    return sum(n * right.get(x, 0) for x, n in conv_table(a, b).items())
+
+
+def check_nesting(a: GSet, eta, eta_prime) -> bool:
+    """Whether sym(A, eta) ⊆ sym(A, eta') for eta >= eta'."""
+    return sym_set(a, eta).subset_of(sym_set(a, eta_prime))
+
+
+def check_submultiplicativity(a: GSet, eps, eps_prime) -> bool:
+    """Whether sym(A,1-eps) * sym(A,1-eps') ⊆ sym(A,1-eps-eps'), for eps + eps' < 1."""
+    s1 = sym_set(a, 1 - eps)
+    s2 = sym_set(a, 1 - eps_prime)
+    return product(s1, s2).subset_of(sym_set(a, 1 - eps - eps_prime))
+
+
+def check_iterated_power(a: GSet, eps, k: int) -> bool:
+    """Whether sym(A,1-eps)^k ⊆ sym(A,1-k*eps), for k*eps < 1; S^k by ``oracle_power``."""
+    s = sym_set(a, 1 - eps)
+    target = sym_set(a, 1 - k * eps)
+    return all(x in target for x in oracle_power(a.group, s.elements, k))
 
 
 def small_group_pool():

@@ -13,7 +13,7 @@ import pytest
 from symgrowth import growth, oracle
 from symgrowth.errors import EmptySetError, ParameterError
 from symgrowth.groups import CyclicGroup, DihedralGroup
-from symgrowth.gset import GSet, inverse_set, power, product
+from symgrowth.gset import GSet, inverse_set, product
 from symgrowth.growth import (
     CERT_METADATA,
     almost_invariant,
@@ -22,7 +22,7 @@ from symgrowth.growth import (
     stable_neighbourhood,
 )
 from symgrowth.instances import generate
-from symgrowth.oracle import verify_certificate
+from symgrowth.oracle import oracle_power, verify_certificate
 from symgrowth.serialize import canonical_dumps
 
 C20 = CyclicGroup(20)
@@ -46,7 +46,7 @@ def test_step_shrink_case_on_interval():
     # canonical scan order tries t = 0 first (fails: no shrink), then t = 1
     assert out.t == (1,)
     assert out.shrunk.elements == ((1,), (2,), (3,), (4,))
-    assert len(out.shrunk_product) == 8
+    assert out.shrunk_product_size == 8
     assert all(e.holds for e in out.entries)
     names = [e.name for e in out.entries]
     assert names == ["level_set_lower", "shrink_size_lower", "shrink_product_upper"]
@@ -142,9 +142,8 @@ def test_step_multiplications_do_not_grow_with_the_level_set(reps, eps):
 
 def test_iteration_shrinks_to_singleton_at_small_eps():
     seen = []
-    outcomes, trace = iterate_shrink(INTERVAL, Fraction(1, 10), step_hook=lambda i, out: seen.append((i, out)))
-    aprime, sym = outcomes[-1].aprime, outcomes[-1].sym
-    assert trace.steps == tuple(outcomes)
+    trace = iterate_shrink(INTERVAL, Fraction(1, 10), step_hook=lambda i, out: seen.append((i, out)))
+    aprime, sym = trace.steps[-1].aprime, trace.steps[-1].sym
     assert [len(out.aprime) for out in trace.steps] == [5, 4, 3, 2, 1]
     assert [out.case for out in trace.steps] == ["shrink"] * 4 + ["terminate"]
     assert all(out.t == (1,) for out in trace.steps[:4])
@@ -154,20 +153,20 @@ def test_iteration_shrinks_to_singleton_at_small_eps():
     assert len(aprime) == 1
     assert sym.elements == ((0,),)
     # hook fires once per step, in order
-    assert seen == list(enumerate(outcomes))
+    assert seen == list(enumerate(trace.steps))
 
 
 def test_iteration_terminates_immediately_at_large_eps():
-    outcomes, trace = iterate_shrink(INTERVAL, Fraction(1, 2))
-    aprime, sym = outcomes[-1].aprime, outcomes[-1].sym
+    trace = iterate_shrink(INTERVAL, Fraction(1, 2))
+    aprime, sym = trace.steps[-1].aprime, trace.steps[-1].sym
     assert trace.i0 == 0
     assert aprime == INTERVAL
     assert len(sym) == 9
 
 
 def test_iteration_on_subgroup_is_trivial():
-    outcomes, trace = iterate_shrink(H5, Fraction(1, 4))
-    sym = outcomes[-1].sym
+    trace = iterate_shrink(H5, Fraction(1, 4))
+    sym = trace.steps[-1].sym
     assert trace.i0 == 0
     assert sym == H5
     assert trace.doubling == 1
@@ -175,7 +174,7 @@ def test_iteration_on_subgroup_is_trivial():
 
 
 def test_iteration_product_sizes_decay_geometrically():
-    _, trace = iterate_shrink(INTERVAL, Fraction(1, 10))
+    trace = iterate_shrink(INTERVAL, Fraction(1, 10))
     k0 = trace.doubling
     for i, out in enumerate(trace.steps):
         assert len(out.product) <= (1 - trace.epsilon) ** i * k0 * 5
@@ -185,10 +184,10 @@ def test_iteration_product_sizes_decay_geometrically():
 def test_iteration_with_eps_one_clamps_the_threshold():
     # no shrink is possible at eps = 1, so the run terminates at once and
     # the symmetry threshold clamps to 1/|A'A|, keeping it positive
-    outcomes, trace = iterate_shrink(INTERVAL, 1)
-    sym = outcomes[-1].sym
+    trace = iterate_shrink(INTERVAL, 1)
+    sym = trace.steps[-1].sym
     assert trace.i0 == 0
-    assert outcomes[-1].threshold == Fraction(1, 9)
+    assert trace.steps[-1].threshold == Fraction(1, 9)
     assert len(sym) == 17
     assert trace.termination_cap == 1
 
@@ -212,9 +211,9 @@ def test_driver_interval_k3():
     cert = stable_neighbourhood(INTERVAL, 3)
     assert cert.verified
     assert set(cert.s.elements) == {(0,), (1,), (19,)}
-    s2 = power(cert.s, 3)
     a2 = product(INTERVAL, INTERVAL)
-    assert s2.subset_of(product(a2, inverse_set(a2)))
+    quad = product(a2, inverse_set(a2))
+    assert all(x in quad for x in oracle_power(C20, cert.s.elements, 3))
 
 
 def test_driver_subgroup_returns_subgroup():

@@ -22,7 +22,6 @@ from symgrowth import budget, oracle
 from symgrowth.budget import set_pair_budget
 from symgrowth.gset import GSet, overlap_masks
 from symgrowth.instances import generate
-from symgrowth.prng import CounterStream
 from symgrowth.serialize import parse_fraction
 from symgrowth.growth import stable_neighbourhood
 from symgrowth.oracle import (
@@ -42,7 +41,7 @@ from symgrowth.oracle import (
 )
 from symgrowth.symmetry import sym_set
 
-from conftest import draw_subset, small_group_pool
+from conftest import CounterStream, draw_subset, small_group_pool
 
 C20 = CyclicGroup(20)
 INTERVAL = GSet(C20, [(i,) for i in range(5)])

@@ -1,6 +1,8 @@
 """Counter-based SplitMix64 against the published reference outputs."""
 
-from symgrowth.prng import CounterStream, splitmix64
+from symgrowth.prng import splitmix64
+
+from conftest import CounterStream
 
 MASK = 0xFFFFFFFFFFFFFFFF
 
