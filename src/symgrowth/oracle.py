@@ -49,6 +49,8 @@ def oracle_power(group: Group, a: Iterable[Element], k: int) -> tuple[Element, .
     A^(j+i) = A·A^(j+i-1) = A^j·s^i.  A^k is then the one translate
     A^j·s^(k-j), so the work does not grow with k.
     """
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
+        raise ParameterError(f"power exponent must be a nonnegative integer, got {k!r}")
     if k == 0:
         return (group.identity,)
     a = tuple(sorted(set(a)))

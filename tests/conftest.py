@@ -2,8 +2,8 @@
 
 Unit tests draw random instances through CounterStream so every run sees the
 same data.  The ``check_*`` helpers state the paper's structural facts about
-symmetry sets; every one of them returns True on every input, so a False
-signals a bug.  Acceptance tests register one line per criterion here; the
+symmetry sets; every one of them returns True on every input in its domain,
+so a False signals a bug, and raises ParameterError outside the domain.  Acceptance tests register one line per criterion here; the
 terminal-summary hook prints them after the run, outside pytest's capture.
 """
 
@@ -19,10 +19,11 @@ from symgrowth.groups import (
     HeisenbergGroup,
     SymmetricGroup,
 )
+from symgrowth.errors import ParameterError
 from symgrowth.gset import GSet, conv_table, product
 from symgrowth.oracle import oracle_power
 from symgrowth.prng import splitmix64
-from symgrowth.symmetry import sym_set
+from symgrowth.symmetry import check_eta, sym_set
 
 try:
     from hypothesis import settings
@@ -74,11 +75,16 @@ def pair_energy(a: GSet, b: GSet, c: GSet, d: GSet) -> int:
 
 def check_nesting(a: GSet, eta, eta_prime) -> bool:
     """Whether sym(A, eta) ⊆ sym(A, eta') for eta >= eta'."""
+    if check_eta(eta) < check_eta(eta_prime):
+        raise ParameterError(f"nesting check needs eta >= eta', got {eta} < {eta_prime}")
     return sym_set(a, eta).subset_of(sym_set(a, eta_prime))
 
 
 def check_submultiplicativity(a: GSet, eps, eps_prime) -> bool:
     """Whether sym(A,1-eps) * sym(A,1-eps') ⊆ sym(A,1-eps-eps'), for eps + eps' < 1."""
+    eps, eps_prime = Fraction(eps), Fraction(eps_prime)
+    if not (0 <= eps and 0 <= eps_prime and eps + eps_prime < 1):
+        raise ParameterError(f"slacks must be nonnegative and sum below 1, got {eps} + {eps_prime}")
     s1 = sym_set(a, 1 - eps)
     s2 = sym_set(a, 1 - eps_prime)
     return product(s1, s2).subset_of(sym_set(a, 1 - eps - eps_prime))
@@ -86,6 +92,9 @@ def check_submultiplicativity(a: GSet, eps, eps_prime) -> bool:
 
 def check_iterated_power(a: GSet, eps, k: int) -> bool:
     """Whether sym(A,1-eps)^k ⊆ sym(A,1-k*eps), for k*eps < 1; S^k by ``oracle_power``."""
+    eps = Fraction(eps)
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1 or not 0 <= eps < 1 or k * eps >= 1:
+        raise ParameterError(f"need a positive integer k with k*eps < 1, got k={k!r}, eps={eps}")
     s = sym_set(a, 1 - eps)
     target = sym_set(a, 1 - k * eps)
     return all(x in target for x in oracle_power(a.group, s.elements, k))

@@ -81,6 +81,22 @@ def test_oracle_power_of_a_singleton_keeps_moving():
     assert oracle_power(CyclicGroup(12), [(1,)], 5) == ((5,),)
 
 
+def test_oracle_power_dihedral_example():
+    # r * s = rs and s * r = r^-1 s in D6, so {r, s}^2 is not abelian-shaped
+    assert oracle_power(DihedralGroup(6), [(1, 0), (0, 1)], 2) == ((0, 0), (1, 1), (2, 0), (5, 1))
+
+
+def test_oracle_power_of_empty_set():
+    assert oracle_power(C20, [], 3) == ()
+    assert oracle_power(C20, [], 0) == ((0,),)
+
+
+def test_oracle_power_rejects_bad_exponents():
+    for bad in (-1, True, "2", 1.5):
+        with pytest.raises(ParameterError):
+            oracle_power(C20, [(0,), (1,)], bad)
+
+
 def test_oracle_power_equals_the_plain_product_with_and_without_the_identity(stream):
     # past the first equal-size step a set without the identity only
     # translates, which oracle_power jumps over; the plain fold does not

@@ -88,6 +88,8 @@ def test_symmetry_set_invariants_on_random_draws(stream):
 
 def test_nesting_worked_example():
     assert check_nesting(INTERVAL, Fraction(4, 5), Fraction(3, 5))
+    with pytest.raises(ParameterError):
+        check_nesting(INTERVAL, Fraction(3, 5), Fraction(4, 5))
 
 
 def test_submultiplicativity_worked_example():
@@ -98,11 +100,25 @@ def test_submultiplicativity_worked_example():
     assert product(s45, s45) == s35
 
 
+def test_submultiplicativity_rejects_bad_slacks():
+    with pytest.raises(ParameterError):
+        check_submultiplicativity(INTERVAL, Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(ParameterError):
+        check_submultiplicativity(INTERVAL, Fraction(-1, 5), Fraction(1, 5))
+
+
 def test_iterated_power_worked_example():
     assert check_iterated_power(INTERVAL, Fraction(1, 5), 3)
     d5 = DihedralGroup(5)
     ball = GSet(d5, [(0, 0), (1, 0), (4, 0), (0, 1)])
     assert check_iterated_power(ball, Fraction(1, 4), 2)
+
+
+def test_iterated_power_rejects_large_total_slack():
+    with pytest.raises(ParameterError):
+        check_iterated_power(INTERVAL, Fraction(1, 5), 5)
+    with pytest.raises(ParameterError):
+        check_iterated_power(INTERVAL, Fraction(1, 5), 0)
 
 
 @given(
