@@ -44,9 +44,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, instance=True):
-        if instance:
-            p.add_argument("--instance", required=True, help="instance spec JSON file")
+    def common(p):
+        p.add_argument("--instance", required=True, help="instance spec JSON file")
         p.add_argument("--out", help="write output here (atomically) instead of stdout")
         p.add_argument("--budget-pairs", type=int, help="override the pair budget for this run")
         p.add_argument("--trace", action="store_true", help="log per-step progress to stderr")
@@ -220,7 +219,7 @@ def main(argv=None) -> int:
         return 3
     except InvariantViolation:
         raise  # an inequality the construction proves failed: that is a bug
-    except SymGrowthError as exc:
+    except (SymGrowthError, RecursionError) as exc:  # an input nested too deeply to read or write
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2
     finally:

@@ -29,6 +29,8 @@ Encodings and their radices:
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from abc import ABC, abstractmethod
@@ -116,13 +118,9 @@ class Group(ABC):
         self.validate(enc)
         return enc
 
-    @property
+    @functools.cached_property
     def _canon(self) -> str:
-        cached = getattr(self, "_canon_cache", None)
-        if cached is None:
-            cached = json.dumps(self.describe(), sort_keys=True, separators=(",", ":"))
-            object.__setattr__(self, "_canon_cache", cached)
-        return cached
+        return json.dumps(self.describe(), sort_keys=True, separators=(",", ":"))
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -204,6 +202,17 @@ class DihedralGroup(Group):
         return {"type": "dihedral", "n": self.n}
 
 
+def _lehmer_to_one_line(code: Element) -> tuple[int, ...]:
+    """The one-line form (p(0), ..., p(n-1)) of the permutation with Lehmer code ``code``."""
+    free = list(range(len(code)))
+    return tuple(free.pop(d) for d in code)
+
+
+def _one_line_to_lehmer(perm: tuple[int, ...]) -> Element:
+    """The Lehmer code of the one-line permutation ``perm``."""
+    return tuple(sum(q < p for q in perm[i + 1 :]) for i, p in enumerate(perm))
+
+
 class SymmetricGroup(Group):
     """Permutations of {0..n-1}; encoding is the length-n Lehmer code.
 
@@ -227,60 +236,37 @@ class SymmetricGroup(Group):
         self.n = n
         self.limit = limit
         self.radices = tuple(range(n, 0, -1))
-        self._perm_cache: dict[Element, tuple[int, ...]] = {(0,) * n: tuple(range(n))}
-        self._code_cache: dict[tuple[int, ...], Element] = {}
+        # per-group memos of the two pure converters; both trust their argument
+        self._decode = functools.cache(_lehmer_to_one_line)
+        self._encode = functools.cache(_one_line_to_lehmer)
 
     @property
     def identity(self) -> Element:
         return (0,) * self.n
 
     def one_line(self, x: Element) -> tuple[int, ...]:
-        """Decode a Lehmer code to the one-line form (p(0), ..., p(n-1)).
-
-        Only codes that are not cached yet are validated.
-        """
-        try:
-            perm = self._perm_cache.get(x)
-        except TypeError:  # unhashable, so not a code; validate says why
-            perm = None
-        if perm is None:
-            self.validate(x)
-            free = list(range(self.n))
-            perm = tuple(free.pop(d) for d in x)
-            self._perm_cache[x] = perm
-        return perm
+        """Decode a Lehmer code to the one-line form (p(0), ..., p(n-1)); ``x`` is trusted."""
+        return self._decode(x)
 
     def encode_one_line(self, perm: Sequence[int]) -> Element:
         """Encode a one-line permutation of {0..n-1} as a Lehmer code.
 
-        Only permutations that are not cached yet are checked.  The code is
-        cached for ``one_line`` too, so a product is never re-validated.
+        This is where a raw permutation enters, so it is checked here.
         """
-        perm = tuple(perm)
-        code = self._code_cache.get(perm)
-        if code is None:
-            perm = tuple(int(v) for v in perm)
-            if sorted(perm) != list(range(self.n)):
-                raise InvalidElementError(f"not a permutation of 0..{self.n - 1}: {perm!r}")
-            code = tuple(
-                sum(1 for j in range(i + 1, self.n) if perm[j] < perm[i])
-                for i in range(self.n)
-            )
-            self._code_cache[perm] = code
-            self._perm_cache.setdefault(code, perm)
-        return code
+        perm = tuple(int(v) for v in perm)
+        if sorted(perm) != list(range(self.n)):
+            raise InvalidElementError(f"not a permutation of 0..{self.n - 1}: {perm!r}")
+        return self._encode(perm)
 
     def multiply(self, x: Element, y: Element) -> Element:
-        px = self.one_line(x)
-        py = self.one_line(y)
-        return self.encode_one_line(tuple(px[v] for v in py))
+        px = self._decode(x)
+        return self._encode(tuple([px[v] for v in self._decode(y)]))
 
     def inverse(self, x: Element) -> Element:
-        p = self.one_line(x)
         inv = [0] * self.n
-        for i, v in enumerate(p):
+        for i, v in enumerate(self._decode(x)):
             inv[v] = i
-        return self.encode_one_line(tuple(inv))
+        return self._encode(tuple(inv))
 
     def describe(self) -> dict:
         spec: dict = {"type": "symmetric", "n": self.n}
@@ -332,32 +318,19 @@ class DirectProductGroup(Group):
             raise InvalidGroupError("direct product needs at least one factor")
         self.factors = factors
         self.radices = tuple(r for g in factors for r in g.radices)
-        self._widths = tuple(len(g.radices) for g in factors)
-        self._offsets = []
-        pos = 0
-        for w in self._widths:
-            self._offsets.append(pos)
-            pos += w
+        ends = tuple(itertools.accumulate(len(g.radices) for g in factors))
+        # each factor with the slice of the concatenated encoding it owns
+        self._parts = tuple(zip(factors, map(slice, (0,) + ends, ends)))
 
     @property
     def identity(self) -> Element:
         return tuple(v for g in self.factors for v in g.identity)
 
-    def _split(self, x: Element) -> list[Element]:
-        return [
-            x[off : off + w] for off, w in zip(self._offsets, self._widths)
-        ]
-
     def multiply(self, x: Element, y: Element) -> Element:
-        xs, ys = self._split(x), self._split(y)
-        return tuple(
-            v
-            for g, a, b in zip(self.factors, xs, ys)
-            for v in g.multiply(a, b)
-        )
+        return tuple(v for g, s in self._parts for v in g.multiply(x[s], y[s]))
 
     def inverse(self, x: Element) -> Element:
-        return tuple(v for g, a in zip(self.factors, self._split(x)) for v in g.inverse(a))
+        return tuple(v for g, s in self._parts for v in g.inverse(x[s]))
 
     def describe(self) -> dict:
         return {"type": "direct_product", "factors": [g.describe() for g in self.factors]}

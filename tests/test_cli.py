@@ -233,6 +233,33 @@ def test_table_spec_rows_must_be_lists_of_ints(capsys, tmp_path, table):
     assert json.loads(err.strip())["error"] == "InvalidGroupError"
 
 
+def nested_product_spec(depth):
+    spec = {"type": "cyclic", "n": 2}
+    for _ in range(depth):
+        spec = {"type": "direct_product", "factors": [spec]}
+    return {"group": spec, "set": {"type": "explicit", "elements": [[1]]}}
+
+
+@pytest.mark.parametrize("command", ["stats", "verify", "run"])
+def test_deep_nesting_exits_2_with_one_json_line(capsys, tmp_path, interval_file, command):
+    # 100,000 nested arrays overflow the JSON reader; 300 nested one-factor
+    # products run, and then overflow the certificate writer
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    nested = tmp_path / "nested.json"
+    nested.write_text(json.dumps(nested_product_spec(300)))
+    argv = {
+        "stats": ["stats", "--instance", str(deep)],
+        "verify": ["verify", "--instance", interval_file, "--certificate", str(deep)],
+        "run": ["run", "--k", "1", "--instance", str(nested)],
+    }[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "RecursionError"
+
+
 def test_budget_exhaustion_exit_code(capsys, interval_file):
     code, _, err = run_cli(capsys, "stats", "--instance", interval_file,
                            "--budget-pairs", "10")

@@ -216,10 +216,7 @@ def test_generate_rejects_unknown_type():
     ({"type": "cyclic", "n": 100}, {"type": "coset_union", "generators": [[10], [25]], "reps": [[1], [2], [3]]}, 5),
     ({"type": "cyclic", "n": 100}, {"type": "ball", "generators": [[1], [7], [30]], "radius": 3}, 3),
     ({"type": "cyclic", "n": 100}, {"type": "perturbed_subgroup", "generators": [[20], [50]], "swaps": 2, "seed": 1}, 2),
-    # the symmetric backend checks a code again the first time it decodes
-    # it, so each generator counts twice; the closure's products, which it
-    # encoded itself, and the identity are not checked
-    ({"type": "symmetric", "n": 4}, {"type": "subgroup", "generators": [[1, 1, 1, 0], [0, 2, 1, 0]]}, 4),
+    ({"type": "symmetric", "n": 4}, {"type": "subgroup", "generators": [[1, 1, 1, 0], [0, 2, 1, 0]]}, 2),
 ], ids=["explicit", "coset_union", "ball", "perturbed_subgroup", "s4-subgroup"])
 def test_generate_validates_each_given_element_once(monkeypatch, group_spec, set_spec, calls):
     seen = []
