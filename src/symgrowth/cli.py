@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -35,48 +36,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         print(json.dumps({"error": "usage", "message": message}), file=sys.stderr)
         raise SystemExit(2)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="symgrowth",
-        description="Exact growth analysis of finite sets in groups, with certificates.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--instance", required=True, help="instance spec JSON file")
-        p.add_argument("--out", help="write output here (atomically) instead of stdout")
-        p.add_argument("--budget-pairs", type=int, help="override the pair budget for this run")
-        p.add_argument("--trace", action="store_true", help="log per-step progress to stderr")
-
-    p = sub.add_parser("stats", help="exact sizes and doubling of the instance set")
-    common(p)
-
-    p = sub.add_parser("sym", help="symmetry set of the instance set at a threshold")
-    common(p)
-    p.add_argument("--eta", required=True, help="threshold in (0,1] as an exact fraction, e.g. 4/5")
-
-    p = sub.add_parser("lemma", help="one shrink step on A' = A")
-    common(p)
-    p.add_argument("--epsilon", required=True, help="slack in (0,1] as an exact fraction")
-
-    p = sub.add_parser("run", help="full driver: emit a certificate for S with S^k in A^2A^-2")
-    common(p)
-    p.add_argument("--k", required=True, type=int, help="power parameter k >= 1")
-
-    p = sub.add_parser("invariant", help="almost-invariant level along A, SA, ..., S^kA")
-    common(p)
-    p.add_argument("--k", required=True, type=int, help="power parameter k >= 1")
-
-    p = sub.add_parser("sweep", help="doubling stats over a parameter grid, as CSV")
-    common(p)
-
-    p = sub.add_parser("verify", help="independently recheck a certificate against an instance")
-    common(p)
-    p.add_argument("--certificate", required=True, help="certificate JSON file")
-
-    return parser
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -169,17 +128,11 @@ def cmd_sweep(args) -> int:
     base = spec.get("base")
     grid = spec.get("grid")
     rows = family_sweep(base, grid)
-    keys = list(grid)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(keys) + list(DoublingStats.FIELD_ORDER))
-    for point, stats in rows:
-        cells = []
-        for key in keys:
-            node = point
-            for part in key.split("."):
-                node = node[part]
-            cells.append(node if isinstance(node, (int, str)) else json.dumps(node))
+    writer.writerow(list(grid) + list(DoublingStats.FIELD_ORDER))
+    for _, values, stats in rows:
+        cells = [v if isinstance(v, (int, str)) else json.dumps(v) for v in values]
         cells += [fraction_to_str(v) for v in stats.as_dict().values()]
         writer.writerow(cells)
     _emit(buf.getvalue(), args.out)
@@ -194,26 +147,50 @@ def cmd_verify(args) -> int:
     return 0 if report.overall else 1
 
 
-_HANDLERS = {
-    "stats": cmd_stats,
-    "sym": cmd_sym,
-    "lemma": cmd_lemma,
-    "run": cmd_run,
-    "invariant": cmd_invariant,
-    "sweep": cmd_sweep,
-    "verify": cmd_verify,
-}
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser: built on the first ``main`` call, then reused."""
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--instance", required=True, help="instance spec JSON file")
+    shared.add_argument("--out", help="write output here (atomically) instead of stdout")
+    shared.add_argument("--budget-pairs", type=int, help="override the pair budget for this run")
+    shared.add_argument("--trace", action="store_true", help="log per-step progress to stderr")
+    parser = _Parser(
+        prog="symgrowth",
+        description="Exact growth analysis of finite sets in groups, with certificates.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, handler, summary):
+        p = sub.add_parser(name, help=summary, parents=[shared])
+        p.set_defaults(handler=handler)
+        return p
+
+    power_k = {"required": True, "type": int, "help": "power parameter k >= 1"}
+    command("stats", cmd_stats, "exact sizes and doubling of the instance set")
+    command("sym", cmd_sym, "symmetry set of the instance set at a threshold").add_argument(
+        "--eta", required=True, help="threshold in (0,1] as an exact fraction, e.g. 4/5")
+    command("lemma", cmd_lemma, "one shrink step on A' = A").add_argument(
+        "--epsilon", required=True, help="slack in (0,1] as an exact fraction")
+    command("run", cmd_run, "full driver: emit a certificate for S with S^k in A^2A^-2").add_argument(
+        "--k", **power_k)
+    command("invariant", cmd_invariant, "almost-invariant level along A, SA, ..., S^kA").add_argument(
+        "--k", **power_k)
+    command("sweep", cmd_sweep, "doubling stats over a parameter grid, as CSV")
+    command("verify", cmd_verify, "independently recheck a certificate against an instance").add_argument(
+        "--certificate", required=True, help="certificate JSON file")
+    return parser
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         if args.budget_pairs is not None:
             set_pair_budget(args.budget_pairs)
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except PairBudgetError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 3

@@ -187,12 +187,14 @@ def _apply_dotted(spec: dict, path: str, value) -> None:
     node[parts[-1]] = value
 
 
-def family_sweep(base: dict, grid: dict) -> list[tuple[dict, DoublingStats]]:
+def family_sweep(base: dict, grid: dict) -> list[tuple[dict, tuple, DoublingStats]]:
     """Instantiate ``base`` at every grid point and compute doubling stats.
 
     ``grid`` maps dotted paths into the instance spec (e.g. "set.length")
     to finite value lists.  Points are visited in row-major order over the
     lists with keys in their given order, so output order is deterministic.
+    Each row is (spec, the point's grid values in key order, stats); the
+    spec holds copies of the values, so neither ``base`` nor ``grid`` changes.
     """
     if not isinstance(base, dict):
         raise ParameterError("sweep base must be an instance spec object")
@@ -206,6 +208,6 @@ def family_sweep(base: dict, grid: dict) -> list[tuple[dict, DoublingStats]]:
     for combo in itertools.product(*(grid[k] for k in keys)):
         spec = copy.deepcopy(base)
         for key, value in zip(keys, combo):
-            _apply_dotted(spec, key, value)
-        out.append((spec, doubling_stats(generate(spec))))
+            _apply_dotted(spec, key, copy.deepcopy(value))
+        out.append((spec, combo, doubling_stats(generate(spec))))
     return out

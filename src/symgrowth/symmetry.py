@@ -22,7 +22,13 @@ from .gset import GSet, conv_table, inverse_set
 
 
 def check_eta(eta) -> Fraction:
-    """Validate a threshold or shrink slack in (0, 1], returning it as an exact Fraction."""
+    """Validate a threshold or shrink slack in (0, 1], returning it as an exact Fraction.
+
+    Floats and bools are refused: a float such as 0.3 is not the rational it
+    looks like, and would put a binary fraction into a certificate.
+    """
+    if isinstance(eta, (float, bool)):
+        raise ParameterError(f"threshold must be an exact rational, got {eta!r}")
     eta = Fraction(eta)
     if not 0 < eta <= 1:
         raise ParameterError(f"threshold must lie in (0, 1], got {eta}")

@@ -1,5 +1,7 @@
 """End-to-end CLI behaviour: payloads, files, exit codes, error lines."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -20,6 +22,7 @@ S6_RANDOM_SPEC = {
     "group": {"type": "symmetric", "n": 6},
     "set": {"type": "random", "size": 10, "seed": 0},
 }
+SUBCOMMANDS = ["stats", "sym", "lemma", "run", "invariant", "sweep", "verify"]
 SUBGROUP_SPEC = {
     "group": {"type": "cyclic", "n": 20},
     "set": {"type": "subgroup", "generators": [[4]]},
@@ -38,6 +41,12 @@ def subgroup_file(tmp_path):
     path = tmp_path / "subgroup.json"
     path.write_text(json.dumps(SUBGROUP_SPEC))
     return str(path)
+
+
+def _child_pythonpath():
+    """PYTHONPATH for a child that imports symgrowth from where this process found it."""
+    source_root = str(Path(symgrowth.__file__).resolve().parents[1])
+    return os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
 
 
 def run_cli(capsys, *argv):
@@ -206,6 +215,23 @@ def test_sweep_csv(capsys, tmp_path):
     assert lines[3] == "4,4,7,7,13,7/4"
 
 
+def test_sweep_key_columns_hold_the_grid_values(capsys, tmp_path):
+    # "set.length" applied after "set" must not rewrite the "set" column
+    interval = {"type": "interval", "start": 0, "length": 2}
+    sweep_spec = {
+        "base": {"group": {"type": "cyclic", "n": 40}, "set": interval},
+        "grid": {"set": [interval], "set.length": [3, 4]},
+    }
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(sweep_spec))
+    code, out, _ = run_cli(capsys, "sweep", "--instance", str(path))
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0][:3] == ["set", "set.length", "size"]
+    assert [row[:3] for row in rows[1:]] == [[json.dumps(interval), "3", "3"],
+                                             [json.dumps(interval), "4", "4"]]
+
+
 def test_missing_instance_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "stats", "--instance", str(tmp_path / "nope.json"))
     assert code == 2
@@ -312,6 +338,40 @@ def test_usage_errors_exit_2(capsys, interval_file):
     assert run_cli(capsys, "run", "--instance", interval_file, "--k", "zero")[0] == 2
 
 
+def test_reused_parser_does_not_carry_trace_over(capsys, interval_file):
+    assert run_cli(capsys, "run", "--instance", interval_file, "--k", "2", "--trace")[2]
+    code, out, err = run_cli(capsys, "run", "--instance", interval_file, "--k", "2")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verified"] is True
+
+
+def test_reused_parser_does_not_carry_eta_over(capsys, interval_file):
+    assert run_cli(capsys, "sym", "--instance", interval_file, "--eta", "1/2")[0] == 0
+    code, out, err = run_cli(capsys, "sym", "--instance", interval_file)
+    assert (code, out) == (2, "")
+    assert json.loads(err.strip())["error"] == "usage"
+
+
+@pytest.mark.parametrize("argv", [[], *([c] for c in SUBCOMMANDS)], ids=["top", *SUBCOMMANDS])
+def test_help_exits_0(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(" ".join(["usage: symgrowth", *argv]))
+
+
+def test_parser_is_built_on_first_main_call_and_reused(tmp_path):
+    script = (
+        "import symgrowth.cli as cli\n"
+        "assert cli._parser.cache_info().currsize == 0\n"
+        "assert cli.main(['stats', '--help']) == 0\n"
+        "assert cli.main(['run', '--help']) == 0\n"
+        "assert cli._parser.cache_info().misses == 1\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": _child_pythonpath()})
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_run_rejects_k_zero(capsys, interval_file):
     code, _, err = run_cli(capsys, "run", "--instance", interval_file, "--k", "0")
     assert code == 2
@@ -322,14 +382,11 @@ def test_console_script_entry_point(tmp_path):
     # one subprocess smoke test of the installed script
     path = tmp_path / "inst.json"
     path.write_text(json.dumps(SUBGROUP_SPEC))
-    # the child imports symgrowth from where this process found it
-    source_root = str(Path(symgrowth.__file__).resolve().parents[1])
-    pythonpath = os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "symgrowth.cli", "stats", "--instance", str(path)],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env={**os.environ, "PYTHONPATH": _child_pythonpath()},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["stats"]["doubling"] == "1"

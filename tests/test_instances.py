@@ -244,7 +244,8 @@ def test_sweep_interval_lengths_have_closed_form_doubling():
     base = spec({"type": "cyclic", "n": 40}, {"type": "interval", "start": 0, "length": 2})
     rows = family_sweep(base, {"set.length": list(range(2, 11))})
     assert len(rows) == 9
-    for (point, stats), length in zip(rows, range(2, 11)):
+    for (point, values, stats), length in zip(rows, range(2, 11)):
+        assert values == (length,)
         assert point["set"]["length"] == length
         # an interval of length l doubles to length 2l - 1
         assert stats.doubling == Fraction(2 * length - 1, length)
@@ -253,14 +254,28 @@ def test_sweep_interval_lengths_have_closed_form_doubling():
 def test_sweep_visits_grid_in_row_major_order():
     base = spec({"type": "cyclic", "n": 30}, {"type": "interval", "start": 0, "length": 3})
     rows = family_sweep(base, {"set.start": [0, 5], "set.length": [3, 4]})
-    seen = [(p["set"]["start"], p["set"]["length"]) for p, _ in rows]
+    seen = [(p["set"]["start"], p["set"]["length"]) for p, _, _ in rows]
     assert seen == [(0, 3), (0, 4), (5, 3), (5, 4)]
+    assert [values for _, values, _ in rows] == seen
 
 
 def test_sweep_leaves_base_untouched():
     base = spec({"type": "cyclic", "n": 30}, {"type": "interval", "start": 0, "length": 3})
     family_sweep(base, {"set.length": [4, 5]})
     assert base["set"]["length"] == 3
+
+
+def test_sweep_copies_grid_values_into_each_row():
+    # a later key ("set.length") must not reach through an earlier key's
+    # value ("set") into the grid or into the other rows
+    base = spec({"type": "cyclic", "n": 40}, {"type": "interval", "start": 0, "length": 2})
+    interval = {"type": "interval", "start": 0, "length": 2}
+    grid = {"set": [interval], "set.length": [3, 4]}
+    rows = family_sweep(base, grid)
+    assert [p["set"]["length"] for p, _, _ in rows] == [3, 4]
+    assert [stats.size for _, _, stats in rows] == [3, 4]
+    assert [values for _, values, _ in rows] == [(interval, 3), (interval, 4)]
+    assert grid == {"set": [{"type": "interval", "start": 0, "length": 2}], "set.length": [3, 4]}
 
 
 def test_sweep_validates_grid():

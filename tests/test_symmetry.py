@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from symgrowth.errors import EmptySetError, ParameterError
 from symgrowth.groups import CyclicGroup, DihedralGroup
 from symgrowth.gset import GSet, inverse_set, overlap_masks, product
+from symgrowth.growth import shrink_step
 from symgrowth.symmetry import check_eta, sym_set
 
 from conftest import (
@@ -34,6 +35,16 @@ def test_check_eta_accepts_rationals():
     for bad in (0, -1, Fraction(21, 20), 2):
         with pytest.raises(ParameterError):
             check_eta(bad)
+
+
+@pytest.mark.parametrize("inexact", [0.1, 0.5, 1.0, True])
+def test_check_eta_refuses_floats_and_bools(inexact):
+    with pytest.raises(ParameterError):
+        check_eta(inexact)
+    with pytest.raises(ParameterError):
+        sym_set(INTERVAL, inexact)
+    with pytest.raises(ParameterError):
+        shrink_step(INTERVAL, INTERVAL, inexact)
 
 
 def test_overlap_counts_shifted_intersection():
