@@ -5,6 +5,13 @@ over plain element collections, sharing only the group backends with the
 fast path.  Oracles are deliberately slow and simple; they exist so that
 every fast-path computation and every emitted certificate can be checked
 against code with no shared logic to fail in the same way.
+
+The one exception to plain collections is the verifier's replay of the
+shrink scan: each row xA is an int mask over the step's own index of A'A,
+and a candidate's product size is the bit count of the OR of its rows.
+The index and the masks are built here, from ``group.multiply`` alone, so
+the verifier still shares nothing with the fast path; tests check each
+mask count against a product built by definition.
 """
 
 from __future__ import annotations
@@ -320,10 +327,13 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     The only trusted inputs are the group spec inside the certificate and
     the instance set supplied by the caller; both the instance set and
     the certificate's S are decoded by ``group.coerce``, as instance files
-    are.  The shrinking chain is replayed step by step: each step builds
-    the rows xA for x in A' and the table ``oracle_overlaps(A')``, and
-    reads its level set, every candidate's A' ∩ tA' and the next A' off
-    that table, so the scan itself multiplies nothing.  The final symmetry
+    are.  The shrinking chain is replayed step by step: each step indexes
+    its product A'A in a dict, builds each row xA for x in A' as an int
+    mask over that index, and builds the table ``oracle_overlaps(A')``.
+    It reads its level set, every candidate's A' ∩ tA' and the next A' off
+    that table, and each candidate's |(A' ∩ tA')A| is the bit count of the
+    OR of its members' rows, so the scan itself multiplies nothing and
+    carries sizes, not sets, into the ledger.  The final symmetry
     set is recomputed from its definition, the power containment is
     re-derived by membership tests of S^k against A² (``oracle_power``,
     whose work does not grow with the certificate's k), and every ledger
@@ -385,11 +395,17 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
         tag = f"step{i}"
         rec.record(f"{tag}.index", i, step.get("index"))
         rec.record(f"{tag}.aprime_size", len(cur), step.get("aprime_size"))
-        # one row xA per x in A': the step's product A'A is their union, and a
-        # candidate's product (A' ∩ tA')A the union of its members' rows
+        # one row xA per x in A', as an int mask over this step's own index of
+        # A'A: a candidate's product (A' ∩ tA')A is the OR of its members' rows
         charge_pairs(len(cur) * n_a)
-        rows = {x: frozenset(mul(x, v) for v in a) for x in cur}
-        prod = frozenset().union(*rows.values())
+        index: dict[Element, int] = {}
+        rows = {}
+        for x in cur:
+            mask = 0
+            for v in a:
+                mask |= 1 << index.setdefault(mul(x, v), len(index))
+            rows[x] = mask
+        prod = tuple(index)
         n_ap, n_p = len(cur), len(prod)
         if i == 0:
             a2 = tuple(sorted(prod))  # the replay's first product is A·A
@@ -406,8 +422,11 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
         witness = None
         limit = (1 - eps) * n_p
         for t in level:
-            cover = frozenset().union(*(rows[x] for x in overlaps[t]))
-            if len(cover) <= limit:
+            cover = 0
+            for x in overlaps[t]:
+                cover |= rows[x]
+            n_cover = cover.bit_count()
+            if n_cover <= limit:
                 witness = t
                 break
 
@@ -417,8 +436,8 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
         table[f"trace{i}.size_lower_bound"] = ("ge", Fraction(n_ap), Fraction(n_a) / (2 * k0) ** exponent)
         action = step.get("action")
         last = i == len(steps) - 1
-        # the next A' and A'A; a terminate step before the last leaves them as they are
-        nxt, nxt_prod = cur, prod
+        # the next A' and |A'A|; a terminate step before the last leaves them as they are
+        nxt, n_nxt_prod = cur, n_p
         if action == "shrink":
             shape_ok = shape_ok and not last
             rec.record(f"{tag}.t", list(witness) if witness is not None else None,
@@ -426,7 +445,7 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
             if witness is None:
                 # recorded chain diverges; replay cannot continue faithfully
                 break
-            nxt, nxt_prod = tuple(overlaps[witness]), cover
+            nxt, n_nxt_prod = tuple(overlaps[witness]), n_cover
         elif action == "terminate":
             shape_ok = shape_ok and last
             rec.flag(f"{tag}.no_shrink_witness", witness is None)
@@ -435,7 +454,7 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
             raise CertificateFormatError(f"trace step {i} has unknown action {action!r}")
         if not last:
             table[f"{tag}.shrink_size_lower"] = ("ge", Fraction(len(nxt)), tau)
-            table[f"{tag}.shrink_product_upper"] = ("le", Fraction(len(nxt_prod)), limit)
+            table[f"{tag}.shrink_product_upper"] = ("le", Fraction(n_nxt_prod), limit)
         cur = nxt
     rec.flag("trace_shape", shape_ok and terminated)
     if not terminated:

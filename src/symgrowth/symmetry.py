@@ -19,17 +19,19 @@ from fractions import Fraction
 
 from .errors import InvariantViolation, ParameterError
 from .gset import GSet, conv_table, inverse_set
+from .serialize import parse_fraction
 
 
 def check_eta(eta) -> Fraction:
     """Validate a threshold or shrink slack in (0, 1], returning it as an exact Fraction.
 
-    Floats and bools are refused: a float such as 0.3 is not the rational it
-    looks like, and would put a binary fraction into a certificate.
+    A Fraction or an int passes; a string must be an exact 'p/q' or 'p' as
+    ``parse_fraction`` reads it.  Everything else, floats and bools
+    included, is a ParameterError: a float such as 0.3 is not the rational
+    it looks like, and would put a binary fraction into a certificate.
     """
-    if isinstance(eta, (float, bool)):
-        raise ParameterError(f"threshold must be an exact rational, got {eta!r}")
-    eta = Fraction(eta)
+    if not isinstance(eta, Fraction):
+        eta = parse_fraction(eta, "threshold")
     if not 0 < eta <= 1:
         raise ParameterError(f"threshold must lie in (0, 1], got {eta}")
     return eta

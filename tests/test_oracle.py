@@ -393,6 +393,45 @@ def test_verifier_scan_replays_the_canonical_witness_from_the_row_table(monkeypa
     assert shrinks > 0
 
 
+def test_verifier_mask_counts_equal_products_built_by_definition():
+    # on every backend, the sizes the replay reads off its mask rows are the
+    # sizes of full products, and its witnesses are the union scan's
+    d6 = DihedralGroup(6)
+    elems = [d6.element_at(i) for i in range(d6.order)]
+    label = {x: i for i, x in enumerate(elems)}
+    d6_table = TableGroup([[label[d6.multiply(x, y)] for y in elems] for x in elems])
+    groups = small_group_pool() + [DirectProductGroup([CyclicGroup(4), DihedralGroup(3)]), d6_table]
+    stream = CounterStream(0x3A5C)
+    shrinks = rejected = 0
+    for group in groups:
+        for _ in range(8):
+            a = draw_subset(group, 2 + stream.below(min(group.order - 1, 14)), stream).elements
+            k = 1 + stream.below(5)
+            cert = stable_neighbourhood(GSet(group, a), k).to_json_dict()
+            report = verify_certificate(cert, a)
+            assert report.overall
+            checks = {c.name: c for c in report.checks}
+            ledger = {e["name"]: e for e in cert["ledger"]}
+            aprime = a
+            for i, step in enumerate(cert["trace"]["steps"]):
+                assert checks[f"step{i}.product_size"].expected == len(oracle_product(group, aprime, a))
+                t, cand = _reference_scan(group, aprime, a, Fraction(1, k + 1))
+                if step["action"] == "terminate":
+                    assert t is None and checks[f"step{i}.no_shrink_witness"].passed
+                    continue
+                assert checks[f"step{i}.t"].expected == list(t)
+                # the ledger line passes only when the verifier's lhs is the certificate's
+                name = f"step{i}.shrink_product_upper"
+                assert checks[f"ledger.{name}"].passed
+                assert ledger[name]["lhs"] == str(len(oracle_product(group, cand, a)))
+                level = oracle_level_set(group, aprime, parse_fraction(step["tau"]))
+                rejected += level.index(t) > 0
+                shrinks += 1
+                aprime = cand
+    # some scan rejects a candidate before its witness, so a mask count decides a rejection
+    assert shrinks > 0 and rejected > 0
+
+
 @pytest.mark.parametrize("spec, k", [(D40_COSETS, 2), (S6_RANDOM, 2), (C20_INTERVAL, 5)],
                          ids=["d40-cosets", "s6-random", "c20-interval"])
 def test_verify_costs_what_run_costs(monkeypatch, spec, k):

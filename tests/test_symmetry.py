@@ -32,7 +32,9 @@ def members(a, eta):
 def test_check_eta_accepts_rationals():
     assert check_eta(Fraction(2, 3)) == Fraction(2, 3)
     assert check_eta(1) == 1
-    for bad in (0, -1, Fraction(21, 20), 2):
+    assert check_eta("2/3") == Fraction(2, 3)
+    # strings are read as parse_fraction reads them: no decimals, no zero denominators
+    for bad in (0, -1, Fraction(21, 20), 2, "0.3", "abc", "1/0", [1]):
         with pytest.raises(ParameterError):
             check_eta(bad)
 
