@@ -21,7 +21,7 @@ from typing import Callable
 
 from .errors import InvariantViolation, ParameterError
 from .groups import Element
-from .gset import GSet, overlap_masks, product, row_product
+from .gset import GSet, conv_table, inverse_set, level_set, product, row_product
 from .oracle import (
     CERTIFICATE_FORMAT,
     oracle_inverse,
@@ -185,9 +185,10 @@ def shrink_step(aprime: GSet, a: GSet, eps) -> StepOutcome:
     case "shrink".  Not found: case "terminate", and the symmetry set of
     A'A at threshold 1-eps (clamped to 1/|A'A| when eps = 1) contains L.
 
-    L comes from one convolution table of A' with A'^-1 and the scan reuses
-    the rows of A'A, so a step costs |A'||A| + |A'|^2 multiplications, plus
-    |A'A|^2 for the symmetry set when it terminates.
+    L is the level set of ``conv_table(aprime, inverse_set(aprime))``, whose
+    entry at t is A' ∩ tA', and the scan sizes (A' ∩ tA')A as the OR of the
+    rows of A'A of its members, so a step costs |A'||A| + |A'|^2
+    multiplications, plus |A'A|^2 for the symmetry set when it terminates.
 
     The step's inequalities hold unconditionally; if any fails the step
     raises InvariantViolation, since that means the computation is broken.
@@ -199,15 +200,14 @@ def shrink_step(aprime: GSet, a: GSet, eps) -> StepOutcome:
         raise ParameterError("shrink step needs A' to be a subset of A")
     eps = check_eta(eps)
 
-    rows = row_product(aprime, a)
-    p = rows.support()
+    g = aprime.group
+    elements, rows = row_product(aprime, a)
+    p = GSet._trusted(g, frozenset(elements))
     np_, na, nap = len(p), len(a), len(aprime)
     tau = Fraction(nap**4, 2 * np_ * na**2)
 
-    overlaps = overlap_masks(aprime)
-    level = GSet._trusted(
-        aprime.group, frozenset(t for t, mask in overlaps.items() if mask.bit_count() >= tau)
-    )
+    overlaps = conv_table(aprime, inverse_set(aprime))
+    level = level_set(g, overlaps, tau)
 
     entries = [_entry("level_set_lower", "ge", len(level), Fraction(nap**3, 2 * np_ * na))]
     if not entries[0].holds:
@@ -216,9 +216,12 @@ def shrink_step(aprime: GSet, a: GSet, eps) -> StepOutcome:
     # (A' ∩ tA')A is the union of the rows of the members of A' ∩ tA'
     limit = (1 - eps) * np_
     for t in level:
-        shrunk_product_size = rows.cover(overlaps[t]).bit_count()
+        cover = 0
+        for u in overlaps[t]:
+            cover |= rows[u]
+        shrunk_product_size = cover.bit_count()
         if shrunk_product_size <= limit:
-            shrunk = aprime.pick(overlaps[t])
+            shrunk = GSet._trusted(g, frozenset(overlaps[t]))
             entries.append(_entry("shrink_size_lower", "ge", len(shrunk), tau))
             entries.append(_entry("shrink_product_upper", "le", shrunk_product_size, limit))
             if not all(e.holds for e in entries):

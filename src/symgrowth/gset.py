@@ -11,17 +11,21 @@ call raises ``PairBudgetError`` before doing the work.  ``product`` stops
 multiplying once its output is the whole group, but it is still charged
 the full |A|*|B| up front.
 
-Subsets of a set are also passed around as Python-int bitmasks, where bit i
-stands for the i-th element of the set in a fixed order; ``overlap_masks``
-and ``row_product`` build such masks so that the shrink scan needs no
-multiplications beyond one pass over each product.
+``conv_table`` is the one convolution kernel: for each x in AB it lists the
+u in A with x in uB, so its entry lengths are the convolution counts and,
+with B = A^-1, its entry at t is A ∩ tA.  Level sets and symmetry sets are
+``level_set`` filters of such a table.  ``row_product`` gives each u*B as a
+Python-int bitmask over AB, so the shrink scan sizes the product of any
+subset of A with B by OR-ing rows, with no further multiplications.
 """
 
 from __future__ import annotations
 
+import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .budget import charge_pairs
 from .errors import EmptySetError, GroupMismatchError
@@ -101,15 +105,6 @@ class GSet:
         g = self.group
         return all(g.inverse(x) in self._members for x in self._elems)
 
-    def pick(self, mask: int) -> "GSet":
-        """The members whose positions in canonical order are set in ``mask``."""
-        return GSet._trusted(self.group, frozenset(pick_bits(self._elems, mask)))
-
-
-def pick_bits(items: Sequence, mask: int) -> list:
-    """The entries of ``items`` at the positions of the set bits of ``mask``."""
-    return [items[i] for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
-
 
 def product(a: GSet, b: GSet) -> GSet:
     """The product set AB = {x*y : x in A, y in B}; stops early once AB = G."""
@@ -133,80 +128,49 @@ def inverse_set(a: GSet) -> GSet:
     return GSet._trusted(g, frozenset(g.inverse(x) for x in a))
 
 
-def conv_table(a: GSet, b: GSet) -> dict[Element, int]:
-    """All nonzero values of 1_A * 1_B: each product element -> its count."""
+def conv_table(a: GSet, b: GSet) -> dict[Element, list[Element]]:
+    """The convolution of 1_A with 1_B, with the terms of each count.
+
+    Maps every x in AB to the list of u in A, in canonical order, with
+    x in uB; the list's length is 1_A * 1_B(x).  With b = inverse_set(a)
+    the entry at t is A ∩ tA.  Costs |A|*|B| multiplications.
+    """
     a.same_group(b)
     charge_pairs(len(a) * len(b))
     mul = a.group.multiply
-    counts: dict[Element, int] = {}
+    table: defaultdict[Element, list[Element]] = defaultdict(list)
     for u in a:
         for v in b:
-            w = mul(u, v)
-            counts[w] = counts.get(w, 0) + 1
-    return counts
+            table[mul(u, v)].append(u)
+    table.default_factory = None  # a missing x is a KeyError, not a new empty entry
+    return table
 
 
-def overlap_masks(a: GSet) -> dict[Element, int]:
-    """The convolution table of A with A^-1, with a bitmask for each count.
+def level_set(group: Group, table: dict[Element, list[Element]], need) -> GSet:
+    """The x whose entry in the convolution ``table`` has at least ``need`` terms."""
+    least = math.ceil(need)  # an int bound, so no Fraction comparison per entry
+    return GSet._trusted(group, frozenset(x for x, terms in table.items() if len(terms) >= least))
 
-    Maps every t in A A^-1 to the mask of A ∩ tA over A's canonical order,
-    so ``mask.bit_count()`` is |A ∩ tA|, the value of
-    ``conv_table(a, inverse_set(a))`` at t.  Costs |A|^2 multiplications.
+
+def row_product(a: GSet, b: GSet) -> tuple[tuple[Element, ...], dict[Element, int]]:
+    """The product set AB and, for each u in A, the row u*B as a mask over it.
+
+    AB comes in first-seen order, and bit j of the row of u is set when the
+    j-th element of AB lies in uB.  The product of a subset of A with B is
+    the OR of its members' rows.  Costs |A|*|B| multiplications.
     """
-    charge_pairs(len(a) * len(a))
-    g = a.group
-    mul = g.multiply
-    inv = [g.inverse(v) for v in a]
-    masks: dict[Element, int] = {}
-    get = masks.get
-    for i, u in enumerate(a):
-        bit = 1 << i
-        for w in inv:
-            # t = u v^-1 puts u = t v in A ∩ tA
-            t = mul(u, w)
-            masks[t] = get(t, 0) | bit
-    return masks
-
-
-@dataclass(frozen=True)
-class RowProduct:
-    """The product set AB with one bitmask row per element of A.
-
-    ``elements`` holds AB in first-seen order; bit j of ``rows[i]`` is set
-    when ``elements[j]`` lies in u B for u the i-th element of A.  For a
-    subset of A given as a mask over A, its product with B is the union of
-    its rows (``cover``), found without multiplying again.
-    """
-
-    group: Group
-    elements: tuple[Element, ...]
-    rows: tuple[int, ...]
-
-    def support(self) -> GSet:
-        return GSet._trusted(self.group, frozenset(self.elements))
-
-    def cover(self, mask: int) -> int:
-        """Mask over ``elements`` of the product of the subset ``mask`` with B."""
-        out = 0
-        for row in pick_bits(self.rows, mask):
-            out |= row
-        return out
-
-
-def row_product(a: GSet, b: GSet) -> RowProduct:
-    """The product set AB together with the row of each u * B; |A|*|B| multiplications."""
     a.same_group(b)
     charge_pairs(len(a) * len(b))
     mul = a.group.multiply
     index: dict[Element, int] = {}
     setdefault = index.setdefault
-    rows = []
+    rows: dict[Element, int] = {}
     for u in a:
         row = 0
         for v in b:
             row |= 1 << setdefault(mul(u, v), len(index))
-        rows.append(row)
-    return RowProduct(group=a.group, elements=tuple(index), rows=tuple(rows))
+        rows[u] = row
+    return tuple(index), rows
 
 
 @dataclass(frozen=True)

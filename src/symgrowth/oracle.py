@@ -191,7 +191,9 @@ def termination_cap(k0: Fraction, eps: Fraction) -> int:
     the answer m is about k·log K0, and a^m has millions of digits, so each
     test first brackets 2^P·(a/b)^m between integers from a
     square-and-multiply with floor and ceiling rounding, and computes the
-    exact powers only when the bracket cannot decide.
+    exact powers only when the bracket cannot decide.  Near the crossing
+    (a/b)^m·K0 is within a factor 1 - 1/b of 1 and the rounding error grows
+    with m, so P grows with the bit lengths of b and m as well as of K0.
     """
     k0 = Fraction(k0)
     shrink = 1 - Fraction(eps)
@@ -199,10 +201,10 @@ def termination_cap(k0: Fraction, eps: Fraction) -> int:
         raise ParameterError(f"termination cap needs eps in (0, 1], got {eps}")
     p, q = k0.numerator, k0.denominator
     a, b = shrink.numerator, shrink.denominator
-    bits = 128 + 2 * (p.bit_length() + q.bit_length())
-    scaled_q = q << bits
 
     def holds(m: int) -> bool:
+        bits = 128 + 2 * (p.bit_length() + q.bit_length() + b.bit_length() + m.bit_length())
+        scaled_q = q << bits
         lo = hi = 1 << bits  # lo <= 2^bits·(a/b)^m <= hi
         base_lo = (a << bits) // b
         base_hi = -(-(a << bits) // b)

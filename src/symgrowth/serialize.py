@@ -29,7 +29,8 @@ def parse_fraction(text: str, what: str = "fraction") -> Fraction:
 
     Decimal notation is refused on purpose: a string like "0.3" looks exact
     but is not the rational 3/10 to a binary float reader, so only integer
-    and slash forms are portable.
+    and slash forms are portable.  A part longer than the interpreter's
+    integer digit limit is refused too.
     """
     if isinstance(text, int) and not isinstance(text, bool):
         return Fraction(text)
@@ -37,7 +38,10 @@ def parse_fraction(text: str, what: str = "fraction") -> Fraction:
         raise ParameterError(
             f"{what} must be an exact integer or p/q string, got {text!r}"
         )
-    return Fraction(text.strip())
+    try:
+        return Fraction(text.strip())
+    except ValueError as exc:  # a part past the integer digit limit
+        raise ParameterError(f"{what} cannot be read: {exc}") from exc
 
 
 def encode_value(value):
@@ -88,7 +92,7 @@ def load_json(path: str, what: str = "input") -> dict:
             data = json.load(fh)
     except OSError as exc:
         raise ParameterError(f"cannot read {what} file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON, or an integer literal past the digit limit
         raise ParameterError(f"{what} file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParameterError(f"{what} file {path} must hold a JSON object")

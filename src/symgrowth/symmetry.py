@@ -7,8 +7,9 @@ eta * |A| points:
     sym(A, eta) = { x : |A ∩ xA| >= eta |A| }
 
 Equivalently the members are the level set of the convolution of A with
-A^-1, so they all lie inside A A^-1, and ``sym_set`` reads them off that
-convolution table.  The comparison is exact (rational against integer
+A^-1 at eta |A|, so they all lie inside A A^-1, and ``sym_set`` filters
+them from ``conv_table(a, inverse_set(a))``, the table the shrink step
+filters for its level set.  The comparison is exact (rational against integer
 count) and non-strict, so boundary cases are decided the same way on every
 platform.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvariantViolation, ParameterError
-from .gset import GSet, conv_table, inverse_set
+from .gset import GSet, conv_table, inverse_set, level_set
 from .serialize import parse_fraction
 
 
@@ -41,15 +42,13 @@ def sym_set(a: GSet, eta) -> GSet:
     """The members of the symmetry set of A at threshold eta.
 
     |A ∩ xA| is the convolution count of A with A^-1 at x, so the members
-    are read off one ``conv_table(a, inverse_set(a))`` at |A|^2
+    are the level set of one ``conv_table(a, inverse_set(a))`` at |A|^2
     multiplications; every member lies in A A^-1.
     """
     a.require_nonempty("symmetry set input")
     eta = check_eta(eta)
     g = a.group
-    counts = conv_table(a, inverse_set(a))
-    need = eta * len(a)
-    members = GSet._trusted(g, frozenset(t for t, n in counts.items() if n >= need))
+    members = level_set(g, conv_table(a, inverse_set(a)), eta * len(a))
     # identity and closure under inversion hold by definition; failing here means
     # the computation itself is broken, not the input
     if g.identity not in members:

@@ -67,10 +67,15 @@ class CounterStream:
         return self.next() % bound
 
 
+def conv_counts(table: dict) -> dict:
+    """The convolution counts of a ``conv_table``: each x -> the number of its terms."""
+    return {x: len(terms) for x, terms in table.items()}
+
+
 def pair_energy(a: GSet, b: GSet, c: GSet, d: GSet) -> int:
     """#{(u, v, w, z) in A x B x C x D : uv = wz}, the inner product of two convolution tables."""
     right = conv_table(c, d)
-    return sum(n * right.get(x, 0) for x, n in conv_table(a, b).items())
+    return sum(len(terms) * len(right.get(x, ())) for x, terms in conv_table(a, b).items())
 
 
 def check_nesting(a: GSet, eta, eta_prime) -> bool:

@@ -286,6 +286,55 @@ def test_deep_nesting_exits_2_with_one_json_line(capsys, tmp_path, interval_file
     assert json.loads(err)["error"] == "RecursionError"
 
 
+DIGITS = "1" * 5000  # past the interpreter's default integer digit limit of 4300
+
+
+@pytest.mark.parametrize("where", ["instance", "eta", "certificate", "epsilon", "not-utf8"])
+def test_undecodable_input_exits_2_with_one_json_line(capsys, tmp_path, interval_file, where):
+    # integers past the digit limit, and a file that is not UTF-8 text
+    cert_path = tmp_path / "cert.json"
+    assert run_cli(capsys, "run", "--instance", interval_file, "--k", "2", "--out", str(cert_path))[0] == 0
+    cert = json.loads(cert_path.read_text())
+    bad = tmp_path / "bad.json"
+    if where == "instance":
+        bad.write_text(json.dumps(INTERVAL_SPEC).replace('"n": 20', f'"n": {DIGITS}'))
+        argv = ["stats", "--instance", str(bad)]
+    elif where == "eta":
+        argv = ["sym", "--instance", interval_file, "--eta", f"1/{DIGITS}"]
+    elif where == "certificate":
+        bad.write_text(json.dumps(cert).replace('"k": 2', f'"k": {DIGITS}'))
+        argv = ["verify", "--instance", interval_file, "--certificate", str(bad)]
+    elif where == "not-utf8":
+        bad.write_bytes(b'{"group": "\xff"}')
+        argv = ["stats", "--instance", str(bad)]
+    else:
+        cert["epsilon"] = f"1/{DIGITS}"
+        bad.write_text(json.dumps(cert))
+        argv = ["verify", "--instance", interval_file, "--certificate", str(bad)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "ParameterError"
+
+
+def test_run_and_verify_finish_at_k_10_to_the_30(tmp_path, interval_file):
+    # the termination cap is about k·log K0; its bracket must stay decisive near the crossing
+    cert_path = tmp_path / "cert.json"
+    for argv in (["run", "--instance", interval_file, "--k", str(10**30), "--out", str(cert_path)],
+                 ["verify", "--instance", interval_file, "--certificate", str(cert_path)]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "symgrowth.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env={**os.environ, "PYTHONPATH": _child_pythonpath()},
+        )
+        assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["overall"] is True
+    assert json.loads(cert_path.read_text())["trace"]["termination_cap"] == 587786664902119008189731140620
+
+
 def test_budget_exhaustion_exit_code(capsys, interval_file):
     code, _, err = run_cli(capsys, "stats", "--instance", interval_file,
                            "--budget-pairs", "10")

@@ -20,15 +20,19 @@ from symgrowth.gset import (
     conv_table,
     doubling_stats,
     inverse_set,
-    overlap_masks,
-    pick_bits,
     product,
     row_product,
 )
 from symgrowth.instances import generate
-from symgrowth.oracle import oracle_conv_table, oracle_inverse, oracle_product, oracle_quadruples
+from symgrowth.oracle import (
+    oracle_conv_table,
+    oracle_inverse,
+    oracle_overlaps,
+    oracle_product,
+    oracle_quadruples,
+)
 
-from conftest import CounterStream, draw_subset, pair_energy, small_group_pool
+from conftest import CounterStream, conv_counts, draw_subset, pair_energy, small_group_pool
 
 C20 = CyclicGroup(20)
 INTERVAL = GSet(C20, [(i,) for i in range(5)])
@@ -130,7 +134,7 @@ def test_product_matches_oracle_on_random_draws(stream):
 def test_conv_table_small_example():
     c4 = CyclicGroup(4)
     a = GSet(c4, [(0,), (1,)])
-    assert conv_table(a, a) == {(0,): 1, (1,): 2, (2,): 1}
+    assert conv_table(a, a) == {(0,): [(0,)], (1,): [(0,), (1,)], (2,): [(1,)]}
 
 
 def test_conv_table_support_is_product_set():
@@ -138,7 +142,7 @@ def test_conv_table_support_is_product_set():
         st_ = CounterStream(11)
         a = draw_subset(group, 4, st_)
         b = draw_subset(group, 5, st_)
-        t = conv_table(a, b)
+        t = conv_counts(conv_table(a, b))
         assert GSet(group, t) == product(a, b)
         assert sum(t.values()) == len(a) * len(b)
         assert all(n > 0 for n in t.values())
@@ -146,7 +150,7 @@ def test_conv_table_support_is_product_set():
 
 def test_conv_table_on_subgroup_is_flat():
     h = GSet(C20, [(0,), (5,), (10,), (15,)])
-    t = conv_table(h, h)
+    t = conv_counts(conv_table(h, h))
     assert set(t.values()) == {4}
     assert GSet(C20, t) == h
 
@@ -155,46 +159,57 @@ def test_conv_table_matches_oracle(stream):
     for group in small_group_pool():
         a = draw_subset(group, 1 + stream.below(6), stream)
         b = draw_subset(group, 1 + stream.below(6), stream)
-        assert conv_table(a, b) == oracle_conv_table(group, a.elements, b.elements)
+        table = conv_table(a, b)
+        assert conv_counts(table) == oracle_conv_table(group, a.elements, b.elements)
+        for x, terms in table.items():
+            assert terms == [u for u in a if x in product(GSet(group, [u]), b)]
 
 
-# -- bitmask kernels -----------------------------------------------------------
-
-
-def test_pick_bits_reads_positions_low_bit_first():
-    assert pick_bits(("a", "b", "c", "d"), 0b1010) == ["b", "d"]
-    assert pick_bits(("a",), 0) == []
-
-
-def test_overlap_masks_are_the_convolution_table(stream):
-    # bit i of the mask at t marks the i-th element of A as lying in A ∩ tA
+def test_conv_table_with_inverse_lists_the_overlaps(stream):
+    # the entry at t is A ∩ tA in canonical order, as the oracle lists it
     for group in small_group_pool():
         a = draw_subset(group, 1 + stream.below(8), stream)
-        masks = overlap_masks(a)
-        counts = conv_table(a, inverse_set(a))
-        assert {t: m.bit_count() for t, m in masks.items()} == counts
-        for t, m in masks.items():
-            ta = {group.multiply(t, v) for v in a}
-            assert a.pick(m).elements == tuple(u for u in a if u in ta)
+        assert conv_table(a, inverse_set(a)) == oracle_overlaps(group, a.elements)
+
+
+# -- row masks ------------------------------------------------------------------
+
+
+def masked(items, mask):
+    """The entries of ``items`` at the set bits of ``mask``, low bit first."""
+    return [x for i, x in enumerate(items) if mask >> i & 1]
+
+
+def test_row_product_rows_are_left_translates(stream):
+    for group in small_group_pool():
+        a = draw_subset(group, 1 + stream.below(8), stream)
+        b = draw_subset(group, 1 + stream.below(8), stream)
+        elements, rows = row_product(a, b)
+        assert list(rows) == list(a)
+        for u, row in rows.items():
+            assert GSet(group, masked(elements, row)) == product(GSet(group, [u]), b)
 
 
 def test_row_product_covers_subset_products(stream):
     for group in small_group_pool():
         a = draw_subset(group, 1 + stream.below(8), stream)
         b = draw_subset(group, 1 + stream.below(8), stream)
-        rows = row_product(a, b)
-        assert rows.support() == product(a, b)
+        elements, rows = row_product(a, b)
+        whole = product(a, b)
+        assert GSet(group, elements) == whole and len(elements) == len(whole)
         for _ in range(5):
-            mask = stream.below(1 << len(a))
-            sub = a.pick(mask)
-            assert GSet(group, pick_bits(rows.elements, rows.cover(mask))) == product(sub, b)
+            sub = masked(a.elements, stream.below(1 << len(a)))
+            cover = 0
+            for u in sub:
+                cover |= rows[u]
+            assert GSet(group, masked(elements, cover)) == product(GSet(group, sub), b)
 
 
 def test_kernels_charge_their_multiplications():
     set_pair_budget(24)
     try:
         with pytest.raises(PairBudgetError) as info:
-            overlap_masks(INTERVAL)
+            conv_table(INTERVAL, inverse_set(INTERVAL))
         assert info.value.needed == 25
         with pytest.raises(PairBudgetError):
             row_product(INTERVAL, INTERVAL)
@@ -250,12 +265,12 @@ def test_energy_lower_bound_property(n, raw):
     # Cauchy-Schwarz on the convolution: energy(A) >= |A|^4 / |A A|
     g = CyclicGroup(n)
     a = GSet(g, [(v % n,) for v in raw])
-    e = sum(c * c for c in conv_table(a, a).values())
+    e = sum(len(terms) ** 2 for terms in conv_table(a, a).values())
     assert e >= Fraction(len(a) ** 4, len(product(a, a)))
 
 
 def test_energy_frozen_interval_value():
-    assert sum(n * n for n in conv_table(INTERVAL, INTERVAL).values()) == 85
+    assert sum(len(terms) ** 2 for terms in conv_table(INTERVAL, INTERVAL).values()) == 85
     assert Fraction(5**4, 9) <= 85
 
 

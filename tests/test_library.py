@@ -15,10 +15,10 @@ PACKAGE = Path(symgrowth.__file__).resolve().parent
 # Definitions by brute force that no command calls: tests compare the fast
 # path against them, and keeping them beside the other oracles is their job.
 ALLOWED = {
-    "oracle_conv_value",  # tests compare conv_table's entries against it
-    "oracle_conv_table",  # tests compare conv_table against it
+    "oracle_conv_value",  # tests compare the lengths of conv_table's entries against it
+    "oracle_conv_table",  # tests compare conv_table's entry lengths against it
     "oracle_quadruples",  # tests compare quadruple counts from conv_table against it
-    "oracle_overlap",  # tests compare oracle_overlaps and overlap_masks against it
+    "oracle_overlap",  # tests compare oracle_overlaps and conv_table's overlap entries against it
 }
 
 

@@ -2,8 +2,11 @@
 
 import ast
 import copy
+import decimal
+import math
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +23,7 @@ from symgrowth.groups import (
 )
 from symgrowth import budget, oracle
 from symgrowth.budget import set_pair_budget
-from symgrowth.gset import GSet, overlap_masks
+from symgrowth.gset import GSet, conv_table, inverse_set
 from symgrowth.instances import generate
 from symgrowth.serialize import parse_fraction
 from symgrowth.growth import stable_neighbourhood
@@ -161,10 +164,10 @@ def test_oracle_sym_members_matches_fast_path():
 def test_oracle_overlap_agrees_with_fast_overlap():
     d6 = DihedralGroup(6)
     a = GSet(d6, [(0, 0), (1, 0), (0, 1), (2, 1)])
-    masks = overlap_masks(a)
+    table = conv_table(a, inverse_set(a))
     for i in range(d6.order):
         t = d6.element_at(i)
-        assert masks.get(t, 0).bit_count() == oracle_overlap(d6, a.elements, t)
+        assert len(table.get(t, ())) == oracle_overlap(d6, a.elements, t)
 
 
 def test_oracle_quadruples_respects_budget():
@@ -209,6 +212,17 @@ def test_termination_cap_is_fast_at_large_k():
     assert time.perf_counter() - start < 0.25
     assert cap == 587787
     assert termination_cap(Fraction(9, 5), Fraction(1, 10**4 + 1)) == _descent_cap(Fraction(9, 5), Fraction(1, 10**4 + 1))
+
+
+@pytest.mark.parametrize("k", [10**22, 10**30, 10**60])
+def test_termination_cap_is_fast_at_astronomical_k(k):
+    # the cap is the ceiling of log K0 / -log(1 - eps), evaluated here in 120-digit decimals
+    with decimal.localcontext() as ctx:
+        ctx.prec = 120
+        expected = math.ceil((Decimal(9) / 5).ln() / -(1 - Decimal(1) / (k + 1)).ln())
+    start = time.perf_counter()
+    assert termination_cap(Fraction(9, 5), Fraction(1, k + 1)) == expected
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("eps", [Fraction(0), Fraction(-1, 3), Fraction(3, 2)])

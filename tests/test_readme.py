@@ -1,7 +1,8 @@
-"""The README's `stats` and `sweep` examples, run through the command line."""
+"""The README's `stats`, `run`/`verify` and `sweep` examples, run through the command line."""
 
 import json
 import re
+import shlex
 from pathlib import Path
 
 from symgrowth.cli import main
@@ -25,6 +26,18 @@ def test_readme_stats_example(capsys, tmp_path):
     instance = json.loads(BLOCKS[at - 1][1])
     documented = json.loads(BLOCKS[at + 1][1].replace("{ ... }", json.dumps(instance)))
     assert json.loads(run_cli(capsys, tmp_path, "stats", instance)) == documented
+
+
+def test_readme_run_verify_example(capsys, tmp_path, monkeypatch):
+    at = next(i for i, (_, body) in enumerate(BLOCKS) if body.startswith("symgrowth run "))
+    stats_at = next(i for i, (_, body) in enumerate(BLOCKS) if body.startswith("symgrowth stats "))
+    (tmp_path / "interval.json").write_text(BLOCKS[stats_at - 1][1])
+    monkeypatch.chdir(tmp_path)
+    for line in BLOCKS[at][1].splitlines():
+        program, *argv = shlex.split(line)
+        assert program == "symgrowth"
+        assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["overall"] is True
 
 
 def test_readme_sweep_example(capsys, tmp_path):

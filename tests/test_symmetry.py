@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from symgrowth.errors import EmptySetError, ParameterError
 from symgrowth.groups import CyclicGroup, DihedralGroup
-from symgrowth.gset import GSet, inverse_set, overlap_masks, product
+from symgrowth.gset import GSet, conv_table, inverse_set, product
 from symgrowth.growth import shrink_step
 from symgrowth.symmetry import check_eta, sym_set
 
@@ -50,11 +50,11 @@ def test_check_eta_refuses_floats_and_bools(inexact):
 
 
 def test_overlap_counts_shifted_intersection():
-    masks = overlap_masks(INTERVAL)
-    assert masks[(0,)].bit_count() == 5
-    assert masks[(2,)].bit_count() == 3
-    assert masks[(18,)].bit_count() == 3   # shift by -2
-    assert (10,) not in masks              # A and 10 + A are disjoint
+    overlaps = conv_table(INTERVAL, inverse_set(INTERVAL))
+    assert overlaps[(0,)] == list(INTERVAL)
+    assert overlaps[(2,)] == [(2,), (3,), (4,)]
+    assert overlaps[(18,)] == [(0,), (1,), (2,)]   # shift by -2
+    assert (10,) not in overlaps                   # A and 10 + A are disjoint
 
 
 def test_interval_symmetry_sets():
