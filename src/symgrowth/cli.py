@@ -15,9 +15,10 @@ import functools
 import io
 import json
 import sys
+from dataclasses import fields
 
 from .budget import set_pair_budget
-from .errors import InvariantViolation, PairBudgetError, SymGrowthError
+from .errors import CertificateFormatError, InvariantViolation, PairBudgetError, SymGrowthError
 from .growth import almost_invariant, shrink_step, stable_neighbourhood, trace_row
 from .gset import DoublingStats, doubling_stats
 from .instances import family_sweep, generate
@@ -130,7 +131,7 @@ def cmd_sweep(args) -> int:
     rows = family_sweep(base, grid)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(grid) + list(DoublingStats.FIELD_ORDER))
+    writer.writerow(list(grid) + [f.name for f in fields(DoublingStats)])
     for _, values, stats in rows:
         cells = [v if isinstance(v, (int, str)) else json.dumps(v) for v in values]
         cells += [fraction_to_str(v) for v in stats.as_dict().values()]
@@ -140,7 +141,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cert = load_json(args.certificate, "certificate")
+    cert = load_json(args.certificate, "certificate", CertificateFormatError)
     spec = load_json(args.instance, "instance")
     report = verify_certificate(cert, generate(spec).elements, instance=spec)
     _emit_json(report.as_dict(), args.out)

@@ -244,20 +244,6 @@ class SymmetricGroup(Group):
     def identity(self) -> Element:
         return (0,) * self.n
 
-    def one_line(self, x: Element) -> tuple[int, ...]:
-        """Decode a Lehmer code to the one-line form (p(0), ..., p(n-1)); ``x`` is trusted."""
-        return self._decode(x)
-
-    def encode_one_line(self, perm: Sequence[int]) -> Element:
-        """Encode a one-line permutation of {0..n-1} as a Lehmer code.
-
-        This is where a raw permutation enters, so it is checked here.
-        """
-        perm = tuple(int(v) for v in perm)
-        if sorted(perm) != list(range(self.n)):
-            raise InvalidElementError(f"not a permutation of 0..{self.n - 1}: {perm!r}")
-        return self._encode(perm)
-
     def multiply(self, x: Element, y: Element) -> Element:
         px = self._decode(x)
         return self._encode(tuple([px[v] for v in self._decode(y)]))

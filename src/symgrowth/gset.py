@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -188,10 +188,8 @@ class DoublingStats:
     quad_size: int
     doubling: Fraction
 
-    FIELD_ORDER = ("size", "product_size", "inverse_product_size", "quad_size", "doubling")
-
     def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.FIELD_ORDER}
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def doubling_stats(a: GSet) -> DoublingStats:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .budget import charge_pairs
 from .errors import CertificateFormatError, InvalidElementError, ParameterError
@@ -103,63 +103,11 @@ def oracle_outside(group: Group, xs: Iterable[Element], t: Iterable[Element], w:
     return outside
 
 
-def oracle_conv_value(group: Group, a: Iterable[Element], b: Iterable[Element], x: Element) -> int:
-    """Number of ways to write x = u*v with u in A, v in B, by double loop."""
-    a = tuple(a)
-    b = tuple(b)
-    charge_pairs(len(a) * len(b))
-    mul = group.multiply
-    return sum(1 for u in a for v in b if mul(u, v) == x)
-
-
-def oracle_conv_table(group: Group, a: Iterable[Element], b: Iterable[Element]) -> dict[Element, int]:
-    """Number of ways to write each x = u*v, by double loop; the reference for fast-path conv_table."""
-    a = tuple(a)
-    b = tuple(b)
-    charge_pairs(len(a) * len(b))
-    mul = group.multiply
-    counts: dict[Element, int] = {}
-    for u in a:
-        for v in b:
-            w = mul(u, v)
-            counts[w] = counts.get(w, 0) + 1
-    return dict(sorted(counts.items()))
-
-
-def oracle_quadruples(
-    group: Group,
-    b: Iterable[Element],
-    c: Iterable[Element],
-    d: Iterable[Element],
-    e: Iterable[Element],
-) -> int:
-    """Count solutions of b*c = d*e by a literal quadruple loop."""
-    b, c, d, e = tuple(b), tuple(c), tuple(d), tuple(e)
-    charge_pairs(len(b) * len(c) * len(d) * len(e))
-    mul = group.multiply
-    total = 0
-    for x in b:
-        for y in c:
-            lhs = mul(x, y)
-            for u in d:
-                for v in e:
-                    total += lhs == mul(u, v)
-    return total
-
-
-def oracle_overlap(group: Group, a: Sequence[Element], t: Element) -> int:
-    """|A ∩ tA| by direct counting over A."""
-    members = frozenset(a)
-    mul = group.multiply
-    return sum(1 for v in a if mul(t, v) in members)
-
-
 def oracle_overlaps(group: Group, a: Iterable[Element]) -> dict[Element, list[Element]]:
     """For every t in AA⁻¹, the members of A ∩ tA in ascending order, keyed by t in ascending order.
 
     t = u·v⁻¹ with u, v in A exactly when u = tv lies in A ∩ tA, so one
-    double loop over (u, v⁻¹), charged |A|², lists every overlap at once;
-    ``oracle_overlap`` is the check by definition.
+    double loop over (u, v⁻¹), charged |A|², lists every overlap at once.
     """
     a = tuple(sorted(set(a)))
     inv = oracle_inverse(group, a)
@@ -256,9 +204,6 @@ class VerificationReport:
     @property
     def overall(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[CheckRecord]:
-        return [c for c in self.checks if not c.passed]
 
     def as_dict(self) -> dict:
         return {
@@ -371,7 +316,10 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     k = _need(cert, "k", int)
     if isinstance(k, bool) or k < 1:
         raise CertificateFormatError(f"certificate k must be a positive integer, got {k!r}")
-    eps = parse_fraction(_need(cert, "epsilon", str), "certificate epsilon")
+    try:
+        eps = parse_fraction(_need(cert, "epsilon", str), "certificate epsilon")
+    except ParameterError as exc:
+        raise CertificateFormatError(str(exc)) from exc
     if not 0 < eps <= 1:
         # the replay and the termination cap are only defined for these
         raise CertificateFormatError(f"certificate epsilon must lie in (0, 1], got {eps}")

@@ -9,6 +9,7 @@ when integral), and group elements travel as their encoding arrays.
 from __future__ import annotations
 
 import json
+import json.encoder
 import os
 import re
 import tempfile
@@ -44,29 +45,39 @@ def parse_fraction(text: str, what: str = "fraction") -> Fraction:
         raise ParameterError(f"{what} cannot be read: {exc}") from exc
 
 
-def encode_value(value):
-    """Map a value to its JSON form: Fractions to strings, tuples to lists."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, Fraction):
-        return fraction_to_str(value)
-    if isinstance(value, (list, tuple)):
-        return [encode_value(v) for v in value]
-    if isinstance(value, dict):
-        return {k: encode_value(v) for k, v in value.items()}
-    if value is None or isinstance(value, (int, str)):
-        return value
-    raise ParameterError(f"value {value!r} has no canonical JSON form")
-
-
 def elements_to_json(elements) -> list[list[int]]:
     """Encode an iterable of element tuples as a list of int arrays."""
     return [list(x) for x in elements]
 
 
+def _json_form(value) -> str:
+    """A Fraction's exact string; any other value json cannot write itself, a float included, raises."""
+    if isinstance(value, Fraction):
+        return fraction_to_str(value)
+    raise ParameterError(f"value {value!r} has no canonical JSON form")
+
+
 def canonical_dumps(obj) -> str:
-    """Serialize to the canonical byte-stable JSON text (trailing newline)."""
-    return json.dumps(encode_value(obj), sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """Serialize to the canonical byte-stable JSON text (trailing newline).
+
+    This is the walk that ``json.dumps(obj, sort_keys=True, indent=2,
+    ensure_ascii=True)`` runs, with ``_json_form`` for Fractions and other
+    values json cannot write, and for floats in place of json's own float
+    formatter, so a float raises too.  Tuples become arrays.
+    """
+    walk = json.encoder._make_iterencode(
+        markers={},
+        _default=_json_form,
+        _encoder=json.encoder.encode_basestring_ascii,
+        _indent="  ",
+        _floatstr=_json_form,
+        _key_separator=": ",
+        _item_separator=",",
+        _sort_keys=True,
+        _skipkeys=False,
+        _one_shot=True,
+    )
+    return "".join(walk(obj, 0)) + "\n"
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -85,15 +96,19 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def load_json(path: str, what: str = "input") -> dict:
-    """Read a JSON object from a file with a uniform error on failure."""
+def load_json(path: str, what: str = "input", malformed: type[Exception] = ParameterError) -> dict:
+    """Read a JSON object from a file.
+
+    A file that cannot be read raises ParameterError; one that is not JSON,
+    or not a JSON object, raises ``malformed``.
+    """
     try:
         with open(path) as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ParameterError(f"cannot read {what} file {path}: {exc}") from exc
     except ValueError as exc:  # invalid JSON, or an integer literal past the digit limit
-        raise ParameterError(f"{what} file {path} is not valid JSON: {exc}") from exc
+        raise malformed(f"{what} file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise ParameterError(f"{what} file {path} must hold a JSON object")
+        raise malformed(f"{what} file {path} must hold a JSON object")
     return data

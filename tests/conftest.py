@@ -1,10 +1,16 @@
-"""Shared test fixtures, structure checks and the acceptance summary hook.
+"""Shared test fixtures, references, structure checks and the acceptance summary hook.
 
 Unit tests draw random instances through CounterStream so every run sees the
-same data.  The ``check_*`` helpers state the paper's structural facts about
-symmetry sets; every one of them returns True on every input in its domain,
-so a False signals a bug, and raises ParameterError outside the domain.  Acceptance tests register one line per criterion here; the
-terminal-summary hook prints them after the run, outside pytest's capture.
+same data.  The ``oracle_*`` references count by definition, with the same
+loops and budget charges as the oracles in ``symgrowth.oracle``, for values
+no command computes that way; ``encode_value``, ``one_line`` and
+``encode_one_line`` are independent references for the JSON encoder and
+the symmetric backend's Lehmer codes.  The ``check_*`` helpers state the
+paper's structural facts about symmetry sets; every one of them returns
+True on every input in its domain, so a False signals a bug, and raises
+ParameterError outside the domain.  Acceptance tests register one line per
+criterion here; the terminal-summary hook prints them after the run,
+outside pytest's capture.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ from symgrowth.groups import (
     HeisenbergGroup,
     SymmetricGroup,
 )
-from symgrowth.errors import ParameterError
+from symgrowth.budget import charge_pairs
+from symgrowth.errors import InvalidElementError, ParameterError
 from symgrowth.gset import GSet, conv_table, product
 from symgrowth.oracle import oracle_power
 from symgrowth.prng import splitmix64
@@ -65,6 +72,99 @@ class CounterStream:
     def below(self, bound: int) -> int:
         """Next value reduced mod ``bound`` (bound >= 1)."""
         return self.next() % bound
+
+
+def oracle_conv_value(group, a, b, x) -> int:
+    """Number of ways to write x = u*v with u in A, v in B, by double loop."""
+    a = tuple(a)
+    b = tuple(b)
+    charge_pairs(len(a) * len(b))
+    mul = group.multiply
+    return sum(1 for u in a for v in b if mul(u, v) == x)
+
+
+def oracle_conv_table(group, a, b) -> dict:
+    """Number of ways to write each x = u*v, by double loop; the reference for conv_table's entry lengths."""
+    a = tuple(a)
+    b = tuple(b)
+    charge_pairs(len(a) * len(b))
+    mul = group.multiply
+    counts = {}
+    for u in a:
+        for v in b:
+            w = mul(u, v)
+            counts[w] = counts.get(w, 0) + 1
+    return dict(sorted(counts.items()))
+
+
+def oracle_quadruples(group, b, c, d, e) -> int:
+    """Count solutions of b*c = d*e by a literal quadruple loop."""
+    b, c, d, e = tuple(b), tuple(c), tuple(d), tuple(e)
+    charge_pairs(len(b) * len(c) * len(d) * len(e))
+    mul = group.multiply
+    total = 0
+    for x in b:
+        for y in c:
+            lhs = mul(x, y)
+            for u in d:
+                for v in e:
+                    total += lhs == mul(u, v)
+    return total
+
+
+def oracle_overlap(group, a, t) -> int:
+    """|A ∩ tA| by direct counting over A; the check by definition of ``oracle_overlaps``."""
+    members = frozenset(a)
+    mul = group.multiply
+    return sum(1 for v in a if mul(t, v) in members)
+
+
+def failures(report) -> list:
+    """The failed checks of a ``VerificationReport``."""
+    return [c for c in report.checks if not c.passed]
+
+
+def encode_value(value):
+    """The JSON form of a value by an explicit walk: Fractions to strings, tuples to lists.
+
+    ``canonical_dumps(x)`` must equal ``json.dumps(encode_value(x), sort_keys=True,
+    indent=2, ensure_ascii=True) + "\\n"``.
+    """
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return [encode_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: encode_value(v) for k, v in value.items()}
+    if value is None or isinstance(value, (int, str)):
+        return value
+    raise ParameterError(f"value {value!r} has no canonical JSON form")
+
+
+def one_line(group: SymmetricGroup, code) -> tuple:
+    """The one-line form (p(0), ..., p(n-1)) of a Lehmer code, filled from the right.
+
+    ``l_i`` counts the later values below ``p(i)``, so placing ``p(i) = l_i``
+    and raising every later value at or above it rebuilds ``p``.
+    """
+    assert len(code) == group.n
+    perm = [0] * group.n
+    for i in reversed(range(group.n)):
+        perm[i] = code[i]
+        for j in range(i + 1, group.n):
+            if perm[j] >= perm[i]:
+                perm[j] += 1
+    return tuple(perm)
+
+
+def encode_one_line(group: SymmetricGroup, perm) -> tuple:
+    """The Lehmer code of a one-line permutation of 0..n-1, which is checked first."""
+    perm = tuple(perm)
+    if sorted(perm) != list(range(group.n)):
+        raise InvalidElementError(f"not a permutation of 0..{group.n - 1}: {perm!r}")
+    return tuple(sum(1 for q in perm[i + 1 :] if q < p) for i, p in enumerate(perm))
 
 
 def conv_counts(table: dict) -> dict:

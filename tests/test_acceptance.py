@@ -18,12 +18,9 @@ from symgrowth.gset import GSet, conv_table, inverse_set, product
 from symgrowth.growth import almost_invariant, shrink_step, stable_neighbourhood
 from symgrowth.instances import generate
 from symgrowth.oracle import (
-    oracle_conv_table,
-    oracle_conv_value,
     oracle_level_set,
     oracle_power,
     oracle_product,
-    oracle_quadruples,
     oracle_sym_members,
     verify_certificate,
 )
@@ -36,6 +33,9 @@ from conftest import (
     check_nesting,
     check_submultiplicativity,
     conv_counts,
+    oracle_conv_table,
+    oracle_conv_value,
+    oracle_quadruples,
     pair_energy,
     record_acceptance,
     small_group_pool,

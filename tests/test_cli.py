@@ -247,6 +247,15 @@ def test_bad_instance_spec(capsys, tmp_path):
     assert json.loads(err.strip())["error"] == "ParameterError"
 
 
+def test_a_float_on_its_way_out_exits_2(capsys, tmp_path):
+    # an instance spec is echoed into the output, and a float has no canonical form
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps({**INTERVAL_SPEC, "note": 0.5}))
+    code, out, err = run_cli(capsys, "stats", "--instance", str(path))
+    assert (code, out) == (2, "")
+    assert json.loads(err.strip())["error"] == "ParameterError"
+
+
 @pytest.mark.parametrize("table", [[["0"]], ["0"], [[0.0]], [0]],
                          ids=["string-entry", "string-row", "float-entry", "int-row"])
 def test_table_spec_rows_must_be_lists_of_ints(capsys, tmp_path, table):
@@ -259,21 +268,31 @@ def test_table_spec_rows_must_be_lists_of_ints(capsys, tmp_path, table):
     assert json.loads(err.strip())["error"] == "InvalidGroupError"
 
 
-def nested_product_spec(depth):
-    spec = {"type": "cyclic", "n": 2}
-    for _ in range(depth):
-        spec = {"type": "direct_product", "factors": [spec]}
-    return {"group": spec, "set": {"type": "explicit", "elements": [[1]]}}
+def nested_product_text(depth):
+    """An instance file: C2 inside ``depth`` nested one-factor direct products (no JSON writer limits the depth)."""
+    group = '{"type": "direct_product", "factors": [' * depth + '{"type": "cyclic", "n": 2}' + "]}" * depth
+    return '{"group": ' + group + ', "set": {"type": "explicit", "elements": [[1]]}}'
+
+
+def test_400_nested_products_run_and_verify(capsys, tmp_path):
+    # the certificate writer is json's own walk, which handles any depth the reader does
+    nested = tmp_path / "nested.json"
+    nested.write_text(nested_product_text(400))
+    cert = tmp_path / "cert.json"
+    assert run_cli(capsys, "run", "--k", "1", "--instance", str(nested), "--out", str(cert))[0] == 0
+    code, out, err = run_cli(capsys, "verify", "--instance", str(nested), "--certificate", str(cert))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["overall"] is True
 
 
 @pytest.mark.parametrize("command", ["stats", "verify", "run"])
 def test_deep_nesting_exits_2_with_one_json_line(capsys, tmp_path, interval_file, command):
-    # 100,000 nested arrays overflow the JSON reader; 300 nested one-factor
-    # products run, and then overflow the certificate writer
+    # 100,000 nested arrays overflow the JSON reader; 1,000 nested one-factor
+    # products are too deep to read or to build as a group
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000)
     nested = tmp_path / "nested.json"
-    nested.write_text(json.dumps(nested_product_spec(300)))
+    nested.write_text(nested_product_text(1000))
     argv = {
         "stats": ["stats", "--instance", str(deep)],
         "verify": ["verify", "--instance", interval_file, "--certificate", str(deep)],
@@ -315,7 +334,9 @@ def test_undecodable_input_exits_2_with_one_json_line(capsys, tmp_path, interval
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert json.loads(err)["error"] == "ParameterError"
+    # a certificate the verifier cannot read is malformed; other input is a bad parameter
+    malformed = where in ("certificate", "epsilon")
+    assert json.loads(err)["error"] == ("CertificateFormatError" if malformed else "ParameterError")
 
 
 def test_run_and_verify_finish_at_k_10_to_the_30(tmp_path, interval_file):

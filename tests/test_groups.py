@@ -23,6 +23,8 @@ from symgrowth.groups import (
 )
 from symgrowth.serialize import elements_to_json
 
+from conftest import encode_one_line, one_line
+
 
 def relabelled_table(group, labels):
     """``group`` as a TableGroup in which ``group.element_at(i)`` is row ``labels[i]``."""
@@ -179,25 +181,40 @@ def test_symmetric_one_line_round_trip():
     g = SymmetricGroup(4)
     for i in range(g.order):
         code = g.element_at(i)
-        assert g.encode_one_line(g.one_line(code)) == code
+        assert encode_one_line(g, one_line(g, code)) == code
+
+
+def test_symmetric_lehmer_order_is_one_line_order():
+    g = SymmetricGroup(4)
+    perms = [one_line(g, g.element_at(i)) for i in range(g.order)]
+    assert perms == sorted(itertools.permutations(range(4)))
 
 
 def test_symmetric_encode_one_line_rejects_non_permutations():
     g = SymmetricGroup(3)
     for bad in [(0, 0, 1), (0, 1, 3)]:
         with pytest.raises(InvalidElementError):
-            g.encode_one_line(bad)
+            encode_one_line(g, bad)
 
 
 def test_symmetric_composition_convention():
     # (p * q)(i) = p(q(i))
     g = SymmetricGroup(3)
-    p = g.encode_one_line((1, 2, 0))
-    q = g.encode_one_line((0, 2, 1))
-    got = g.one_line(g.multiply(p, q))
+    p = encode_one_line(g, (1, 2, 0))
+    q = encode_one_line(g, (0, 2, 1))
+    got = one_line(g, g.multiply(p, q))
     assert got == (1, 0, 2)
     # three-cycle inverse is the opposite three-cycle
-    assert g.one_line(g.inverse(p)) == (2, 0, 1)
+    assert one_line(g, g.inverse(p)) == (2, 0, 1)
+
+
+def test_symmetric_multiply_composes_one_line_forms():
+    g = SymmetricGroup(4)
+    for i in range(0, g.order, 5):
+        for j in range(0, g.order, 7):
+            p, q = g.element_at(i), g.element_at(j)
+            pp, qq = one_line(g, p), one_line(g, q)
+            assert one_line(g, g.multiply(p, q)) == tuple(pp[v] for v in qq)
 
 
 def test_symmetric_degree_guard():

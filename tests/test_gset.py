@@ -24,15 +24,18 @@ from symgrowth.gset import (
     row_product,
 )
 from symgrowth.instances import generate
-from symgrowth.oracle import (
-    oracle_conv_table,
-    oracle_inverse,
-    oracle_overlaps,
-    oracle_product,
-    oracle_quadruples,
-)
+from symgrowth.oracle import oracle_inverse, oracle_overlaps, oracle_product
 
-from conftest import CounterStream, conv_counts, draw_subset, pair_energy, small_group_pool
+from conftest import (
+    CounterStream,
+    conv_counts,
+    draw_subset,
+    encode_one_line,
+    oracle_conv_table,
+    oracle_quadruples,
+    pair_energy,
+    small_group_pool,
+)
 
 C20 = CyclicGroup(20)
 INTERVAL = GSet(C20, [(i,) for i in range(5)])
@@ -382,7 +385,7 @@ def test_doubling_stats_builds_the_quad_the_cheapest_way(monkeypatch, name):
 
 def test_product_stops_at_the_whole_group_but_charges_every_pair(monkeypatch):
     s3 = SymmetricGroup(3)
-    gens = GSet(s3, [s3.encode_one_line((1, 0, 2)), s3.encode_one_line((1, 2, 0))])
+    gens = GSet(s3, [encode_one_line(s3, (1, 0, 2)), encode_one_line(s3, (1, 2, 0))])
     whole = GSet(s3, s3.elements())
     charged = []
     monkeypatch.setattr(gset, "charge_pairs", charged.append)

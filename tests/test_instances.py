@@ -18,6 +18,8 @@ from symgrowth.instances import (
     random_set,
 )
 
+from conftest import encode_one_line
+
 C20 = CyclicGroup(20)
 
 
@@ -127,7 +129,7 @@ def test_perturbed_alternating_group_in_s7_is_quick():
     # A7 = <(0 1 2), (0 1 2 3 4 5 6)>, 2520 members; each swap scans the 5040
     # elements of S7 against a set, not a list (a list took about a second)
     s7 = SymmetricGroup(7)
-    gens = [s7.encode_one_line((1, 2, 0, 3, 4, 5, 6)), s7.encode_one_line((1, 2, 3, 4, 5, 6, 0))]
+    gens = [encode_one_line(s7, (1, 2, 0, 3, 4, 5, 6)), encode_one_line(s7, (1, 2, 3, 4, 5, 6, 0))]
     start = time.perf_counter()
     got = perturbed_subgroup(s7, gens, swaps=3, seed=1)
     elapsed = time.perf_counter() - start

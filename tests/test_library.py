@@ -1,25 +1,25 @@
 """The library holds only what its commands run.
 
 Every public top-level function, class or constant in ``src/symgrowth``
-must be used somewhere in the package besides its own definition.  Code
-that only tests call belongs under ``tests/``.
+must be used somewhere in the package besides its own definition, and so
+must every public method or property of a class there, where a use is a
+name or an attribute (``x.name``).  A method that overrides one of a base
+class outside the package (``argparse.ArgumentParser.error``) is called
+from there and needs no use inside.  Code that only tests call belongs
+under ``tests/``.
 """
 
 import ast
+import importlib
+from collections import Counter
 from pathlib import Path
 
 import symgrowth
 
 PACKAGE = Path(symgrowth.__file__).resolve().parent
 
-# Definitions by brute force that no command calls: tests compare the fast
-# path against them, and keeping them beside the other oracles is their job.
-ALLOWED = {
-    "oracle_conv_value",  # tests compare the lengths of conv_table's entries against it
-    "oracle_conv_table",  # tests compare conv_table's entry lengths against it
-    "oracle_quadruples",  # tests compare quadruple counts from conv_table against it
-    "oracle_overlap",  # tests compare oracle_overlaps and conv_table's overlap entries against it
-}
+# Names no command reaches that the library keeps anyway, each with its reason.
+ALLOWED: set[str] = set()
 
 
 def _defined_names(node):
@@ -32,13 +32,17 @@ def _defined_names(node):
     return []
 
 
+def _modules():
+    return [(path.stem, ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))]
+
+
 def unused_public_names():
     """(module, name) of each public top-level definition no other statement uses."""
     statements = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+    for module, tree in _modules():
+        for node in tree.body:
             used = {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name)}
-            statements.append((path.name, node, used))
+            statements.append((module, node, used))
     return [
         (module, name)
         for module, node, _ in statements
@@ -48,11 +52,55 @@ def unused_public_names():
     ]
 
 
+def _mentions(node) -> Counter:
+    """How often each name occurs under ``node`` as a name or as an attribute."""
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    )
+
+
+def _overrides_outside(module: str, cls: str, name: str) -> bool:
+    mro = getattr(importlib.import_module(f"symgrowth.{module}"), cls).__mro__
+    return any(not base.__module__.startswith("symgrowth") and hasattr(base, name) for base in mro[1:])
+
+
+def unused_public_members():
+    """(module, "Class.member") of each public method or property no code outside it uses."""
+    modules = _modules()
+    everywhere = sum((_mentions(tree) for _, tree in modules), Counter())
+    return [
+        (module, f"{cls.name}.{item.name}")
+        for module, tree in modules
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+        and everywhere[item.name] == _mentions(item)[item.name]
+        and not _overrides_outside(module, cls.name, item.name)
+    ]
+
+
 def test_every_public_name_in_src_is_used_in_src():
     unused = [(module, name) for module, name in unused_public_names() if name not in ALLOWED]
     assert unused == [], f"public names only tests reach; move them to tests/: {unused}"
 
 
+def test_every_public_class_member_in_src_is_used_in_src():
+    unused = unused_public_members()
+    assert unused == [], f"public methods or properties only tests reach; move them to tests/: {unused}"
+
+
 def test_every_allowed_name_is_still_unused():
-    # an oracle reference that a command starts to call needs no exemption
+    # an exemption whose name a command starts to use is no longer needed
     assert {name for _, name in unused_public_names()} == ALLOWED
+
+
+def test_the_member_rule_sees_attribute_uses_and_outside_overrides():
+    tree = ast.parse("class A:\n    def f(self):\n        return self.g()\n    def g(self):\n        pass\n")
+    counts = _mentions(tree)
+    assert counts["g"] == 1 and counts["f"] == 0
+    assert _overrides_outside("cli", "_Parser", "error")
+    assert not _overrides_outside("oracle", "VerificationReport", "as_dict")

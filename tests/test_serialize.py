@@ -5,16 +5,19 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from symgrowth.errors import ParameterError
+from symgrowth.errors import CertificateFormatError, ParameterError
 from symgrowth.serialize import (
     atomic_write_text,
     canonical_dumps,
-    encode_value,
     fraction_to_str,
     load_json,
     parse_fraction,
 )
+
+from conftest import encode_value
 
 
 def test_fraction_round_trip():
@@ -41,15 +44,51 @@ def test_parse_fraction_rejects_decimals_and_garbage():
 
 
 def test_encode_value_handles_nested_structures():
-    blob = encode_value(
+    text = canonical_dumps(
         {"r": Fraction(1, 2), "xs": [(0,), (1, 2)], "n": 3, "flag": True, "none": None}
     )
-    assert blob == {"r": "1/2", "xs": [[0], [1, 2]], "n": 3, "flag": True, "none": None}
+    assert json.loads(text) == {"r": "1/2", "xs": [[0], [1, 2]], "n": 3, "flag": True, "none": None}
+
+
+def _assert_no_json_form(bad):
+    for obj in (bad, {"x": bad}, [1, (2, bad)], {"a": {"b": [bad]}}):
+        with pytest.raises(ParameterError):
+            canonical_dumps(obj)
+        with pytest.raises(ParameterError):
+            encode_value(obj)
 
 
 def test_encode_value_rejects_floats():
-    with pytest.raises(ParameterError):
-        encode_value({"x": 0.5})
+    # json writes floats itself, so the hook for other values never sees them
+    for bad in (0.5, 1.0, -0.0, float("nan"), float("inf")):
+        _assert_no_json_form(bad)
+
+
+def test_canonical_dumps_rejects_values_without_a_json_form():
+    for bad in (object(), {1, 2}, b"x", 1j, range(3)):
+        _assert_no_json_form(bad)
+
+
+_scalars = (
+    st.integers(min_value=-(10**30), max_value=10**30)
+    | st.text(max_size=6)
+    | st.booleans()
+    | st.none()
+    | st.fractions(max_denominator=10**6)
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_values)
+def test_canonical_dumps_matches_the_reference_walk(value):
+    expected = json.dumps(encode_value(value), sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    assert canonical_dumps(value) == expected
 
 
 def test_canonical_dumps_is_byte_stable():
@@ -88,3 +127,18 @@ def test_load_json_errors(tmp_path):
     arr.write_text("[1, 2]")
     with pytest.raises(ParameterError):
         load_json(str(arr))
+
+
+def test_load_json_names_the_class_for_a_malformed_file(tmp_path):
+    # a file that is not JSON, or not an object, raises the caller's class;
+    # a file that cannot be read stays a ParameterError
+    bad = tmp_path / "bad.json"
+    bad.write_text("{nope")
+    arr = tmp_path / "arr.json"
+    arr.write_text("[1, 2]")
+    for path in (bad, arr):
+        with pytest.raises(CertificateFormatError):
+            load_json(str(path), "certificate", CertificateFormatError)
+    with pytest.raises(ParameterError) as info:
+        load_json(str(tmp_path / "missing.json"), "certificate", CertificateFormatError)
+    assert not isinstance(info.value, CertificateFormatError)
