@@ -25,6 +25,10 @@ Encodings and their radices:
                             factors' radices, concatenated
 * ``table``              -- ``(i,)`` with ``i`` the row index of the table;
                             ``(n,)``
+
+``CyclicGroup.masks`` and ``DihedralGroup.masks`` are the kernels of
+``symgrowth.masks``, which hold a set as an int mask over the mixed-radix
+index and translate it by rotations; the other backends have ``None``.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .errors import InvalidElementError, InvalidGroupError, ParameterError
+from .masks import CyclicMasks, DihedralMasks, Rotations
 
 Element = tuple[int, ...]
 
@@ -59,6 +64,8 @@ class Group(ABC):
     kind: str
     #: per-digit bounds of the encoding, set by each backend's ``__init__``
     radices: tuple[int, ...]
+    #: the backend's kernel of sets as int masks over the group index, if it has one
+    masks: Rotations | None = None
 
     @property
     def order(self) -> int:
@@ -167,6 +174,10 @@ class CyclicGroup(Group):
     def describe(self) -> dict:
         return {"type": "cyclic", "n": self.n}
 
+    @functools.cached_property
+    def masks(self) -> CyclicMasks:
+        return CyclicMasks(self.n)
+
 
 class DihedralGroup(Group):
     """Symmetries of the regular n-gon; encoding ``(rot, flip)``.
@@ -200,6 +211,10 @@ class DihedralGroup(Group):
 
     def describe(self) -> dict:
         return {"type": "dihedral", "n": self.n}
+
+    @functools.cached_property
+    def masks(self) -> DihedralMasks:
+        return DihedralMasks(self.n)
 
 
 def _lehmer_to_one_line(code: Element) -> tuple[int, ...]:
@@ -421,11 +436,30 @@ class TableGroup(Group):
         }
 
 
+#: the fields each group type's spec may hold besides ``type``
+GROUP_FIELDS = {
+    "cyclic": ("n",),
+    "dihedral": ("n",),
+    "symmetric": ("n", "limit"),
+    "heisenberg_mod": ("p",),
+    "direct_product": ("factors",),
+    "table": ("table", "identity"),
+}
+
+
 def group_from_spec(spec: dict) -> Group:
-    """Build a group from its JSON spec fragment (inverse of ``describe``)."""
+    """Build a group from its JSON spec fragment (inverse of ``describe``).
+
+    A field the group type does not define is an InvalidGroupError.
+    """
     if not isinstance(spec, dict) or "type" not in spec:
         raise InvalidGroupError(f"group spec must be an object with a 'type': {spec!r}")
     kind = spec["type"]
+    if not isinstance(kind, str) or kind not in GROUP_FIELDS:
+        raise InvalidGroupError(f"unknown group type {kind!r}")
+    unknown = sorted(set(spec) - {"type", *GROUP_FIELDS[kind]})
+    if unknown:
+        raise InvalidGroupError(f"{kind} group spec has unknown fields {unknown}")
     if kind == "cyclic":
         return CyclicGroup(spec.get("n"))
     if kind == "dihedral":
@@ -441,9 +475,7 @@ def group_from_spec(spec: dict) -> Group:
         if not isinstance(factors, list):
             raise InvalidGroupError("direct_product spec needs a 'factors' list")
         return DirectProductGroup([group_from_spec(f) for f in factors])
-    if kind == "table":
-        table = spec.get("table")
-        if not isinstance(table, list):
-            raise InvalidGroupError("table spec needs a 'table' list of rows")
-        return TableGroup(table, spec.get("identity"))
-    raise InvalidGroupError(f"unknown group type {kind!r}")
+    table = spec.get("table")
+    if not isinstance(table, list):
+        raise InvalidGroupError("table spec needs a 'table' list of rows")
+    return TableGroup(table, spec.get("identity"))

@@ -21,7 +21,7 @@ from typing import Callable
 
 from .errors import InvariantViolation, ParameterError
 from .groups import Element
-from .gset import GSet, conv_table, inverse_set, level_set, product, row_product
+from .gset import GSet, level_set, product, row_product
 from .oracle import (
     CERTIFICATE_FORMAT,
     oracle_inverse,
@@ -185,10 +185,12 @@ def shrink_step(aprime: GSet, a: GSet, eps) -> StepOutcome:
     case "shrink".  Not found: case "terminate", and the symmetry set of
     A'A at threshold 1-eps (clamped to 1/|A'A| when eps = 1) contains L.
 
-    L is the level set of ``conv_table(aprime, inverse_set(aprime))``, whose
-    entry at t is A' ∩ tA', and the scan sizes (A' ∩ tA')A as the OR of the
-    rows of A'A of its members, so a step costs |A'||A| + |A'|^2
-    multiplications, plus |A'A|^2 for the symmetry set when it terminates.
+    L and each scanned A' ∩ tA' come from ``level_set(aprime, tau)``, and
+    the scan sizes (A' ∩ tA')A as the OR of the ``row_product`` rows of its
+    members, so a step is charged |A'||A| + |A'|^2 pairs, plus |A'A|^2 for
+    the symmetry set when it terminates.  In cyclic and dihedral groups
+    these may run on masks (see ``gset``), and then only the candidates
+    the scan reaches decode A' ∩ tA'.
 
     The step's inequalities hold unconditionally; if any fails the step
     raises InvariantViolation, since that means the computation is broken.
@@ -201,13 +203,11 @@ def shrink_step(aprime: GSet, a: GSet, eps) -> StepOutcome:
     eps = check_eta(eps)
 
     g = aprime.group
-    elements, rows = row_product(aprime, a)
-    p = GSet._trusted(g, frozenset(elements))
+    p, row = row_product(aprime, a)
     np_, na, nap = len(p), len(a), len(aprime)
     tau = Fraction(nap**4, 2 * np_ * na**2)
 
-    overlaps = conv_table(aprime, inverse_set(aprime))
-    level = level_set(g, overlaps, tau)
+    level, overlap = level_set(aprime, tau)
 
     entries = [_entry("level_set_lower", "ge", len(level), Fraction(nap**3, 2 * np_ * na))]
     if not entries[0].holds:
@@ -216,12 +216,13 @@ def shrink_step(aprime: GSet, a: GSet, eps) -> StepOutcome:
     # (A' ∩ tA')A is the union of the rows of the members of A' ∩ tA'
     limit = (1 - eps) * np_
     for t in level:
+        inside = overlap(t)
         cover = 0
-        for u in overlaps[t]:
-            cover |= rows[u]
+        for u in inside:
+            cover |= row(u)
         shrunk_product_size = cover.bit_count()
         if shrunk_product_size <= limit:
-            shrunk = GSet._trusted(g, frozenset(overlaps[t]))
+            shrunk = GSet._sorted(g, inside)
             entries.append(_entry("shrink_size_lower", "ge", len(shrunk), tau))
             entries.append(_entry("shrink_product_upper", "le", shrunk_product_size, limit))
             if not all(e.holds for e in entries):

@@ -19,15 +19,16 @@ from .groups import Element, Group, group_from_spec
 from .gset import DoublingStats, GSet, doubling_stats
 from .prng import splitmix64
 
-SET_TYPES = (
-    "explicit",
-    "subgroup",
-    "coset_union",
-    "interval",
-    "ball",
-    "random",
-    "perturbed_subgroup",
-)
+#: the fields each set type's spec may hold besides ``type``
+SET_FIELDS = {
+    "explicit": ("elements",),
+    "subgroup": ("generators",),
+    "coset_union": ("generators", "reps"),
+    "interval": ("start", "length"),
+    "ball": ("generators", "radius"),
+    "random": ("size", "seed"),
+    "perturbed_subgroup": ("generators", "swaps", "seed"),
+}
 
 
 def _nonempty_list(raw, what: str) -> list:
@@ -125,14 +126,26 @@ def perturbed_subgroup(group: Group, generators: Iterable[Element], swaps: int, 
 
 
 def generate(spec: dict) -> GSet:
-    """Realize an instance spec {"group": {...}, "set": {...}} as a GSet."""
+    """Realize an instance spec {"group": {...}, "set": {...}} as a GSet.
+
+    A field the spec, its group or its set type does not define is refused
+    (ParameterError, or InvalidGroupError in the group).
+    """
     if not isinstance(spec, dict):
         raise ParameterError("instance spec must be a JSON object")
+    unknown = sorted(set(spec) - {"group", "set"})
+    if unknown:
+        raise ParameterError(f"instance spec has unknown fields {unknown}")
     group = group_from_spec(spec.get("group"))
     set_spec = spec.get("set")
     if not isinstance(set_spec, dict) or "type" not in set_spec:
         raise ParameterError("instance spec needs a 'set' object with a 'type'")
     kind = set_spec["type"]
+    if not isinstance(kind, str) or kind not in SET_FIELDS:
+        raise ParameterError(f"unknown set type {kind!r}; expected one of {', '.join(SET_FIELDS)}")
+    unknown = sorted(set(set_spec) - {"type", *SET_FIELDS[kind]})
+    if unknown:
+        raise ParameterError(f"{kind} set spec has unknown fields {unknown}")
 
     if kind == "explicit":
         elems = _coerce_all(group, set_spec.get("elements"), "explicit elements")
@@ -166,14 +179,12 @@ def generate(spec: dict) -> GSet:
         )
     if kind == "random":
         return random_set(group, _nat(set_spec, "size", minimum=1), _nat(set_spec, "seed"))
-    if kind == "perturbed_subgroup":
-        return perturbed_subgroup(
-            group,
-            _nonempty_list(set_spec.get("generators"), "subgroup generators"),
-            _nat(set_spec, "swaps"),
-            _nat(set_spec, "seed"),
-        )
-    raise ParameterError(f"unknown set type {kind!r}; expected one of {', '.join(SET_TYPES)}")
+    return perturbed_subgroup(
+        group,
+        _nonempty_list(set_spec.get("generators"), "subgroup generators"),
+        _nat(set_spec, "swaps"),
+        _nat(set_spec, "seed"),
+    )
 
 
 def _apply_dotted(spec: dict, path: str, value) -> None:

@@ -17,6 +17,7 @@ mask count against a product built by definition.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -104,7 +105,7 @@ def oracle_outside(group: Group, xs: Iterable[Element], t: Iterable[Element], w:
 
 
 def oracle_overlaps(group: Group, a: Iterable[Element]) -> dict[Element, list[Element]]:
-    """For every t in AA⁻¹, the members of A ∩ tA in ascending order, keyed by t in ascending order.
+    """For every t in AA⁻¹, the members of A ∩ tA in ascending order, keyed by t in first-seen order.
 
     t = u·v⁻¹ with u, v in A exactly when u = tv lies in A ∩ tA, so one
     double loop over (u, v⁻¹), charged |A|², lists every overlap at once.
@@ -117,7 +118,7 @@ def oracle_overlaps(group: Group, a: Iterable[Element]) -> dict[Element, list[El
     for u in a:
         for w in inv:
             table.setdefault(mul(u, w), []).append(u)
-    return dict(sorted(table.items()))
+    return table
 
 
 def oracle_sym_members(group: Group, a: Iterable[Element], eta: Fraction) -> tuple[Element, ...]:
@@ -128,7 +129,16 @@ def oracle_sym_members(group: Group, a: Iterable[Element], eta: Fraction) -> tup
 
 def oracle_level_set(group: Group, aprime: Iterable[Element], tau: Fraction) -> tuple[Element, ...]:
     """All t with |A' ∩ tA'| >= tau, in ascending order, filtered from ``oracle_overlaps(A')``."""
-    return tuple(t for t, inside in oracle_overlaps(group, aprime).items() if len(inside) >= tau)
+    return _level(oracle_overlaps(group, aprime), tau)
+
+
+def _level(overlaps: dict[Element, list[Element]], tau: Fraction) -> tuple[Element, ...]:
+    """The t of an ``oracle_overlaps`` table with at least tau members, in ascending order.
+
+    A count is an int, so it is compared with ceil(tau), not with a Fraction.
+    """
+    least = math.ceil(tau)
+    return tuple(sorted(t for t, inside in overlaps.items() if len(inside) >= least))
 
 
 def termination_cap(k0: Fraction, eps: Fraction) -> int:
@@ -365,7 +375,7 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
         rec.record(f"{tag}.tau", fraction_to_str(tau), step.get("tau"))
         # the step's overlaps A' ∩ tA' give its level set and every candidate
         overlaps = oracle_overlaps(group, cur)
-        level = tuple(t for t, inside in overlaps.items() if len(inside) >= tau)
+        level = _level(overlaps, tau)
         rec.record(f"{tag}.level_set_size", len(level), step.get("level_set_size"))
 
         # the canonical scan: first t in the level set whose shrink passes

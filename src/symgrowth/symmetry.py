@@ -7,11 +7,10 @@ eta * |A| points:
     sym(A, eta) = { x : |A ∩ xA| >= eta |A| }
 
 Equivalently the members are the level set of the convolution of A with
-A^-1 at eta |A|, so they all lie inside A A^-1, and ``sym_set`` filters
-them from ``conv_table(a, inverse_set(a))``, the table the shrink step
-filters for its level set.  The comparison is exact (rational against integer
-count) and non-strict, so boundary cases are decided the same way on every
-platform.
+A^-1 at eta |A|, so they all lie inside A A^-1, and ``sym_set`` takes
+them from ``gset.level_set``, as the shrink step takes its level set.  The
+comparison is exact (rational against integer count) and non-strict, so
+boundary cases are decided the same way on every platform.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InvariantViolation, ParameterError
-from .gset import GSet, conv_table, inverse_set, level_set
+from .gset import GSet, level_set
 from .serialize import parse_fraction
 
 
@@ -42,13 +41,13 @@ def sym_set(a: GSet, eta) -> GSet:
     """The members of the symmetry set of A at threshold eta.
 
     |A ∩ xA| is the convolution count of A with A^-1 at x, so the members
-    are the level set of one ``conv_table(a, inverse_set(a))`` at |A|^2
-    multiplications; every member lies in A A^-1.
+    are the level set of A at eta |A|, charged |A|^2 pairs; every member
+    lies in A A^-1.
     """
     a.require_nonempty("symmetry set input")
     eta = check_eta(eta)
     g = a.group
-    members = level_set(g, conv_table(a, inverse_set(a)), eta * len(a))
+    members, _ = level_set(a, eta * len(a))
     # identity and closure under inversion hold by definition; failing here means
     # the computation itself is broken, not the input
     if g.identity not in members:

@@ -3,9 +3,10 @@
 Unit tests draw random instances through CounterStream so every run sees the
 same data.  The ``oracle_*`` references count by definition, with the same
 loops and budget charges as the oracles in ``symgrowth.oracle``, for values
-no command computes that way; ``encode_value``, ``one_line`` and
-``encode_one_line`` are independent references for the JSON encoder and
-the symmetric backend's Lehmer codes.  The ``check_*`` helpers state the
+no command computes that way; ``reference_scan`` finds a shrink step's
+witness by building every candidate's product with ``oracle_product``;
+``encode_value``, ``one_line`` and ``encode_one_line`` are independent
+references for the JSON encoder and the symmetric backend's Lehmer codes.  The ``check_*`` helpers state the
 paper's structural facts about symmetry sets; every one of them returns
 True on every input in its domain, so a False signals a bug, and raises
 ParameterError outside the domain.  Acceptance tests register one line per
@@ -28,7 +29,7 @@ from symgrowth.groups import (
 from symgrowth.budget import charge_pairs
 from symgrowth.errors import InvalidElementError, ParameterError
 from symgrowth.gset import GSet, conv_table, product
-from symgrowth.oracle import oracle_power
+from symgrowth.oracle import oracle_level_set, oracle_power, oracle_product
 from symgrowth.prng import splitmix64
 from symgrowth.symmetry import check_eta, sym_set
 
@@ -203,6 +204,17 @@ def check_iterated_power(a: GSet, eps, k: int) -> bool:
     s = sym_set(a, 1 - eps)
     target = sym_set(a, 1 - k * eps)
     return all(x in target for x in oracle_power(a.group, s.elements, k))
+
+
+def reference_scan(group, aprime, a, eps):
+    """The first level-set t whose (A' ∩ tA')A has at most (1-eps)|A'A| elements, by full products."""
+    n_p = len(oracle_product(group, aprime, a))
+    for t in oracle_level_set(group, aprime, Fraction(len(aprime) ** 4, 2 * n_p * len(a) ** 2)):
+        translate = {group.multiply(t, v) for v in aprime}
+        cand = tuple(x for x in aprime if x in translate)
+        if len(oracle_product(group, cand, a)) <= (1 - eps) * n_p:
+            return t, cand
+    return None, None
 
 
 def small_group_pool():

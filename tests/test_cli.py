@@ -248,12 +248,63 @@ def test_bad_instance_spec(capsys, tmp_path):
 
 
 def test_a_float_on_its_way_out_exits_2(capsys, tmp_path):
-    # an instance spec is echoed into the output, and a float has no canonical form
+    # an instance spec is echoed into the output, and a float has no canonical
+    # form; the unknown field that carries it here is refused before that
     path = tmp_path / "float.json"
     path.write_text(json.dumps({**INTERVAL_SPEC, "note": 0.5}))
     code, out, err = run_cli(capsys, "stats", "--instance", str(path))
     assert (code, out) == (2, "")
     assert json.loads(err.strip())["error"] == "ParameterError"
+
+
+UNKNOWN_FIELDS = {
+    "top": ({**INTERVAL_SPEC, "note": 1}, "ParameterError"),
+    "group": ({**INTERVAL_SPEC, "group": {**INTERVAL_SPEC["group"], "zz": 1}}, "InvalidGroupError"),
+    "set": ({**INTERVAL_SPEC, "set": {**INTERVAL_SPEC["set"], "zz": 1}}, "ParameterError"),
+}
+
+
+@pytest.mark.parametrize("spec, error", [
+    ({**INTERVAL_SPEC, "group": {"type": ["cyclic"], "n": 20}}, "InvalidGroupError"),
+    ({**INTERVAL_SPEC, "set": {"type": {"zz": 1}, "length": 5}}, "ParameterError"),
+], ids=["group", "set"])
+def test_a_type_that_is_not_a_string_exits_2(capsys, tmp_path, spec, error):
+    path = tmp_path / "type.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "stats", "--instance", str(path))
+    assert (code, out) == (2, "")
+    assert json.loads(err.strip())["error"] == error
+
+
+@pytest.mark.parametrize("command", ["stats", "run", "verify"])
+@pytest.mark.parametrize("where", list(UNKNOWN_FIELDS))
+def test_unknown_spec_fields_exit_2_with_one_json_line(capsys, tmp_path, interval_file, command, where):
+    spec, error = UNKNOWN_FIELDS[where]
+    path = tmp_path / "unknown.json"
+    path.write_text(json.dumps(spec))
+    argv = [command, "--instance", str(path)]
+    if command == "run":
+        argv += ["--k", "2"]
+    if command == "verify":
+        cert_path = tmp_path / "cert.json"
+        assert run_cli(capsys, "run", "--instance", interval_file, "--k", "2", "--out", str(cert_path))[0] == 0
+        argv += ["--certificate", str(cert_path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert json.loads(line)["error"] == error
+    assert "zz" in line or "note" in line
+
+
+def test_a_certificate_group_with_an_unknown_field_is_a_format_error(capsys, tmp_path, interval_file):
+    cert_path = tmp_path / "cert.json"
+    assert run_cli(capsys, "run", "--instance", interval_file, "--k", "2", "--out", str(cert_path))[0] == 0
+    cert = json.loads(cert_path.read_text())
+    cert["instance"]["group"]["zz"] = 1
+    cert_path.write_text(json.dumps(cert))
+    code, out, err = run_cli(capsys, "verify", "--instance", interval_file, "--certificate", str(cert_path))
+    assert (code, out) == (2, "")
+    assert json.loads(err.strip())["error"] == "CertificateFormatError"
 
 
 @pytest.mark.parametrize("table", [[["0"]], ["0"], [[0.0]], [0]],

@@ -107,6 +107,9 @@ def test_step_proper_subset_input():
 class CountingDihedral(DihedralGroup):
     """A dihedral group that counts its multiplications."""
 
+    # no masks, so the step runs the loop kernel whose multiplications are counted
+    masks = None
+
     def __init__(self, n):
         super().__init__(n)
         self.calls = 0

