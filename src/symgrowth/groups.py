@@ -26,9 +26,10 @@ Encodings and their radices:
 * ``table``              -- ``(i,)`` with ``i`` the row index of the table;
                             ``(n,)``
 
-``CyclicGroup.masks`` and ``DihedralGroup.masks`` are the kernels of
-``symgrowth.masks``, which hold a set as an int mask over the mixed-radix
-index and translate it by rotations; the other backends have ``None``.
+Cyclic and dihedral groups name a kernel class of ``symgrowth.masks`` in
+``mask_kernel``, and ``group.masks`` is that kernel: it holds a set as an
+int mask over the mixed-radix index and translates it by rotations.  The
+other backends have ``mask_kernel = None`` and no ``masks``.
 """
 
 from __future__ import annotations
@@ -64,8 +65,13 @@ class Group(ABC):
     kind: str
     #: per-digit bounds of the encoding, set by each backend's ``__init__``
     radices: tuple[int, ...]
-    #: the backend's kernel of sets as int masks over the group index, if it has one
-    masks: Rotations | None = None
+    #: the class of the backend's kernel of sets as int masks over the group index, if it has one
+    mask_kernel: type[Rotations] | None = None
+
+    @functools.cached_property
+    def masks(self) -> Rotations:
+        """The ``mask_kernel`` of this group, built on first use (it holds an int of ``order`` bits)."""
+        return self.mask_kernel(self.order)
 
     @property
     def order(self) -> int:
@@ -153,6 +159,7 @@ class CyclicGroup(Group):
     """Integers mod n under addition; encoding ``(r,)``."""
 
     kind = "cyclic"
+    mask_kernel = CyclicMasks
 
     def __init__(self, n: int):
         n = _require_index(n, "n")
@@ -174,10 +181,6 @@ class CyclicGroup(Group):
     def describe(self) -> dict:
         return {"type": "cyclic", "n": self.n}
 
-    @functools.cached_property
-    def masks(self) -> CyclicMasks:
-        return CyclicMasks(self.n)
-
 
 class DihedralGroup(Group):
     """Symmetries of the regular n-gon; encoding ``(rot, flip)``.
@@ -187,6 +190,7 @@ class DihedralGroup(Group):
     """
 
     kind = "dihedral"
+    mask_kernel = DihedralMasks
 
     def __init__(self, n: int):
         n = _require_index(n, "n")
@@ -211,10 +215,6 @@ class DihedralGroup(Group):
 
     def describe(self) -> dict:
         return {"type": "dihedral", "n": self.n}
-
-    @functools.cached_property
-    def masks(self) -> DihedralMasks:
-        return DihedralMasks(self.n)
 
 
 def _lehmer_to_one_line(code: Element) -> tuple[int, ...]:

@@ -18,8 +18,9 @@ A ∩ tA.  Cyclic and dihedral groups also have ``group.masks``, which holds
 a set as an int mask over the group index and translates it with a few
 big-int operations (see ``masks``).  ``product``, ``row_product``,
 ``level_set`` and ``doubling_stats`` ask the group once per call and take
-the masks when the cost rule (``_kernel``: ``_mask_cost`` against the
-pairs the loop would multiply) says they pay; either way each call is
+the masks when the cost rule (``_kernel``: ``_mask_cost``, from the group's
+order and its ``mask_kernel``, against the pairs the loop would multiply)
+says they pay, and the kernel is built only then; either way each call is
 charged the same |A|*|B| pairs, as a bound.  ``row_product`` gives the
 row uB of each u in A as an int mask, so the shrink scan sizes the
 product of any subset of A with B by OR-ing rows, and ``level_set`` gives
@@ -137,18 +138,21 @@ class GSet:
         return all(g.inverse(x) in self._members for x in self._elems)
 
 
-def _mask_cost(kernel: Rotations, translations: int, width: int = 1) -> float:
+def _mask_cost(group: Group, translations: int, width: int = 1) -> float:
     """Loop steps that one call with ``translations`` translates of a ``width``-bit-lane mask costs."""
-    words = kernel.order / 64
-    rotate = words * width * kernel.rotations / _WORDS_PER_STEP
+    words = group.order / 64
+    rotate = words * width * group.mask_kernel.rotations / _WORDS_PER_STEP
     return _CALL + translations * (_TRANSLATE + rotate) + words * _DECODE
 
 
 def _kernel(group: Group, translations: int, pairs: int, width: int = 1) -> Rotations | None:
-    """The group's masks when a call with ``translations`` translates costs less than ``pairs`` loop steps."""
-    kernel = group.masks
-    if kernel is not None and _mask_cost(kernel, translations, width) < pairs:
-        return kernel
+    """The group's masks when a call with ``translations`` translates costs less than ``pairs`` loop steps.
+
+    The rule reads the group's order, so a group the masks do not pay on
+    never builds them.
+    """
+    if group.mask_kernel is not None and _mask_cost(group, translations, width) < pairs:
+        return group.masks
     return None
 
 
@@ -167,10 +171,9 @@ def _mask_product(kernel: Rotations, a: GSet, b: GSet) -> int:
         for y in b:
             out |= right(m, y)
     else:
-        m, left = _mask(kernel, b), kernel.left
-        reversed_m = kernel.reverse(m)
+        left = kernel.lefts(_mask(kernel, b))
         for x in a:
-            out |= left(m, x, reversed_m)
+            out |= left(x)
     return out
 
 
@@ -232,17 +235,17 @@ def _mask_level(kernel: Rotations, a: GSet, least: int, inside: Callable[[Elemen
     whichever costs less; the support is built only when the bit counts
     could be the cheaper.
     """
-    n = len(a)
+    g, n = a.group, len(a)
     m = _mask(kernel, a)
     inv = inverse_set(a)
     width = _lane_width(n)
-    kronecker = _mask_cost(kernel, n, width)
-    if _mask_cost(kernel, 2 * n) < kronecker:
+    kronecker = _mask_cost(g, n, width)
+    if _mask_cost(g, 2 * n) < kronecker:
         right = kernel.right
         support = 0
         for v in inv:
             support |= right(m, v)
-        if _mask_cost(kernel, n + support.bit_count()) < kronecker:
+        if _mask_cost(g, n + support.bit_count()) < kronecker:
             return [t for t in kernel.decode(support) if inside(t).bit_count() >= least], None
     wide = kernel.widen(width)
     lanes, right = wide.spread(m), wide.right
@@ -266,11 +269,11 @@ def level_set(a: GSet, need) -> tuple[GSet, Callable[[Element], Sequence[Element
     kernel = _kernel(g, n, n * n, _lane_width(n))
     if kernel is not None:
         charge_pairs(n * n)
-        m, left, decode = _mask(kernel, a), kernel.left, kernel.decode
-        reversed_m = kernel.reverse(m)
+        m = _mask(kernel, a)
+        left, decode = kernel.lefts(m), kernel.decode
 
         def inside(t: Element) -> int:
-            return m & left(m, t, reversed_m)
+            return m & left(t)
 
         level, level_mask = _mask_level(kernel, a, least, inside) if least <= n else ([], None)
         return GSet._sorted(g, level, level_mask), lambda t: decode(inside(t))
@@ -278,43 +281,25 @@ def level_set(a: GSet, need) -> tuple[GSet, Callable[[Element], Sequence[Element
     return GSet._trusted(g, frozenset(x for x, terms in table.items() if len(terms) >= least)), table.__getitem__
 
 
-class _Rows(dict):
-    """The rows u·B as int masks over the group index, each built when first looked up."""
-
-    def __init__(self, kernel: Rotations, b_mask: int):
-        super().__init__()
-        self._left = kernel.left
-        self._b_mask = b_mask
-        self._reversed = kernel.reverse(b_mask)
-
-    def __missing__(self, u: Element) -> int:
-        row = self[u] = self._left(self._b_mask, u, self._reversed)
-        return row
-
-
 def row_product(a: GSet, b: GSet) -> tuple[GSet, Callable[[Element], int]]:
     """The product set AB and a lookup of the row uB of each u in A as an int mask.
 
     The product of a subset of A with B is the OR of its members' rows, and
     its size the OR's bit count.  Costs |A|*|B| pairs of the budget.  The
-    loop builds every row over an index of AB in first-seen order.  On the
-    masks a row is the left translate of B's mask by u, and AB the OR of
-    the rows unless B is the smaller set; a row not built for AB is built
-    when first looked up.
+    loop builds every row over an index of AB in first-seen order; on the
+    masks a row is the left translate of B's mask by u, over the group
+    index, and AB is the OR of the rows.
     """
     a.same_group(b)
     charge_pairs(len(a) * len(b))
     g = a.group
-    # on masks: one translate per row, and |B| more for AB when B is the smaller
-    kernel = _kernel(g, len(a) + (len(b) if len(b) < len(a) else 0), len(a) * len(b))
+    kernel = _kernel(g, len(a), len(a) * len(b))
     if kernel is not None:
-        rows = _Rows(kernel, _mask(kernel, b))
-        if len(b) < len(a):
-            m = _mask_product(kernel, a, b)
-        else:
-            m = 0
-            for u in a:
-                m |= rows[u]
+        left = kernel.lefts(_mask(kernel, b))
+        rows = {u: left(u) for u in a}
+        m = 0
+        for row in rows.values():
+            m |= row
         return GSet._sorted(g, kernel.decode(m), m), rows.__getitem__
     mul = g.multiply
     index: dict[Element, int] = {}

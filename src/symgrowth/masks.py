@@ -6,9 +6,11 @@ of ``(a, f)`` is ``2a + f``, a right translate rotates the rotation lanes
 one way and the reflection lanes the other, and a left translate by a
 reflection is a rotation of the reversed mask.  So each translate is a few
 big-int operations, done in C, instead of one ``multiply`` per member.
-``CyclicGroup.masks`` and ``DihedralGroup.masks`` are the two kernels; the
-other backends have none, and ``gset`` decides by a cost rule when a
-kernel pays.
+``CyclicMasks`` and ``DihedralMasks`` are the two kernels, named by
+``CyclicGroup.mask_kernel`` and ``DihedralGroup.mask_kernel``; the other
+backends have none.  ``gset`` decides by a cost rule, from the group's
+order and the class's ``rotations``, when a kernel pays, and only then is
+it built: a kernel holds an int of as many bits as the group has elements.
 
 ``widen(w)`` gives the same kernel on masks of ``w``-bit lanes, lane ``i``
 standing for ``element_at(i)``.  A sum of translates of such a mask holds
@@ -21,7 +23,7 @@ copies of one of them.
 from __future__ import annotations
 
 from itertools import compress, repeat
-from typing import Iterable
+from typing import Callable, Iterable
 
 Element = tuple[int, ...]
 
@@ -30,9 +32,8 @@ _FLAGS = bytes.maketrans(b"01", b"\0\1")
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 #: 1 for a byte whose top bit is set, else 0
 _TOP_BIT = bytes(b >> 7 for b in range(256))
-#: decode by ``find`` below one set bit in this many (fewer Python steps),
-#: by ``compress`` over every index above it
-_SPARSE = 16
+#: the positions of the set bits of each byte, ascending
+_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
 
 
 class Rotations:
@@ -41,8 +42,7 @@ class Rotations:
     #: rotations of the whole mask per translate, for the cost rule in ``gset``
     rotations: int
 
-    def __init__(self, n: int, order: int, width: int):
-        self.n = n
+    def __init__(self, order: int, width: int = 1):
         self.order = order
         self.width = width
         self.bits = self.order * width
@@ -53,7 +53,7 @@ class Rotations:
         """This kernel on masks of ``width``-bit lanes (``width`` a multiple of 8)."""
         kernel = self._widened.get(width)
         if kernel is None:
-            kernel = self._widened[width] = type(self)(self.n, width)
+            kernel = self._widened[width] = type(self)(self.order, width)
         return kernel
 
     def _rotate(self, m: int, lanes: int) -> int:
@@ -66,18 +66,13 @@ class Rotations:
         return int(flags.translate(_DIGITS)[::-1], 2)
 
     def decode(self, m: int) -> list[Element]:
-        """The members of the 1-bit mask ``m`` in ascending index order, which is encoding order."""
-        flags = bin(m)[:1:-1].encode().translate(_FLAGS)
-        if m.bit_count() * _SPARSE < len(flags):
-            find = flags.find
-            index = []
-            i = find(1)
-            while i >= 0:
-                index.append(i)
-                i = find(1, i + 1)
-        else:
-            index = compress(range(len(flags)), flags)
-        return self._elements(index)
+        """The members of the 1-bit mask ``m`` in ascending index order, which is encoding order.
+
+        ``compress`` skips the zero bytes in C, so the Python steps are one
+        per set bit.
+        """
+        data = m.to_bytes((m.bit_length() + 7) // 8, "little")
+        return self._elements([8 * j + i for j in compress(range(len(data)), data) for i in _BITS[data[j]]])
 
     def spread(self, m: int) -> int:
         """The 1-bit mask ``m`` with each bit moved to the low bit of its lane."""
@@ -104,9 +99,6 @@ class CyclicMasks(Rotations):
 
     rotations = 1
 
-    def __init__(self, n: int, width: int = 1):
-        super().__init__(n, n, width)
-
     def encode(self, elements: Iterable[Element]) -> int:
         flags = bytearray(self.order)
         for (i,) in elements:
@@ -120,12 +112,10 @@ class CyclicMasks(Rotations):
         """The mask of X·y for the mask ``m`` of X."""
         return self._rotate(m, y[0])
 
-    def left(self, m: int, x: Element, reversed_m) -> int:
-        """The mask of x·X for the mask ``m`` of X (``reversed_m`` is unused: Z_n is abelian)."""
-        return self._rotate(m, x[0])
-
-    def reverse(self, m: int) -> None:
-        return None
+    def lefts(self, m: int) -> Callable[[Element], int]:
+        """x -> the mask of x·X, for the mask ``m`` of X."""
+        rotate = self._rotate
+        return lambda x: rotate(m, x[0])
 
 
 class DihedralMasks(Rotations):
@@ -133,8 +123,8 @@ class DihedralMasks(Rotations):
 
     rotations = 2
 
-    def __init__(self, n: int, width: int = 1):
-        super().__init__(n, 2 * n, width)
+    def __init__(self, order: int, width: int = 1):
+        super().__init__(order, width)
         # every bit of every rotation lane
         self._rotation_lanes = self.full // ((1 << 2 * width) - 1) * ((1 << width) - 1)
 
@@ -156,18 +146,19 @@ class DihedralMasks(Rotations):
             return rot << self.width | ref >> self.width
         return rot | ref
 
-    def left(self, m: int, x: Element, reversed_m) -> int:
-        """The mask of x·X, from ``m`` and ``reversed_m = reverse(m)`` of X.
+    def lefts(self, m: int) -> Callable[[Element], int]:
+        """x -> the mask of x·X, for the mask ``m`` of X.
 
         (c, 0)(a, f) = (c + a, f) rotates m.  (c, 1)(a, f) = (c - a, 1 - f):
         reversing the 2n-bit mask sends index 2a + f to 2(n - 1 - a) + 1 - f,
-        and a rotation by c + 1 steps finishes the job.
+        and a rotation by c + 1 steps finishes the job.  The reversed mask is
+        built once, here.
         """
-        c, g = x
-        if g:
-            return self._rotate(reversed_m, 2 * c + 2)
-        return self._rotate(m, 2 * c)
+        rotate = self._rotate
+        reversed_m = int(bin(m)[2:].zfill(self.bits)[::-1], 2)
 
-    def reverse(self, m: int) -> int:
-        """The 1-bit mask ``m`` with its ``order`` bits in reverse order."""
-        return int(bin(m)[2:].zfill(self.bits)[::-1], 2)
+        def left(x: Element) -> int:
+            c, g = x
+            return rotate(reversed_m, 2 * c + 2) if g else rotate(m, 2 * c)
+
+        return left

@@ -407,6 +407,19 @@ def test_run_and_verify_finish_at_k_10_to_the_30(tmp_path, interval_file):
     assert json.loads(cert_path.read_text())["trace"]["termination_cap"] == 587786664902119008189731140620
 
 
+def test_a_random_30_in_cyclic_10_to_the_12_runs_on_the_loop(capsys, tmp_path):
+    # the cost rule sends these sets to the loop, so no 10^12-bit mask may be built on the way
+    spec = tmp_path / "big.json"
+    spec.write_text(json.dumps({"group": {"type": "cyclic", "n": 10**12},
+                                "set": {"type": "random", "size": 30, "seed": 1}}))
+    cert = tmp_path / "cert.json"
+    for argv in (["stats", "--instance", str(spec)],
+                 ["run", "--instance", str(spec), "--k", "2", "--out", str(cert)],
+                 ["verify", "--instance", str(spec), "--certificate", str(cert)]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+
+
 def test_budget_exhaustion_exit_code(capsys, interval_file):
     code, _, err = run_cli(capsys, "stats", "--instance", interval_file,
                            "--budget-pairs", "10")

@@ -108,7 +108,7 @@ class CountingDihedral(DihedralGroup):
     """A dihedral group that counts its multiplications."""
 
     # no masks, so the step runs the loop kernel whose multiplications are counted
-    masks = None
+    mask_kernel = None
 
     def __init__(self, n):
         super().__init__(n)

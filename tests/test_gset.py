@@ -391,7 +391,7 @@ def test_doubling_stats_builds_the_quad_the_cheapest_way(monkeypatch, name):
     assert stats.quad_size == _quad_by_definition(a)
     # cyclic and dihedral sets may take the masks and multiply nothing; the
     # other backends always loop, so they check the bound for real
-    assert a.group.masks is not None or seen["multiplies"] > 0
+    assert a.group.mask_kernel is not None or seen["multiplies"] > 0
     assert seen["multiplies"] <= MOST_MULTIPLIES[way](n, n2, g)
     if way != "square":
         # all of doubling_stats costs less than squaring A^2 alone

@@ -34,9 +34,9 @@ from symgrowth.symmetry import sym_set
 from conftest import reference_scan
 
 SIDES = {
-    "loop": lambda kernel, translations, width=1: math.inf,
-    "popcount": lambda kernel, translations, width=1: -1 if width == 1 else 0,
-    "kronecker": lambda kernel, translations, width=1: 0,
+    "loop": lambda group, translations, width=1: math.inf,
+    "popcount": lambda group, translations, width=1: -1 if width == 1 else 0,
+    "kronecker": lambda group, translations, width=1: 0,
 }
 
 
@@ -230,6 +230,13 @@ def test_the_rule_sends_large_sparse_groups_and_tiny_sets_to_the_loop(monkeypatc
     # three elements of cyclic 6: the fixed cost of a call on masks exceeds 9 multiplications
     tiny = GSet(CyclicGroup(6), [(0,), (1,), (3,)])
     assert _multiplies(monkeypatch, tiny.group, lambda: product(tiny, tiny)) == 9
+
+
+@pytest.mark.parametrize("group", [CyclicGroup(10**12), DihedralGroup(10**12)], ids=["cyclic", "dihedral"])
+def test_a_kernel_the_rule_turns_down_is_never_built(group):
+    # a kernel holds an int of |G| bits, so the rule must decide before building one
+    assert gset._kernel(group, 30, 900) is None
+    assert "masks" not in vars(group)
 
 
 # -- the oracle does not use the kernel -------------------------------------------

@@ -451,7 +451,7 @@ def test_verify_costs_what_run_costs(monkeypatch, spec, k):
                               lambda: verify_certificate(cert, a.elements, instance=spec))
     assert report.overall
     assert run["multiplies"] > 0
-    if a.group.masks is None:
+    if a.group.mask_kernel is None:
         assert verify["multiplies"] <= run["multiplies"]
     else:
         # run's shrink steps translate masks and multiply nothing, while the
