@@ -163,17 +163,23 @@ def _mask(kernel: Rotations, a: GSet) -> int:
     return a._mask
 
 
+def _times(kernel: Rotations, m: int, ys: Iterable[Element]) -> int:
+    """The mask of XY for the mask m of X: the OR of the right translates of m by each y in ys."""
+    right = kernel.right
+    out = 0
+    for y in ys:
+        out |= right(m, y)
+    return out
+
+
 def _mask_product(kernel: Rotations, a: GSet, b: GSet) -> int:
     """The mask of AB: an OR of |B| right translates of A's mask, or of |A| left translates of B's."""
-    out = 0
     if len(b) <= len(a):
-        m, right = _mask(kernel, a), kernel.right
-        for y in b:
-            out |= right(m, y)
-    else:
-        left = kernel.lefts(_mask(kernel, b))
-        for x in a:
-            out |= left(x)
+        return _times(kernel, _mask(kernel, a), b)
+    left = kernel.lefts(_mask(kernel, b))
+    out = 0
+    for x in a:
+        out |= left(x)
     return out
 
 
@@ -241,10 +247,7 @@ def _mask_level(kernel: Rotations, a: GSet, least: int, inside: Callable[[Elemen
     width = _lane_width(n)
     kronecker = _mask_cost(g, n, width)
     if _mask_cost(g, 2 * n) < kronecker:
-        right = kernel.right
-        support = 0
-        for v in inv:
-            support |= right(m, v)
+        support = _times(kernel, m, inv)
         if _mask_cost(g, n + support.bit_count()) < kronecker:
             return [t for t in kernel.decode(support) if inside(t).bit_count() >= least], None
     wide = kernel.widen(width)
@@ -349,30 +352,22 @@ def doubling_stats(a: GSet) -> DoublingStats:
     inv = inverse_set(a)
     kernel = _kernel(g, size, size * size)
     if kernel is not None:
-        right = kernel.right
-
-        def times(m: int, ys: GSet) -> int:
-            out = 0
-            for y in ys:
-                out |= right(m, y)
-            return out
-
         m = _mask(kernel, a)
         charge_pairs(size * size)
-        square = times(m, a)
+        square = _times(kernel, m, a)
         n2 = square.bit_count()
         charge_pairs(size * size)
-        n_inv = times(m, inv).bit_count()
+        n_inv = _times(kernel, m, inv).bit_count()
         if whole in (n2, n_inv):
             quad_size = whole
         elif _chain_is_cheaper(n2, size, whole):
             charge_pairs(n2 * size)
-            half = times(square, inv)
+            half = _times(kernel, square, inv)
             charge_pairs(half.bit_count() * size)
-            quad_size = times(half, inv).bit_count()
+            quad_size = _times(kernel, half, inv).bit_count()
         else:
             charge_pairs(n2 * n2)
-            quad_size = times(times(square, inv), inv).bit_count()
+            quad_size = _times(kernel, _times(kernel, square, inv), inv).bit_count()
     else:
         square = product(a, a)
         n2, n_inv = len(square), len(product(a, inv))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -207,9 +207,17 @@ class CheckRecord:
     passed: bool
 
 
-@dataclass(frozen=True)
+@dataclass
 class VerificationReport:
-    checks: tuple[CheckRecord, ...]
+    checks: list[CheckRecord] = field(default_factory=list)
+
+    def record(self, name: str, expected, actual) -> None:
+        # canonical JSON text, so 10.0 or true never pass for the integer 10 or 1
+        ok = json.dumps(expected, sort_keys=True) == json.dumps(actual, sort_keys=True)
+        self.checks.append(CheckRecord(name, expected, actual, ok))
+
+    def flag(self, name: str, ok: bool) -> None:
+        self.checks.append(CheckRecord(name, True, bool(ok), bool(ok)))
 
     @property
     def overall(self) -> bool:
@@ -230,21 +238,6 @@ class VerificationReport:
         }
 
 
-class _Recorder:
-    def __init__(self):
-        self.checks: list[CheckRecord] = []
-
-    def record(self, name: str, expected, actual) -> bool:
-        # canonical JSON text, so 10.0 or true never pass for the integer 10 or 1
-        ok = json.dumps(expected, sort_keys=True) == json.dumps(actual, sort_keys=True)
-        self.checks.append(CheckRecord(name, expected, actual, ok))
-        return ok
-
-    def flag(self, name: str, ok: bool) -> bool:
-        self.checks.append(CheckRecord(name, True, bool(ok), bool(ok)))
-        return ok
-
-
 def _need(cert: dict, key: str, kind, what: str = "certificate"):
     if key not in cert:
         raise CertificateFormatError(f"{what} is missing the '{key}' field")
@@ -254,10 +247,11 @@ def _need(cert: dict, key: str, kind, what: str = "certificate"):
     return value
 
 
-def _decode_elements(group: Group, raw: list, what: str) -> tuple[Element, ...]:
-    """Decode a certificate's element arrays with ``group.coerce``, the decoder instances use too.
+def _decode_elements(group: Group, raw: Iterable, what: str) -> tuple[Element, ...]:
+    """Decode element arrays into a certificate's group with ``group.coerce``, the decoder instances use too.
 
-    An entry that is not an element of ``group`` is a CertificateFormatError.
+    An entry that is not an element of ``group`` is a CertificateFormatError,
+    an instance set entry included: the certificate is then for another group.
     """
     out = []
     for item in raw:
@@ -284,7 +278,8 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     The only trusted inputs are the group spec inside the certificate and
     the instance set supplied by the caller; both the instance set and
     the certificate's S are decoded by ``group.coerce``, as instance files
-    are.  The shrinking chain is replayed step by step: each step indexes
+    are.  The shrinking chain is replayed step by step, up to the first
+    terminate step, which must be the trace's last: each step indexes
     its product A'A in a dict, builds each row xA for x in A' as an int
     mask over that index, and builds the table ``oracle_overlaps(A')``.
     It reads its level set, every candidate's A' ∩ tA' and the next A' off
@@ -298,7 +293,7 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     exact strings.  Structural problems raise CertificateFormatError;
     semantic mismatches come back as failed checks.
     """
-    rec = _Recorder()
+    rec = VerificationReport()
 
     if not isinstance(cert, dict):
         raise CertificateFormatError("certificate must be a JSON object")
@@ -318,7 +313,7 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
             json.dumps(inst, sort_keys=True),
         )
 
-    a = tuple(sorted({group.coerce(x) for x in a_elements}))
+    a = tuple(sorted(set(_decode_elements(group, a_elements, "instance set"))))
     if not a:
         raise CertificateFormatError("instance set is empty")
     rec.record("instance_set_matches", list(map(list, a)), _need(cert, "a", list))
@@ -333,7 +328,11 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     if not 0 < eps <= 1:
         # the replay and the termination cap are only defined for these
         raise CertificateFormatError(f"certificate epsilon must lie in (0, 1], got {eps}")
-    rec.record("epsilon_matches_k", fraction_to_str(Fraction(1, k + 1)), fraction_to_str(eps))
+    try:
+        expected_eps = fraction_to_str(Fraction(1, k + 1))
+    except ValueError as exc:  # k + 1 past the integer digit limit
+        raise CertificateFormatError(f"certificate k cannot be written out: {exc}") from exc
+    rec.record("epsilon_matches_k", expected_eps, fraction_to_str(eps))
 
     trace = _need(cert, "trace", dict)
     steps = _need(trace, "steps", list, "trace")
@@ -347,8 +346,6 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     table: dict[str, tuple[str, Fraction, Fraction]] = {}
     cur = a
     mul = group.multiply
-    terminated = False
-    shape_ok = True
     for i, step in enumerate(steps):
         if not isinstance(step, dict):
             raise CertificateFormatError(f"trace step {i} is not an object")
@@ -395,30 +392,22 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
         exponent = (4**i - 1) // 3
         table[f"trace{i}.size_lower_bound"] = ("ge", Fraction(n_ap), Fraction(n_a) / (2 * k0) ** exponent)
         action = step.get("action")
-        last = i == len(steps) - 1
-        # the next A' and |A'A|; a terminate step before the last leaves them as they are
-        nxt, n_nxt_prod = cur, n_p
-        if action == "shrink":
-            shape_ok = shape_ok and not last
-            rec.record(f"{tag}.t", list(witness) if witness is not None else None,
-                       step.get("t"))
-            if witness is None:
-                # recorded chain diverges; replay cannot continue faithfully
-                break
-            nxt, n_nxt_prod = tuple(overlaps[witness]), n_cover
-        elif action == "terminate":
-            shape_ok = shape_ok and last
+        if action == "terminate":
             rec.flag(f"{tag}.no_shrink_witness", witness is None)
-            terminated = True
-        else:
+            break
+        if action != "shrink":
             raise CertificateFormatError(f"trace step {i} has unknown action {action!r}")
-        if not last:
-            table[f"{tag}.shrink_size_lower"] = ("ge", Fraction(len(nxt)), tau)
-            table[f"{tag}.shrink_product_upper"] = ("le", Fraction(n_nxt_prod), limit)
-        cur = nxt
-    rec.flag("trace_shape", shape_ok and terminated)
-    if not terminated:
-        return VerificationReport(tuple(rec.checks))
+        rec.record(f"{tag}.t", list(witness) if witness is not None else None, step.get("t"))
+        if witness is None:
+            # recorded chain diverges; replay cannot continue faithfully
+            break
+        cur = tuple(overlaps[witness])
+        table[f"{tag}.shrink_size_lower"] = ("ge", Fraction(len(cur)), tau)
+        table[f"{tag}.shrink_product_upper"] = ("le", Fraction(n_cover), limit)
+    # the replay ends at the first terminate step, which must be the last
+    rec.flag("trace_shape", action == "terminate" and i == len(steps) - 1)
+    if action != "terminate":
+        return rec
 
     i0 = len(steps) - 1
     rec.record("i0", i0, _need(trace, "i0", int, "trace"))
@@ -478,4 +467,4 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
         rec.flag(f"ledger.{name}", ok)
 
     rec.flag("verified_flag", cert.get("verified") is True)
-    return VerificationReport(tuple(rec.checks))
+    return rec

@@ -359,9 +359,9 @@ def test_deep_nesting_exits_2_with_one_json_line(capsys, tmp_path, interval_file
 DIGITS = "1" * 5000  # past the interpreter's default integer digit limit of 4300
 
 
-@pytest.mark.parametrize("where", ["instance", "eta", "certificate", "epsilon", "not-utf8"])
+@pytest.mark.parametrize("where", ["instance", "eta", "certificate", "k-plus-one", "epsilon", "not-utf8"])
 def test_undecodable_input_exits_2_with_one_json_line(capsys, tmp_path, interval_file, where):
-    # integers past the digit limit, and a file that is not UTF-8 text
+    # integers past the digit limit, a k whose k + 1 is, and a file that is not UTF-8 text
     cert_path = tmp_path / "cert.json"
     assert run_cli(capsys, "run", "--instance", interval_file, "--k", "2", "--out", str(cert_path))[0] == 0
     cert = json.loads(cert_path.read_text())
@@ -373,6 +373,9 @@ def test_undecodable_input_exits_2_with_one_json_line(capsys, tmp_path, interval
         argv = ["sym", "--instance", interval_file, "--eta", f"1/{DIGITS}"]
     elif where == "certificate":
         bad.write_text(json.dumps(cert).replace('"k": 2', f'"k": {DIGITS}'))
+        argv = ["verify", "--instance", interval_file, "--certificate", str(bad)]
+    elif where == "k-plus-one":
+        bad.write_text(json.dumps(cert).replace('"k": 2', f'"k": {"9" * 4300}'))
         argv = ["verify", "--instance", interval_file, "--certificate", str(bad)]
     elif where == "not-utf8":
         bad.write_bytes(b'{"group": "\xff"}')
@@ -386,7 +389,7 @@ def test_undecodable_input_exits_2_with_one_json_line(capsys, tmp_path, interval
     assert out == ""
     assert len(err.splitlines()) == 1
     # a certificate the verifier cannot read is malformed; other input is a bad parameter
-    malformed = where in ("certificate", "epsilon")
+    malformed = where in ("certificate", "k-plus-one", "epsilon")
     assert json.loads(err)["error"] == ("CertificateFormatError" if malformed else "ParameterError")
 
 

@@ -11,6 +11,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symgrowth.errors import CertificateFormatError, PairBudgetError, ParameterError
 from symgrowth.groups import (
@@ -586,9 +588,11 @@ def test_verifier_rejects_malformed_certificates():
             verify_certificate(broken, INTERVAL.elements)
 
 
-def test_verifier_rejects_bad_group_spec():
+@pytest.mark.parametrize("group", [{"type": "nonsense"}, {"type": "cyclic", "n": 3}], ids=["unknown", "without-a"])
+def test_verifier_rejects_bad_group_spec(group):
+    # a group the instance set does not lie in makes the certificate one for another group
     cert = fresh_cert()
-    cert["instance"]["group"] = {"type": "nonsense"}
+    cert["instance"]["group"] = group
     with pytest.raises(CertificateFormatError):
         verify_certificate(cert, INTERVAL.elements)
 
@@ -600,9 +604,11 @@ def test_verifier_rejects_decimal_fractions():
         verify_certificate(cert, INTERVAL.elements)
 
 
-def test_verifier_rejects_bad_k():
+@pytest.mark.parametrize("k", [0, int("9" * 4300)], ids=["zero", "4300-nines"])
+def test_verifier_rejects_bad_k(k):
+    # 4,300 nines parse as an int, but k + 1 has 4,301 digits and cannot be written out
     cert = fresh_cert()
-    cert["k"] = 0
+    cert["k"] = k
     with pytest.raises(CertificateFormatError):
         verify_certificate(cert, INTERVAL.elements)
 
@@ -748,6 +754,37 @@ def test_verifier_reports_a_chain_that_diverges_after_a_terminate_step():
         verify_certificate(cert, INTERVAL.elements)
 
 
+def test_verifier_stops_replaying_at_the_first_terminate_step():
+    # each replayed step i computes (2K0)^((4^i - 1)/3) exactly, about 8 times
+    # the work of the one before, so a replay that went on past the terminate
+    # step spent over a minute on these 13; it must stop at the first one
+    cert = fresh_cert()
+    steps = cert["trace"]["steps"]
+    assert [step["action"] for step in steps] == ["shrink", "terminate"]
+    steps[1:] = [dict(steps[1], index=i) for i in range(1, 14)]
+    start = time.perf_counter()
+    try:
+        refused = not verify_certificate(cert, INTERVAL.elements).overall
+    except CertificateFormatError:
+        refused = True
+    assert refused
+    assert time.perf_counter() - start < 1
+
+
+def test_verifier_fails_trace_shape_on_a_terminate_step_before_the_last():
+    cert = fresh_cert()
+    steps = cert["trace"]["steps"]
+    steps.append(dict(steps[1], index=2))
+    cert["trace"]["i0"] = 2
+    for entry in cert["ledger"]:
+        entry["name"] = entry["name"].replace("step1.sym", "step2.sym").replace("step1.level_set_in", "step2.level_set_in")
+    report = verify_certificate(cert, INTERVAL.elements)
+    checks = {c.name: c.passed for c in report.checks}
+    assert checks["trace_shape"] is False
+    assert checks["step1.no_shrink_witness"] is True
+    assert "step2.index" not in checks  # nothing after the first terminate step is replayed
+
+
 def _float_size(steps):
     steps[0]["aprime_size"] = float(steps[0]["aprime_size"])
 
@@ -768,6 +805,87 @@ def test_verifier_flags_floats_and_bools_in_integer_fields(mutate):
     assert [step["action"] for step in steps] == ["shrink", "terminate"]
     mutate(steps)
     assert verify_certificate(cert, INTERVAL.elements).overall is False
+
+
+# -- certificate verification: a totality fuzz --------------------------------
+
+
+def _fuzz_base(spec):
+    a = generate(spec)
+    return spec, a, stable_neighbourhood(a, 2, instance=spec).to_json_dict()
+
+
+FUZZ_BASES = [_fuzz_base(spec) for spec in (C20_INTERVAL, D40_COSETS, S6_RANDOM)]
+# JSON values of every type; integers keep to 30 digits, since a termination
+# cap at a much larger k or epsilon denominator is slow (ROADMAP item 14)
+BIG = 10**30 - 1
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-BIG, BIG),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=6),
+    st.lists(st.integers(-3, 40), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2),
+)
+
+
+def _paths(node, path=()):
+    """Every (container, key) below node, but not inside the unchecked metadata."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        if path == () and key == "metadata":
+            continue
+        yield node, key
+        yield from _paths(value, path + (key,))
+
+
+@st.composite
+def certificate_mutants(draw):
+    """One of three honest certificates with exactly one corruption, and its instance."""
+    spec, a, cert = draw(st.sampled_from(FUZZ_BASES))
+    cert = copy.deepcopy(cert)
+    steps, ledger = cert["trace"]["steps"], cert["ledger"]
+    kind = draw(st.sampled_from(["drop", "retype", "rename", "duplicate", "bad_index"]))
+    if kind in ("drop", "retype", "rename"):
+        node, key = draw(st.sampled_from([(n, k) for n, k in _paths(cert) if kind != "rename" or isinstance(n, dict)]))
+        if kind == "drop":
+            del node[key]
+        elif kind == "retype":
+            old = node[key]
+            node[key] = draw(JSON_VALUES.filter(lambda v: type(v) is not type(old)))
+        else:
+            new = draw(st.sampled_from(["name", "index", "a", "s", "t", "steps", "x"]).filter(lambda k: k != key))
+            node[new] = node.pop(key)
+    elif kind == "duplicate":
+        seq = draw(st.sampled_from([steps, ledger]))
+        at = draw(st.integers(0, len(seq) - 1))
+        seq[at:at] = [copy.deepcopy(seq[at]) for _ in range(draw(st.integers(1, 20)))]
+    else:
+        where = draw(st.sampled_from(["step", "i0", "ledger"]))
+        if where == "step":
+            step = draw(st.sampled_from(steps))
+            step["index"] = draw(st.integers(-BIG, BIG).filter(lambda j: j != step["index"]))
+        elif where == "i0":
+            cert["trace"]["i0"] = draw(st.integers(-BIG, BIG).filter(lambda j: j != cert["trace"]["i0"]))
+        else:
+            entry = draw(st.sampled_from([e for e in ledger if e["name"].startswith(("step", "trace"))]))
+            head, _, tail = entry["name"].partition(".")
+            prefix = head.rstrip("0123456789")
+            j = draw(st.integers(-BIG, BIG).filter(lambda j: f"{prefix}{j}" != head))
+            entry["name"] = f"{prefix}{j}.{tail}"
+    return spec, a, cert, kind
+
+
+@settings(max_examples=250, deadline=2000)
+@given(certificate_mutants())
+def test_every_corrupted_certificate_is_refused(mutant):
+    spec, a, cert, kind = mutant
+    try:
+        report = verify_certificate(cert, a.elements, instance=spec)
+    except CertificateFormatError:
+        return
+    assert report.overall is False, kind
 
 
 def test_oracle_imports_nothing_from_the_fast_path():
