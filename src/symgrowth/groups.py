@@ -30,6 +30,11 @@ Cyclic and dihedral groups name a kernel class of ``symgrowth.masks`` in
 ``mask_kernel``, and ``group.masks`` is that kernel: it holds a set as an
 int mask over the mixed-radix index and translates it by rotations.  The
 other backends have ``mask_kernel = None`` and no ``masks``.
+
+``product_set(xs, ys)`` is every backend's set product {x*y}.  The base
+version multiplies one translate of the longer operand at a time and stops
+once the set is the whole group; the symmetric backend composes one-line
+permutations instead and encodes only the distinct products.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import json
 import math
 from abc import ABC, abstractmethod
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidElementError, InvalidGroupError, ParameterError
 from .masks import CyclicMasks, DihedralMasks, Rotations
@@ -90,6 +95,19 @@ class Group(ABC):
     @abstractmethod
     def inverse(self, x: Element) -> Element:
         ...
+
+    def product_set(self, xs: Sequence[Element], ys: Sequence[Element]) -> set[Element]:
+        """The set {x*y : x in xs, y in ys}, one translate of the longer operand at a time.
+
+        That is xs*y for each y, or x*ys for each x when ys is the longer;
+        it stops once the set holds the whole group.
+        """
+        mul = self.multiply
+        if len(xs) >= len(ys):
+            translates = ([mul(x, y) for x in xs] for y in ys)
+        else:
+            translates = ([mul(x, y) for y in ys] for x in xs)
+        return _union_until(translates, self.order)
 
     @abstractmethod
     def describe(self) -> dict:
@@ -147,6 +165,16 @@ class Group(ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.describe()})"
+
+
+def _union_until(translates: Iterable[Iterable], whole: int) -> set:
+    """The union of ``translates``, stopping once it has ``whole`` members."""
+    out: set = set()
+    for translate in translates:
+        out.update(translate)
+        if len(out) == whole:
+            break
+    return out
 
 
 def _require_index(value, name: str) -> int:
@@ -224,8 +252,14 @@ def _lehmer_to_one_line(code: Element) -> tuple[int, ...]:
 
 
 def _one_line_to_lehmer(perm: tuple[int, ...]) -> Element:
-    """The Lehmer code of the one-line permutation ``perm``."""
-    return tuple(sum(q < p for q in perm[i + 1 :]) for i, p in enumerate(perm))
+    """The Lehmer code of the one-line permutation ``perm``: each value's place among the values not yet used."""
+    free = list(range(len(perm)))
+    code = []
+    for p in perm:
+        i = free.index(p)
+        code.append(i)
+        del free[i]
+    return tuple(code)
 
 
 class SymmetricGroup(Group):
@@ -268,6 +302,24 @@ class SymmetricGroup(Group):
         for i, v in enumerate(self._decode(x)):
             inv[v] = i
         return self._encode(tuple(inv))
+
+    def product_set(self, xs: Sequence[Element], ys: Sequence[Element]) -> set[Element]:
+        """The set {x*y}, composed on one-line forms: (x*y)(i) = x(y(i)) is ``itemgetter(*y)(x)``.
+
+        Each operand is decoded once and each distinct product encoded once.
+        On S1 ``itemgetter`` with one index returns a scalar, so S1 takes
+        the base loop.
+        """
+        if self.n == 1:
+            return super().product_set(xs, ys)
+        decode = self._decode
+        lines = [decode(x) for x in xs]
+        getters = [itemgetter(*decode(y)) for y in ys]
+        if len(xs) >= len(ys):
+            translates = (map(get, lines) for get in getters)
+        else:
+            translates = ([get(line) for get in getters] for line in lines)
+        return set(map(self._encode, _union_until(translates, self.order)))
 
     def describe(self) -> dict:
         spec: dict = {"type": "symmetric", "n": self.n}

@@ -8,11 +8,14 @@ Product-style operations cost |A|*|B| group multiplications.  A global pair
 budget guards against accidentally quadratic-in-the-group blowups: when the
 multiplications needed by one call would exceed the remaining budget the
 call raises ``PairBudgetError`` before doing the work.  ``product`` stops
-multiplying once its output is the whole group, but it is still charged
-the full |A|*|B| up front.
+once its output is the whole group, but it is still charged the full
+|A|*|B| up front.
 
 Each operation has two ways to run.  The loop multiplies pairs with
-``group.multiply``; ``conv_table`` is its one convolution kernel: for each x
+``group.multiply``, except that ``product`` asks the backend's
+``product_set``, which stops after the first translate that fills the
+group and which the symmetric backend composes without ``multiply``;
+``conv_table`` is the loop's one convolution kernel: for each x
 in AB it lists the u in A with x in uB, so with B = A^-1 its entry at t is
 A ∩ tA.  Cyclic and dihedral groups also have ``group.masks``, which holds
 a set as an int mask over the group index and translates it with a few
@@ -184,7 +187,11 @@ def _mask_product(kernel: Rotations, a: GSet, b: GSet) -> int:
 
 
 def product(a: GSet, b: GSet) -> GSet:
-    """The product set AB = {x*y : x in A, y in B}; the loop stops early once AB = G."""
+    """The product set AB = {x*y : x in A, y in B}, charged |A|*|B| pairs up front.
+
+    On the masks it is an OR of translates; otherwise it is the group's
+    ``product_set``, which stops early once AB = G.
+    """
     a.same_group(b)
     charge_pairs(len(a) * len(b))
     g = a.group
@@ -192,15 +199,7 @@ def product(a: GSet, b: GSet) -> GSet:
     if kernel is not None:
         m = _mask_product(kernel, a, b)
         return GSet._sorted(g, kernel.decode(m), m)
-    mul = g.multiply
-    whole = g.order
-    out = set()
-    for x in a:
-        for y in b:
-            out.add(mul(x, y))
-        if len(out) == whole:
-            break
-    return GSet._trusted(g, frozenset(out))
+    return GSet._trusted(g, frozenset(g.product_set(a._elems, b._elems)))
 
 
 def inverse_set(a: GSet) -> GSet:

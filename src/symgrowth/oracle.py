@@ -145,54 +145,63 @@ def termination_cap(k0: Fraction, eps: Fraction) -> int:
     """Smallest m >= 0 with (1-eps)^m * K0 <= 1.
 
     With K0 = p/q and 1-eps = a/b that is the smallest m with
-    p·a^m <= q·b^m, found by doubling and then bisection on m.  At large k
-    the answer m is about k·log K0, and a^m has millions of digits, so each
-    test first brackets 2^P·(a/b)^m between integers from a
-    square-and-multiply with floor and ceiling rounding, and computes the
-    exact powers only when the bracket cannot decide.  Near the crossing
-    (a/b)^m·K0 is within a factor 1 - 1/b of 1 and the rounding error grows
-    with m, so P grows with the bit lengths of b and m as well as of K0.
+    p·a^m <= q·b^m, that is with L <= m·λ for L = ln(p/q) and λ = ln(b/a).
+    At large k the answer m is about k·log K0, and a^m has millions of
+    digits, so L and λ are bracketed between integers over 2^P by
+    ``_ln_bracket``, and m is read off the brackets.  The exact powers are
+    compared only for the m the brackets cannot decide.  Near the crossing
+    m·λ is within λ of L, and the error of m·λ grows with m, so P grows
+    with the bit lengths of 1/eps and of K0.
     """
-    k0 = Fraction(k0)
-    shrink = 1 - Fraction(eps)
+    k0, eps = Fraction(k0), Fraction(eps)
+    shrink = 1 - eps
     if not 0 <= shrink < 1:
         raise ParameterError(f"termination cap needs eps in (0, 1], got {eps}")
     p, q = k0.numerator, k0.denominator
     a, b = shrink.numerator, shrink.denominator
-
-    def holds(m: int) -> bool:
-        bits = 128 + 2 * (p.bit_length() + q.bit_length() + b.bit_length() + m.bit_length())
-        scaled_q = q << bits
-        lo = hi = 1 << bits  # lo <= 2^bits·(a/b)^m <= hi
-        base_lo = (a << bits) // b
-        base_hi = -(-(a << bits) // b)
-        e = m
-        while e:
-            if e & 1:
-                lo = lo * base_lo >> bits
-                hi = -(-(hi * base_hi) >> bits)
-            e >>= 1
-            if e:
-                base_lo = base_lo * base_lo >> bits
-                base_hi = -(-(base_hi * base_hi) >> bits)
-        if p * hi <= scaled_q:
-            return True
-        if p * lo > scaled_q:
-            return False
-        return p * a**m <= q * b**m
-
-    if holds(0):
+    if p <= q:
         return 0
-    fails, passes = 0, 1  # holds(fails) is false; double passes until it holds
-    while not holds(passes):
-        fails, passes = passes, 2 * passes
-    while passes - fails > 1:
-        mid = (fails + passes) // 2
-        if holds(mid):
-            passes = mid
-        else:
-            fails = mid
-    return passes
+    if a == 0:
+        return 1
+    # 2^eps_bits >= 1/eps >= 1/λ, and m is at most L/λ + 1
+    eps_bits = max(0, eps.denominator.bit_length() - eps.numerator.bit_length() + 1)
+    bits = 128 + 2 * eps_bits + p.bit_length()
+    l_lo, l_hi = _ln_bracket(p, q, bits)
+    lam_lo, lam_hi = _ln_bracket(b, a, bits)
+    fails = -(-l_lo // lam_hi)  # every m below this fails
+    holds = -(-l_hi // lam_lo)  # and this m holds
+    return next((m for m in range(fails, holds) if p * a**m <= q * b**m), holds)
+
+
+def _ln_bracket(num: int, den: int, bits: int) -> tuple[int, int]:
+    """Integers lo <= 2^bits·ln(num/den) <= hi, for num >= den >= 1.
+
+    ln(num/den) = e·ln 2 + 2·atanh(z) with 2^e <= num/den < 2^(e+1) and
+    z = (num - den·2^e)/(num + den·2^e) < 1/3, and ln 2 = 2·atanh(1/3).
+    """
+    e = (num // den).bit_length() - 1
+    lo, hi = _atanh_bracket(num - (den << e), num + (den << e), bits)
+    if e:
+        two_lo, two_hi = _atanh_bracket(1, 3, bits)
+        lo, hi = lo + e * two_lo, hi + e * two_hi
+    return 2 * lo, 2 * hi
+
+
+def _atanh_bracket(u: int, v: int, bits: int) -> tuple[int, int]:
+    """Integers lo <= 2^bits·atanh(u/v) <= hi, for 0 <= u/v <= 1/3.
+
+    The series sum of z^(2i+1)/(2i+1), each power floored from the one
+    before; each term then lies less than 3 below its true value, and the
+    tail after the last nonzero power is below 2.
+    """
+    power = (u << bits) // v
+    u2, v2 = u * u, v * v
+    total, terms = 0, 0
+    while power:
+        total += power // (2 * terms + 1)
+        power = power * u2 // v2
+        terms += 1
+    return total, total + 3 * terms + 2
 
 
 # ---------------------------------------------------------------------------

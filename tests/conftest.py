@@ -6,7 +6,8 @@ loops and budget charges as the oracles in ``symgrowth.oracle``, for values
 no command computes that way; ``reference_scan`` finds a shrink step's
 witness by building every candidate's product with ``oracle_product``;
 ``encode_value``, ``one_line`` and ``encode_one_line`` are independent
-references for the JSON encoder and the symmetric backend's Lehmer codes.  The ``check_*`` helpers state the
+references for the JSON encoder and the symmetric backend's Lehmer codes,
+and ``termination_cap_by_bisection`` for the termination cap.  The ``check_*`` helpers state the
 paper's structural facts about symmetry sets; every one of them returns
 True on every input in its domain, so a False signals a bug, and raises
 ParameterError outside the domain.  Acceptance tests register one line per
@@ -166,6 +167,55 @@ def encode_one_line(group: SymmetricGroup, perm) -> tuple:
     if sorted(perm) != list(range(group.n)):
         raise InvalidElementError(f"not a permutation of 0..{group.n - 1}: {perm!r}")
     return tuple(sum(1 for q in perm[i + 1 :] if q < p) for i, p in enumerate(perm))
+
+
+def termination_cap_by_bisection(k0, eps) -> int:
+    """Smallest m >= 0 with (1-eps)^m * K0 <= 1, by doubling and then bisection on m.
+
+    Each test brackets 2^P·(a/b)^m (1-eps = a/b) by its own square-and-multiply
+    with floor and ceiling rounding, and compares exact powers only when the
+    bracket cannot decide; the reference for ``termination_cap``.
+    """
+    k0 = Fraction(k0)
+    shrink = 1 - Fraction(eps)
+    if not 0 <= shrink < 1:
+        raise ParameterError(f"termination cap needs eps in (0, 1], got {eps}")
+    p, q = k0.numerator, k0.denominator
+    a, b = shrink.numerator, shrink.denominator
+
+    def holds(m: int) -> bool:
+        bits = 128 + 2 * (p.bit_length() + q.bit_length() + b.bit_length() + m.bit_length())
+        scaled_q = q << bits
+        lo = hi = 1 << bits  # lo <= 2^bits·(a/b)^m <= hi
+        base_lo = (a << bits) // b
+        base_hi = -(-(a << bits) // b)
+        e = m
+        while e:
+            if e & 1:
+                lo = lo * base_lo >> bits
+                hi = -(-(hi * base_hi) >> bits)
+            e >>= 1
+            if e:
+                base_lo = base_lo * base_lo >> bits
+                base_hi = -(-(base_hi * base_hi) >> bits)
+        if p * hi <= scaled_q:
+            return True
+        if p * lo > scaled_q:
+            return False
+        return p * a**m <= q * b**m
+
+    if holds(0):
+        return 0
+    fails, passes = 0, 1  # holds(fails) is false; double passes until it holds
+    while not holds(passes):
+        fails, passes = passes, 2 * passes
+    while passes - fails > 1:
+        mid = (fails + passes) // 2
+        if holds(mid):
+            passes = mid
+        else:
+            fails = mid
+    return passes
 
 
 def conv_counts(table: dict) -> dict:

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -408,6 +409,21 @@ def test_run_and_verify_finish_at_k_10_to_the_30(tmp_path, interval_file):
         assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["overall"] is True
     assert json.loads(cert_path.read_text())["trace"]["termination_cap"] == 587786664902119008189731140620
+
+
+def test_verify_refuses_a_1000_digit_forged_epsilon_in_bounded_time(capsys, tmp_path, interval_file):
+    # the termination cap for this epsilon is about 10^1000·log K0
+    cert_path = tmp_path / "cert.json"
+    assert run_cli(capsys, "run", "--instance", interval_file, "--k", "2", "--out", str(cert_path))[0] == 0
+    cert = json.loads(cert_path.read_text())
+    cert["epsilon"] = f"1/{10**1000 + 1}"
+    cert_path.write_text(json.dumps(cert))
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "verify", "--instance", interval_file, "--certificate", str(cert_path))
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    failed = {c["name"] for c in json.loads(out)["checks"] if not c["pass"]}
+    assert {"epsilon_matches_k", "termination_cap"} <= failed
 
 
 def test_a_random_30_in_cyclic_10_to_the_12_runs_on_the_loop(capsys, tmp_path):

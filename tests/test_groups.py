@@ -19,6 +19,7 @@ from symgrowth.groups import (
     HeisenbergGroup,
     SymmetricGroup,
     TableGroup,
+    _one_line_to_lehmer,
     group_from_spec,
 )
 from symgrowth.serialize import elements_to_json
@@ -215,6 +216,29 @@ def test_symmetric_multiply_composes_one_line_forms():
             p, q = g.element_at(i), g.element_at(j)
             pp, qq = one_line(g, p), one_line(g, q)
             assert one_line(g, g.multiply(p, q)) == tuple(pp[v] for v in qq)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_one_line_to_lehmer_is_the_count_of_later_smaller_values(n):
+    g = SymmetricGroup(n)
+    for perm in itertools.permutations(range(n)):
+        assert _one_line_to_lehmer(perm) == encode_one_line(g, perm)
+
+
+# every backend, with S2 and S5 besides S1 and S4, so the symmetric kernel
+# and its S1 fallback both run
+PRODUCT_BACKENDS = BACKENDS + [SymmetricGroup(2), SymmetricGroup(5)]
+
+
+@pytest.mark.parametrize("group", PRODUCT_BACKENDS, ids=lambda g: repr(g.describe()))
+@given(data=st.data())
+def test_product_set_is_the_double_loop_over_multiply(group, data):
+    indices = st.lists(st.integers(0, group.order - 1), max_size=group.order)
+    # the whole group as either operand makes the product saturate at once
+    operand = st.one_of(indices, indices, st.just(list(range(group.order))))
+    xs = [group.element_at(i) for i in data.draw(operand, label="xs")]
+    ys = [group.element_at(i) for i in data.draw(operand, label="ys")]
+    assert group.product_set(xs, ys) == {group.multiply(x, y) for x in xs for y in ys}
 
 
 def test_symmetric_degree_guard():

@@ -14,7 +14,7 @@ from symgrowth.errors import (
     InvalidElementError,
     PairBudgetError,
 )
-from symgrowth.groups import CyclicGroup, DihedralGroup, HeisenbergGroup, SymmetricGroup
+from symgrowth.groups import CyclicGroup, DihedralGroup, Group, HeisenbergGroup, SymmetricGroup
 from symgrowth.gset import (
     GSet,
     conv_table,
@@ -380,22 +380,45 @@ MOST_MULTIPLIES = {
 }
 
 
+def _base_loop(monkeypatch, group):
+    """Make ``group`` build every set product with the base translate loop, which multiplies.
+
+    The symmetric backend composes one-line forms without ``multiply``, so
+    its counts are taken on the loop it overrides.
+    """
+    monkeypatch.setattr(type(group), "product_set", Group.product_set)
+
+
 @pytest.mark.parametrize("name", list(QUAD_WAYS))
 def test_doubling_stats_builds_the_quad_the_cheapest_way(monkeypatch, name):
     spec, way = QUAD_WAYS[name]
     a = generate(spec)
     n, n2, g = len(a), len(product(a, a)), a.group.order
+    _base_loop(monkeypatch, a.group)
     seen = _counting_multiply(monkeypatch, a.group)
     stats = doubling_stats(a)
     monkeypatch.undo()
     assert stats.quad_size == _quad_by_definition(a)
-    # cyclic and dihedral sets may take the masks and multiply nothing; the
-    # other backends always loop, so they check the bound for real
+    assert doubling_stats(a) == stats
+    # cyclic and dihedral sets may take the masks and multiply nothing; on
+    # the other backends the base loop multiplies, so they check the bound for real
     assert a.group.mask_kernel is not None or seen["multiplies"] > 0
     assert seen["multiplies"] <= MOST_MULTIPLIES[way](n, n2, g)
     if way != "square":
         # all of doubling_stats costs less than squaring A^2 alone
         assert seen["multiplies"] < n2 * n2
+
+
+@pytest.mark.parametrize("name", [name for name in QUAD_WAYS if name.startswith("s")])
+def test_symmetric_kernel_builds_the_sets_of_the_base_loop(name):
+    # every product doubling_stats may build: A^2, AA^-1, the chain and A^2 (A^2)^-1
+    a = generate(QUAD_WAYS[name][0])
+    g, inv = a.group, inverse_set(a).elements
+    square = Group.product_set(g, a.elements, a.elements)
+    half = Group.product_set(g, square, inv)
+    for xs, ys in [(a.elements, a.elements), (a.elements, inv), (square, inv), (half, inv),
+                   (inv, half), (square, [g.inverse(x) for x in square])]:
+        assert g.product_set(xs, ys) == Group.product_set(g, xs, ys)
 
 
 def test_product_stops_at_the_whole_group_but_charges_every_pair(monkeypatch):
@@ -404,11 +427,26 @@ def test_product_stops_at_the_whole_group_but_charges_every_pair(monkeypatch):
     whole = GSet(s3, s3.elements())
     charged = []
     monkeypatch.setattr(gset, "charge_pairs", charged.append)
+    assert product(gens, whole) == whole
+    _base_loop(monkeypatch, s3)
     seen = _counting_multiply(monkeypatch, s3)
-    # the first row g * G is already G, so the product stops after |G| multiplications
+    # the first translate g * G is already G, so the product stops after |G| multiplications
     assert product(gens, whole) == whole
     assert seen["multiplies"] == len(whole)
-    assert charged == [len(gens) * len(whole)]
+    assert charged == [len(gens) * len(whole)] * 2
+
+
+@pytest.mark.parametrize("longer_first", [True, False])
+def test_product_translates_the_longer_operand(monkeypatch, longer_first):
+    # X misses one element z of G and Y lists the identity first: X e = X
+    # (or e X = X), and the next translate by y != e holds z, so the product
+    # stops after exactly two translates of X
+    h3 = HeisenbergGroup(3)
+    xs = [x for x in h3.elements() if x != (1, 2, 0)]
+    ys = [h3.identity, (1, 1, 1), (2, 0, 1)]
+    seen = _counting_multiply(monkeypatch, h3)
+    assert h3.product_set(*((xs, ys) if longer_first else (ys, xs))) == set(h3.elements())
+    assert seen["multiplies"] == 2 * len(xs)
 
 
 # -- pair budget --------------------------------------------------------------

@@ -52,6 +52,7 @@ from conftest import (
     oracle_quadruples,
     reference_scan,
     small_group_pool,
+    termination_cap_by_bisection,
 )
 
 C20 = CyclicGroup(20)
@@ -231,6 +232,30 @@ def test_termination_cap_is_fast_at_astronomical_k(k):
     start = time.perf_counter()
     assert termination_cap(Fraction(9, 5), Fraction(1, k + 1)) == expected
     assert time.perf_counter() - start < 1
+
+
+@given(
+    k0=st.fractions(min_value=Fraction(1, 10**3), max_value=10**4, max_denominator=10**3),
+    k=st.integers(1, 10**30),
+    num=st.integers(1, 10**30),
+    one_over=st.booleans(),
+)
+def test_termination_cap_is_the_bisection(k0, k, num, one_over):
+    # eps = 1/(k+1) as run draws it, or any num/(k+1) up to 1
+    eps = Fraction(1, k + 1) if one_over else Fraction(min(num, k + 1), k + 1)
+    assert termination_cap(k0, eps) == termination_cap_by_bisection(k0, eps)
+
+
+def test_termination_cap_is_fast_at_a_4000_digit_k():
+    k = 10**4000
+    start = time.perf_counter()
+    cap = termination_cap(Fraction(9, 5), Fraction(1, k + 1))
+    assert time.perf_counter() - start < 1
+    # the cap is about (k + 1/2)·log(9/5), so it starts with the digits of log(9/5)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 120
+        digits = str((Decimal(9) / 5).ln())[2:102]
+    assert len(str(cap)) == 4000 and str(cap)[:100] == digits
 
 
 @pytest.mark.parametrize("eps", [Fraction(0), Fraction(-1, 3), Fraction(3, 2)])
