@@ -32,6 +32,7 @@ each A ∩ tA of its level set on demand.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, fields
@@ -189,12 +190,16 @@ def _mask_product(kernel: Rotations, a: GSet, b: GSet) -> int:
 def product(a: GSet, b: GSet) -> GSet:
     """The product set AB = {x*y : x in A, y in B}, charged |A|*|B| pairs up front.
 
-    On the masks it is an OR of translates; otherwise it is the group's
-    ``product_set``, which stops early once AB = G.
+    If |A| + |B| > |G|, then AB = G without a multiplication: for each g,
+    A and gB⁻¹ are too large to be disjoint, so g = xy with x in A, y in B.
+    Otherwise, on the masks it is an OR of translates, and on the loop the
+    group's ``product_set``, which stops early once AB = G.
     """
     a.same_group(b)
     charge_pairs(len(a) * len(b))
     g = a.group
+    if len(a) + len(b) > g.order:
+        return GSet._sorted(g, itertools.product(*map(range, g.radices)))
     kernel = _kernel(g, min(len(a), len(b)), len(a) * len(b))
     if kernel is not None:
         m = _mask_product(kernel, a, b)

@@ -281,13 +281,44 @@ def _relation_holds(relation: str, lhs: Fraction, rhs: Fraction) -> bool:
     raise CertificateFormatError(f"unknown ledger relation {relation!r}")
 
 
+def _ledger_names(actions: list[str]) -> frozenset[str] | None:
+    """Every ledger name a trace of these step actions has, or None unless it is shrink steps, then one terminate step.
+
+    Each step has three lines, each shrink step two more, the terminate
+    step two more, and the run five.
+    """
+    last = len(actions) - 1
+    if actions[last] != "terminate" or "terminate" in actions[:last]:
+        return None
+    names = {
+        "identity_in_neighbourhood",
+        "neighbourhood_symmetric",
+        "power_containment",
+        "neighbourhood_size_lower_bound",
+        "termination_bound",
+        f"step{last}.sym_size_lower",
+        f"step{last}.level_set_in_sym",
+    }
+    for i in range(last + 1):
+        names.update((f"step{i}.level_set_lower", f"trace{i}.product_growth_bound", f"trace{i}.size_lower_bound"))
+        if i < last:
+            names.update((f"step{i}.shrink_size_lower", f"step{i}.shrink_product_upper"))
+    return frozenset(names)
+
+
 def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict | None = None) -> VerificationReport:
     """Recompute a certificate from scratch and report every discrepancy.
 
     The only trusted inputs are the group spec inside the certificate and
     the instance set supplied by the caller; both the instance set and
     the certificate's S are decoded by ``group.coerce``, as instance files
-    are.  The shrinking chain is replayed step by step, up to the first
+    are.  Every structural check runs first, before any multiplication:
+    each field's presence and type, each trace step's action, each ledger
+    entry's name and, when the claimed trace is shrink steps then one
+    terminate step, that each ledger name is one such a trace has.  A
+    structural defect raises CertificateFormatError before the replay.
+
+    The shrinking chain is then replayed step by step, up to the first
     terminate step, which must be the trace's last: each step indexes
     its product A'A in a dict, builds each row xA for x in A' as an int
     mask over that index, and builds the table ``oracle_overlaps(A')``.
@@ -299,34 +330,25 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     re-derived by membership tests of S^k against A² (``oracle_power``,
     whose work does not grow with the certificate's k), and every ledger
     line's numbers are recomputed once, during the replay, and compared as
-    exact strings.  Structural problems raise CertificateFormatError;
-    semantic mismatches come back as failed checks.
+    exact strings.  Semantic mismatches come back as failed checks; a
+    ledger name the replay's own table lacks is still a
+    CertificateFormatError, since the replay may disagree with the trace.
     """
-    rec = VerificationReport()
-
     if not isinstance(cert, dict):
         raise CertificateFormatError("certificate must be a JSON object")
     fmt = _need(cert, "format", str)
-    rec.record("format", CERTIFICATE_FORMAT, fmt)
-
     inst = _need(cert, "instance", dict)
     group_spec = _need(inst, "group", dict, "instance spec")
     try:
         group = group_from_spec(group_spec)
     except Exception as exc:
         raise CertificateFormatError(f"certificate group spec is invalid: {exc}") from exc
-    if instance is not None:
-        rec.record(
-            "instance_spec_matches",
-            json.dumps(instance, sort_keys=True),
-            json.dumps(inst, sort_keys=True),
-        )
-
     a = tuple(sorted(set(_decode_elements(group, a_elements, "instance set"))))
     if not a:
         raise CertificateFormatError("instance set is empty")
-    rec.record("instance_set_matches", list(map(list, a)), _need(cert, "a", list))
 
+    # -- decode: every structural check that does not need the replay
+    claimed_a = _need(cert, "a", list)
     k = _need(cert, "k", int)
     if isinstance(k, bool) or k < 1:
         raise CertificateFormatError(f"certificate k must be a positive integer, got {k!r}")
@@ -341,13 +363,44 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
         expected_eps = fraction_to_str(Fraction(1, k + 1))
     except ValueError as exc:  # k + 1 past the integer digit limit
         raise CertificateFormatError(f"certificate k cannot be written out: {exc}") from exc
-    rec.record("epsilon_matches_k", expected_eps, fraction_to_str(eps))
-
     trace = _need(cert, "trace", dict)
     steps = _need(trace, "steps", list, "trace")
     if not steps:
         raise CertificateFormatError("trace has no steps")
-    rec.record("trace_epsilon", fraction_to_str(eps), _need(trace, "epsilon", str, "trace"))
+    trace_eps = _need(trace, "epsilon", str, "trace")
+    actions = []
+    for i, step in enumerate(steps):
+        if not isinstance(step, dict):
+            raise CertificateFormatError(f"trace step {i} is not an object")
+        action = step.get("action")
+        if action not in ("shrink", "terminate"):
+            raise CertificateFormatError(f"trace step {i} has unknown action {action!r}")
+        actions.append(action)
+    claimed_i0 = _need(trace, "i0", int, "trace")
+    claimed_k0 = _need(trace, "doubling", str, "trace")
+    claimed_cap = _need(trace, "termination_cap", int, "trace")
+    claimed_aprime = _need(cert, "aprime", list)
+    claimed_threshold = _need(cert, "s_threshold", str)
+    s = _decode_elements(group, _need(cert, "s", list), "certificate S")
+    ledger = _need(cert, "ledger", list)
+    names = _ledger_names(actions)
+    for entry in ledger:
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise CertificateFormatError("ledger entries must be objects with a name")
+        if names is not None and entry["name"] not in names:
+            raise CertificateFormatError(f"unknown ledger entry {entry['name']!r}")
+
+    rec = VerificationReport()
+    rec.record("format", CERTIFICATE_FORMAT, fmt)
+    if instance is not None:
+        rec.record(
+            "instance_spec_matches",
+            json.dumps(instance, sort_keys=True),
+            json.dumps(inst, sort_keys=True),
+        )
+    rec.record("instance_set_matches", list(map(list, a)), claimed_a)
+    rec.record("epsilon_matches_k", expected_eps, fraction_to_str(eps))
+    rec.record("trace_epsilon", fraction_to_str(eps), trace_eps)
 
     # replay the shrinking chain from A, checking each recorded step and
     # recomputing its ledger lines once: name -> (relation, lhs, rhs)
@@ -355,9 +408,7 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     table: dict[str, tuple[str, Fraction, Fraction]] = {}
     cur = a
     mul = group.multiply
-    for i, step in enumerate(steps):
-        if not isinstance(step, dict):
-            raise CertificateFormatError(f"trace step {i} is not an object")
+    for i, (step, action) in enumerate(zip(steps, actions)):
         tag = f"step{i}"
         rec.record(f"{tag}.index", i, step.get("index"))
         rec.record(f"{tag}.aprime_size", len(cur), step.get("aprime_size"))
@@ -400,12 +451,9 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
         table[f"trace{i}.product_growth_bound"] = ("le", Fraction(n_p), (1 - eps) ** i * k0 * n_a)
         exponent = (4**i - 1) // 3
         table[f"trace{i}.size_lower_bound"] = ("ge", Fraction(n_ap), Fraction(n_a) / (2 * k0) ** exponent)
-        action = step.get("action")
         if action == "terminate":
             rec.flag(f"{tag}.no_shrink_witness", witness is None)
             break
-        if action != "shrink":
-            raise CertificateFormatError(f"trace step {i} has unknown action {action!r}")
         rec.record(f"{tag}.t", list(witness) if witness is not None else None, step.get("t"))
         if witness is None:
             # recorded chain diverges; replay cannot continue faithfully
@@ -419,19 +467,18 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
         return rec
 
     i0 = len(steps) - 1
-    rec.record("i0", i0, _need(trace, "i0", int, "trace"))
-    rec.record("doubling", fraction_to_str(k0), _need(trace, "doubling", str, "trace"))
+    rec.record("i0", i0, claimed_i0)
+    rec.record("doubling", fraction_to_str(k0), claimed_k0)
     cap = termination_cap(k0, eps)
-    rec.record("termination_cap", cap, _need(trace, "termination_cap", int, "trace"))
+    rec.record("termination_cap", cap, claimed_cap)
 
     aprime = cur
-    rec.record("aprime_matches", list(map(list, aprime)), _need(cert, "aprime", list))
+    rec.record("aprime_matches", list(map(list, aprime)), claimed_aprime)
 
     # the terminal symmetry set, recomputed from its definition; prod and
     # level are the last replayed step's
     threshold = (1 - eps) if eps < 1 else Fraction(1, len(prod))
-    rec.record("s_threshold", fraction_to_str(threshold), _need(cert, "s_threshold", str))
-    s = _decode_elements(group, _need(cert, "s", list), "certificate S")
+    rec.record("s_threshold", fraction_to_str(threshold), claimed_threshold)
     rec.flag("s_sorted_unique", all(x < y for x, y in zip(s, s[1:])))
     expected_s = oracle_sym_members(group, prod, threshold)
     rec.record("s_matches_symmetry_set", list(map(list, expected_s)), list(map(list, s)))
@@ -455,13 +502,9 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     table["neighbourhood_size_lower_bound"] = ("ge", Fraction(len(s)), size_bound)
     table["termination_bound"] = ("le", Fraction(i0), Fraction(cap))
 
-    ledger = _need(cert, "ledger", list)
-    seen = [e.get("name") if isinstance(e, dict) else None for e in ledger]
-    rec.record("ledger_names", sorted(table), sorted(x for x in seen if isinstance(x, str)))
-
+    # the replay may disagree with the claimed trace, so its own table decides
+    rec.record("ledger_names", sorted(table), sorted(entry["name"] for entry in ledger))
     for entry in ledger:
-        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-            raise CertificateFormatError("ledger entries must be objects with a name")
         name = entry["name"]
         if name not in table:
             raise CertificateFormatError(f"unknown ledger entry {name!r}")

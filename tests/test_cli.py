@@ -557,6 +557,31 @@ def test_verify_rejects_s_entry_of_wrong_width_with_exit_2(capsys, tmp_path, int
     assert json.loads(err.strip())["error"] == "CertificateFormatError"
 
 
+def test_verify_refuses_a_bad_ledger_name_even_where_the_replay_stops_early(capsys, tmp_path, interval_file):
+    # the forged shrink step has no witness, so the replay stops at it and the
+    # report fails (exit 1); a ledger name the claimed trace cannot have is a
+    # structural defect, refused before the replay (exit 2)
+    cert_path = tmp_path / "cert.json"
+    assert run_cli(capsys, "run", "--instance", interval_file, "--k", "1", "--out", str(cert_path))[0] == 0
+    cert = json.loads(cert_path.read_text())
+    end = cert["trace"]["steps"][0]
+    assert end["action"] == "terminate"
+    cert["trace"]["steps"] = [dict(end, action="shrink", t=[0]), dict(end, index=1)]
+    for entry in cert["ledger"]:
+        entry["name"] = entry["name"].replace("step0.sym", "step1.sym").replace("step0.level_set_in", "step1.level_set_in")
+    cert_path.write_text(json.dumps(cert))
+    code, out, _ = run_cli(capsys, "verify", "--instance", interval_file, "--certificate", str(cert_path))
+    assert code == 1
+    assert json.loads(out)["overall"] is False
+    next(e for e in cert["ledger"] if e["name"] == "step0.level_set_lower")["name"] = "stepX.level_set_lower"
+    cert_path.write_text(json.dumps(cert))
+    code, out, err = run_cli(capsys, "verify", "--instance", interval_file, "--certificate", str(cert_path))
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip()) == {"error": "CertificateFormatError",
+                                       "message": "unknown ledger entry 'stepX.level_set_lower'"}
+
+
 def s3_table_spec():
     g = SymmetricGroup(3)
     elems = [g.element_at(i) for i in range(g.order)]

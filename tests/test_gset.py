@@ -422,18 +422,34 @@ def test_symmetric_kernel_builds_the_sets_of_the_base_loop(name):
 
 
 def test_product_stops_at_the_whole_group_but_charges_every_pair(monkeypatch):
+    # |A3| + |T| = |S3|, so the size rule cannot decide A3 T; the loop must
     s3 = SymmetricGroup(3)
-    gens = GSet(s3, [encode_one_line(s3, (1, 0, 2)), encode_one_line(s3, (1, 2, 0))])
+    a3 = GSet(s3, [encode_one_line(s3, p) for p in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]])
+    t = GSet(s3, [encode_one_line(s3, p) for p in [(0, 1, 2), (1, 0, 2), (2, 1, 0)]])
     whole = GSet(s3, s3.elements())
     charged = []
     monkeypatch.setattr(gset, "charge_pairs", charged.append)
-    assert product(gens, whole) == whole
+    assert product(a3, t) == whole
     _base_loop(monkeypatch, s3)
     seen = _counting_multiply(monkeypatch, s3)
-    # the first translate g * G is already G, so the product stops after |G| multiplications
-    assert product(gens, whole) == whole
-    assert seen["multiplies"] == len(whole)
-    assert charged == [len(gens) * len(whole)] * 2
+    # A3 e = A3 and A3 (01) holds the odd permutations, so the loop stops after two translates
+    assert product(a3, t) == whole
+    assert seen["multiplies"] == 2 * len(a3)
+    assert charged == [len(a3) * len(t)] * 2
+
+
+def test_product_of_operands_larger_than_the_group_multiplies_nothing(monkeypatch):
+    # |X| + |Y| > |G|: X and gY^-1 meet for every g, so XY = G; the
+    # translate loop made 52 multiplications on this pair
+    h3 = HeisenbergGroup(3)
+    xs = GSet(h3, [x for x in h3.elements() if x != (1, 2, 0)])
+    ys = GSet(h3, [h3.identity, (1, 1, 1), (2, 0, 1)])
+    charged = []
+    monkeypatch.setattr(gset, "charge_pairs", charged.append)
+    seen = _counting_multiply(monkeypatch, h3)
+    assert product(xs, ys).elements == tuple(sorted(h3.elements()))
+    assert seen["multiplies"] == 0
+    assert charged == [len(xs) * len(ys)]
 
 
 @pytest.mark.parametrize("longer_first", [True, False])

@@ -913,6 +913,94 @@ def test_every_corrupted_certificate_is_refused(mutant):
     assert report.overall is False, kind
 
 
+# -- certificate verification: structural defects are refused before the replay
+
+
+def _rename_last(cert, old, new):
+    last = len(cert["trace"]["steps"]) - 1
+    _rename_first(cert, old.format(last=last), new.format(last=last, past=last + 1))
+
+
+def _at(cert, path):
+    for key in path:
+        cert = cert[key]
+    return cert
+
+
+def _drop(*path):
+    return lambda cert: _at(cert, path[:-1]).pop(path[-1])
+
+
+def _put(value, *path):
+    return lambda cert: _at(cert, path[:-1]).__setitem__(path[-1], value)
+
+
+DEFECTS = {
+    "s-wrong-width": lambda cert: cert["s"][0].append(0),
+    "s-out-of-range": _put(999, "s", 0, 0),
+    "ledger-name-stepX": lambda cert: _rename_first(cert, "step0.level_set_lower", "stepX.level_set_lower"),
+    "shrink-line-on-terminate": lambda cert: _rename_last(cert, "step{last}.sym_size_lower", "step{last}.shrink_size_lower"),
+    "step-past-the-last": lambda cert: _rename_last(cert, "step{last}.level_set_lower", "step{past}.level_set_lower"),
+    "ledger-entry-not-object": _put(["power_containment"], "ledger", -1),
+    "missing-i0": _drop("trace", "i0"),
+    "missing-doubling": _drop("trace", "doubling"),
+    "missing-termination_cap": _drop("trace", "termination_cap"),
+    "missing-aprime": _drop("aprime"),
+    "missing-s_threshold": _drop("s_threshold"),
+    "missing-ledger": _drop("ledger"),
+    "step-not-object": _put("terminate", "trace", "steps", -1),
+    "step-unknown-action": _put("sideways", "trace", "steps", -1, "action"),
+}
+
+
+@pytest.mark.parametrize("defect", list(DEFECTS))
+@pytest.mark.parametrize("base", FUZZ_BASES, ids=["c20-interval", "d40-cosets", "s6-random"])
+def test_a_structural_defect_is_refused_before_any_multiplication(monkeypatch, base, defect):
+    spec, a, cert = base
+    cert = copy.deepcopy(cert)
+    DEFECTS[defect](cert)
+
+    def work():
+        try:
+            verify_certificate(cert, a.elements, instance=spec)
+        except CertificateFormatError as exc:
+            return exc
+        return None
+
+    refused, seen = _metered(monkeypatch, type(a.group), work)
+    assert isinstance(refused, CertificateFormatError)
+    assert seen["multiplies"] == 0
+    assert seen["charged"] == 0
+
+
+def _seed0_certificates():
+    """The certificates of the benchmark's seed-0 instances."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    try:
+        from perfbench.workloads import build
+    finally:
+        sys.path.pop(0)
+    for workload in ("shrink-scan", "quad-build", "many-small"):
+        for inst in build(workload, 0):
+            a = generate(inst.spec)
+            yield a, stable_neighbourhood(a, inst.k, instance=inst.spec).to_json_dict()
+
+
+def test_the_decode_expects_the_names_of_the_replay_table():
+    # on a sound certificate the replay follows the claimed trace, so the names
+    # the decode derives from the trace's actions are the replay's table's keys
+    count = 0
+    for a, cert in _seed0_certificates():
+        report = verify_certificate(cert, a.elements)
+        assert report.overall
+        table_names = next(c.expected for c in report.checks if c.name == "ledger_names")
+        actions = [step["action"] for step in cert["trace"]["steps"]]
+        assert oracle._ledger_names(actions) == frozenset(table_names)
+        assert len(table_names) == 3 * len(actions) + 2 * (len(actions) - 1) + 2 + 5
+        count += 1
+    assert count == 4 + 8 + 96
+
+
 def test_oracle_imports_nothing_from_the_fast_path():
     tree = ast.parse(Path(oracle.__file__).read_text())
     imported = set()
