@@ -7,10 +7,11 @@ terminates quickly, and running the iteration with eps = 1/(k+1) yields a
 symmetric neighbourhood S of the identity with S^k contained in A^2 A^-2.
 
 Every run carries an inequality ledger whose left- and right-hand sides are
-exact rationals, and the driver re-derives the headline containment with
-the brute-force oracle before marking a certificate verified.  Certificates
-serialize to canonical JSON (see ``serialize``) so identical inputs produce
-byte-identical output.
+exact rationals, and the driver checks the headline containment, on the
+same ``gset`` kernels that built the run, before marking a certificate
+verified; ``oracle.verify_certificate`` rechecks it independently.
+Certificates serialize to canonical JSON (see ``serialize``) so identical
+inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -21,15 +22,8 @@ from typing import Callable
 
 from .errors import InvariantViolation, ParameterError
 from .groups import Element
-from .gset import GSet, level_set, product, row_product
-from .oracle import (
-    CERTIFICATE_FORMAT,
-    oracle_inverse,
-    oracle_outside,
-    oracle_power,
-    oracle_product,
-    termination_cap,
-)
+from .gset import GSet, inverse_set, level_set, outside, product, row_product
+from .oracle import CERTIFICATE_FORMAT, oracle_product, termination_cap
 from .serialize import elements_to_json, fraction_to_str
 from .symmetry import check_eta, sym_set
 
@@ -327,12 +321,12 @@ def stable_neighbourhood(
 
     Runs the shrink iteration with eps = 1/(k+1); the terminal symmetry
     set S is symmetric, contains the identity, and satisfies the power
-    containment, which is re-derived here with the brute-force oracle
-    before the certificate is marked verified: A² and S^k are built with
-    oracle products, and the ``power_containment`` entry counts the members
-    x of S^k outside A²A⁻² by testing whether xA² meets A², so A²A⁻² itself
-    is never built.  A failed check yields verified=False rather than an
-    exception.
+    containment, which is checked here before the certificate is marked
+    verified.  A² is step 0's product A'A, S^k is built by ``product``
+    until a power stops growing, and the ``power_containment`` entry counts
+    the members x of S^k outside A²A⁻² with ``outside``, which tests
+    whether xA² meets A², so A²A⁻² itself is never built.  A failed check
+    yields verified=False rather than an exception.
     """
     a.require_nonempty("driver input")
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
@@ -352,9 +346,15 @@ def stable_neighbourhood(
     asym = sum(1 for x in s if group.inverse(x) not in s)
     ledger.append(_entry("neighbourhood_symmetric", "eq", asym, 0))
 
-    a2 = oracle_product(group, a, a)
-    violations = oracle_outside(group, oracle_power(group, s.elements, k), a2, a2)
-    ledger.append(_entry("power_containment", "eq", violations, 0))
+    # S holds the identity, so S^j ⊆ S^(j+1): once a power stops growing it is S^k
+    power = s
+    for _ in range(k - 1):
+        nxt = product(power, s)
+        if len(nxt) == len(power):
+            break
+        power = nxt
+    a2 = trace.steps[0].product  # step 0 is on A' = A
+    ledger.append(_entry("power_containment", "eq", outside(power, a2, a2), 0))
 
     ledger.append(
         _entry(
@@ -421,8 +421,9 @@ def almost_invariant(a: GSet, k: int, instance: dict | None = None) -> AlmostInv
     minimizes |S^{l+1}A| / |S^lA| (ties to the smallest l), and the minimal
     ratio is at most the geometric mean (|S^kA|/|A|)^{1/k}, checked
     exactly as ratio^k <= |S^kA|/|A|.  The chain stays inside A²A⁻²A,
-    checked member by member with the oracle against A² and A⁻¹A²; the
-    chain's last set is also replayed with oracle products and must match.
+    checked member by member with ``outside`` against A², which is the
+    certificate's step 0 product, and A⁻¹A²; the chain's last set is also
+    replayed with oracle products and must match.
     """
     cert = stable_neighbourhood(a, k, instance)
     s = cert.s
@@ -445,8 +446,8 @@ def almost_invariant(a: GSet, k: int, instance: dict | None = None) -> AlmostInv
     ]
 
     # x ∈ A²A⁻²A iff xw ∈ A² for some w ∈ A⁻¹A²
-    a2 = oracle_product(group, a, a)
-    violations = oracle_outside(group, chain[k], a2, oracle_product(group, oracle_inverse(group, a), a2))
+    a2 = cert.trace.steps[0].product
+    violations = outside(chain[k], a2, product(inverse_set(a), a2))
     entries.append(_entry("chain_in_quad_product", "eq", violations, 0))
 
     # oracle replay of the chain

@@ -20,14 +20,16 @@ in AB it lists the u in A with x in uB, so with B = A^-1 its entry at t is
 A ∩ tA.  Cyclic and dihedral groups also have ``group.masks``, which holds
 a set as an int mask over the group index and translates it with a few
 big-int operations (see ``masks``).  ``product``, ``row_product``,
-``level_set`` and ``doubling_stats`` ask the group once per call and take
-the masks when the cost rule (``_kernel``: ``_mask_cost``, from the group's
-order and its ``mask_kernel``, against the pairs the loop would multiply)
-says they pay, and the kernel is built only then; either way each call is
-charged the same |A|*|B| pairs, as a bound.  ``row_product`` gives the
-row uB of each u in A as an int mask, so the shrink scan sizes the
-product of any subset of A with B by OR-ing rows, and ``level_set`` gives
-each A ∩ tA of its level set on demand.
+``level_set``, ``doubling_stats`` and ``outside`` ask the group once per
+call and take the masks when the cost rule (``_kernel``: ``_mask_cost``,
+from the group's order and its ``mask_kernel``, against the pairs the loop
+would multiply) says they pay, and the kernel is built only then; either
+way each call is charged the same |A|*|B| pairs, as a bound.
+``row_product`` gives the row uB of each u in A as an int mask, so the
+shrink scan sizes the product of any subset of A with B by OR-ing rows,
+``level_set`` gives each A ∩ tA of its level set on demand, and
+``outside`` counts the members x of a set outside TW⁻¹ by testing whether
+xW meets T, so TW⁻¹ is never built.
 """
 
 from __future__ import annotations
@@ -318,6 +320,38 @@ def row_product(a: GSet, b: GSet) -> tuple[GSet, Callable[[Element], int]]:
             row |= 1 << setdefault(mul(u, v), len(index))
         rows[u] = row
     return GSet._trusted(g, frozenset(index)), rows.__getitem__
+
+
+def outside(xs: GSet, t: GSet, w: GSet) -> int:
+    """The number of x in X outside TW⁻¹, by membership: x ∈ TW⁻¹ iff xW meets T.
+
+    Each member tested is charged |W| pairs, so TW⁻¹ itself is never
+    built.  On the masks xW is the left translate of W's mask by x, ANDed
+    with T's mask; on the loop, a member's test stops at its first w with
+    xw in T.
+    """
+    xs.same_group(t)
+    t.same_group(w)
+    g = t.group
+    kernel = _kernel(g, len(xs), len(xs) * len(w))
+    if kernel is not None:
+        left, target = kernel.lefts(_mask(kernel, w)), _mask(kernel, t)
+
+        def meets(x: Element) -> int:
+            return left(x) & target
+
+    else:
+        mul, members = g.multiply, t._members
+
+        def meets(x: Element) -> bool:
+            return any(mul(x, v) in members for v in w)
+
+    count = 0
+    for x in xs:
+        charge_pairs(len(w))
+        if not meets(x):
+            count += 1
+    return count
 
 
 @dataclass(frozen=True)

@@ -305,12 +305,36 @@ def test_containment_checks_build_no_quad_product(monkeypatch):
 
 def test_stable_neighbourhood_reports_a_failed_containment_without_raising(monkeypatch):
     # A²A⁻² of the interval {0..4} in C20 is {-8..8}, so 10 lies outside it
-    real = growth.oracle_power
-    monkeypatch.setattr(growth, "oracle_power", lambda group, a, k: real(group, a, k) + ((10,),))
+    # the driver's only set product is its power step S·S
+    real = growth.product
+    monkeypatch.setattr(growth, "product", lambda x, y: GSet(C20, real(x, y).elements + ((10,),)))
     cert = stable_neighbourhood(INTERVAL, 2)
     assert cert.verified is False
     entry = {e.name: e for e in cert.ledger}["power_containment"]
     assert entry.lhs == 1 and not entry.holds
+
+
+def test_stable_neighbourhood_calls_no_oracle(monkeypatch):
+    # the producer builds every set on the fast path; the oracles are the verifier's
+    specs = [
+        {"group": {"type": "cyclic", "n": 20}, "set": {"type": "interval", "start": 0, "length": 5}},
+        {"group": {"type": "dihedral", "n": 40},
+         "set": {"type": "coset_union", "generators": [[5, 0]], "reps": [[0, 0], [1, 1]]}},
+        {"group": {"type": "symmetric", "n": 6}, "set": {"type": "random", "size": 10, "seed": 0}},
+    ]
+    runs = [(spec, k) for spec in specs for k in (2, 3)]
+    expected = [canonical_dumps(stable_neighbourhood(generate(spec), k, instance=spec).to_json_dict())
+                for spec, k in runs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("stable_neighbourhood called an oracle")
+
+    for module in (oracle, growth):
+        for name in dir(module):
+            if name.startswith("oracle_"):
+                monkeypatch.setattr(module, name, refuse)
+    for (spec, k), want in zip(runs, expected):
+        assert canonical_dumps(stable_neighbourhood(generate(spec), k, instance=spec).to_json_dict()) == want
 
 
 def test_driver_embeds_default_instance():

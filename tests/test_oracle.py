@@ -23,9 +23,9 @@ from symgrowth.groups import (
     SymmetricGroup,
     TableGroup,
 )
-from symgrowth import budget, oracle
+from symgrowth import budget, gset, oracle
 from symgrowth.budget import set_pair_budget
-from symgrowth.gset import GSet, conv_table, inverse_set
+from symgrowth.gset import GSet, conv_table, inverse_set, outside
 from symgrowth.instances import generate
 from symgrowth.serialize import parse_fraction
 from symgrowth.growth import stable_neighbourhood
@@ -315,6 +315,34 @@ def test_oracle_outside_charges_each_tested_member():
         set_pair_budget(None)
 
 
+@pytest.mark.parametrize("side", ["loop", "masks"])
+def test_outside_counts_and_charges_as_the_oracle(monkeypatch, side):
+    # the cost rule is pinned to one side; cyclic and dihedral groups are the
+    # ones with masks, and on their masks side nothing may multiply
+    monkeypatch.setattr(gset, "_mask_cost", lambda group, translations, width=1: math.inf if side == "loop" else 0)
+    charges = []
+    for module in (gset, oracle):
+        monkeypatch.setattr(module, "charge_pairs", charges.append)
+    stream = CounterStream(0x0E75)
+    planted = inside = 0
+    for group in small_group_pool() + MEMBERSHIP_BACKENDS[-2:]:  # plus a direct product and a table group
+        for _ in range(6):
+            t, w = (draw_subset(group, 1 + stream.below(6), stream) for _ in range(2))
+            xs = draw_subset(group, 1 + stream.below(min(group.order, 12)), stream)
+            charges.clear()
+            expected = oracle_outside(group, xs, t, w)
+            oracle_charges = list(charges)
+            charges.clear()
+            with monkeypatch.context() as m:
+                if side == "masks" and group.mask_kernel is not None:
+                    m.setattr(type(group), "multiply", None)
+                assert outside(xs, t, w) == expected, (group.describe(), xs, t, w)
+            assert charges == oracle_charges == [len(w)] * len(xs)
+            planted += expected
+            inside += len(xs) - expected
+    assert planted > 0 and inside > 0
+
+
 # -- certificate verification: honest certificates ----------------------------
 
 
@@ -477,15 +505,10 @@ def test_verify_costs_what_run_costs(monkeypatch, spec, k):
     report, verify = _metered(monkeypatch, type(a.group),
                               lambda: verify_certificate(cert, a.elements, instance=spec))
     assert report.overall
-    assert run["multiplies"] > 0
-    if a.group.mask_kernel is None:
-        assert verify["multiplies"] <= run["multiplies"]
-    else:
-        # run's shrink steps translate masks and multiply nothing, while the
-        # verifier multiplies every pair it replays; both charge each call
-        # its |X||Y| pairs, so compare the charges
-        assert verify["charged"] <= run["charged"]
-    assert verify["largest_charge"] <= run["largest_charge"]
+    # run builds each set once and verify rebuilds the same sets, each call
+    # charged its |X||Y| pairs whether it multiplies or translates masks
+    assert verify["charged"] == run["charged"]
+    assert verify["largest_charge"] == run["largest_charge"]
     # every multiplication of the replay is paid for before it is made
     assert verify["most_ahead"] == 0
 
