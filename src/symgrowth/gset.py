@@ -29,7 +29,8 @@ way each call is charged the same |A|*|B| pairs, as a bound.
 shrink scan sizes the product of any subset of A with B by OR-ing rows,
 ``level_set`` gives each A ∩ tA of its level set on demand, and
 ``outside`` counts the members x of a set outside TW⁻¹ by testing whether
-xW meets T, so TW⁻¹ is never built.
+xW meets T, so TW⁻¹ is never built.  ``doubling_stats`` decides once, for
+both kernels, how to build A^2 A^-2.
 """
 
 from __future__ import annotations
@@ -379,9 +380,10 @@ def doubling_stats(a: GSet) -> DoublingStats:
     A^2 A^-2 is the whole group when A^2 or A A^-1 is.  Otherwise it is
     built as ((A^2)A^-1)A^-1 when that costs fewer multiplications than
     squaring A^2, bounding |A^2 A^-1| by min(|G|, |A^2||A|), and as
-    A^2 (A^2)^-1 when it does not.  On the masks every set here is an OR of
-    right translates that is only counted, never decoded, and
-    A^2 (A^2)^-1 is built as the chain, charged as the square it stands for.
+    A^2 (A^2)^-1 when it does not.  Each kernel supplies a start, a
+    ``times`` charged |X||Y| pairs and a ``count``: on the loop A,
+    ``product`` and ``len``; on the masks A's mask, an OR of right
+    translates and the bit count, so no set here is decoded.
     """
     a.require_nonempty("doubling input")
     size = len(a)
@@ -390,31 +392,26 @@ def doubling_stats(a: GSet) -> DoublingStats:
     inv = inverse_set(a)
     kernel = _kernel(g, size, size * size)
     if kernel is not None:
-        m = _mask(kernel, a)
-        charge_pairs(size * size)
-        square = _times(kernel, m, a)
-        n2 = square.bit_count()
-        charge_pairs(size * size)
-        n_inv = _times(kernel, m, inv).bit_count()
-        if whole in (n2, n_inv):
-            quad_size = whole
-        elif _chain_is_cheaper(n2, size, whole):
-            charge_pairs(n2 * size)
-            half = _times(kernel, square, inv)
-            charge_pairs(half.bit_count() * size)
-            quad_size = _times(kernel, half, inv).bit_count()
-        else:
-            charge_pairs(n2 * n2)
-            quad_size = _times(kernel, _times(kernel, square, inv), inv).bit_count()
+
+        def times(m: int, ys: GSet) -> int:
+            charge_pairs(m.bit_count() * len(ys))
+            return _times(kernel, m, ys)
+
+        start, count = _mask(kernel, a), int.bit_count
     else:
-        square = product(a, a)
-        n2, n_inv = len(square), len(product(a, inv))
-        if whole in (n2, n_inv):
-            quad_size = whole
-        elif _chain_is_cheaper(n2, size, whole):
-            quad_size = len(product(product(square, inv), inv))
-        else:
-            quad_size = len(product(square, inverse_set(square)))
+        start, times, count = a, product, len
+    square = times(start, a)
+    n2, n_inv = count(square), count(times(start, inv))
+    if whole in (n2, n_inv):
+        quad_size = whole
+    elif _chain_is_cheaper(n2, size, whole):
+        quad_size = count(times(times(square, inv), inv))
+    elif kernel is None:
+        quad_size = len(product(square, inverse_set(square)))
+    else:
+        # on masks a translate costs the same whatever |A^2|, so the square is built as the chain, charged as the square
+        charge_pairs(n2 * n2)
+        quad_size = _times(kernel, _times(kernel, square, inv), inv).bit_count()
     return DoublingStats(
         size=size,
         product_size=n2,

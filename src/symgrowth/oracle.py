@@ -281,15 +281,12 @@ def _relation_holds(relation: str, lhs: Fraction, rhs: Fraction) -> bool:
     raise CertificateFormatError(f"unknown ledger relation {relation!r}")
 
 
-def _ledger_names(actions: list[str]) -> frozenset[str] | None:
-    """Every ledger name a trace of these step actions has, or None unless it is shrink steps, then one terminate step.
+def _ledger_names(last: int) -> frozenset[str]:
+    """Every ledger name of a trace of shrink steps 0 to last - 1, then the terminate step ``last``.
 
     Each step has three lines, each shrink step two more, the terminate
     step two more, and the run five.
     """
-    last = len(actions) - 1
-    if actions[last] != "terminate" or "terminate" in actions[:last]:
-        return None
     names = {
         "identity_in_neighbourhood",
         "neighbourhood_symmetric",
@@ -313,13 +310,12 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     the instance set supplied by the caller; both the instance set and
     the certificate's S are decoded by ``group.coerce``, as instance files
     are.  Every structural check runs first, before any multiplication:
-    each field's presence and type, each trace step's action, each ledger
-    entry's name and, when the claimed trace is shrink steps then one
-    terminate step, that each ledger name is one such a trace has.  A
+    each field's presence and type, each trace step's action, the trace's
+    shape (shrink steps, then one terminate step, the last) and each
+    ledger entry's name, which must be one such a trace has.  A
     structural defect raises CertificateFormatError before the replay.
 
-    The shrinking chain is then replayed step by step, up to the first
-    terminate step, which must be the trace's last: each step indexes
+    The shrinking chain is then replayed step by step: each step indexes
     its product A'A in a dict, builds each row xA for x in A' as an int
     mask over that index, and builds the table ``oracle_overlaps(A')``.
     It reads its level set, every candidate's A' ∩ tA' and the next A' off
@@ -330,9 +326,9 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     re-derived by membership tests of S^k against A² (``oracle_power``,
     whose work does not grow with the certificate's k), and every ledger
     line's numbers are recomputed once, during the replay, and compared as
-    exact strings.  Semantic mismatches come back as failed checks; a
-    ledger name the replay's own table lacks is still a
-    CertificateFormatError, since the replay may disagree with the trace.
+    exact strings.  Semantic mismatches come back as failed checks; the
+    replay stops early only at a claimed shrink step it finds no witness
+    for, and then ``trace_shape`` fails.
     """
     if not isinstance(cert, dict):
         raise CertificateFormatError("certificate must be a JSON object")
@@ -368,14 +364,15 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     if not steps:
         raise CertificateFormatError("trace has no steps")
     trace_eps = _need(trace, "epsilon", str, "trace")
-    actions = []
+    last = len(steps) - 1
     for i, step in enumerate(steps):
         if not isinstance(step, dict):
             raise CertificateFormatError(f"trace step {i} is not an object")
         action = step.get("action")
         if action not in ("shrink", "terminate"):
             raise CertificateFormatError(f"trace step {i} has unknown action {action!r}")
-        actions.append(action)
+        if (action == "terminate") != (i == last):
+            raise CertificateFormatError(f"trace step {i} is a {action} step, but the last step, and only it, must terminate")
     claimed_i0 = _need(trace, "i0", int, "trace")
     claimed_k0 = _need(trace, "doubling", str, "trace")
     claimed_cap = _need(trace, "termination_cap", int, "trace")
@@ -383,11 +380,11 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     claimed_threshold = _need(cert, "s_threshold", str)
     s = _decode_elements(group, _need(cert, "s", list), "certificate S")
     ledger = _need(cert, "ledger", list)
-    names = _ledger_names(actions)
+    names = _ledger_names(last)
     for entry in ledger:
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise CertificateFormatError("ledger entries must be objects with a name")
-        if names is not None and entry["name"] not in names:
+        if entry["name"] not in names:
             raise CertificateFormatError(f"unknown ledger entry {entry['name']!r}")
 
     rec = VerificationReport()
@@ -408,7 +405,7 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     table: dict[str, tuple[str, Fraction, Fraction]] = {}
     cur = a
     mul = group.multiply
-    for i, (step, action) in enumerate(zip(steps, actions)):
+    for i, step in enumerate(steps):
         tag = f"step{i}"
         rec.record(f"{tag}.index", i, step.get("index"))
         rec.record(f"{tag}.aprime_size", len(cur), step.get("aprime_size"))
@@ -451,7 +448,7 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
         table[f"trace{i}.product_growth_bound"] = ("le", Fraction(n_p), (1 - eps) ** i * k0 * n_a)
         exponent = (4**i - 1) // 3
         table[f"trace{i}.size_lower_bound"] = ("ge", Fraction(n_ap), Fraction(n_a) / (2 * k0) ** exponent)
-        if action == "terminate":
+        if i == last:
             rec.flag(f"{tag}.no_shrink_witness", witness is None)
             break
         rec.record(f"{tag}.t", list(witness) if witness is not None else None, step.get("t"))
@@ -461,13 +458,12 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
         cur = tuple(overlaps[witness])
         table[f"{tag}.shrink_size_lower"] = ("ge", Fraction(len(cur)), tau)
         table[f"{tag}.shrink_product_upper"] = ("le", Fraction(n_cover), limit)
-    # the replay ends at the first terminate step, which must be the last
-    rec.flag("trace_shape", action == "terminate" and i == len(steps) - 1)
-    if action != "terminate":
+    # whether the replay reached the terminate step
+    rec.flag("trace_shape", i == last)
+    if i != last:
         return rec
 
-    i0 = len(steps) - 1
-    rec.record("i0", i0, claimed_i0)
+    rec.record("i0", last, claimed_i0)
     rec.record("doubling", fraction_to_str(k0), claimed_k0)
     cap = termination_cap(k0, eps)
     rec.record("termination_cap", cap, claimed_cap)
@@ -492,22 +488,20 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     violations = oracle_outside(group, oracle_power(group, s, k), a2, a2)
     rec.record("power_containment_violations", 0, violations)
 
-    table[f"step{i0}.sym_size_lower"] = ("ge", Fraction(len(s)), Fraction(len(level)))
+    table[f"step{last}.sym_size_lower"] = ("ge", Fraction(len(s)), Fraction(len(level)))
     level_outside = sum(1 for t in level if t not in s_set)
-    table[f"step{i0}.level_set_in_sym"] = ("eq", Fraction(level_outside), Fraction(0))
+    table[f"step{last}.level_set_in_sym"] = ("eq", Fraction(level_outside), Fraction(0))
     table["identity_in_neighbourhood"] = ("eq", Fraction(int(has_identity)), Fraction(1))
     table["neighbourhood_symmetric"] = ("eq", Fraction(asymmetric), Fraction(0))
     table["power_containment"] = ("eq", Fraction(violations), Fraction(0))
     size_bound = Fraction(len(aprime) ** 3, 2 * len(prod) * n_a)
     table["neighbourhood_size_lower_bound"] = ("ge", Fraction(len(s)), size_bound)
-    table["termination_bound"] = ("le", Fraction(i0), Fraction(cap))
+    table["termination_bound"] = ("le", Fraction(last), Fraction(cap))
 
-    # the replay may disagree with the claimed trace, so its own table decides
+    # the table's keys are the names the decode allowed, so every lookup succeeds
     rec.record("ledger_names", sorted(table), sorted(entry["name"] for entry in ledger))
     for entry in ledger:
         name = entry["name"]
-        if name not in table:
-            raise CertificateFormatError(f"unknown ledger entry {name!r}")
         relation, lhs, rhs = table[name]
         ok = (
             entry.get("relation") == relation

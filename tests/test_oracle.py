@@ -3,7 +3,9 @@
 import ast
 import copy
 import decimal
+import functools
 import math
+import random
 import sys
 import time
 from decimal import Decimal
@@ -425,6 +427,14 @@ def _metered(monkeypatch, group_class, work):
     return result, seen
 
 
+def _verify_or_refusal(cert, elements, instance=None):
+    """The verifier's report on ``cert``, or the CertificateFormatError it raised."""
+    try:
+        return verify_certificate(cert, elements, instance=instance)
+    except CertificateFormatError as exc:
+        return exc
+
+
 def test_verifier_scan_replays_the_canonical_witness_from_the_row_table(monkeypatch):
     # a subgroup of D40 of order 16: every level-set candidate is tried and
     # none shrinks, the shrink-scan workload's pattern on a smaller group
@@ -791,8 +801,8 @@ def test_verifier_rejects_non_string_ledger_name():
 
 
 def test_verifier_reports_a_chain_that_diverges_after_a_terminate_step():
-    # the replay stops at the shrink it cannot reproduce, before the last step;
-    # this used to raise IndexError while building the ledger table
+    # a terminate step before the last is a format error at decode; this
+    # used to raise IndexError while building the ledger table
     cert = fresh_cert(k=1)
     steps = cert["trace"]["steps"]
     assert [step["action"] for step in steps] == ["terminate"]
@@ -802,35 +812,45 @@ def test_verifier_reports_a_chain_that_diverges_after_a_terminate_step():
         verify_certificate(cert, INTERVAL.elements)
 
 
-def test_verifier_stops_replaying_at_the_first_terminate_step():
+def test_verifier_refuses_repeated_terminate_steps_at_once():
     # each replayed step i computes (2K0)^((4^i - 1)/3) exactly, about 8 times
     # the work of the one before, so a replay that went on past the terminate
-    # step spent over a minute on these 13; it must stop at the first one
+    # step spent over a minute on these 13
     cert = fresh_cert()
     steps = cert["trace"]["steps"]
     assert [step["action"] for step in steps] == ["shrink", "terminate"]
     steps[1:] = [dict(steps[1], index=i) for i in range(1, 14)]
     start = time.perf_counter()
-    try:
-        refused = not verify_certificate(cert, INTERVAL.elements).overall
-    except CertificateFormatError:
-        refused = True
-    assert refused
+    with pytest.raises(CertificateFormatError, match="trace step 1 "):
+        verify_certificate(cert, INTERVAL.elements)
     assert time.perf_counter() - start < 1
 
 
-def test_verifier_fails_trace_shape_on_a_terminate_step_before_the_last():
+def test_verifier_refuses_a_terminate_step_before_the_last_at_decode(monkeypatch):
+    # only the last step terminates, so a trace with another terminate step is
+    # refused before the replay, even with its ledger renamed to match
     cert = fresh_cert()
     steps = cert["trace"]["steps"]
     steps.append(dict(steps[1], index=2))
     cert["trace"]["i0"] = 2
     for entry in cert["ledger"]:
         entry["name"] = entry["name"].replace("step1.sym", "step2.sym").replace("step1.level_set_in", "step2.level_set_in")
-    report = verify_certificate(cert, INTERVAL.elements)
-    checks = {c.name: c.passed for c in report.checks}
-    assert checks["trace_shape"] is False
-    assert checks["step1.no_shrink_witness"] is True
-    assert "step2.index" not in checks  # nothing after the first terminate step is replayed
+    refused, seen = _metered(monkeypatch, CyclicGroup, lambda: _verify_or_refusal(cert, INTERVAL.elements))
+    assert isinstance(refused, CertificateFormatError)
+    assert "trace step 1" in str(refused)
+    assert seen["charged"] == 0
+
+
+def test_trace_shape_fails_only_at_a_claimed_shrink_without_a_witness():
+    # at eps = 1 no product shrinks to size 0, so the claimed shrink step 0
+    # has no witness and the replay stops short of the terminate step
+    cert = fresh_cert()
+    assert [step["action"] for step in cert["trace"]["steps"]] == ["shrink", "terminate"]
+    cert["epsilon"] = cert["trace"]["epsilon"] = "1"
+    checks = {c.name: c for c in verify_certificate(cert, INTERVAL.elements).checks}
+    assert checks["step0.t"].expected is None
+    assert checks["trace_shape"].passed is False
+    assert "step1.index" not in checks
 
 
 def _float_size(steps):
@@ -929,11 +949,16 @@ def certificate_mutants(draw):
 @given(certificate_mutants())
 def test_every_corrupted_certificate_is_refused(mutant):
     spec, a, cert, kind = mutant
-    try:
-        report = verify_certificate(cert, a.elements, instance=spec)
-    except CertificateFormatError:
-        return
-    assert report.overall is False, kind
+    assert _refused(pytest.MonkeyPatch(), spec, a, cert), kind
+
+
+def _refused(monkeypatch, spec, a, cert) -> bool:
+    """Whether the verifier refuses ``cert``; a format error must come before its first charge."""
+    outcome, seen = _metered(monkeypatch, type(a.group), lambda: _verify_or_refusal(cert, a.elements, spec))
+    if isinstance(outcome, CertificateFormatError):
+        assert seen["charged"] == 0, f"{outcome} after {seen['charged']} pairs"
+        return True
+    return outcome.overall is False
 
 
 # -- certificate verification: structural defects are refused before the replay
@@ -973,6 +998,8 @@ DEFECTS = {
     "missing-ledger": _drop("ledger"),
     "step-not-object": _put("terminate", "trace", "steps", -1),
     "step-unknown-action": _put("sideways", "trace", "steps", -1, "action"),
+    "terminate-dropped": _drop("trace", "steps", -1),
+    "terminate-duplicated": lambda cert: cert["trace"]["steps"].append(copy.deepcopy(cert["trace"]["steps"][-1])),
 }
 
 
@@ -982,46 +1009,55 @@ def test_a_structural_defect_is_refused_before_any_multiplication(monkeypatch, b
     spec, a, cert = base
     cert = copy.deepcopy(cert)
     DEFECTS[defect](cert)
-
-    def work():
-        try:
-            verify_certificate(cert, a.elements, instance=spec)
-        except CertificateFormatError as exc:
-            return exc
-        return None
-
-    refused, seen = _metered(monkeypatch, type(a.group), work)
+    refused, seen = _metered(monkeypatch, type(a.group), lambda: _verify_or_refusal(cert, a.elements, spec))
     assert isinstance(refused, CertificateFormatError)
     assert seen["multiplies"] == 0
     assert seen["charged"] == 0
 
 
-def _seed0_certificates():
-    """The certificates of the benchmark's seed-0 instances."""
+def _benchmark_workloads():
     sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
     try:
-        from perfbench.workloads import build
+        from perfbench import workloads
     finally:
         sys.path.pop(0)
+    return workloads
+
+
+@functools.cache
+def _seed0_certificates():
+    """The benchmark's seed-0 instances, each with its set and certificate."""
+    out = []
     for workload in ("shrink-scan", "quad-build", "many-small"):
-        for inst in build(workload, 0):
+        for inst in _benchmark_workloads().build(workload, 0):
             a = generate(inst.spec)
-            yield a, stable_neighbourhood(a, inst.k, instance=inst.spec).to_json_dict()
+            out.append((inst, a, stable_neighbourhood(a, inst.k, instance=inst.spec).to_json_dict()))
+    return out
 
 
 def test_the_decode_expects_the_names_of_the_replay_table():
     # on a sound certificate the replay follows the claimed trace, so the names
     # the decode derives from the trace's actions are the replay's table's keys
     count = 0
-    for a, cert in _seed0_certificates():
+    for _, a, cert in _seed0_certificates():
         report = verify_certificate(cert, a.elements)
         assert report.overall
         table_names = next(c.expected for c in report.checks if c.name == "ledger_names")
         actions = [step["action"] for step in cert["trace"]["steps"]]
-        assert oracle._ledger_names(actions) == frozenset(table_names)
+        assert oracle._ledger_names(len(actions) - 1) == frozenset(table_names)
         assert len(table_names) == 3 * len(actions) + 2 * (len(actions) - 1) + 2 + 5
         count += 1
     assert count == 4 + 8 + 96
+
+
+def test_every_benchmark_mutant_is_refused(monkeypatch):
+    # every seed-0 certificate under every mutation kind of the reject path,
+    # each drawn as the benchmark draws it
+    workloads = _benchmark_workloads()
+    for inst, a, cert in _seed0_certificates():
+        for kind in workloads.MUTATIONS:
+            mutant = workloads.mutate(cert, kind, random.Random(f"{inst.name}:{kind}"))
+            assert _refused(monkeypatch, inst.spec, a, mutant), (inst.name, kind)
 
 
 def test_oracle_imports_nothing_from_the_fast_path():
