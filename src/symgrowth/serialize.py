@@ -3,7 +3,10 @@
 The output contract is byte-stability: the same object serializes to the
 same bytes in every run and on every platform.  Keys are sorted, indentation
 is fixed, rationals travel as exact lowest-terms "p/q" strings (bare "p"
-when integral), and group elements travel as their encoding arrays.
+when integral), and group elements travel as their encoding arrays.  The
+text is the one ``json.dumps(..., sort_keys=True, indent=2)`` writes, but
+``canonical_dumps`` builds it with a short recursive writer of its own,
+which refuses a float.
 """
 
 from __future__ import annotations
@@ -12,12 +15,12 @@ import json
 import json.encoder
 import os
 import re
-import tempfile
 from fractions import Fraction
 
 from .errors import ParameterError
 
 _FRACTION_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_quote = json.encoder.encode_basestring_ascii
 
 
 def fraction_to_str(value: Fraction | int) -> str:
@@ -51,7 +54,7 @@ def elements_to_json(elements) -> list[list[int]]:
 
 
 def _json_form(value) -> str:
-    """A Fraction's exact string; any other value json cannot write itself, a float included, raises."""
+    """A Fraction's exact string; any other value, a float included, raises."""
     if isinstance(value, Fraction):
         return fraction_to_str(value)
     raise ParameterError(f"value {value!r} has no canonical JSON form")
@@ -60,30 +63,75 @@ def _json_form(value) -> str:
 def canonical_dumps(obj) -> str:
     """Serialize to the canonical byte-stable JSON text (trailing newline).
 
-    This is the walk that ``json.dumps(obj, sort_keys=True, indent=2,
-    ensure_ascii=True)`` runs, with ``_json_form`` for Fractions and other
-    values json cannot write, and for floats in place of json's own float
-    formatter, so a float raises too.  Tuples become arrays.
+    The text is exactly ``json.dumps(obj, sort_keys=True, indent=2,
+    ensure_ascii=True) + "\\n"`` for a value of dicts, lists, tuples, strs,
+    ints, bools and None, with ``_json_form`` for every other value: a
+    Fraction becomes its exact string, and a float, or any other value,
+    raises ParameterError.  Values are told apart by exact type, so a
+    subclass of str, int, list, tuple or dict goes to ``_json_form`` too.
+    Dict keys must be strs; json would stringify an int, bool or None key,
+    but no payload has one, so any other key raises ParameterError.
     """
-    walk = json.encoder._make_iterencode(
-        markers={},
-        _default=_json_form,
-        _encoder=json.encoder.encode_basestring_ascii,
-        _indent="  ",
-        _floatstr=_json_form,
-        _key_separator=": ",
-        _item_separator=",",
-        _sort_keys=True,
-        _skipkeys=False,
-        _one_shot=True,
-    )
-    return "".join(walk(obj, 0)) + "\n"
+    out: list[str] = []
+    _write(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(value, newline: str, out: list[str]) -> None:
+    """Append the canonical text of one value, whose own lines start with ``newline``, to ``out``.
+
+    Every container appends its pieces to the one list, so the work is linear
+    in the text even for deep nesting; plain loops, not comprehensions, keep
+    each level of nesting to one frame.
+    """
+    kind = type(value)
+    if kind is str:
+        out.append(_quote(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif value is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            separator = "," + inner
+            _write(item, inner, out)
+        out.append(newline + "]")
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        for key in value:
+            if type(key) is not str:
+                raise ParameterError(f"dict key {key!r} is not a string")
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            out.append(separator + _quote(key) + ": ")
+            separator = "," + inner
+            _write(value[key], inner, out)
+        out.append(newline + "}")
+    else:
+        out.append(_quote(_json_form(value)))
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a sibling temp file and a single rename."""
+    """Write text to path via a sibling temp file and a single rename.
+
+    The temp file is created as ``open(path, "w")`` would create the file,
+    with mode 0o666 less the umask, and under a fresh random name.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

@@ -326,15 +326,47 @@ def nested_product_text(depth):
     return '{"group": ' + group + ', "set": {"type": "explicit", "elements": [[1]]}}'
 
 
+def run_nested(capsys, tmp_path, depth):
+    """``run --out`` on C2 inside ``depth`` nested products: (instance path, certificate path, result)."""
+    nested = tmp_path / f"nested-{depth}.json"
+    nested.write_text(nested_product_text(depth))
+    cert = tmp_path / f"cert-{depth}.json"
+    return nested, cert, run_cli(capsys, "run", "--k", "1", "--instance", str(nested), "--out", str(cert))
+
+
 def test_400_nested_products_run_and_verify(capsys, tmp_path):
-    # the certificate writer is json's own walk, which handles any depth the reader does
-    nested = tmp_path / "nested.json"
-    nested.write_text(nested_product_text(400))
-    cert = tmp_path / "cert.json"
-    assert run_cli(capsys, "run", "--k", "1", "--instance", str(nested), "--out", str(cert))[0] == 0
+    # the certificate writer takes one frame per level of nesting, as json's readers do
+    nested, cert, (code, _, _) = run_nested(capsys, tmp_path, 400)
+    assert code == 0
     code, out, err = run_cli(capsys, "verify", "--instance", str(nested), "--certificate", str(cert))
     assert (code, err) == (0, "")
     assert json.loads(out)["overall"] is True
+
+
+def test_deepest_nested_product_run_accepts_also_verifies(capsys, tmp_path):
+    # bisect for the deepest nesting run accepts: there the writer must not be
+    # what gives out first, so verify passes; one level deeper is a clean exit 2
+    def accepted(depth):
+        code = run_nested(capsys, tmp_path, depth)[2][0]
+        assert code in (0, 2)
+        return code == 0
+
+    low, high = 300, 1000
+    assert accepted(low) and not accepted(high)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if accepted(mid) else (low, mid)
+    nested, cert, (code, _, err) = run_nested(capsys, tmp_path, low)
+    assert (code, err) == (0, "")
+    code, out, err = run_cli(capsys, "verify", "--instance", str(nested), "--certificate", str(cert))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["overall"] is True
+    _, deeper, (code, out, err) = run_nested(capsys, tmp_path, low + 1)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] == "RecursionError"
+    assert not deeper.exists()
 
 
 @pytest.mark.parametrize("command", ["stats", "verify", "run"])

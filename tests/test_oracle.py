@@ -4,6 +4,7 @@ import ast
 import copy
 import decimal
 import functools
+import json
 import math
 import random
 import sys
@@ -32,6 +33,7 @@ from symgrowth.instances import generate
 from symgrowth.serialize import parse_fraction
 from symgrowth.growth import stable_neighbourhood
 from symgrowth.oracle import (
+    VerificationReport,
     oracle_inverse,
     oracle_level_set,
     oracle_outside,
@@ -873,6 +875,75 @@ def test_verifier_flags_floats_and_bools_in_integer_fields(mutate):
     assert [step["action"] for step in steps] == ["shrink", "terminate"]
     mutate(steps)
     assert verify_certificate(cert, INTERVAL.elements).overall is False
+
+
+# -- a check's verdict is the comparison of JSON texts -------------------------
+
+# what the verifier expects: ints, strs, None and lists of them
+EXPECTED_VALUES = st.recursive(
+    st.none() | st.integers(-(10**20), 10**20) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3),
+    max_leaves=8,
+)
+# what a certificate can hold in its place: any JSON value
+ACTUAL_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _lookalike(draw, value):
+    """``value`` with some ints made floats, strs or bools that Python may call equal to them."""
+    if isinstance(value, list):
+        return [_lookalike(draw, v) for v in value]
+    if type(value) is int and draw(st.booleans()):
+        return draw(st.sampled_from([float(value), str(value)] + ([bool(value)] if value in (0, 1) else [])))
+    return value
+
+
+@st.composite
+def check_values(draw):
+    expected = draw(EXPECTED_VALUES)
+    if draw(st.booleans()):
+        return expected, draw(ACTUAL_VALUES)
+    return expected, _lookalike(draw, expected)
+
+
+def _json_text_verdict(expected, actual) -> bool:
+    return json.dumps(expected, sort_keys=True) == json.dumps(actual, sort_keys=True)
+
+
+@given(check_values())
+def test_a_check_passes_exactly_when_the_json_texts_agree(pair):
+    expected, actual = pair
+    report = VerificationReport()
+    report.record("x", expected, actual)
+    assert report.checks[0].passed is _json_text_verdict(expected, actual)
+
+
+@pytest.mark.parametrize(
+    "expected, actual, passed",
+    [
+        (1, True, False),
+        (0, False, False),
+        (10, 10.0, False),
+        (10**20, 1e20, False),
+        ([1], [True], False),
+        ([[2, 3]], [[2, 3.0]], False),
+        ("1", 1, False),
+        (None, [], False),
+        (10, 10, True),
+        ([1], [1], True),
+        ([[2, 3], []], [[2, 3], []], True),
+        (None, None, True),
+    ],
+    ids=repr,
+)
+def test_python_equality_alone_does_not_pass_a_check(expected, actual, passed):
+    report = VerificationReport()
+    report.record("x", expected, actual)
+    assert report.checks[0].passed is passed is _json_text_verdict(expected, actual)
 
 
 # -- certificate verification: a totality fuzz --------------------------------

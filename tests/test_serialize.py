@@ -2,6 +2,8 @@
 
 import json
 import os
+import stat
+from collections import OrderedDict
 from fractions import Fraction
 
 import pytest
@@ -69,19 +71,27 @@ def test_canonical_dumps_rejects_values_without_a_json_form():
         _assert_no_json_form(bad)
 
 
+# ints past 64 bits, strings with escapes, controls and non-ASCII characters,
+# empty containers, and chains of one-child containers for depth
+_text = st.text(max_size=6) | st.text(alphabet='"\\/\b\f\n\r\t\x00\x1f\x7f\u00e9\u2028\uffff\U0001f600a', max_size=8)
 _scalars = (
     st.integers(min_value=-(10**30), max_value=10**30)
-    | st.text(max_size=6)
+    | st.integers(min_value=2**63 - 2, max_value=2**64 + 2)
+    | st.integers(min_value=-(2**64) - 2, max_value=-(2**63) + 2)
+    | _text
     | st.booleans()
     | st.none()
     | st.fractions(max_denominator=10**6)
+    | st.sampled_from([[], (), {}])
 )
 _values = st.recursive(
     _scalars,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
-    max_leaves=20,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(_text, inner, max_size=5)
+    | inner.map(lambda v: [v])
+    | inner.map(lambda v: {"k": v}),
+    max_leaves=80,
 )
 
 
@@ -89,6 +99,32 @@ _values = st.recursive(
 def test_canonical_dumps_matches_the_reference_walk(value):
     expected = json.dumps(encode_value(value), sort_keys=True, indent=2, ensure_ascii=True) + "\n"
     assert canonical_dumps(value) == expected
+
+
+def test_canonical_dumps_writes_empty_containers_and_escapes():
+    assert canonical_dumps({"a": [], "b": {}, "c": ()}) == '{\n  "a": [],\n  "b": {},\n  "c": []\n}\n'
+    assert canonical_dumps(['"\\\n\u00e9\U0001f600', 2**64]) == '[\n  "\\"\\\\\\n\\u00e9\\ud83d\\ude00",\n  18446744073709551616\n]\n'
+
+
+def test_canonical_dumps_refuses_keys_that_are_not_strings():
+    # json would write an int, bool or None key as a string; no payload has one, so it is refused
+    for bad in ({1: "a"}, {None: 1}, {True: 1}, {(1, 2): 1}, {"a": 1, 2: 3}):
+        for obj in (bad, [bad], {"x": bad}):
+            with pytest.raises(ParameterError):
+                canonical_dumps(obj)
+
+
+def test_canonical_dumps_refuses_subclasses_of_json_types():
+    # leaves and containers are told apart by exact type, so a subclass has no JSON form
+    class Tag(str):
+        pass
+
+    class Count(int):
+        pass
+
+    for bad in (Tag("a"), Count(3), OrderedDict(a=1)):
+        with pytest.raises(ParameterError):
+            canonical_dumps({"x": [bad]})
 
 
 def test_canonical_dumps_is_byte_stable():
@@ -108,6 +144,28 @@ def test_atomic_write_replaces_and_leaves_no_droppings(tmp_path):
     atomic_write_text(str(target), "second\n")
     assert target.read_text() == "second\n"
     assert os.listdir(tmp_path) == ["out.json"]
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_atomic_write_gives_the_mode_open_gives(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        atomic_write_text(str(tmp_path / "out.json"), "x\n")
+        with open(tmp_path / "plain.json", "w") as fh:
+            fh.write("x\n")
+    finally:
+        os.umask(previous)
+    modes = {name: stat.S_IMODE(os.stat(tmp_path / name).st_mode) for name in ("out.json", "plain.json")}
+    assert modes == {"out.json": 0o666 & ~umask, "plain.json": 0o666 & ~umask}
+    assert sorted(os.listdir(tmp_path)) == ["out.json", "plain.json"]
+
+
+def test_atomic_write_that_fails_leaves_no_temp_file(tmp_path):
+    # a directory cannot be replaced by a file
+    (tmp_path / "sub").mkdir()
+    with pytest.raises(OSError):
+        atomic_write_text(str(tmp_path / "sub"), "x\n")
+    assert os.listdir(tmp_path) == ["sub"]
 
 
 def test_load_json_round_trip(tmp_path):
