@@ -19,9 +19,9 @@ from dataclasses import fields
 
 from .budget import set_pair_budget
 from .errors import CertificateFormatError, InvariantViolation, PairBudgetError, SymGrowthError
-from .growth import almost_invariant, shrink_step, stable_neighbourhood, trace_row
+from .growth import _prefixed, almost_invariant, shrink_step, stable_neighbourhood, trace_row
 from .gset import DoublingStats, doubling_stats
-from .instances import family_sweep, generate
+from .instances import family_sweep, generate, sweep_from_spec
 from .oracle import verify_certificate
 from .serialize import (
     atomic_write_text,
@@ -96,7 +96,7 @@ def cmd_lemma(args) -> int:
         "product_size": len(out.product),
         "tau": out.tau,
         "level_set_size": len(out.level_set),
-        "entries": [{**e.as_dict(), "name": f"step0.{e.name}"} for e in out.entries],
+        "entries": [_prefixed("step0", e).as_dict() for e in out.entries],
     }
     if out.case == "shrink":
         payload["t"] = list(out.t)
@@ -125,9 +125,7 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = load_json(args.instance, "sweep spec")
-    base = spec.get("base")
-    grid = spec.get("grid")
+    base, grid = sweep_from_spec(load_json(args.instance, "sweep spec"))
     rows = family_sweep(base, grid)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -8,8 +8,11 @@ the radices.  Equal elements have equal encodings, and ordinary tuple
 comparison is a deterministic total order, the order of the mixed-radix
 index (last digit least significant), so sets of elements sort the same way
 in every run and in every implementation of the same encodings.  The
-``Group`` base class derives ``order``, ``validate`` and ``element_at`` from
-``radices``, once for every backend.
+``Group`` base class derives ``order``, ``validate``, ``element_at`` and
+``elements`` (every element in encoding order) from ``radices``, once for
+every backend, and ``identity`` as the all-zero tuple, element 0; only the
+table and direct-product backends, whose identity may have other digits,
+override it.
 
 Encodings and their radices:
 
@@ -84,9 +87,9 @@ class Group(ABC):
         return math.prod(self.radices)
 
     @property
-    @abstractmethod
     def identity(self) -> Element:
-        ...
+        """The all-zero digit tuple, element 0 of the encoding order."""
+        return (0,) * len(self.radices)
 
     @abstractmethod
     def multiply(self, x: Element, y: Element) -> Element:
@@ -116,7 +119,8 @@ class Group(ABC):
     # -- shared helpers -----------------------------------------------------
 
     def elements(self) -> Iterator[Element]:
-        return (self.element_at(i) for i in range(self.order))
+        """Every element in encoding order: ``element_at(0)``, ..., ``element_at(order - 1)``."""
+        return itertools.product(*map(range, self.radices))
 
     def validate(self, x: Element) -> None:
         """Raise InvalidElementError unless ``x`` is a tuple of ``len(radices)`` ints, digit ``i`` in ``range(radices[i])``.
@@ -196,10 +200,6 @@ class CyclicGroup(Group):
         self.n = n
         self.radices = (n,)
 
-    @property
-    def identity(self) -> Element:
-        return (0,)
-
     def multiply(self, x: Element, y: Element) -> Element:
         return ((x[0] + y[0]) % self.n,)
 
@@ -226,10 +226,6 @@ class DihedralGroup(Group):
             raise InvalidGroupError(f"dihedral degree must be >= 1, got {n}")
         self.n = n
         self.radices = (n, 2)
-
-    @property
-    def identity(self) -> Element:
-        return (0, 0)
 
     def multiply(self, x: Element, y: Element) -> Element:
         a, e = x
@@ -289,10 +285,6 @@ class SymmetricGroup(Group):
         self._decode = functools.cache(_lehmer_to_one_line)
         self._encode = functools.cache(_one_line_to_lehmer)
 
-    @property
-    def identity(self) -> Element:
-        return (0,) * self.n
-
     def multiply(self, x: Element, y: Element) -> Element:
         px = self._decode(x)
         return self._encode(tuple([px[v] for v in self._decode(y)]))
@@ -343,10 +335,6 @@ class HeisenbergGroup(Group):
             raise InvalidGroupError(f"heisenberg modulus must be >= 2, got {p}")
         self.p = p
         self.radices = (p, p, p)
-
-    @property
-    def identity(self) -> Element:
-        return (0, 0, 0)
 
     def multiply(self, x: Element, y: Element) -> Element:
         p = self.p

@@ -16,6 +16,7 @@ inputs produce byte-identical output.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -59,17 +60,13 @@ class LedgerEntry:
         }
 
 
+#: the comparison each ledger relation names
+_RELATIONS = {"ge": operator.ge, "le": operator.le, "eq": operator.eq}
+
+
 def _entry(name: str, relation: str, lhs, rhs) -> LedgerEntry:
     lhs, rhs = Fraction(lhs), Fraction(rhs)
-    if relation == "ge":
-        holds = lhs >= rhs
-    elif relation == "le":
-        holds = lhs <= rhs
-    elif relation == "eq":
-        holds = lhs == rhs
-    else:
-        raise ParameterError(f"unknown ledger relation {relation!r}")
-    return LedgerEntry(name, relation, lhs, rhs, holds)
+    return LedgerEntry(name, relation, lhs, rhs, _RELATIONS[relation](lhs, rhs))
 
 
 def _prefixed(prefix: str, entry: LedgerEntry) -> LedgerEntry:

@@ -35,7 +35,6 @@ both kernels, how to build A^2 A^-2.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, fields
@@ -202,7 +201,7 @@ def product(a: GSet, b: GSet) -> GSet:
     charge_pairs(len(a) * len(b))
     g = a.group
     if len(a) + len(b) > g.order:
-        return GSet._sorted(g, itertools.product(*map(range, g.radices)))
+        return GSet._sorted(g, g.elements())
     kernel = _kernel(g, min(len(a), len(b)), len(a) * len(b))
     if kernel is not None:
         m = _mask_product(kernel, a, b)

@@ -16,7 +16,7 @@ from typing import Iterable
 from .budget import charge_pairs
 from .errors import EmptySetError, ParameterError
 from .groups import Element, Group, group_from_spec
-from .gset import DoublingStats, GSet, doubling_stats
+from .gset import DoublingStats, GSet, doubling_stats, product
 from .prng import splitmix64
 
 #: the fields each set type's spec may hold besides ``type``
@@ -29,6 +29,9 @@ SET_FIELDS = {
     "random": ("size", "seed"),
     "perturbed_subgroup": ("generators", "swaps", "seed"),
 }
+
+#: the fields of a sweep spec
+SWEEP_FIELDS = ("base", "grid")
 
 
 def _nonempty_list(raw, what: str) -> list:
@@ -155,12 +158,7 @@ def generate(spec: dict) -> GSet:
     if kind == "coset_union":
         sub = closure(group, _nonempty_list(set_spec.get("generators"), "subgroup generators"))
         reps = _coerce_all(group, set_spec.get("reps"), "coset representatives")
-        members = set()
-        charge_pairs(len(reps) * len(sub))
-        for rep in reps:
-            for h in sub:
-                members.add(group.multiply(rep, h))
-        return GSet._trusted(group, frozenset(members))
+        return product(GSet._trusted(group, frozenset(reps)), sub)
     if kind == "interval":
         if group.kind != "cyclic":
             raise ParameterError(f"interval sets require a cyclic group, got {group.kind}")
@@ -185,6 +183,19 @@ def generate(spec: dict) -> GSet:
         _nat(set_spec, "swaps"),
         _nat(set_spec, "seed"),
     )
+
+
+def sweep_from_spec(spec: dict) -> tuple[dict, dict]:
+    """The base instance spec and the grid of a sweep spec {"base": {...}, "grid": {...}}.
+
+    A field other than those two is refused; ``family_sweep`` checks the two.
+    """
+    if not isinstance(spec, dict):
+        raise ParameterError("sweep spec must be a JSON object")
+    unknown = sorted(set(spec) - set(SWEEP_FIELDS))
+    if unknown:
+        raise ParameterError(f"sweep spec has unknown fields {unknown}")
+    return spec.get("base"), spec.get("grid")
 
 
 def _apply_dotted(spec: dict, path: str, value) -> None:

@@ -47,14 +47,13 @@ class Rotations:
         self.width = width
         self.bits = self.order * width
         self.full = (1 << self.bits) - 1
-        self._widened = {width: self}
 
     def widen(self, width: int) -> "Rotations":
-        """This kernel on masks of ``width``-bit lanes (``width`` a multiple of 8)."""
-        kernel = self._widened.get(width)
-        if kernel is None:
-            kernel = self._widened[width] = type(self)(self.order, width)
-        return kernel
+        """This kernel on masks of ``width``-bit lanes (``width`` a multiple of 8), built afresh.
+
+        A build costs about one translate of such a mask, and its caller sums |A| of them.
+        """
+        return type(self)(self.order, width)
 
     def _rotate(self, m: int, lanes: int) -> int:
         shift = lanes % self.order * self.width

@@ -127,21 +127,26 @@ def atomic_write_text(path: str, text: str) -> None:
     """Write text to path via a sibling temp file and a single rename.
 
     The temp file is created as ``open(path, "w")`` would create the file,
-    with mode 0o666 less the umask, and under a fresh random name.
+    with mode 0o666 less the umask, and under a fresh random name.  A path
+    that cannot be written, in a missing directory or naming a directory,
+    raises ParameterError, and the temp file is removed.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}.part")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        raise ParameterError(f"cannot write output file {path}: {exc}") from exc
 
 
 def load_json(path: str, what: str = "input", malformed: type[Exception] = ParameterError) -> dict:

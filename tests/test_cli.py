@@ -13,7 +13,7 @@ import pytest
 
 import symgrowth
 from symgrowth.cli import main
-from symgrowth.groups import SymmetricGroup
+from symgrowth.groups import SymmetricGroup, group_from_spec
 
 INTERVAL_SPEC = {
     "group": {"type": "cyclic", "n": 20},
@@ -262,6 +262,7 @@ UNKNOWN_FIELDS = {
     "top": ({**INTERVAL_SPEC, "note": 1}, "ParameterError"),
     "group": ({**INTERVAL_SPEC, "group": {**INTERVAL_SPEC["group"], "zz": 1}}, "InvalidGroupError"),
     "set": ({**INTERVAL_SPEC, "set": {**INTERVAL_SPEC["set"], "zz": 1}}, "ParameterError"),
+    "sweep": ({"base": INTERVAL_SPEC, "grid": {"set.length": [5]}, "note": 1}, "ParameterError"),
 }
 
 
@@ -277,8 +278,10 @@ def test_a_type_that_is_not_a_string_exits_2(capsys, tmp_path, spec, error):
     assert json.loads(err.strip())["error"] == error
 
 
-@pytest.mark.parametrize("command", ["stats", "run", "verify"])
-@pytest.mark.parametrize("where", list(UNKNOWN_FIELDS))
+@pytest.mark.parametrize("where, command", [
+    *((where, command) for where in ("top", "group", "set") for command in ("stats", "run", "verify")),
+    ("sweep", "sweep"),
+])
 def test_unknown_spec_fields_exit_2_with_one_json_line(capsys, tmp_path, interval_file, command, where):
     spec, error = UNKNOWN_FIELDS[where]
     path = tmp_path / "unknown.json"
@@ -318,6 +321,60 @@ def test_table_spec_rows_must_be_lists_of_ints(capsys, tmp_path, table):
     assert code == 2
     assert out == ""
     assert json.loads(err.strip())["error"] == "InvalidGroupError"
+
+
+SPEC_ERRORS = {
+    "symmetric-limit-not-an-integer": ("stats", {**INTERVAL_SPEC, "group": {"type": "symmetric", "n": 3, "limit": "11"}},
+                                       [], "ParameterError"),
+    "cyclic-n-0": ("stats", {**INTERVAL_SPEC, "group": {"type": "cyclic", "n": 0}}, [], "InvalidGroupError"),
+    "dihedral-n-0": ("stats", {**INTERVAL_SPEC, "group": {"type": "dihedral", "n": 0}}, [], "InvalidGroupError"),
+    "symmetric-n-0": ("stats", {**INTERVAL_SPEC, "group": {"type": "symmetric", "n": 0}}, [], "InvalidGroupError"),
+    "heisenberg-p-1": ("stats", {**INTERVAL_SPEC, "group": {"type": "heisenberg_mod", "p": 1}}, [], "InvalidGroupError"),
+    "n-not-an-integer": ("stats", {**INTERVAL_SPEC, "group": {"type": "cyclic", "n": "20"}}, [], "ParameterError"),
+    "no-factors": ("stats", {**INTERVAL_SPEC, "group": {"type": "direct_product", "factors": []}}, [], "InvalidGroupError"),
+    "table-without-rows": ("stats", {**INTERVAL_SPEC, "group": {"type": "table"}}, [], "InvalidGroupError"),
+    "interval-start-not-an-integer": ("stats", {**INTERVAL_SPEC, "set": {**INTERVAL_SPEC["set"], "start": "0"}},
+                                      [], "ParameterError"),
+    "sweep-base-not-an-object": ("sweep", {"base": [INTERVAL_SPEC], "grid": {"set.length": [5]}}, [], "ParameterError"),
+    "budget-pairs-0": ("stats", INTERVAL_SPEC, ["--budget-pairs", "0"], "ParameterError"),
+}
+
+
+@pytest.mark.parametrize("where", list(SPEC_ERRORS))
+def test_documented_spec_errors_exit_2_with_one_json_line(capsys, tmp_path, where):
+    command, spec, extra, error = SPEC_ERRORS[where]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, command, "--instance", str(path), *extra)
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert json.loads(line)["error"] == error
+
+
+def test_a_symmetric_group_past_the_default_guard_runs_under_its_own_limit(capsys, tmp_path):
+    group = {"type": "symmetric", "n": 11, "limit": 11}
+    inst = tmp_path / "s11.json"
+    inst.write_text(json.dumps({"group": group, "set": {"type": "random", "size": 6, "seed": 0}}))
+    cert_path = tmp_path / "cert.json"
+    assert run_cli(capsys, "run", "--instance", str(inst), "--k", "2", "--out", str(cert_path)) == (0, "", "")
+    cert_group = json.loads(cert_path.read_text())["instance"]["group"]
+    assert cert_group == group
+    assert group_from_spec(cert_group).describe() == group
+    code, out, err = run_cli(capsys, "verify", "--instance", str(inst), "--certificate", str(cert_path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["overall"] is True
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "a-directory"])
+def test_an_out_path_that_cannot_be_written_exits_2(capsys, tmp_path, interval_file, target):
+    (tmp_path / "a-directory").mkdir()
+    code, out, err = run_cli(capsys, "stats", "--instance", interval_file, "--out", str(tmp_path / target))
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "ParameterError"
+    assert target in error["message"]
+    assert list(tmp_path.rglob(".tmp-*.part")) == []
 
 
 def nested_product_text(depth):

@@ -109,6 +109,11 @@ def test_element_at_is_a_bijection_in_order(group):
         group.validate(x)
     # encoding order doubles as the canonical total order
     assert elems == sorted(elems)
+    assert list(group.elements()) == elems
+    if isinstance(group, (CyclicGroup, DihedralGroup, SymmetricGroup, HeisenbergGroup)):
+        # these backends inherit the base class's identity, the all-zero element 0
+        assert type(group).identity is Group.identity
+        assert group.identity == elems[0]
 
 
 @pytest.mark.parametrize("group", BACKENDS, ids=lambda g: repr(g.describe()))

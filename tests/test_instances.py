@@ -1,11 +1,13 @@
 """Instance generators: closures, balls, random draws, sweeps."""
 
 import hashlib
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
+from symgrowth import gset
 from symgrowth.errors import EmptySetError, ParameterError
 from symgrowth.groups import CyclicGroup, DihedralGroup, Group, HeisenbergGroup, SymmetricGroup
 from symgrowth.gset import GSet, inverse_set, product
@@ -17,8 +19,10 @@ from symgrowth.instances import (
     perturbed_subgroup,
     random_set,
 )
+from symgrowth.serialize import elements_to_json
 
 from conftest import encode_one_line
+from test_groups import BACKENDS
 
 C20 = CyclicGroup(20)
 
@@ -171,6 +175,31 @@ def test_coset_union_uses_left_cosets():
     # (0,1) * {(0,0),(2,0)} under s r^2 = r^-2 s
     assert set(got.elements) == {(0, 1), (2, 1)}
     assert got == GSet(d4, [d4.multiply((0, 1), h) for h in closure(d4, [(2, 0)])])
+    # two cosets of a subgroup of order 28 in D140, which the cost rule puts on the masks
+    d140 = DihedralGroup(140)
+    sub = closure(d140, [(5, 0)])
+    assert gset._kernel(d140, 2, 2 * len(sub)) is not None
+    got = generate(spec({"type": "dihedral", "n": 140},
+                        {"type": "coset_union", "generators": [[5, 0]], "reps": [[3, 0], [9, 1]]}))
+    assert got == GSet(d140, [d140.multiply(rep, h) for rep in ((3, 0), (9, 1)) for h in sub])
+
+
+@pytest.mark.parametrize("group", BACKENDS, ids=lambda g: repr(g.describe()))
+def test_coset_union_is_the_rep_times_h_loop(monkeypatch, group):
+    # the union R·H is gset.product's, charged at most |R|·|H| pairs, with R
+    # holding a repeated rep, and with |R| + |H| > |G|, where it is the whole group
+    rng = random.Random(group.order)
+    gen = group.element_at(rng.randrange(group.order))
+    sub = closure(group, [gen])
+    few = [group.element_at(rng.randrange(group.order)) for _ in range(2)]
+    charged = []
+    monkeypatch.setattr(gset, "charge_pairs", charged.append)
+    for reps in (few + few[:1], [*group.elements(), gen]):
+        charged.clear()
+        got = generate(spec(group.describe(), {"type": "coset_union", "generators": elements_to_json([gen]),
+                                               "reps": elements_to_json(reps)}))
+        assert got == GSet(group, [group.multiply(rep, h) for rep in reps for h in sub])
+        assert sum(charged) <= len(reps) * len(sub)
 
 
 def test_generate_interval():

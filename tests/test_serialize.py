@@ -161,11 +161,14 @@ def test_atomic_write_gives_the_mode_open_gives(tmp_path, umask):
 
 
 def test_atomic_write_that_fails_leaves_no_temp_file(tmp_path):
-    # a directory cannot be replaced by a file
+    # a directory cannot be replaced by a file, and a missing one cannot hold one;
+    # either is a ParameterError that names the path
     (tmp_path / "sub").mkdir()
-    with pytest.raises(OSError):
-        atomic_write_text(str(tmp_path / "sub"), "x\n")
+    for target in ("sub", "missing/x.json"):
+        with pytest.raises(ParameterError, match=target):
+            atomic_write_text(str(tmp_path / target), "x\n")
     assert os.listdir(tmp_path) == ["sub"]
+    assert os.listdir(tmp_path / "sub") == []
 
 
 def test_load_json_round_trip(tmp_path):
