@@ -8,11 +8,11 @@ the radices.  Equal elements have equal encodings, and ordinary tuple
 comparison is a deterministic total order, the order of the mixed-radix
 index (last digit least significant), so sets of elements sort the same way
 in every run and in every implementation of the same encodings.  The
-``Group`` base class derives ``order``, ``validate``, ``element_at`` and
-``elements`` (every element in encoding order) from ``radices``, once for
-every backend, and ``identity`` as the all-zero tuple, element 0; only the
-table and direct-product backends, whose identity may have other digits,
-override it.
+``Group`` base class derives ``order``, ``validate``, ``element_at``,
+``index_of`` and ``elements`` (every element in encoding order) from
+``radices``, once for every backend, and ``identity`` as the all-zero
+tuple, element 0; only the table and direct-product backends, whose
+identity may have other digits, override it.
 
 Encodings and their radices:
 
@@ -29,15 +29,19 @@ Encodings and their radices:
 * ``table``              -- ``(i,)`` with ``i`` the row index of the table;
                             ``(n,)``
 
-Cyclic and dihedral groups name a kernel class of ``symgrowth.masks`` in
-``mask_kernel``, and ``group.masks`` is that kernel: it holds a set as an
-int mask over the mixed-radix index and translates it by rotations.  The
-other backends have ``mask_kernel = None`` and no ``masks``.
-
-``product_set(xs, ys)`` is every backend's set product {x*y}.  The base
-version multiplies one translate of the longer operand at a time and stops
-once the set is the whole group; the symmetric backend composes one-line
-permutations instead and encodes only the distinct products.
+Each group has two kernels for sets of elements.  ``group.loop`` is the
+loop kernel, of class ``loop_kernel``, built for one call's operands: it
+holds elements in an internal form and multiplies them pair by pair, and
+its ``product`` stops once it holds the whole group.  On most backends the
+form is the encoding and a product is ``multiply``.  ``SymmetricGroup``
+(n >= 2) has ``OneLine``: one-line permutations, composed with
+``itemgetter`` without ``multiply``, and encoded again only where a caller
+keeps them.  Cyclic and dihedral groups also name a kernel class of
+``symgrowth.masks`` in ``mask_kernel``, and ``group.masks`` is that kernel:
+it holds a set as an int mask over the mixed-radix index and translates it
+by rotations.  The other backends have ``mask_kernel = None`` and no
+``masks``.  ``multiply`` and ``inverse`` stay the plain per-element
+operations, and they alone are what ``oracle`` uses.
 """
 
 from __future__ import annotations
@@ -59,6 +63,58 @@ Element = tuple[int, ...]
 SYMMETRIC_DEGREE_LIMIT = 10
 
 
+class Loop:
+    """The loop kernel of a group: elements in an internal form, multiplied pair by pair.
+
+    A call turns each of its operands into forms once, with ``forms``, and
+    each right operand's forms into factors, with ``factors``.  ``left(x,
+    ys)`` is the left translate x·Y and ``right(xs, y)`` the right translate
+    X·y, both as forms, ``inverse`` inverts a form, and ``encode`` turns
+    forms back into encodings, applied only to the forms a caller keeps.
+    Here a form and a factor are the encoding itself and a product is one
+    ``multiply``.
+    """
+
+    def __init__(self, group: "Group"):
+        self.group = group
+
+    def forms(self, xs: Sequence[Element]) -> Sequence:
+        return xs
+
+    def factors(self, forms: Sequence) -> Sequence:
+        return forms
+
+    def encode(self, forms: Iterable) -> Iterable[Element]:
+        return forms
+
+    def inverse(self, x):
+        return self.group.inverse(x)
+
+    def left(self, x, ys: Sequence) -> Iterable:
+        return map(self.group.multiply, itertools.repeat(x), ys)
+
+    def right(self, xs: Sequence, y) -> Iterable:
+        return map(self.group.multiply, xs, itertools.repeat(y))
+
+    def product(self, xs: Sequence, ys: Sequence) -> set:
+        """The forms {x*y : x in xs, y in ys} for forms xs and factors ys, one translate of the longer at a time.
+
+        That is xs*y for each y, or x*ys for each x when ys is the longer;
+        it stops once the set holds the whole group.
+        """
+        if len(xs) >= len(ys):
+            translates = (self.right(xs, y) for y in ys)
+        else:
+            translates = (self.left(x, ys) for x in xs)
+        out: set = set()
+        whole = self.group.order
+        for translate in translates:
+            out.update(translate)
+            if len(out) == whole:
+                break
+        return out
+
+
 class Group(ABC):
     """A finite group acting on canonically encoded elements.
 
@@ -75,11 +131,18 @@ class Group(ABC):
     radices: tuple[int, ...]
     #: the class of the backend's kernel of sets as int masks over the group index, if it has one
     mask_kernel: type[Rotations] | None = None
+    #: the class of the backend's loop kernel
+    loop_kernel: type[Loop] = Loop
 
     @functools.cached_property
     def masks(self) -> Rotations:
         """The ``mask_kernel`` of this group, built on first use (it holds an int of ``order`` bits)."""
         return self.mask_kernel(self.order)
+
+    @property
+    def loop(self) -> Loop:
+        """The ``loop_kernel`` of this group, built for one call."""
+        return self.loop_kernel(self)
 
     @property
     def order(self) -> int:
@@ -98,19 +161,6 @@ class Group(ABC):
     @abstractmethod
     def inverse(self, x: Element) -> Element:
         ...
-
-    def product_set(self, xs: Sequence[Element], ys: Sequence[Element]) -> set[Element]:
-        """The set {x*y : x in xs, y in ys}, one translate of the longer operand at a time.
-
-        That is xs*y for each y, or x*ys for each x when ys is the longer;
-        it stops once the set holds the whole group.
-        """
-        mul = self.multiply
-        if len(xs) >= len(ys):
-            translates = ([mul(x, y) for x in xs] for y in ys)
-        else:
-            translates = ([mul(x, y) for y in ys] for x in xs)
-        return _union_until(translates, self.order)
 
     @abstractmethod
     def describe(self) -> dict:
@@ -145,6 +195,13 @@ class Group(ABC):
         digits.reverse()
         return tuple(digits)
 
+    def index_of(self, x: Element) -> int:
+        """The place of ``x`` in encoding order, its mixed-radix index: the inverse of ``element_at``."""
+        index = 0
+        for d, r in zip(x, self.radices):
+            index = index * r + d
+        return index
+
     def coerce(self, raw: Sequence[int]) -> Element:
         """Decode an instance's or a certificate's int array (or a tuple) as an element encoding."""
         if not isinstance(raw, (list, tuple)):
@@ -169,16 +226,6 @@ class Group(ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.describe()})"
-
-
-def _union_until(translates: Iterable[Iterable], whole: int) -> set:
-    """The union of ``translates``, stopping once it has ``whole`` members."""
-    out: set = set()
-    for translate in translates:
-        out.update(translate)
-        if len(out) == whole:
-            break
-    return out
 
 
 def _require_index(value, name: str) -> int:
@@ -258,6 +305,43 @@ def _one_line_to_lehmer(perm: tuple[int, ...]) -> Element:
     return tuple(code)
 
 
+def _one_line_inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """The one-line form of the inverse of the one-line permutation ``perm``."""
+    inv = [0] * len(perm)
+    for i, v in enumerate(perm):
+        inv[v] = i
+    return tuple(inv)
+
+
+class OneLine(Loop):
+    """The loop kernel of S_n for n >= 2: permutations in one-line form, composed without ``multiply``.
+
+    A form is the one-line tuple (p(0), ..., p(n-1)), decoded once per
+    operand of a call.  A factor is ``itemgetter(*y)``: (x*y)(i) = x(y(i)),
+    so x*y is ``itemgetter(*y)(x)``.  ``encode`` runs only on the forms a
+    caller keeps.  On S1 ``itemgetter`` with one index returns a scalar, so
+    S1 keeps the base loop.
+    """
+
+    def forms(self, xs: Sequence[Element]) -> list[tuple[int, ...]]:
+        return list(map(self.group._decode, xs))
+
+    def factors(self, forms: Sequence[tuple[int, ...]]) -> list[itemgetter]:
+        return [itemgetter(*y) for y in forms]
+
+    def encode(self, forms: Iterable[tuple[int, ...]]) -> Iterable[Element]:
+        return map(self.group._encode, forms)
+
+    def inverse(self, x: tuple[int, ...]) -> tuple[int, ...]:
+        return _one_line_inverse(x)
+
+    def left(self, x: tuple[int, ...], ys: Sequence[itemgetter]) -> Iterable[tuple[int, ...]]:
+        return (get(x) for get in ys)
+
+    def right(self, xs: Sequence[tuple[int, ...]], y: itemgetter) -> Iterable[tuple[int, ...]]:
+        return map(y, xs)
+
+
 class SymmetricGroup(Group):
     """Permutations of {0..n-1}; encoding is the length-n Lehmer code.
 
@@ -284,34 +368,14 @@ class SymmetricGroup(Group):
         # per-group memos of the two pure converters; both trust their argument
         self._decode = functools.cache(_lehmer_to_one_line)
         self._encode = functools.cache(_one_line_to_lehmer)
+        self.loop_kernel = OneLine if n > 1 else Loop
 
     def multiply(self, x: Element, y: Element) -> Element:
         px = self._decode(x)
         return self._encode(tuple([px[v] for v in self._decode(y)]))
 
     def inverse(self, x: Element) -> Element:
-        inv = [0] * self.n
-        for i, v in enumerate(self._decode(x)):
-            inv[v] = i
-        return self._encode(tuple(inv))
-
-    def product_set(self, xs: Sequence[Element], ys: Sequence[Element]) -> set[Element]:
-        """The set {x*y}, composed on one-line forms: (x*y)(i) = x(y(i)) is ``itemgetter(*y)(x)``.
-
-        Each operand is decoded once and each distinct product encoded once.
-        On S1 ``itemgetter`` with one index returns a scalar, so S1 takes
-        the base loop.
-        """
-        if self.n == 1:
-            return super().product_set(xs, ys)
-        decode = self._decode
-        lines = [decode(x) for x in xs]
-        getters = [itemgetter(*decode(y)) for y in ys]
-        if len(xs) >= len(ys):
-            translates = (map(get, lines) for get in getters)
-        else:
-            translates = ([get(line) for get in getters] for line in lines)
-        return set(map(self._encode, _union_until(translates, self.order)))
+        return self._encode(_one_line_inverse(self._decode(x)))
 
     def describe(self) -> dict:
         spec: dict = {"type": "symmetric", "n": self.n}

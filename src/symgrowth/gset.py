@@ -11,26 +11,28 @@ call raises ``PairBudgetError`` before doing the work.  ``product`` stops
 once its output is the whole group, but it is still charged the full
 |A|*|B| up front.
 
-Each operation has two ways to run.  The loop multiplies pairs with
-``group.multiply``, except that ``product`` asks the backend's
-``product_set``, which stops after the first translate that fills the
-group and which the symmetric backend composes without ``multiply``;
-``conv_table`` is the loop's one convolution kernel: for each x
-in AB it lists the u in A with x in uB, so with B = A^-1 its entry at t is
-A ∩ tA.  Cyclic and dihedral groups also have ``group.masks``, which holds
-a set as an int mask over the group index and translates it with a few
-big-int operations (see ``masks``).  ``product``, ``row_product``,
-``level_set``, ``doubling_stats`` and ``outside`` ask the group once per
-call and take the masks when the cost rule (``_kernel``: ``_mask_cost``,
-from the group's order and its ``mask_kernel``, against the pairs the loop
-would multiply) says they pay, and the kernel is built only then; either
-way each call is charged the same |A|*|B| pairs, as a bound.
-``row_product`` gives the row uB of each u in A as an int mask, so the
-shrink scan sizes the product of any subset of A with B by OR-ing rows,
-``level_set`` gives each A ∩ tA of its level set on demand, and
-``outside`` counts the members x of a set outside TW⁻¹ by testing whether
-xW meets T, so TW⁻¹ is never built.  ``doubling_stats`` decides once, for
-both kernels, how to build A^2 A^-2.
+Each operation has two kernels, both supplied by the group (see
+``groups``).  The loop, ``group.loop``, turns each operand into its
+internal forms once per call, multiplies forms pair by pair, and encodes
+back only the forms a caller keeps: on most backends the form is the
+encoding and a product is ``multiply``, and on S_n it is a one-line
+permutation composed with ``itemgetter``.  Cyclic and dihedral groups also
+have ``group.masks``, which holds a set as an int mask over the group
+index and translates it with a few big-int operations (see ``masks``).
+``product``, ``row_product``, ``level_set``, ``doubling_stats`` and
+``outside`` ask the group once per call and take the masks when the cost
+rule (``_kernel``: ``_mask_cost``, from the group's order and its
+``mask_kernel``, against the pairs the loop would multiply) says they pay,
+and the masks are built only then; either way each call is charged the
+same |A|*|B| pairs, as a bound.  ``conv_table`` is the loop's one
+convolution: for each x in AB it lists the u in A with x in uB, so with
+B = A^-1 its entry at t is A ∩ tA.  ``row_product`` gives the row uB of
+each u in A as an int mask, so the shrink scan sizes the product of any
+subset of A with B by OR-ing rows, ``level_set`` gives each A ∩ tA of its
+level set on demand, and ``outside`` counts the members x of a set outside
+TW⁻¹ by testing whether xW meets T, so TW⁻¹ is never built.
+``doubling_stats`` decides once, for both kernels, how to build A^2 A^-2,
+and counts its sets without encoding them.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .budget import charge_pairs
 from .errors import EmptySetError, GroupMismatchError
-from .groups import Element, Group
+from .groups import Element, Group, Loop
 from .masks import Rotations
 
 #: The cost rule, in loop steps: one step is one ``multiply`` with its set or
@@ -195,7 +197,7 @@ def product(a: GSet, b: GSet) -> GSet:
     If |A| + |B| > |G|, then AB = G without a multiplication: for each g,
     A and gB⁻¹ are too large to be disjoint, so g = xy with x in A, y in B.
     Otherwise, on the masks it is an OR of translates, and on the loop the
-    group's ``product_set``, which stops early once AB = G.
+    kernel's ``product``, which stops early once AB = G.
     """
     a.same_group(b)
     charge_pairs(len(a) * len(b))
@@ -206,7 +208,9 @@ def product(a: GSet, b: GSet) -> GSet:
     if kernel is not None:
         m = _mask_product(kernel, a, b)
         return GSet._sorted(g, kernel.decode(m), m)
-    return GSet._trusted(g, frozenset(g.product_set(a._elems, b._elems)))
+    loop = g.loop
+    xs = loop.product(loop.forms(a._elems), _factors(loop, b))
+    return GSet._trusted(g, frozenset(loop.encode(xs)))
 
 
 def inverse_set(a: GSet) -> GSet:
@@ -215,22 +219,32 @@ def inverse_set(a: GSet) -> GSet:
     return GSet._trusted(g, frozenset(g.inverse(x) for x in a))
 
 
-def conv_table(a: GSet, b: GSet) -> dict[Element, list[Element]]:
-    """The convolution of 1_A with 1_B, with the terms of each count.
+def _factors(loop: Loop, b: GSet) -> Sequence:
+    """The loop's factors of B, for B as a right operand."""
+    return loop.factors(loop.forms(b._elems))
 
-    Maps every x in AB to the list of u in A, in canonical order, with
-    x in uB; the list's length is 1_A * 1_B(x).  With b = inverse_set(a)
-    the entry at t is A ∩ tA.  Costs |A|*|B| multiplications.
+
+def conv_table(a: GSet, b: GSet | None = None, least: int = 1) -> dict[Element, list[Element]]:
+    """The convolution of 1_A with 1_B, with the terms of each count of at least ``least``.
+
+    Maps every x in AB with 1_A * 1_B(x) >= least to the list of u in A,
+    in canonical order, with x in uB; the list's length is 1_A * 1_B(x).
+    B is A^-1 when ``b`` is None, and then the entry at t is A ∩ tA.
+    Costs |A|*|B| multiplications.  The loop decodes each operand once,
+    inverting A's forms for A^-1, and encodes only the x kept.
     """
-    a.same_group(b)
-    charge_pairs(len(a) * len(b))
-    mul = a.group.multiply
-    table: defaultdict[Element, list[Element]] = defaultdict(list)
-    for u in a:
-        for v in b:
-            table[mul(u, v)].append(u)
-    table.default_factory = None  # a missing x is a KeyError, not a new empty entry
-    return table
+    if b is not None:
+        a.same_group(b)
+    charge_pairs(len(a) * len(a if b is None else b))
+    loop = a.group.loop
+    xs = loop.forms(a._elems)
+    ys = loop.factors(list(map(loop.inverse, xs))) if b is None else _factors(loop, b)
+    table: defaultdict = defaultdict(list)
+    for u, x in zip(a._elems, xs):
+        for p in loop.left(x, ys):
+            table[p].append(u)
+    kept = {p: terms for p, terms in table.items() if len(terms) >= least}
+    return dict(zip(loop.encode(kept), kept.values()))
 
 
 def _lane_width(size: int) -> int:
@@ -269,8 +283,9 @@ def level_set(a: GSet, need) -> tuple[GSet, Callable[[Element], Sequence[Element
     """The level set {t : |A ∩ tA| >= need} and a lookup of A ∩ tA, in canonical order, for its t.
 
     Costs |A|^2 pairs of the budget.  The loop reads both off
-    ``conv_table(a, inverse_set(a))``; on the masks, A ∩ tA is decoded
-    from m & tm only for the t that are looked up.
+    ``conv_table(a, least=least)``, which encodes only the level set; on
+    the masks, A ∩ tA is decoded from m & tm only for the t that are
+    looked up.
     """
     # an int bound, so no Fraction comparison per entry; every t of AA^-1 has a count of 1 or more
     least = max(math.ceil(need), 1)
@@ -286,8 +301,8 @@ def level_set(a: GSet, need) -> tuple[GSet, Callable[[Element], Sequence[Element
 
         level, level_mask = _mask_level(kernel, a, least, inside) if least <= n else ([], None)
         return GSet._sorted(g, level, level_mask), lambda t: decode(inside(t))
-    table = conv_table(a, inverse_set(a))
-    return GSet._trusted(g, frozenset(x for x, terms in table.items() if len(terms) >= least)), table.__getitem__
+    table = conv_table(a, least=least)
+    return GSet._trusted(g, frozenset(table)), table.__getitem__
 
 
 def row_product(a: GSet, b: GSet) -> tuple[GSet, Callable[[Element], int]]:
@@ -310,16 +325,17 @@ def row_product(a: GSet, b: GSet) -> tuple[GSet, Callable[[Element], int]]:
         for row in rows.values():
             m |= row
         return GSet._sorted(g, kernel.decode(m), m), rows.__getitem__
-    mul = g.multiply
-    index: dict[Element, int] = {}
+    loop = g.loop
+    ys = _factors(loop, b)
+    index: dict = {}
     setdefault = index.setdefault
     rows = {}
-    for u in a:
+    for u, x in zip(a._elems, loop.forms(a._elems)):
         row = 0
-        for v in b:
-            row |= 1 << setdefault(mul(u, v), len(index))
+        for p in loop.left(x, ys):
+            row |= 1 << setdefault(p, len(index))
         rows[u] = row
-    return GSet._trusted(g, frozenset(index)), rows.__getitem__
+    return GSet._trusted(g, frozenset(loop.encode(index))), rows.__getitem__
 
 
 def outside(xs: GSet, t: GSet, w: GSet) -> int:
@@ -328,7 +344,7 @@ def outside(xs: GSet, t: GSet, w: GSet) -> int:
     Each member tested is charged |W| pairs, so TW⁻¹ itself is never
     built.  On the masks xW is the left translate of W's mask by x, ANDed
     with T's mask; on the loop, a member's test stops at its first w with
-    xw in T.
+    xw in T, and nothing is encoded.
     """
     xs.same_group(t)
     t.same_group(w)
@@ -336,18 +352,21 @@ def outside(xs: GSet, t: GSet, w: GSet) -> int:
     kernel = _kernel(g, len(xs), len(xs) * len(w))
     if kernel is not None:
         left, target = kernel.lefts(_mask(kernel, w)), _mask(kernel, t)
+        tested = xs._elems
 
         def meets(x: Element) -> int:
             return left(x) & target
 
     else:
-        mul, members = g.multiply, t._members
+        loop = g.loop
+        ws, members = _factors(loop, w), frozenset(loop.forms(t._elems))
+        tested = loop.forms(xs._elems)
 
-        def meets(x: Element) -> bool:
-            return any(mul(x, v) in members for v in w)
+        def meets(x) -> bool:
+            return not members.isdisjoint(loop.left(x, ws))
 
     count = 0
-    for x in xs:
+    for x in tested:
         charge_pairs(len(w))
         if not meets(x):
             count += 1
@@ -379,16 +398,17 @@ def doubling_stats(a: GSet) -> DoublingStats:
     A^2 A^-2 is the whole group when A^2 or A A^-1 is.  Otherwise it is
     built as ((A^2)A^-1)A^-1 when that costs fewer multiplications than
     squaring A^2, bounding |A^2 A^-1| by min(|G|, |A^2||A|), and as
-    A^2 (A^2)^-1 when it does not.  Each kernel supplies a start, a
-    ``times`` charged |X||Y| pairs and a ``count``: on the loop A,
-    ``product`` and ``len``; on the masks A's mask, an OR of right
-    translates and the bit count, so no set here is decoded.
+    A^2 (A^2)^-1 when it does not.  Each kernel supplies a start, A and
+    A^-1 as right operands, a ``times`` charged |X||Y| pairs and a
+    ``count``: on the loop A's forms, its factors and those of the inverted
+    forms, the loop's ``product`` and ``len``; on the masks A's mask, A and
+    ``inverse_set(a)``, an OR of right translates and the bit count.  So
+    only A is put in the kernel's form, and no set is turned back.
     """
     a.require_nonempty("doubling input")
     size = len(a)
     g = a.group
     whole = g.order
-    inv = inverse_set(a)
     kernel = _kernel(g, size, size * size)
     if kernel is not None:
 
@@ -396,17 +416,24 @@ def doubling_stats(a: GSet) -> DoublingStats:
             charge_pairs(m.bit_count() * len(ys))
             return _times(kernel, m, ys)
 
-        start, count = _mask(kernel, a), int.bit_count
+        start, right, inv, count = _mask(kernel, a), a, inverse_set(a), int.bit_count
     else:
-        start, times, count = a, product, len
-    square = times(start, a)
+        loop = g.loop
+
+        def times(xs, ys: Sequence) -> set:
+            charge_pairs(len(xs) * len(ys))
+            return loop.product(xs, ys)
+
+        start, count = loop.forms(a._elems), len
+        right, inv = loop.factors(start), loop.factors(list(map(loop.inverse, start)))
+    square = times(start, right)
     n2, n_inv = count(square), count(times(start, inv))
     if whole in (n2, n_inv):
         quad_size = whole
     elif _chain_is_cheaper(n2, size, whole):
         quad_size = count(times(times(square, inv), inv))
     elif kernel is None:
-        quad_size = len(product(square, inverse_set(square)))
+        quad_size = len(times(square, loop.factors(list(map(loop.inverse, square)))))
     else:
         # on masks a translate costs the same whatever |A^2|, so the square is built as the chain, charged as the square
         charge_pairs(n2 * n2)

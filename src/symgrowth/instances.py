@@ -9,6 +9,7 @@ the same instance yields the same set in any run or implementation.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import itertools
 from typing import Iterable
@@ -107,25 +108,26 @@ def perturbed_subgroup(group: Group, generators: Iterable[Element], swaps: int, 
     Each swap removes one current member and admits one element from the
     complement (never the one just removed), both picked by the counter
     PRNG, so the size stays |H| while the structure degrades gradually.
+    The admitted element is the k-th non-member in encoding order, found by
+    walking the members' sorted indices, so the complement is never listed.
     """
     base = closure(group, generators)
     charge_pairs(group.order * max(swaps, 1))
-    cur = list(base.elements)
-    members = set(cur)
-    for j in range(swaps):
-        rm_index = splitmix64(seed, 2 * j) % len(cur)
-        removed = cur.pop(rm_index)
-        # ``members`` still holds ``removed``, so it is never re-admitted
-        complement = [x for x in group.elements() if x not in members]
-        if not complement:
-            cur.append(removed)
-            continue
-        added = complement[splitmix64(seed, 2 * j + 1) % len(complement)]
-        members.remove(removed)
-        members.add(added)
-        cur.append(added)
-        cur.sort()
-    return GSet._trusted(group, frozenset(cur))
+    # the members' indices, ascending, so the j-th member in encoding order is indices[j]
+    indices = [group.index_of(x) for x in base.elements]
+    # |H| stays fixed, so when H = G no swap can change anything
+    free = group.order - len(indices)
+    for j in range(swaps if free else 0):
+        removed = splitmix64(seed, 2 * j) % len(indices)
+        # the added-th non-member: ``indices`` still holds the removed member, so it is never re-admitted
+        added = splitmix64(seed, 2 * j + 1) % free
+        for i in indices:
+            if i > added:
+                break
+            added += 1
+        del indices[removed]
+        bisect.insort(indices, added)
+    return GSet._trusted(group, frozenset(map(group.element_at, indices)))
 
 
 def generate(spec: dict) -> GSet:

@@ -17,6 +17,8 @@ from symgrowth.groups import (
     DirectProductGroup,
     Group,
     HeisenbergGroup,
+    Loop,
+    OneLine,
     SymmetricGroup,
     TableGroup,
     _one_line_to_lehmer,
@@ -110,6 +112,7 @@ def test_element_at_is_a_bijection_in_order(group):
     # encoding order doubles as the canonical total order
     assert elems == sorted(elems)
     assert list(group.elements()) == elems
+    assert [group.index_of(x) for x in elems] == list(range(group.order))
     if isinstance(group, (CyclicGroup, DihedralGroup, SymmetricGroup, HeisenbergGroup)):
         # these backends inherit the base class's identity, the all-zero element 0
         assert type(group).identity is Group.identity
@@ -230,20 +233,45 @@ def test_one_line_to_lehmer_is_the_count_of_later_smaller_values(n):
         assert _one_line_to_lehmer(perm) == encode_one_line(g, perm)
 
 
-# every backend, with S2 and S5 besides S1 and S4, so the symmetric kernel
-# and its S1 fallback both run
-PRODUCT_BACKENDS = BACKENDS + [SymmetricGroup(2), SymmetricGroup(5)]
+# every backend, with S2 and S5 besides S1 and S4, so the one-line kernel
+# and S1's base loop both run, and S3 inside a direct product
+PRODUCT_BACKENDS = BACKENDS + [
+    SymmetricGroup(2),
+    SymmetricGroup(5),
+    DirectProductGroup([SymmetricGroup(3), CyclicGroup(2)]),
+]
+
+
+def test_each_backend_has_its_loop_kernel():
+    assert [type(g.loop) for g in (SymmetricGroup(1), SymmetricGroup(2), SymmetricGroup(5))] == [Loop, OneLine, OneLine]
+    assert all(type(g.loop) is Loop for g in BACKENDS if not isinstance(g, SymmetricGroup))
 
 
 @pytest.mark.parametrize("group", PRODUCT_BACKENDS, ids=lambda g: repr(g.describe()))
 @given(data=st.data())
-def test_product_set_is_the_double_loop_over_multiply(group, data):
+def test_loop_product_is_the_double_loop_over_multiply(group, data):
     indices = st.lists(st.integers(0, group.order - 1), max_size=group.order)
     # the whole group as either operand makes the product saturate at once
     operand = st.one_of(indices, indices, st.just(list(range(group.order))))
     xs = [group.element_at(i) for i in data.draw(operand, label="xs")]
     ys = [group.element_at(i) for i in data.draw(operand, label="ys")]
-    assert group.product_set(xs, ys) == {group.multiply(x, y) for x in xs for y in ys}
+    loop = group.loop
+    got = loop.product(loop.forms(xs), loop.factors(loop.forms(ys)))
+    assert set(loop.encode(got)) == {group.multiply(x, y) for x in xs for y in ys}
+
+
+@pytest.mark.parametrize("group", PRODUCT_BACKENDS, ids=lambda g: repr(g.describe()))
+def test_loop_kernel_translates_and_inverts_as_multiply_does(group):
+    rng = random.Random(group.order)
+    xs = [group.element_at(rng.randrange(group.order)) for _ in range(6)]
+    loop = group.loop
+    forms = loop.forms(xs)
+    factors = loop.factors(forms)
+    assert list(loop.encode(map(loop.inverse, forms))) == [group.inverse(x) for x in xs]
+    for x, form in zip(xs, forms):
+        assert list(loop.encode(loop.left(form, factors))) == [group.multiply(x, y) for y in xs]
+    for y, factor in zip(xs, factors):
+        assert list(loop.encode(loop.right(forms, factor))) == [group.multiply(x, y) for x in xs]
 
 
 def test_symmetric_degree_guard():

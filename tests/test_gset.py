@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symgrowth import gset
+from symgrowth import groups, gset
 from symgrowth.budget import set_pair_budget
 from symgrowth.errors import (
     EmptySetError,
@@ -14,16 +14,26 @@ from symgrowth.errors import (
     InvalidElementError,
     PairBudgetError,
 )
-from symgrowth.groups import CyclicGroup, DihedralGroup, Group, HeisenbergGroup, SymmetricGroup
+from symgrowth.groups import (
+    CyclicGroup,
+    DihedralGroup,
+    DirectProductGroup,
+    HeisenbergGroup,
+    Loop,
+    SymmetricGroup,
+    TableGroup,
+)
 from symgrowth.gset import (
     GSet,
     conv_table,
     doubling_stats,
     inverse_set,
+    level_set,
+    outside,
     product,
     row_product,
 )
-from symgrowth.instances import generate
+from symgrowth.instances import generate, random_set
 from symgrowth.oracle import oracle_inverse, oracle_overlaps, oracle_product
 
 from conftest import (
@@ -381,12 +391,12 @@ MOST_MULTIPLIES = {
 
 
 def _base_loop(monkeypatch, group):
-    """Make ``group`` build every set product with the base translate loop, which multiplies.
+    """Make ``group``'s loop kernel the base ``Loop``, which multiplies every pair with ``multiply``.
 
-    The symmetric backend composes one-line forms without ``multiply``, so
-    its counts are taken on the loop it overrides.
+    The symmetric backend's ``OneLine`` composes one-line forms without
+    ``multiply``, so its counts are taken on the loop it replaces.
     """
-    monkeypatch.setattr(type(group), "product_set", Group.product_set)
+    monkeypatch.setattr(group, "loop_kernel", Loop)
 
 
 @pytest.mark.parametrize("name", list(QUAD_WAYS))
@@ -409,16 +419,22 @@ def test_doubling_stats_builds_the_quad_the_cheapest_way(monkeypatch, name):
         assert seen["multiplies"] < n2 * n2
 
 
+def _loop_product(loop, xs, ys):
+    """The encodings of the loop kernel's product of the elements xs and ys."""
+    return set(loop.encode(loop.product(loop.forms(xs), loop.factors(loop.forms(ys)))))
+
+
 @pytest.mark.parametrize("name", [name for name in QUAD_WAYS if name.startswith("s")])
 def test_symmetric_kernel_builds_the_sets_of_the_base_loop(name):
     # every product doubling_stats may build: A^2, AA^-1, the chain and A^2 (A^2)^-1
     a = generate(QUAD_WAYS[name][0])
     g, inv = a.group, inverse_set(a).elements
-    square = Group.product_set(g, a.elements, a.elements)
-    half = Group.product_set(g, square, inv)
+    base = Loop(g)
+    square = _loop_product(base, a.elements, a.elements)
+    half = _loop_product(base, square, inv)
     for xs, ys in [(a.elements, a.elements), (a.elements, inv), (square, inv), (half, inv),
                    (inv, half), (square, [g.inverse(x) for x in square])]:
-        assert g.product_set(xs, ys) == Group.product_set(g, xs, ys)
+        assert _loop_product(g.loop, xs, ys) == _loop_product(base, xs, ys)
 
 
 def test_product_stops_at_the_whole_group_but_charges_every_pair(monkeypatch):
@@ -461,8 +477,125 @@ def test_product_translates_the_longer_operand(monkeypatch, longer_first):
     xs = [x for x in h3.elements() if x != (1, 2, 0)]
     ys = [h3.identity, (1, 1, 1), (2, 0, 1)]
     seen = _counting_multiply(monkeypatch, h3)
-    assert h3.product_set(*((xs, ys) if longer_first else (ys, xs))) == set(h3.elements())
+    assert _loop_product(h3.loop, *((xs, ys) if longer_first else (ys, xs))) == set(h3.elements())
     assert seen["multiplies"] == 2 * len(xs)
+
+
+# -- the loop kernels against the multiply double loop ------------------------
+
+
+def _table_of(group):
+    elems = list(group.elements())
+    return TableGroup([[elems.index(group.multiply(x, y)) for y in elems] for x in elems])
+
+
+# all six backends, with S1, where ``itemgetter`` with one index would return
+# a scalar, S2, and a direct product with a symmetric factor
+LOOP_BACKENDS = [
+    CyclicGroup(1),
+    CyclicGroup(12),
+    DihedralGroup(5),
+    SymmetricGroup(1),
+    SymmetricGroup(2),
+    SymmetricGroup(4),
+    HeisenbergGroup(3),
+    DirectProductGroup([SymmetricGroup(3), CyclicGroup(2)]),
+    _table_of(SymmetricGroup(3)),
+]
+
+
+@pytest.mark.parametrize("group", LOOP_BACKENDS, ids=lambda g: repr(g.describe()))
+def test_loop_kernels_are_the_double_loop_over_multiply(monkeypatch, group, stream):
+    # cyclic and dihedral sets take the loop here, not the masks
+    monkeypatch.setattr(group, "mask_kernel", None)
+    mul, inv = group.multiply, group.inverse
+
+    def times(xs, ys):
+        return {mul(x, y) for x in xs for y in ys}
+
+    for _ in range(6):
+        a, b, t = (draw_subset(group, 1 + stream.below(min(group.order, 8)), stream) for _ in range(3))
+        pairs = [(u, mul(u, v)) for u in a for v in b]
+        assert product(a, b).elements == tuple(sorted(times(a, b)))
+        conv: dict = {}
+        for u, x in pairs:
+            conv.setdefault(x, []).append(u)
+        assert conv_table(a, b) == conv
+        assert conv_table(a, b, 2) == {x: terms for x, terms in conv.items() if len(terms) >= 2}
+        overlaps = {}
+        for u in a:
+            for v in a:
+                overlaps.setdefault(mul(u, inv(v)), []).append(u)
+        assert conv_table(a) == overlaps
+        level, overlap = level_set(a, 2)
+        assert level.elements == tuple(sorted(x for x, terms in overlaps.items() if len(terms) >= 2))
+        assert all(overlap(x) == overlaps[x] for x in level)
+        # the rows number AB in first-seen order over the same double loop
+        index: dict = {}
+        for _, x in pairs:
+            index.setdefault(x, len(index))
+        p, row = row_product(a, b)
+        assert p.elements == tuple(sorted(index))
+        for u in a:
+            assert row(u) == sum(1 << index[mul(u, v)] for v in b)
+        assert outside(a, t, b) == sum(1 for x in a if not any(mul(x, v) in t for v in b))
+        square = times(a, a)
+        s = doubling_stats(a)
+        assert (s.product_size, s.inverse_product_size, s.quad_size) == (
+            len(square),
+            len(times(a, [inv(x) for x in a])),
+            len(times(square, [inv(x) for x in square])),
+        )
+
+
+S6_RANDOM_10 = [{"group": {"type": "symmetric", "n": 6}, "set": {"type": "random", "size": 10, "seed": seed}}
+                for seed in range(3)]
+
+
+@pytest.mark.parametrize("spec", S6_RANDOM_10, ids=lambda spec: f"seed{spec['set']['seed']}")
+def test_doubling_stats_on_s6_encodes_no_element(monkeypatch, spec):
+    calls = {"encode": 0, "decode": 0}
+    for name, key in (("_one_line_to_lehmer", "encode"), ("_lehmer_to_one_line", "decode")):
+
+        def counted(perm, real=getattr(groups, name), key=key):
+            calls[key] += 1
+            return real(perm)
+
+        monkeypatch.setattr(groups, name, counted)
+    # a fresh group, whose memos wrap the counted converters
+    a = generate(spec)
+    stats = doubling_stats(a)
+    assert calls == {"encode": 0, "decode": len(a)}
+    monkeypatch.undo()
+    _base_loop(monkeypatch, a.group)
+    assert doubling_stats(a) == stats
+
+
+def test_each_loop_kernel_call_decodes_each_operand_once(monkeypatch):
+    g = SymmetricGroup(6)
+    a, b, t = (random_set(g, 10, seed) for seed in range(3))
+    decoded = []
+    real = g._decode
+
+    def decode(x):
+        decoded.append(x)
+        return real(x)
+
+    monkeypatch.setattr(g, "_decode", decode)
+    calls = [
+        (lambda: product(a, b), [a, b]),
+        (lambda: conv_table(a, b), [a, b]),
+        (lambda: conv_table(a), [a]),
+        (lambda: level_set(a, 2), [a]),
+        (lambda: row_product(a, b), [a, b]),
+        (lambda: outside(a, t, b), [a, t, b]),
+        (lambda: doubling_stats(a), [a]),
+    ]
+    for call, operands in calls:
+        decoded.clear()
+        call()
+        assert sorted(decoded) == sorted(x for operand in operands for x in operand)
+
 
 
 # -- pair budget --------------------------------------------------------------

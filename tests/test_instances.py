@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from symgrowth import gset
+from symgrowth import gset, instances
 from symgrowth.errors import EmptySetError, ParameterError
 from symgrowth.groups import CyclicGroup, DihedralGroup, Group, HeisenbergGroup, SymmetricGroup
 from symgrowth.gset import GSet, inverse_set, product
@@ -19,6 +19,7 @@ from symgrowth.instances import (
     perturbed_subgroup,
     random_set,
 )
+from symgrowth.prng import splitmix64
 from symgrowth.serialize import elements_to_json
 
 from conftest import encode_one_line
@@ -130,8 +131,8 @@ def test_perturbed_subgroup_is_pinned(group, generators, swaps, seed, expected):
 
 
 def test_perturbed_alternating_group_in_s7_is_quick():
-    # A7 = <(0 1 2), (0 1 2 3 4 5 6)>, 2520 members; each swap scans the 5040
-    # elements of S7 against a set, not a list (a list took about a second)
+    # A7 = <(0 1 2), (0 1 2 3 4 5 6)>, 2520 members; each swap walks their
+    # sorted indices and never lists the 5040 elements of S7
     s7 = SymmetricGroup(7)
     gens = [encode_one_line(s7, (1, 2, 0, 3, 4, 5, 6)), encode_one_line(s7, (1, 2, 3, 4, 5, 6, 0))]
     start = time.perf_counter()
@@ -140,6 +141,41 @@ def test_perturbed_alternating_group_in_s7_is_quick():
     assert len(got) == 2520
     assert hashlib.sha256(repr(got.elements).encode()).hexdigest()[:16] == "237c55542f6f405a"
     assert elapsed < 0.5
+
+
+def _perturbed_by_listing(group, generators, swaps, seed):
+    """The swaps that list the complement of the members afresh each time."""
+    cur = list(closure(group, generators).elements)
+    members = set(cur)
+    for j in range(swaps):
+        removed = cur.pop(splitmix64(seed, 2 * j) % len(cur))
+        complement = [x for x in group.elements() if x not in members]
+        if not complement:
+            cur.append(removed)
+            continue
+        added = complement[splitmix64(seed, 2 * j + 1) % len(complement)]
+        members.remove(removed)
+        members.add(added)
+        cur.append(added)
+        cur.sort()
+    return sorted(cur)
+
+
+@pytest.mark.parametrize("group", BACKENDS, ids=lambda g: repr(g.describe()))
+def test_perturbed_subgroup_walks_the_members_instead_of_listing_the_group(monkeypatch, group):
+    rng = random.Random(group.order)
+    generators = [group.element_at(rng.randrange(group.order))]
+    for seed in range(4):
+        for swaps in (0, 1, 3, 8):
+            expected = _perturbed_by_listing(group, generators, swaps, seed)
+            charged, listed = [], []
+            with monkeypatch.context() as m:
+                m.setattr(instances, "charge_pairs", charged.append)
+                m.setattr(Group, "elements", lambda g: listed.append(g))
+                got = perturbed_subgroup(group, generators, swaps, seed)
+            assert list(got.elements) == expected
+            assert listed == []
+            assert charged[-1] == group.order * max(swaps, 1)
 
 
 def test_perturbed_whole_group_is_a_noop():
