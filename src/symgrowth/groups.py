@@ -36,10 +36,11 @@ its ``product`` stops once it holds the whole group.  On most backends the
 form is the encoding and a product is ``multiply``.  ``SymmetricGroup``
 (n >= 2) has ``OneLine``: one-line permutations, composed with
 ``itemgetter`` without ``multiply``, and encoded again only where a caller
-keeps them.  Cyclic and dihedral groups also name a kernel class of
-``symgrowth.masks`` in ``mask_kernel``, and ``group.masks`` is that kernel:
-it holds a set as an int mask over the mixed-radix index and translates it
-by rotations.  The other backends have ``mask_kernel = None`` and no
+keeps them.  Cyclic, dihedral and Heisenberg groups also name a kernel
+class of ``symgrowth.masks`` in ``mask_kernel``, and ``group.masks`` is
+that kernel: it holds a set as an int mask over the mixed-radix index and
+translates it by rotations (on Heisenberg groups, turns of each digit and
+a shear).  The other backends have ``mask_kernel = None`` and no
 ``masks``.  ``multiply`` and ``inverse`` stay the plain per-element
 operations, and they alone are what ``oracle`` uses.
 """
@@ -55,12 +56,14 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidElementError, InvalidGroupError, ParameterError
-from .masks import CyclicMasks, DihedralMasks, Rotations
+from .masks import CyclicMasks, DihedralMasks, HeisenbergMasks, Rotations
 
 Element = tuple[int, ...]
 
 #: default cap on the degree of symmetric-group backends
 SYMMETRIC_DEGREE_LIMIT = 10
+#: entries each memo of a symmetric group's Lehmer converters keeps: all of S7
+LEHMER_MEMO_SIZE = math.factorial(7)
 
 
 class Loop:
@@ -365,9 +368,9 @@ class SymmetricGroup(Group):
         self.n = n
         self.limit = limit
         self.radices = tuple(range(n, 0, -1))
-        # per-group memos of the two pure converters; both trust their argument
-        self._decode = functools.cache(_lehmer_to_one_line)
-        self._encode = functools.cache(_one_line_to_lehmer)
+        # per-group memos of the two pure converters, bounded; both trust their argument
+        self._decode = functools.lru_cache(LEHMER_MEMO_SIZE)(_lehmer_to_one_line)
+        self._encode = functools.lru_cache(LEHMER_MEMO_SIZE)(_one_line_to_lehmer)
         self.loop_kernel = OneLine if n > 1 else Loop
 
     def multiply(self, x: Element, y: Element) -> Element:
@@ -392,6 +395,7 @@ class HeisenbergGroup(Group):
     """
 
     kind = "heisenberg_mod"
+    mask_kernel = HeisenbergMasks
 
     def __init__(self, p: int):
         p = _require_index(p, "p")
@@ -432,7 +436,10 @@ class DirectProductGroup(Group):
         return tuple(v for g in self.factors for v in g.identity)
 
     def multiply(self, x: Element, y: Element) -> Element:
-        return tuple(v for g, s in self._parts for v in g.multiply(x[s], y[s]))
+        out = ()
+        for g, s in self._parts:
+            out += g.multiply(x[s], y[s])
+        return out
 
     def inverse(self, x: Element) -> Element:
         return tuple(v for g, s in self._parts for v in g.inverse(x[s]))

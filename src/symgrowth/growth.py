@@ -179,9 +179,9 @@ def shrink_step(aprime: GSet, a: GSet, eps) -> StepOutcome:
     L and each scanned A' ∩ tA' come from ``level_set(aprime, tau)``, and
     the scan sizes (A' ∩ tA')A as the OR of the ``row_product`` rows of its
     members, so a step is charged |A'||A| + |A'|^2 pairs, plus |A'A|^2 for
-    the symmetry set when it terminates.  In cyclic and dihedral groups
-    these may run on masks (see ``gset``), and then only the candidates
-    the scan reaches decode A' ∩ tA'.
+    the symmetry set when it terminates.  In cyclic, dihedral and
+    Heisenberg groups these may run on masks (see ``gset``), and then only
+    the candidates the scan reaches decode A' ∩ tA'.
 
     The step's inequalities hold unconditionally; if any fails the step
     raises InvariantViolation, since that means the computation is broken.

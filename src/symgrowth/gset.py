@@ -16,21 +16,21 @@ Each operation has two kernels, both supplied by the group (see
 internal forms once per call, multiplies forms pair by pair, and encodes
 back only the forms a caller keeps: on most backends the form is the
 encoding and a product is ``multiply``, and on S_n it is a one-line
-permutation composed with ``itemgetter``.  Cyclic and dihedral groups also
-have ``group.masks``, which holds a set as an int mask over the group
-index and translates it with a few big-int operations (see ``masks``).
-``product``, ``row_product``, ``level_set``, ``doubling_stats`` and
-``outside`` ask the group once per call and take the masks when the cost
-rule (``_kernel``: ``_mask_cost``, from the group's order and its
-``mask_kernel``, against the pairs the loop would multiply) says they pay,
-and the masks are built only then; either way each call is charged the
-same |A|*|B| pairs, as a bound.  ``conv_table`` is the loop's one
-convolution: for each x in AB it lists the u in A with x in uB, so with
-B = A^-1 its entry at t is A ∩ tA.  ``row_product`` gives the row uB of
-each u in A as an int mask, so the shrink scan sizes the product of any
-subset of A with B by OR-ing rows, ``level_set`` gives each A ∩ tA of its
-level set on demand, and ``outside`` counts the members x of a set outside
-TW⁻¹ by testing whether xW meets T, so TW⁻¹ is never built.
+permutation composed with ``itemgetter``.  Cyclic, dihedral and
+Heisenberg groups also have ``group.masks``, which holds a set as an int
+mask over the group index and translates it with a few big-int operations
+(see ``masks``).  ``product``, ``row_product``, ``level_set``,
+``doubling_stats`` and ``outside`` ask the group once per call and take
+the masks when the cost rule (``_kernel``: ``_mask_cost``, the ``cost`` of
+the group's ``mask_kernel`` at its order, against the pairs the loop would
+multiply) says they pay, and the masks are built only then; either way
+each call is charged the same |A|*|B| pairs, as a bound.  ``conv_table``
+is the loop's one convolution: for each x in AB it lists the u in A with
+x in uB, so with B = A^-1 its entry at t is A ∩ tA.  ``row_product`` gives
+the row uB of each u in A as an int mask, so the shrink scan sizes the
+product of any subset of A with B by OR-ing rows, ``level_set`` gives each
+A ∩ tA of its level set on demand, and ``outside`` counts the members x of
+a set outside TW⁻¹ by testing whether xW meets T, so TW⁻¹ is never built.
 ``doubling_stats`` decides once, for both kernels, how to build A^2 A^-2,
 and counts its sets without encoding them.
 """
@@ -47,18 +47,6 @@ from .budget import charge_pairs
 from .errors import EmptySetError, GroupMismatchError
 from .groups import Element, Group, Loop
 from .masks import Rotations
-
-#: The cost rule, in loop steps: one step is one ``multiply`` with its set or
-#: dict insert, about 0.35 µs.  A call on masks costs ``_CALL`` steps, each
-#: translate ``_TRANSLATE`` steps plus one per ``_WORDS_PER_STEP`` 64-bit words
-#: it rotates, and the decode of the result ``_DECODE`` steps per word.
-#: Measured on cyclic and dihedral sets from 3 to 1,500 elements in groups of
-#: order 6 to 10^7 (numbers in CHANGES.md).
-_CALL = 12
-_TRANSLATE = 1
-_WORDS_PER_STEP = 45
-_DECODE = 2
-
 
 class GSet:
     """An immutable subset of a group, kept in sorted encoding order."""
@@ -148,9 +136,7 @@ class GSet:
 
 def _mask_cost(group: Group, translations: int, width: int = 1) -> float:
     """Loop steps that one call with ``translations`` translates of a ``width``-bit-lane mask costs."""
-    words = group.order / 64
-    rotate = words * width * group.mask_kernel.rotations / _WORDS_PER_STEP
-    return _CALL + translations * (_TRANSLATE + rotate) + words * _DECODE
+    return group.mask_kernel.cost(group.order, translations, width)
 
 
 def _kernel(group: Group, translations: int, pairs: int, width: int = 1) -> Rotations | None:

@@ -1,16 +1,19 @@
-"""Subsets of cyclic and dihedral groups as int masks over the group index.
+"""Subsets of cyclic, dihedral and Heisenberg groups as int masks over the group index.
 
 Bit ``i`` of a mask stands for ``group.element_at(i)``.  In Z_n a
 translate of a set is a rotation of its n-bit mask.  In D_n, whose index
 of ``(a, f)`` is ``2a + f``, a right translate rotates the rotation lanes
 one way and the reflection lanes the other, and a left translate by a
-reflection is a rotation of the reversed mask.  So each translate is a few
-big-int operations, done in C, instead of one ``multiply`` per member.
-``CyclicMasks`` and ``DihedralMasks`` are the two kernels, named by
-``CyclicGroup.mask_kernel`` and ``DihedralGroup.mask_kernel``; the other
-backends have none.  ``gset`` decides by a cost rule, from the group's
-order and the class's ``rotations``, when a kernel pays, and only then is
-it built: a kernel holds an int of as many bits as the group has elements.
+reflection is a rotation of the reversed mask.  In the Heisenberg group
+mod p, whose index of ``(a, b, c)`` is ``(a·p + b)·p + c``, a translate
+turns each digit within its lanes after a shear of c, one conditional turn
+per bit of p.  So each translate is a few big-int operations, done in C,
+instead of one ``multiply`` per member.  ``CyclicMasks``,
+``DihedralMasks`` and ``HeisenbergMasks`` are the three kernels, named by
+the ``mask_kernel`` of those groups; the other backends have none.  Each
+kernel class has a cost rule, ``cost``, in loop steps, from the group's
+order: ``gset`` takes the masks when they pay, and only then is the kernel
+built, since it holds ints of as many bits as the group has elements.
 
 ``widen(w)`` gives the same kernel on masks of ``w``-bit lanes, lane ``i``
 standing for ``element_at(i)``.  A sum of translates of such a mask holds
@@ -22,6 +25,7 @@ copies of one of them.
 
 from __future__ import annotations
 
+import functools
 from itertools import compress, repeat
 from typing import Callable, Iterable
 
@@ -36,10 +40,22 @@ _TOP_BIT = bytes(b >> 7 for b in range(256))
 _BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
 
 
+#: The cost rule, in loop steps: one step is one ``multiply`` with its set or
+#: dict insert, about 0.35 µs.  A call on cyclic or dihedral masks costs
+#: ``_CALL`` steps, each translate ``_TRANSLATE`` steps plus one per
+#: ``_WORDS_PER_STEP`` 64-bit words it rotates, and the decode of the result
+#: ``_DECODE`` steps per word.  Measured on cyclic and dihedral sets from 3 to
+#: 1,500 elements in groups of order 6 to 10^7 (numbers in CHANGES.md).
+_CALL = 12
+_TRANSLATE = 1
+_WORDS_PER_STEP = 45
+_DECODE = 2
+
+
 class Rotations:
     """Translations of masks over the index of a group of ``order`` elements."""
 
-    #: rotations of the whole mask per translate, for the cost rule in ``gset``
+    #: rotations of the whole mask per translate, for the cost rule
     rotations: int
 
     def __init__(self, order: int, width: int = 1):
@@ -48,10 +64,18 @@ class Rotations:
         self.bits = self.order * width
         self.full = (1 << self.bits) - 1
 
+    @classmethod
+    def cost(cls, order: int, translations: int, width: int = 1) -> float:
+        """Loop steps that one call with ``translations`` translates of a ``width``-bit-lane mask costs."""
+        words = order / 64
+        rotate = words * width * cls.rotations / _WORDS_PER_STEP
+        return _CALL + translations * (_TRANSLATE + rotate) + words * _DECODE
+
     def widen(self, width: int) -> "Rotations":
         """This kernel on masks of ``width``-bit lanes (``width`` a multiple of 8), built afresh.
 
-        A build costs about one translate of such a mask, and its caller sums |A| of them.
+        A cyclic or dihedral build costs about one translate of such a mask,
+        a Heisenberg one its lane masks, and its caller sums |A| translates.
         """
         return type(self)(self.order, width)
 
@@ -161,3 +185,131 @@ class DihedralMasks(Rotations):
             return rotate(reversed_m, 2 * c + 2) if g else rotate(m, 2 * c)
 
         return left
+
+
+@functools.lru_cache(maxsize=64)
+def _cube_root(order: int) -> int:
+    """The p with p**3 == order."""
+    p = round(order ** (1 / 3))
+    while p**3 > order:
+        p -= 1
+    while (p + 1) ** 3 <= order:
+        p += 1
+    return p
+
+
+#: The cost rule on Heisenberg masks, in the same loop steps.  A translate
+#: costs ``_H_TRANSLATE`` steps per bit of p, and one more step per
+#: ``_WORDS_PER_STEP`` words of each of its ``_H_ROTATIONS`` whole turns and
+#: its ``_H_SHEAR_ROTATIONS`` more per bit of p.  A call also pays for the
+#: kernel's lane masks, ``_H_BUILD`` steps and, per value of p,
+#: ``_H_BUILD_VALUE`` steps and one per ``_H_BUILD_WORDS`` words of a mask
+#: (the group builds its kernel once, but each Kronecker sum builds one of
+#: wider lanes afresh), and on wider lanes ``_H_WIDEN`` more per value of p
+#: for the 1-bit kernel the sum starts from and its lane set-up.  Measured on
+#: sets of 3 to 64 elements for p from 2 to 16, with the group, and so its
+#: kernel, built anew for each call, and on single translates up to p = 45
+#: (numbers in CHANGES.md).
+_H_TRANSLATE = 1
+_H_ROTATIONS = 2
+_H_SHEAR_ROTATIONS = 0.5
+_H_BUILD = 20
+_H_BUILD_VALUE = 10
+_H_BUILD_WORDS = 8
+_H_WIDEN = 30
+
+
+class HeisenbergMasks(Rotations):
+    """The Heisenberg group mod p with index (a·p + b)·p + c for ``(a, b, c)``.
+
+    (a, b, c)(a', b', c') = (a + a', b + b', c + c' + a·b'), so a translate
+    rotates each digit within its lanes, after a shear of the c digit: by
+    a·b' in a right translate, and by a0·b in a left translate by
+    (a0, b0, c0).  The shear is one conditional turn of c per bit k of p:
+    the lanes whose shearing digit (a, or b) has bit k set turn their c by
+    2^k·b' (or 2^k·a0).  Then c and b turn as whole digits, and a turn of a
+    is a rotation of the whole mask.  A turn of a digit by s is
+    ``(m & keep) << s·span | (m & ~keep) >> (p - s)·span``, with ``keep``
+    the lanes whose digit is below p - s and ``span`` the bits of one value
+    of the digit.  Each lane mask is a repunit, one bit at the foot of each
+    run of the digit's p values, times one pattern over those values.  The
+    kernel holds 2(p - 1) keeps and 2·bit_length(p) selections, each as
+    wide as a set's mask.
+    """
+
+    def __init__(self, order: int, width: int = 1):
+        super().__init__(order, width)
+        self.p = p = _cube_root(order)
+        bits = p.bit_length()
+        # one value of c, b and a spans one lane, p lanes and p^2 lanes
+        spans = (width, p * width, p * p * width)
+        repunits = (self.full // ((1 << spans[1]) - 1), self.full // ((1 << spans[2]) - 1), 1)
+        #: for c and for b, s -> (keep, up, down) of a turn by s, None for s = 0
+        self._turns = [
+            [None] + [((r << (p - s) * span) - r, s * span, (p - s) * span) for s in range(1, p)]
+            for r, span in zip(repunits, spans[:2])
+        ]
+
+        def selections(place: int) -> list[int]:
+            # for each bit k of p, the lanes whose digit at ``place`` has bit k set
+            run = (1 << spans[place]) - 1
+            return [repunits[place] * sum(run << d * spans[place] for d in range(p) if d >> k & 1) for k in range(bits)]
+
+        def shears(lanes: list[int]) -> list[list[tuple[int, int, int, int]]]:
+            # by -> the (lanes, keep, up, down) of each turn of c by 2^k·by mod p that is not 0
+            turns = self._turns[0]
+            steps = [[(by << k) % p for k in range(bits)] for by in range(p)]
+            return [[(lanes[k], *turns[s]) for k, s in enumerate(row) if s] for row in steps]
+
+        #: the shears of a right translate by (a', b', c'), by a·b', and of a left one by (a0, b0, c0), by a0·b
+        self._right_shears = shears(selections(2))
+        self._left_shears = shears(selections(1))
+
+    @classmethod
+    def cost(cls, order: int, translations: int, width: int = 1) -> float:
+        """The rule of ``Rotations`` with this kernel's translate, plus its build and a Kronecker sum's set-up."""
+        p = _cube_root(order)
+        bits = p.bit_length()
+        words = order / 64
+        rotate = words * width * (_H_ROTATIONS + _H_SHEAR_ROTATIONS * bits) / _WORDS_PER_STEP
+        build = _H_BUILD + p * (_H_BUILD_VALUE + words * width / _H_BUILD_WORDS + (_H_WIDEN if width > 1 else 0))
+        return _CALL + translations * (_H_TRANSLATE * bits + rotate) + words * _DECODE + build
+
+    def _translate(self, m: int, shear: list[tuple[int, int, int, int]], x: Element) -> int:
+        for lanes, keep, up, down in shear:
+            moved = m & lanes
+            if moved:
+                low = moved & keep
+                m = m ^ moved | low << up | (moved ^ low) >> down
+        a, b, c = x
+        turn_c, turn_b = self._turns
+        if c:
+            keep, up, down = turn_c[c]
+            low = m & keep
+            m = low << up | (m ^ low) >> down
+        if b:
+            keep, up, down = turn_b[b]
+            low = m & keep
+            m = low << up | (m ^ low) >> down
+        return self._rotate(m, a * self.p * self.p)
+
+    def encode(self, elements: Iterable[Element]) -> int:
+        flags = bytearray(self.order)
+        p = self.p
+        for a, b, c in elements:
+            flags[(a * p + b) * p + c] = 1
+        return self._from_flags(flags)
+
+    def _elements(self, index) -> list[Element]:
+        p = self.p
+        pp = p * p
+        return [(i // pp, i // p % p, i % p) for i in index]
+
+    def right(self, m: int, y: Element) -> int:
+        """The mask of X·y: the c of x·y is c + c' + a·b', so c is sheared by a·b'."""
+        return self._translate(m, self._right_shears[y[1]], y)
+
+    def lefts(self, m: int) -> Callable[[Element], int]:
+        """x -> the mask of x·X, for the mask ``m`` of X: the c of x·(a, b, c) is c0 + c + a0·b."""
+        shears, translate = self._left_shears, self._translate
+        return lambda x: translate(m, shears[x[0]], x)

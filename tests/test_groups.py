@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from symgrowth.errors import InvalidElementError, InvalidGroupError
 from symgrowth.groups import (
+    LEHMER_MEMO_SIZE,
     SYMMETRIC_DEGREE_LIMIT,
     CyclicGroup,
     DihedralGroup,
@@ -234,11 +235,13 @@ def test_one_line_to_lehmer_is_the_count_of_later_smaller_values(n):
 
 
 # every backend, with S2 and S5 besides S1 and S4, so the one-line kernel
-# and S1's base loop both run, and S3 inside a direct product
+# and S1's base loop both run, S3 inside a direct product, and a direct
+# product nested in another, whose multiply concatenates a factor's result
 PRODUCT_BACKENDS = BACKENDS + [
     SymmetricGroup(2),
     SymmetricGroup(5),
     DirectProductGroup([SymmetricGroup(3), CyclicGroup(2)]),
+    DirectProductGroup([DirectProductGroup([CyclicGroup(2), DihedralGroup(3)]), HeisenbergGroup(2)]),
 ]
 
 
@@ -279,6 +282,17 @@ def test_symmetric_degree_guard():
         SymmetricGroup(SYMMETRIC_DEGREE_LIMIT + 1)
     g = SymmetricGroup(SYMMETRIC_DEGREE_LIMIT + 1, limit=SYMMETRIC_DEGREE_LIMIT + 1)
     assert g.order == 39916800
+
+
+def test_lehmer_memos_stay_within_their_bound():
+    # all of S7 fits, so S7 keeps every conversion; S8 has 40,320 elements
+    assert LEHMER_MEMO_SIZE >= math.factorial(7)
+    g = SymmetricGroup(8)
+    y = g.element_at(12345)
+    for x in g.elements():
+        g.multiply(x, y)
+    assert g._decode.cache_info().currsize <= LEHMER_MEMO_SIZE
+    assert g._encode.cache_info().currsize <= LEHMER_MEMO_SIZE
 
 
 def test_heisenberg_matrix_product():

@@ -370,7 +370,7 @@ QUAD_WAYS = {
     "d40-coset-union-square": ({"group": {"type": "dihedral", "n": 40},
                                 "set": {"type": "coset_union", "generators": [[5, 0]],
                                         "reps": [[0, 0], [1, 1]]}}, "square"),
-    # backends without masks, where every one of the three ways multiplies
+    # the three ways again on non-abelian backends
     "h3-random-12-whole": ({"group": {"type": "heisenberg_mod", "p": 3},
                             "set": {"type": "random", "size": 12, "seed": 0}}, "whole"),
     "h3-random-5-chain": ({"group": {"type": "heisenberg_mod", "p": 3},
@@ -391,12 +391,14 @@ MOST_MULTIPLIES = {
 
 
 def _base_loop(monkeypatch, group):
-    """Make ``group``'s loop kernel the base ``Loop``, which multiplies every pair with ``multiply``.
+    """Make ``group``'s loop kernel the base ``Loop``, which multiplies every pair with ``multiply``, and drop its masks.
 
     The symmetric backend's ``OneLine`` composes one-line forms without
-    ``multiply``, so its counts are taken on the loop it replaces.
+    ``multiply``, and the masks translate without it, so counts are taken
+    on the loop they replace.
     """
     monkeypatch.setattr(group, "loop_kernel", Loop)
+    monkeypatch.setattr(group, "mask_kernel", None)
 
 
 @pytest.mark.parametrize("name", list(QUAD_WAYS))
@@ -410,9 +412,7 @@ def test_doubling_stats_builds_the_quad_the_cheapest_way(monkeypatch, name):
     monkeypatch.undo()
     assert stats.quad_size == _quad_by_definition(a)
     assert doubling_stats(a) == stats
-    # cyclic and dihedral sets may take the masks and multiply nothing; on
-    # the other backends the base loop multiplies, so they check the bound for real
-    assert a.group.mask_kernel is not None or seen["multiplies"] > 0
+    assert seen["multiplies"] > 0
     assert seen["multiplies"] <= MOST_MULTIPLIES[way](n, n2, g)
     if way != "square":
         # all of doubling_stats costs less than squaring A^2 alone
@@ -506,7 +506,7 @@ LOOP_BACKENDS = [
 
 @pytest.mark.parametrize("group", LOOP_BACKENDS, ids=lambda g: repr(g.describe()))
 def test_loop_kernels_are_the_double_loop_over_multiply(monkeypatch, group, stream):
-    # cyclic and dihedral sets take the loop here, not the masks
+    # cyclic, dihedral and Heisenberg sets take the loop here, not the masks
     monkeypatch.setattr(group, "mask_kernel", None)
     mul, inv = group.multiply, group.inverse
 

@@ -1,4 +1,4 @@
-"""The rotation kernel of cyclic and dihedral groups, against the oracles.
+"""The mask kernels of cyclic, dihedral and Heisenberg groups, against the oracles.
 
 Every ``gset`` operation that may run on masks is checked on each side of
 the cost rule: ``SIDES`` replaces ``gset._mask_cost`` so that every call
@@ -9,6 +9,7 @@ separately, on the instances it must send to each side.
 
 import itertools
 import math
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -17,7 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from symgrowth import gset, masks
-from symgrowth.groups import CyclicGroup, DihedralGroup
+from symgrowth.groups import CyclicGroup, DihedralGroup, HeisenbergGroup
 from symgrowth.growth import shrink_step, stable_neighbourhood
 from symgrowth.gset import GSet, doubling_stats, level_set, product, row_product
 from symgrowth.instances import generate
@@ -49,14 +50,18 @@ def fresh(a: GSet) -> GSet:
     return GSet(a.group, a.elements)
 
 
+MASK_GROUPS = st.one_of(
+    st.builds(CyclicGroup, st.integers(1, 24)),
+    st.builds(DihedralGroup, st.integers(1, 12)),
+    st.builds(HeisenbergGroup, st.integers(2, 5)),
+)
+
+
 @st.composite
-def cyclic_or_dihedral_sets(draw, count: int):
-    """A cyclic or dihedral group of order up to 24 and ``count`` nonempty subsets of it."""
-    if draw(st.booleans()):
-        group = CyclicGroup(draw(st.integers(1, 24)))
-    else:
-        group = DihedralGroup(draw(st.integers(1, 12)))
-    indices = st.sets(st.integers(0, group.order - 1), min_size=1)
+def mask_group_sets(draw, count: int):
+    """A cyclic or dihedral group of order up to 24, or Heisenberg mod 2 to 5, and ``count`` nonempty subsets."""
+    group = draw(MASK_GROUPS)
+    indices = st.sets(st.integers(0, group.order - 1), min_size=1, max_size=24)
     return [GSet(group, [group.element_at(i) for i in draw(indices)]) for _ in range(count)]
 
 
@@ -79,14 +84,14 @@ def check_step(aprime: GSet, a: GSet, eps: Fraction) -> None:
         assert out.shrunk_product_size == len(oracle_product(g, cand, a))
 
 
-@given(sides, cyclic_or_dihedral_sets(2))
+@given(sides, mask_group_sets(2))
 def test_product_matches_the_oracle(side, sets):
     a, b = sets
     with on_side(side):
         assert product(a, b).elements == oracle_product(a.group, a, b)
 
 
-@given(sides, cyclic_or_dihedral_sets(2), st.data())
+@given(sides, mask_group_sets(2), st.data())
 def test_row_product_rows_are_the_translates(side, sets, data):
     a, b = sets
     g = a.group
@@ -104,7 +109,7 @@ def test_row_product_rows_are_the_translates(side, sets, data):
         assert tuple(g.masks.decode(row(u))) == oracle_product(g, [u], b)
 
 
-@given(sides, cyclic_or_dihedral_sets(1), fractions)
+@given(sides, mask_group_sets(1), fractions)
 def test_level_set_and_its_overlaps_match_the_oracle(side, sets, scale):
     (a,) = sets
     g = a.group
@@ -117,14 +122,14 @@ def test_level_set_and_its_overlaps_match_the_oracle(side, sets, scale):
         assert tuple(overlap(t)) == tuple(overlaps[t])
 
 
-@given(sides, cyclic_or_dihedral_sets(1), fractions)
+@given(sides, mask_group_sets(1), fractions)
 def test_sym_set_matches_the_oracle(side, sets, eta):
     (a,) = sets
     with on_side(side):
         assert sym_set(fresh(a), eta).elements == oracle_sym_members(a.group, a, eta)
 
 
-@given(sides, cyclic_or_dihedral_sets(1), st.data(), fractions)
+@given(sides, mask_group_sets(1), st.data(), fractions)
 def test_shrink_step_matches_the_reference_scan(side, sets, data, eps):
     (a,) = sets
     aprime = GSet(a.group, data.draw(st.lists(st.sampled_from(a.elements), min_size=1, unique=True)))
@@ -132,7 +137,7 @@ def test_shrink_step_matches_the_reference_scan(side, sets, data, eps):
         check_step(aprime, fresh(a), eps)
 
 
-@given(sides, cyclic_or_dihedral_sets(1))
+@given(sides, mask_group_sets(1))
 def test_doubling_stats_match_the_definitions(side, sets):
     (a,) = sets
     g = a.group
@@ -159,10 +164,11 @@ def test_every_subset_of_the_smallest_groups(group, side):
 
 
 @pytest.mark.parametrize("size", [127, 128, 255, 256])
-@pytest.mark.parametrize("kind", ["cyclic", "dihedral"])
+@pytest.mark.parametrize("kind", ["cyclic", "dihedral", "heisenberg"])
 def test_kronecker_lanes_hold_the_largest_count(kind, size):
     # the count at the identity is |A|, the largest; a lane one bit too narrow carries
-    group = CyclicGroup(3 * size) if kind == "cyclic" else DihedralGroup(2 * size)
+    groups = {"cyclic": CyclicGroup(3 * size), "dihedral": DihedralGroup(2 * size), "heisenberg": HeisenbergGroup(7)}
+    group = groups[kind]
     a = GSet(group, [group.element_at(i) for i in range(size)])
     for need in (1, size // 2, size - 1, size):
         with on_side("kronecker"):
@@ -170,7 +176,7 @@ def test_kronecker_lanes_hold_the_largest_count(kind, size):
         assert level.elements == oracle_level_set(group, a, need)
 
 
-@given(cyclic_or_dihedral_sets(1), fractions)
+@given(mask_group_sets(1), fractions)
 def test_every_side_charges_the_same_pairs(sets, eps):
     (a,) = sets
 
@@ -184,6 +190,24 @@ def test_every_side_charges_the_same_pairs(sets, eps):
     assert charges("popcount") == charges("kronecker") == charges("loop")
 
 
+@pytest.mark.parametrize("p", [2, 3, 4, 5, 7, 9, 11])
+def test_heisenberg_translates_are_multiply(p):
+    # right and left translates, on 1-bit lanes and on the 16-bit lanes of a Kronecker sum
+    g = HeisenbergGroup(p)
+    kernel, wide = g.masks, g.masks.widen(16)
+    rng = random.Random(p)
+    for _ in range(12):
+        xs = {g.element_at(rng.randrange(g.order)) for _ in range(rng.randrange(1, 40))}
+        m = kernel.encode(xs)
+        left, wide_left = kernel.lefts(m), wide.lefts(wide.spread(m))
+        for y in (g.element_at(rng.randrange(g.order)) for _ in range(6)):
+            right = kernel.right(m, y)
+            assert kernel.decode(right) == sorted(g.multiply(x, y) for x in xs)
+            assert kernel.decode(left(y)) == sorted(g.multiply(y, x) for x in xs)
+            assert wide.at_least(wide.right(wide.spread(m), y), 1) == right
+            assert wide.at_least(wide_left(y), 1) == left(y)
+
+
 # -- the cost rule itself -------------------------------------------------------
 
 SHRINK_SCAN_INTERVAL = {"group": {"type": "cyclic", "n": 3000}, "set": {"type": "interval", "start": 17, "length": 75}}
@@ -193,6 +217,8 @@ QUAD_BUILD_CYCLIC = {"group": {"type": "cyclic", "n": 800}, "set": {"type": "ran
 C20K = {"group": {"type": "cyclic", "n": 20000}, "set": {"type": "interval", "start": 0, "length": 400}}
 C100K = {"group": {"type": "cyclic", "n": 100000}, "set": {"type": "random", "size": 300, "seed": 1}}
 C10M = {"group": {"type": "cyclic", "n": 10**7}, "set": {"type": "random", "size": 300, "seed": 1}}
+QUAD_BUILD_BALL = {"group": {"type": "heisenberg_mod", "p": 9},
+                   "set": {"type": "ball", "generators": [[1, 0, 0], [0, 1, 0], [8, 0, 0], [0, 8, 0]], "radius": 2}}
 
 
 def _multiplies(monkeypatch, group, work):
@@ -232,7 +258,22 @@ def test_the_rule_sends_large_sparse_groups_and_tiny_sets_to_the_loop(monkeypatc
     assert _multiplies(monkeypatch, tiny.group, lambda: product(tiny, tiny)) == 9
 
 
-@pytest.mark.parametrize("group", [CyclicGroup(10**12), DihedralGroup(10**12)], ids=["cyclic", "dihedral"])
+def test_the_rule_sends_a_quad_build_ball_to_the_masks(monkeypatch):
+    a = generate(QUAD_BUILD_BALL)
+    assert _multiplies(monkeypatch, a.group, lambda: doubling_stats(a)) == 0
+
+
+def test_the_rule_keeps_many_small_heisenberg_products_on_the_loop(monkeypatch):
+    # four elements of Heisenberg mod 3, the smallest many-small size: a
+    # call on masks costs more than its 16 multiplications
+    h3 = HeisenbergGroup(3)
+    a = GSet(h3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 2, 1)])
+    assert _multiplies(monkeypatch, h3, lambda: product(a, a)) == 16
+    assert "masks" not in vars(h3)
+
+
+@pytest.mark.parametrize("group", [CyclicGroup(10**12), DihedralGroup(10**12), HeisenbergGroup(10**4)],
+                         ids=["cyclic", "dihedral", "heisenberg"])
 def test_a_kernel_the_rule_turns_down_is_never_built(group):
     # a kernel holds an int of |G| bits, so the rule must decide before building one
     assert gset._kernel(group, 30, 900) is None
@@ -244,16 +285,16 @@ def test_a_kernel_the_rule_turns_down_is_never_built(group):
 
 def test_verify_needs_no_mask_hook(monkeypatch):
     specs = [{"group": {"type": "cyclic", "n": 200}, "set": {"type": "interval", "start": 3, "length": 12}},
-             SHRINK_SCAN_COSETS]
+             SHRINK_SCAN_COSETS, QUAD_BUILD_BALL]
     runs = [(spec, generate(spec)) for spec in specs]
     certs = [(spec, a, stable_neighbourhood(a, 2, instance=spec).to_json_dict()) for spec, a in runs]
 
     def refuse(*args, **kwargs):
         raise AssertionError("a mask hook was used")
 
-    for cls in (CyclicGroup, DihedralGroup):
+    for cls in (CyclicGroup, DihedralGroup, HeisenbergGroup):
         monkeypatch.setattr(cls, "masks", property(refuse))
-    for cls in (masks.Rotations, masks.CyclicMasks, masks.DihedralMasks):
+    for cls in (masks.Rotations, masks.CyclicMasks, masks.DihedralMasks, masks.HeisenbergMasks):
         for name, value in list(vars(cls).items()):
             if callable(value) and not name.startswith("__"):
                 monkeypatch.setattr(cls, name, refuse)

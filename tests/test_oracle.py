@@ -321,8 +321,8 @@ def test_oracle_outside_charges_each_tested_member():
 
 @pytest.mark.parametrize("side", ["loop", "masks"])
 def test_outside_counts_and_charges_as_the_oracle(monkeypatch, side):
-    # the cost rule is pinned to one side; cyclic and dihedral groups are the
-    # ones with masks, and on their masks side nothing may multiply
+    # the cost rule is pinned to one side; cyclic, dihedral and Heisenberg
+    # groups are the ones with masks, and on their masks side nothing may multiply
     monkeypatch.setattr(gset, "_mask_cost", lambda group, translations, width=1: math.inf if side == "loop" else 0)
     charges = []
     for module in (gset, oracle):
