@@ -16,6 +16,7 @@ inputs produce byte-identical output.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -179,9 +180,12 @@ def shrink_step(aprime: GSet, a: GSet, eps) -> StepOutcome:
     L and each scanned A' ∩ tA' come from ``level_set(aprime, tau)``, and
     the scan sizes (A' ∩ tA')A as the OR of the ``row_product`` rows of its
     members, so a step is charged |A'||A| + |A'|^2 pairs, plus |A'A|^2 for
-    the symmetry set when it terminates.  In cyclic, dihedral and
-    Heisenberg groups these may run on masks (see ``gset``), and then only
-    the candidates the scan reaches decode A' ∩ tA'.
+    the symmetry set when it terminates.  The OR only grows, so the scan
+    drops a candidate at the first row that takes it past
+    floor((1-eps)|A'A|); a witness never passes that limit and is OR-ed in
+    full.  In cyclic, dihedral and Heisenberg groups these may run on masks
+    (see ``gset``), and then only the candidates the scan reaches decode
+    A' ∩ tA'.
 
     The step's inequalities hold unconditionally; if any fails the step
     raises InvariantViolation, since that means the computation is broken.
@@ -204,15 +208,19 @@ def shrink_step(aprime: GSet, a: GSet, eps) -> StepOutcome:
     if not entries[0].holds:
         raise InvariantViolation("level set undercut its counting bound")
 
-    # (A' ∩ tA')A is the union of the rows of the members of A' ∩ tA'
+    # (A' ∩ tA')A is the union of the rows of the members of A' ∩ tA'; a union
+    # only grows, so a candidate is dropped once it holds more than ``most``
     limit = (1 - eps) * np_
+    most = math.floor(limit)
     for t in level:
         inside = overlap(t)
         cover = 0
         for u in inside:
             cover |= row(u)
-        shrunk_product_size = cover.bit_count()
-        if shrunk_product_size <= limit:
+            if cover.bit_count() > most:
+                break
+        else:
+            shrunk_product_size = cover.bit_count()
             shrunk = GSet._sorted(g, inside)
             entries.append(_entry("shrink_size_lower", "ge", len(shrunk), tau))
             entries.append(_entry("shrink_product_upper", "le", shrunk_product_size, limit))

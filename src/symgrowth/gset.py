@@ -31,8 +31,12 @@ the row uB of each u in A as an int mask, so the shrink scan sizes the
 product of any subset of A with B by OR-ing rows, ``level_set`` gives each
 A ∩ tA of its level set on demand, and ``outside`` counts the members x of
 a set outside TW⁻¹ by testing whether xW meets T, so TW⁻¹ is never built.
-``doubling_stats`` decides once, for both kernels, how to build A^2 A^-2,
-and counts its sets without encoding them.
+On masks a level set at ``least`` counts either over a support cut by
+pigeonhole, the union of A·x⁻¹ over any n - least + 1 members x of A,
+which it gives up as soon as the lanes of one Kronecker product would cost
+less, or over those lanes.  ``doubling_stats`` decides once, for both
+kernels, how to build A^2 A^-2, asking the rule with the work each kernel
+does for the whole of it, and counts its sets without encoding them.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .budget import charge_pairs
@@ -242,19 +247,35 @@ def _mask_level(kernel: Rotations, a: GSet, least: int, inside: Callable[[Elemen
     """The t with |A ∩ tA| >= least (1 <= least <= |A|), ascending, and their mask if it was built.
 
     ``inside(t)`` is the mask of A ∩ tA.  The counts are either its bit
-    counts over the t of the support AA^-1, or the lanes of one Kronecker
-    product, the sum of the right translates of A's lane mask by A^-1,
-    whichever costs less; the support is built only when the bit counts
-    could be the cheaper.
+    counts over the t of a support, or the lanes of one Kronecker product,
+    the sum of the right translates of A's lane mask by A^-1, whichever
+    costs less.  The support is cut by pigeonhole: a t with
+    |A ∩ tA| >= least has tx in A for at least one of any n - least + 1
+    members x of A, so it lies in A·x⁻¹ for one of them, and the support
+    is the union of those n - least + 1 right translates, A·A⁻¹ itself
+    only at least = 1.  It is built one translate at a time and given up
+    for the lanes as soon as its bit counts would cost more than they do;
+    when even a support of n elements, its least size, would, no translate
+    is made.
     """
     g, n = a.group, len(a)
     m = _mask(kernel, a)
     inv = inverse_set(a)
     width = _lane_width(n)
     kronecker = _mask_cost(g, n, width)
-    if _mask_cost(g, 2 * n) < kronecker:
-        support = _times(kernel, m, inv)
-        if _mask_cost(g, n + support.bit_count()) < kronecker:
+    r = n - least + 1
+    # the bit counts over a support of n t, its least size; the rule is affine in the translates,
+    # so from ``most`` t on they cost no less than the lanes
+    fewest = _mask_cost(g, r + n)
+    if fewest < kronecker:
+        per_t = _mask_cost(g, r + n + 1) - fewest
+        most = n + (kronecker - fewest) / per_t if per_t else math.inf
+        right, support = kernel.right, 0
+        for x in islice(inv, r):
+            support |= right(m, x)
+            if support.bit_count() >= most:
+                break
+        else:
             return [t for t in kernel.decode(support) if inside(t).bit_count() >= least], None
     wide = kernel.widen(width)
     lanes, right = wide.spread(m), wide.right
@@ -381,8 +402,10 @@ class DoublingStats:
 def doubling_stats(a: GSet) -> DoublingStats:
     """Exact sizes of A, A^2, A A^-1, A^2 A^-2 and the doubling |A^2|/|A|.
 
-    A^2 A^-2 is the whole group when A^2 or A A^-1 is.  Otherwise it is
-    built as ((A^2)A^-1)A^-1 when that costs fewer multiplications than
+    When 2|A| > |G|, A^2, A A^-1 and A^2 A^-2 are all the whole group, and
+    the call multiplies nothing but is charged the 2|A|^2 pairs of A^2 and
+    A A^-1.  A^2 A^-2 is the whole group when A^2 or A A^-1 is.  Otherwise
+    it is built as ((A^2)A^-1)A^-1 when that costs fewer multiplications than
     squaring A^2, bounding |A^2 A^-1| by min(|G|, |A^2||A|), and as
     A^2 (A^2)^-1 when it does not.  Each kernel supplies a start, A and
     A^-1 as right operands, a ``times`` charged |X||Y| pairs and a
@@ -395,7 +418,15 @@ def doubling_stats(a: GSet) -> DoublingStats:
     size = len(a)
     g = a.group
     whole = g.order
-    kernel = _kernel(g, size, size * size)
+    if 2 * size > whole:
+        # A and gA^-1 (or gA) are too large to be disjoint, so every g lies in A^2 and in AA^-1
+        charge_pairs(size * size)
+        charge_pairs(size * size)
+        return DoublingStats(size, whole, whole, whole, Fraction(whole, size))
+    # the masks make about 4|A| translates, the loop 2|A|^2 pairs for A^2 and AA^-1 and then
+    # those of A^2 A^-2, with |A^2| taken at its bound min(|G|, |A|^2)
+    bound = min(whole, size * size)
+    kernel = _kernel(g, 4 * size, 2 * size * size + min(_chain_pairs(bound, size, whole), bound * bound))
     if kernel is not None:
 
         def times(m: int, ys: GSet) -> int:
@@ -416,7 +447,7 @@ def doubling_stats(a: GSet) -> DoublingStats:
     n2, n_inv = count(square), count(times(start, inv))
     if whole in (n2, n_inv):
         quad_size = whole
-    elif _chain_is_cheaper(n2, size, whole):
+    elif _chain_pairs(n2, size, whole) < n2 * n2:
         quad_size = count(times(times(square, inv), inv))
     elif kernel is None:
         quad_size = len(times(square, loop.factors(list(map(loop.inverse, square)))))
@@ -433,6 +464,6 @@ def doubling_stats(a: GSet) -> DoublingStats:
     )
 
 
-def _chain_is_cheaper(n2: int, size: int, whole: int) -> bool:
-    """Whether ((A^2)A^-1)A^-1 costs fewer multiplications than A^2 (A^2)^-1."""
-    return n2 * size + min(whole, n2 * size) * size < n2 * n2
+def _chain_pairs(n2: int, size: int, whole: int) -> int:
+    """The multiplications of ((A^2)A^-1)A^-1 for |A^2| = n2, bounding |A^2 A^-1| by min(|G|, |A^2||A|)."""
+    return n2 * size + min(whole, n2 * size) * size

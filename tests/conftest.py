@@ -5,6 +5,7 @@ same data.  The ``oracle_*`` references count by definition, with the same
 loops and budget charges as the oracles in ``symgrowth.oracle``, for values
 no command computes that way; ``reference_scan`` finds a shrink step's
 witness by building every candidate's product with ``oracle_product``;
+``SIDES`` stands in for the mask cost rule to send calls to one kernel;
 ``encode_value``, ``one_line`` and ``encode_one_line`` are independent
 references for the JSON encoder and the symmetric backend's Lehmer codes,
 and ``termination_cap_by_bisection`` for the termination cap.  The ``check_*`` helpers state the
@@ -17,6 +18,7 @@ outside pytest's capture.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -254,6 +256,16 @@ def check_iterated_power(a: GSet, eps, k: int) -> bool:
     s = sym_set(a, 1 - eps)
     target = sym_set(a, 1 - k * eps)
     return all(x in target for x in oracle_power(a.group, s.elements, k))
+
+
+#: stand-ins for ``gset._mask_cost`` that send every call to the loop, or to the
+#: masks with level-set counts by popcount, or to the masks with level-set
+#: counts by Kronecker lanes
+SIDES = {
+    "loop": lambda group, translations, width=1: math.inf,
+    "popcount": lambda group, translations, width=1: -1 if width == 1 else 0,
+    "kronecker": lambda group, translations, width=1: 0,
+}
 
 
 def reference_scan(group, aprime, a, eps):

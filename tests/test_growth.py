@@ -9,10 +9,19 @@ by hand) before being frozen here.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from symgrowth import growth, oracle
+from symgrowth import growth, gset, oracle
 from symgrowth.errors import EmptySetError, ParameterError
-from symgrowth.groups import CyclicGroup, DihedralGroup
+from symgrowth.groups import (
+    CyclicGroup,
+    DihedralGroup,
+    DirectProductGroup,
+    HeisenbergGroup,
+    SymmetricGroup,
+    TableGroup,
+)
 from symgrowth.gset import GSet, inverse_set, product
 from symgrowth.growth import (
     CERT_METADATA,
@@ -22,8 +31,16 @@ from symgrowth.growth import (
     stable_neighbourhood,
 )
 from symgrowth.instances import generate
-from symgrowth.oracle import oracle_power, verify_certificate
+from symgrowth.oracle import (
+    oracle_level_set,
+    oracle_power,
+    oracle_product,
+    oracle_sym_members,
+    verify_certificate,
+)
 from symgrowth.serialize import canonical_dumps
+
+from conftest import SIDES, reference_scan
 
 C20 = CyclicGroup(20)
 INTERVAL = GSet(C20, [(i,) for i in range(5)])
@@ -138,6 +155,119 @@ def test_step_multiplications_do_not_grow_with_the_level_set(reps, eps):
     assert out.case == "terminate"
     assert len(out.level_set) >= na
     assert group.calls <= na * na + na * na + nprod * nprod
+
+
+def _table_of(group):
+    """``group`` as a TableGroup whose row i is ``group.element_at(i)``."""
+    elems = [group.element_at(i) for i in range(group.order)]
+    index = {x: i for i, x in enumerate(elems)}
+    return TableGroup([[index[group.multiply(x, y)] for y in elems] for x in elems])
+
+
+# one small group per backend; the first three have masks
+SIX_BACKENDS = [
+    CyclicGroup(14),
+    DihedralGroup(6),
+    HeisenbergGroup(3),
+    SymmetricGroup(4),
+    DirectProductGroup([CyclicGroup(2), DihedralGroup(3)]),
+    _table_of(DihedralGroup(5)),
+]
+
+
+def _on_masks(group, translations, pairs, width=1):
+    return group.masks if group.mask_kernel else None
+
+
+#: each kernel a step can take: ``_kernel`` picks the loop or the masks, and
+#: ``_mask_cost`` then steers the masks' level sets to bit counts or to lanes
+KERNELS = {
+    "loop": (lambda group, translations, pairs, width=1: None, SIDES["loop"]),
+    "popcount": (_on_masks, SIDES["popcount"]),
+    "kronecker": (_on_masks, SIDES["kronecker"]),
+}
+
+
+def _reference_step(aprime, a, eps):
+    """The case, t, A' ∩ tA', its product's size and the entries of a step, every product built in full by the oracle."""
+    g = aprime.group
+    nap, na, n_p = len(aprime), len(a), len(oracle_product(g, aprime, a))
+    tau = Fraction(nap**4, 2 * n_p * na**2)
+    level = oracle_level_set(g, aprime, tau)
+    entries = [("level_set_lower", "ge", len(level), Fraction(nap**3, 2 * n_p * na))]
+    t, cand = reference_scan(g, aprime.elements, a.elements, eps)
+    if t is not None:
+        size = len(oracle_product(g, cand, a))
+        entries += [("shrink_size_lower", "ge", len(cand), tau), ("shrink_product_upper", "le", size, (1 - eps) * n_p)]
+        return "shrink", t, cand, size, entries
+    threshold = (1 - eps) if eps < 1 else Fraction(1, n_p)
+    sym = oracle_sym_members(g, oracle_product(g, aprime, a), threshold)
+    entries += [("sym_size_lower", "ge", len(sym), len(level)), ("level_set_in_sym", "eq", len(set(level) - set(sym)), 0)]
+    return "terminate", None, None, None, entries
+
+
+@st.composite
+def step_inputs(draw):
+    group = draw(st.sampled_from(SIX_BACKENDS))
+    index = st.integers(0, group.order - 1)
+    a = draw(st.lists(index, min_size=1, max_size=12, unique=True))
+    aprime = draw(st.lists(st.sampled_from(a), min_size=1, unique=True))
+    return GSet(group, map(group.element_at, a)), GSet(group, map(group.element_at, aprime))
+
+
+@given(st.sampled_from(sorted(KERNELS)), step_inputs(), st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]))
+def test_shrink_step_matches_a_full_reference_scan(kernel, sets, eps):
+    # the scan drops a candidate once its union of rows passes (1-eps)|A'A|; the step must not change
+    a, aprime = sets
+    pick, cost = KERNELS[kernel]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(gset, "_kernel", pick)
+        m.setattr(gset, "_mask_cost", cost)
+        out = shrink_step(GSet(a.group, aprime.elements), GSet(a.group, a.elements), eps)
+    case, t, shrunk, size, entries = _reference_step(aprime, a, eps)
+    assert (out.case, out.t, out.shrunk_product_size) == (case, t, size)
+    assert (out.shrunk.elements if out.shrunk is not None else None) == shrunk
+    assert [(e.name, e.relation, e.lhs, e.rhs, e.holds) for e in out.entries] == [
+        (name, relation, lhs, rhs, {"ge": lhs >= rhs, "le": lhs <= rhs, "eq": lhs == rhs}[relation])
+        for name, relation, lhs, rhs in entries
+    ]
+
+
+def test_the_scan_stops_each_coset_candidate_within_three_rows(monkeypatch):
+    # a shrink-scan coset union in D140: the scan rejects every one of its 56
+    # candidates, each of 56 members, and stops each one within three rows
+    spec = {"group": {"type": "dihedral", "n": 140},
+            "set": {"type": "coset_union", "generators": [[5, 0]], "reps": [[3, 0], [9, 1]]}}
+    a = generate(spec)
+    rows = []
+    real_row_product, real_level_set = growth.row_product, growth.level_set
+
+    def row_product(x, y):
+        p, row = real_row_product(x, y)
+
+        def counted(u):
+            rows[-1] += 1
+            return row(u)
+
+        return p, counted
+
+    def level_set(x, need):
+        level, overlap = real_level_set(x, need)
+
+        def opened(t):
+            rows.append(0)
+            return overlap(t)
+
+        return level, opened
+
+    monkeypatch.setattr(growth, "row_product", row_product)
+    monkeypatch.setattr(growth, "level_set", level_set)
+    out = shrink_step(a, a, Fraction(1, 3))
+    assert out.case == "terminate"
+    assert (len(a), len(out.product)) == (56, 112)
+    assert len(rows) == len(out.level_set) == 56
+    # each row uA holds 56 elements, against a limit of floor(2/3 · 112) = 74
+    assert max(rows) <= 3
 
 
 # -- the iteration ------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exact set arithmetic: products, convolutions, energies, doubling stats."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -34,9 +35,10 @@ from symgrowth.gset import (
     row_product,
 )
 from symgrowth.instances import generate, random_set
-from symgrowth.oracle import oracle_inverse, oracle_overlaps, oracle_product
+from symgrowth.oracle import oracle_inverse, oracle_level_set, oracle_overlaps, oracle_product
 
 from conftest import (
+    SIDES,
     CounterStream,
     conv_counts,
     draw_subset,
@@ -216,6 +218,62 @@ def test_row_product_covers_subset_products(stream):
             for u in sub:
                 cover |= row(u)
             assert cover.bit_count() == len(product(GSet(group, sub), b))
+
+
+# -- level sets on masks ---------------------------------------------------------
+
+def _level_set_counting_right(monkeypatch, a, need, side=None):
+    """``level_set(a, need)`` on A's masks, counted by ``side`` or by the real rule, and the 1-bit right translates it made."""
+    kernel, seen = a.group.masks, []
+    real = kernel.right
+    with monkeypatch.context() as m:
+        m.setattr(gset, "_kernel", lambda group, translations, pairs, width=1: group.masks)
+        if side is not None:
+            m.setattr(gset, "_mask_cost", SIDES[side])
+        m.setattr(kernel, "right", lambda mask, y: seen.append(y) or real(mask, y))
+        level, _ = level_set(GSet(a.group, a.elements), need)
+    return level, seen
+
+
+@pytest.mark.parametrize("group", [CyclicGroup(40), DihedralGroup(20), HeisenbergGroup(4)], ids=["c40", "d20", "h4"])
+def test_mask_level_sets_take_a_pigeonhole_support(monkeypatch, group, stream):
+    # a t with |A ∩ tA| >= least lies in A·x⁻¹ for one of any n - least + 1 members x
+    for _ in range(6):
+        a = draw_subset(group, 3 + stream.below(14), stream)
+        n = len(a)
+        for least in sorted({1, math.ceil(n / 2), math.ceil(2 * n / 3), n - 1, n}):
+            level, seen = _level_set_counting_right(monkeypatch, a, least, "popcount")
+            assert level.elements == oracle_level_set(group, a.elements, least)
+            assert len(seen) == n - least + 1
+            level, seen = _level_set_counting_right(monkeypatch, a, least, "kronecker")
+            assert level.elements == oracle_level_set(group, a.elements, least)
+            # the lanes cost less than bit counts over even the least support, so none is built
+            assert seen == []
+
+
+@pytest.mark.parametrize("need", [1, 10])
+def test_a_mask_level_set_gives_up_its_support_once_the_lanes_cost_less(monkeypatch, need):
+    # a random 20 in Heisenberg mod 9: its support would hold about 300 of the
+    # 729 elements, where the bit counts cost far more than the lanes; the
+    # build stops at the first translate whose union reaches that cost
+    a = generate({"group": {"type": "heisenberg_mod", "p": 9}, "set": {"type": "random", "size": 20, "seed": 0}})
+    g, n = a.group, len(a)
+    level, seen = _level_set_counting_right(monkeypatch, a, need)
+    assert level.elements == oracle_level_set(g, a.elements, need)
+    assert level._mask is not None  # the lanes built the level set's mask
+    r = n - need + 1
+    assert 1 <= len(seen) < r
+    assert seen == list(inverse_set(a).elements[: len(seen)])
+    m = g.masks.encode(a.elements)
+    lanes = gset._mask_cost(g, n, gset._lane_width(n))
+
+    def support(j):
+        out = 0
+        for x in seen[:j]:
+            out |= g.masks.right(m, x)
+        return out.bit_count()
+
+    assert gset._mask_cost(g, r + support(len(seen) - 1)) < lanes <= gset._mask_cost(g, r + support(len(seen)))
 
 
 def test_kernels_charge_their_multiplications():
@@ -412,7 +470,8 @@ def test_doubling_stats_builds_the_quad_the_cheapest_way(monkeypatch, name):
     monkeypatch.undo()
     assert stats.quad_size == _quad_by_definition(a)
     assert doubling_stats(a) == stats
-    assert seen["multiplies"] > 0
+    # with 2|A| > |G|, A^2 and AA^-1 are the whole group without a multiplication
+    assert (seen["multiplies"] > 0) == (2 * n <= g)
     assert seen["multiplies"] <= MOST_MULTIPLIES[way](n, n2, g)
     if way != "square":
         # all of doubling_stats costs less than squaring A^2 alone

@@ -8,7 +8,6 @@ separately, on the instances it must send to each side.
 """
 
 import itertools
-import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -32,13 +31,7 @@ from symgrowth.oracle import (
 )
 from symgrowth.symmetry import sym_set
 
-from conftest import reference_scan
-
-SIDES = {
-    "loop": lambda group, translations, width=1: math.inf,
-    "popcount": lambda group, translations, width=1: -1 if width == 1 else 0,
-    "kronecker": lambda group, translations, width=1: 0,
-}
+from conftest import SIDES, reference_scan
 
 
 def on_side(side):
@@ -270,6 +263,23 @@ def test_the_rule_keeps_many_small_heisenberg_products_on_the_loop(monkeypatch):
     a = GSet(h3, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 2, 1)])
     assert _multiplies(monkeypatch, h3, lambda: product(a, a)) == 16
     assert "masks" not in vars(h3)
+
+
+@pytest.mark.parametrize("p, size", [(9, 8), (5, 6)], ids=["h9-random-8", "h5-random-6"])
+def test_the_rule_sends_small_random_heisenberg_stats_to_the_masks(monkeypatch, p, size):
+    # the loop multiplies A^2, AA^-1 and then the chain, 3,492 pairs on the
+    # random 8 mod 9, where the masks make 32 translates at about 320 steps
+    a = generate({"group": {"type": "heisenberg_mod", "p": p}, "set": {"type": "random", "size": size, "seed": 0}})
+    assert _multiplies(monkeypatch, a.group, lambda: doubling_stats(a)) == 0
+
+
+def test_the_rule_keeps_the_smallest_many_small_heisenberg_stats_on_the_loop(monkeypatch):
+    # many-small's heisenberg_mod15: two elements of Heisenberg mod 4, whose
+    # whole stats multiply fewer pairs than one call on masks costs
+    h4 = HeisenbergGroup(4)
+    a = GSet(h4, [(0, 0, 3), (1, 0, 2)])
+    assert _multiplies(monkeypatch, h4, lambda: doubling_stats(a)) > 0
+    assert "masks" not in vars(h4)
 
 
 @pytest.mark.parametrize("group", [CyclicGroup(10**12), DihedralGroup(10**12), HeisenbergGroup(10**4)],
