@@ -442,7 +442,10 @@ class DirectProductGroup(Group):
         return out
 
     def inverse(self, x: Element) -> Element:
-        return tuple(v for g, s in self._parts for v in g.inverse(x[s]))
+        out = ()
+        for g, s in self._parts:
+            out += g.inverse(x[s])
+        return out
 
     def describe(self) -> dict:
         return {"type": "direct_product", "factors": [g.describe() for g in self.factors]}

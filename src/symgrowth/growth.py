@@ -180,12 +180,16 @@ def shrink_step(aprime: GSet, a: GSet, eps) -> StepOutcome:
     L and each scanned A' ∩ tA' come from ``level_set(aprime, tau)``, and
     the scan sizes (A' ∩ tA')A as the OR of the ``row_product`` rows of its
     members, so a step is charged |A'||A| + |A'|^2 pairs, plus |A'A|^2 for
-    the symmetry set when it terminates.  The OR only grows, so the scan
+    the symmetry set when it terminates.  The t are scanned in canonical
+    order, but each candidate's members come from both ends of it, highest
+    first, then lowest, and so on: in a set of small doubling the rows of
+    the two extreme members overlap least.  The OR only grows, so the scan
     drops a candidate at the first row that takes it past
     floor((1-eps)|A'A|); a witness never passes that limit and is OR-ed in
-    full.  In cyclic, dihedral and Heisenberg groups these may run on masks
-    (see ``gset``), and then only the candidates the scan reaches decode
-    A' ∩ tA'.
+    full, and ``shrunk`` is built from the members it OR-ed.  So the order
+    changes no witness.  In cyclic, dihedral and Heisenberg groups these may
+    run on masks (see ``gset``), and then a candidate decodes only the
+    members the scan reaches.
 
     The step's inequalities hold unconditionally; if any fails the step
     raises InvariantViolation, since that means the computation is broken.
@@ -213,15 +217,17 @@ def shrink_step(aprime: GSet, a: GSet, eps) -> StepOutcome:
     limit = (1 - eps) * np_
     most = math.floor(limit)
     for t in level:
-        inside = overlap(t)
         cover = 0
-        for u in inside:
+        taken = []
+        for u in overlap(t):
             cover |= row(u)
             if cover.bit_count() > most:
                 break
+            taken.append(u)
         else:
+            # a witness ORs every member, so ``taken`` is the whole of A' ∩ tA'
             shrunk_product_size = cover.bit_count()
-            shrunk = GSet._sorted(g, inside)
+            shrunk = GSet._trusted(g, frozenset(taken))
             entries.append(_entry("shrink_size_lower", "ge", len(shrunk), tau))
             entries.append(_entry("shrink_product_upper", "le", shrunk_product_size, limit))
             if not all(e.holds for e in entries):

@@ -29,8 +29,11 @@ is the loop's one convolution: for each x in AB it lists the u in A with
 x in uB, so with B = A^-1 its entry at t is A ∩ tA.  ``row_product`` gives
 the row uB of each u in A as an int mask, so the shrink scan sizes the
 product of any subset of A with B by OR-ing rows, ``level_set`` gives each
-A ∩ tA of its level set on demand, and ``outside`` counts the members x of
-a set outside TW⁻¹ by testing whether xW meets T, so TW⁻¹ is never built.
+A ∩ tA of its level set on demand and lazily, from both ends of its
+canonical order (highest member, lowest, next highest, ...), so a scan
+that stops early never decodes the rest, and ``outside`` counts the
+members x of a set outside TW⁻¹ by testing whether xW meets T, so TW⁻¹ is
+never built.
 On masks a level set at ``least`` counts either over a support cut by
 pigeonhole, the union of A·x⁻¹ over any n - least + 1 members x of A,
 which it gives up as soon as the lanes of one Kronecker product would cost
@@ -45,7 +48,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .budget import charge_pairs
@@ -286,13 +289,16 @@ def _mask_level(kernel: Rotations, a: GSet, least: int, inside: Callable[[Elemen
     return kernel.decode(level), level
 
 
-def level_set(a: GSet, need) -> tuple[GSet, Callable[[Element], Sequence[Element]]]:
-    """The level set {t : |A ∩ tA| >= need} and a lookup of A ∩ tA, in canonical order, for its t.
+def level_set(a: GSet, need) -> tuple[GSet, Callable[[Element], Iterator[Element]]]:
+    """The level set {t : |A ∩ tA| >= need} and a lazy lookup of A ∩ tA for its t.
 
+    The lookup yields A ∩ tA from both ends of the canonical order: its
+    highest member, then its lowest, then the next highest, and so on.
     Costs |A|^2 pairs of the budget.  The loop reads both off
-    ``conv_table(a, least=least)``, which encodes only the level set; on
-    the masks, A ∩ tA is decoded from m & tm only for the t that are
-    looked up.
+    ``conv_table(a, least=least)``, which encodes only the level set, and
+    indexes each list in that order; on the masks, A ∩ tA is m & tm, taken
+    for the t that are looked up and decoded one bit at a time, so a caller
+    that stops early never decodes the rest.
     """
     # an int bound, so no Fraction comparison per entry; every t of AA^-1 has a count of 1 or more
     least = max(math.ceil(need), 1)
@@ -301,15 +307,21 @@ def level_set(a: GSet, need) -> tuple[GSet, Callable[[Element], Sequence[Element
     if kernel is not None:
         charge_pairs(n * n)
         m = _mask(kernel, a)
-        left, decode = kernel.lefts(m), kernel.decode
+        left, walk = kernel.lefts(m), kernel.from_both_ends
 
         def inside(t: Element) -> int:
             return m & left(t)
 
         level, level_mask = _mask_level(kernel, a, least, inside) if least <= n else ([], None)
-        return GSet._sorted(g, level, level_mask), lambda t: decode(inside(t))
+        return GSet._sorted(g, level, level_mask), lambda t: walk(inside(t))
     table = conv_table(a, least=least)
-    return GSet._trusted(g, frozenset(table)), table.__getitem__
+
+    def overlap(t: Element) -> Iterator[Element]:
+        # the pairs (last, first), (next to last, second), ... flattened, cut at the list's length
+        terms = table[t]
+        return islice(chain.from_iterable(zip(reversed(terms), terms)), len(terms))
+
+    return GSet._trusted(g, frozenset(table)), overlap
 
 
 def row_product(a: GSet, b: GSet) -> tuple[GSet, Callable[[Element], int]]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import functools
 from itertools import compress, repeat
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 Element = tuple[int, ...]
 
@@ -97,6 +97,23 @@ class Rotations:
         data = m.to_bytes((m.bit_length() + 7) // 8, "little")
         return self._elements([8 * j + i for j in compress(range(len(data)), data) for i in _BITS[data[j]]])
 
+    def from_both_ends(self, m: int) -> Iterator[Element]:
+        """The members of the 1-bit mask ``m``, highest first, then lowest, then next highest, and so on.
+
+        Each is taken off the mask as its bit, the top one by ``bit_length``
+        and the bottom one by ``m & -m``, so a caller that stops early never
+        decodes the rest.
+        """
+        element = self.element
+        while m:
+            top = m.bit_length() - 1
+            yield element(top)
+            m ^= 1 << top
+            if m:
+                low = m & -m
+                yield element(low.bit_length() - 1)
+                m ^= low
+
     def spread(self, m: int) -> int:
         """The 1-bit mask ``m`` with each bit moved to the low bit of its lane."""
         step = self.width >> 3
@@ -131,6 +148,10 @@ class CyclicMasks(Rotations):
     def _elements(self, index) -> list[Element]:
         return list(zip(index))
 
+    def element(self, i: int) -> Element:
+        """The element of bit ``i``."""
+        return (i,)
+
     def right(self, m: int, y: Element) -> int:
         """The mask of X·y for the mask ``m`` of X."""
         return self._rotate(m, y[0])
@@ -159,6 +180,10 @@ class DihedralMasks(Rotations):
 
     def _elements(self, index) -> list[Element]:
         return list(map(divmod, index, repeat(2)))
+
+    def element(self, i: int) -> Element:
+        """The element of bit ``i``."""
+        return divmod(i, 2)
 
     def right(self, m: int, y: Element) -> int:
         """The mask of X·y: (a, 0)(b, f) = (a + b, f) and (a, 1)(b, f) = (a - b, 1 - f)."""
@@ -304,6 +329,11 @@ class HeisenbergMasks(Rotations):
         p = self.p
         pp = p * p
         return [(i // pp, i // p % p, i % p) for i in index]
+
+    def element(self, i: int) -> Element:
+        """The element of bit ``i``."""
+        p = self.p
+        return (i // (p * p), i // p % p, i % p)
 
     def right(self, m: int, y: Element) -> int:
         """The mask of X·y: the c of x·y is c + c' + a·b', so c is sheared by a·b'."""

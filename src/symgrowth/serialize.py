@@ -21,10 +21,18 @@ from .errors import ParameterError
 
 _FRACTION_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 _quote = json.encoder.encode_basestring_ascii
+#: the types whose ``str`` is already that of their Fraction
+_EXACT = (int, Fraction)
 
 
 def fraction_to_str(value: Fraction | int) -> str:
-    """Render an exact rational as 'p/q' in lowest terms ('p' if integral)."""
+    """Render an exact rational as 'p/q' in lowest terms ('p' if integral).
+
+    An int or a Fraction is already in lowest terms, so only another value,
+    a bool included, is made a Fraction first.
+    """
+    if type(value) in _EXACT:
+        return str(value)
     return str(Fraction(value))
 
 

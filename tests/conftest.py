@@ -4,7 +4,8 @@ Unit tests draw random instances through CounterStream so every run sees the
 same data.  The ``oracle_*`` references count by definition, with the same
 loops and budget charges as the oracles in ``symgrowth.oracle``, for values
 no command computes that way; ``reference_scan`` finds a shrink step's
-witness by building every candidate's product with ``oracle_product``;
+witness by building every candidate's product with ``oracle_product``,
+and ``from_both_ends`` puts a list in the order the level-set lookup yields;
 ``SIDES`` stands in for the mask cost rule to send calls to one kernel;
 ``encode_value``, ``one_line`` and ``encode_one_line`` are independent
 references for the JSON encoder and the symmetric backend's Lehmer codes,
@@ -19,6 +20,7 @@ outside pytest's capture.
 from __future__ import annotations
 
 import math
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -266,6 +268,16 @@ SIDES = {
     "popcount": lambda group, translations, width=1: -1 if width == 1 else 0,
     "kronecker": lambda group, translations, width=1: 0,
 }
+
+
+def from_both_ends(items) -> list:
+    """The items last, first, next to last, second, and so on: a deque popped from each end in turn."""
+    rest, out = deque(items), []
+    while rest:
+        out.append(rest.pop())
+        if rest:
+            out.append(rest.popleft())
+    return out
 
 
 def reference_scan(group, aprime, a, eps):

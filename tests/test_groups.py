@@ -277,6 +277,17 @@ def test_loop_kernel_translates_and_inverts_as_multiply_does(group):
         assert list(loop.encode(loop.right(forms, factor))) == [group.multiply(x, y) for x in xs]
 
 
+@pytest.mark.parametrize("group", PRODUCT_BACKENDS, ids=lambda g: repr(g.describe()))
+def test_inverse_is_the_two_sided_inverse_and_concatenates_the_factors(group):
+    rng = random.Random(group.order)
+    for x in (group.element_at(rng.randrange(group.order)) for _ in range(20)):
+        y = group.inverse(x)
+        assert group.multiply(x, y) == group.multiply(y, x) == group.identity
+        if isinstance(group, DirectProductGroup):
+            # the generator form the concatenation replaced
+            assert y == tuple(v for g, s in group._parts for v in g.inverse(x[s]))
+
+
 def test_symmetric_degree_guard():
     with pytest.raises(InvalidGroupError):
         SymmetricGroup(SYMMETRIC_DEGREE_LIMIT + 1)

@@ -31,6 +31,7 @@ from symgrowth.growth import (
     stable_neighbourhood,
 )
 from symgrowth.instances import generate
+from symgrowth.masks import CyclicMasks
 from symgrowth.oracle import (
     oracle_level_set,
     oracle_power,
@@ -233,12 +234,8 @@ def test_shrink_step_matches_a_full_reference_scan(kernel, sets, eps):
     ]
 
 
-def test_the_scan_stops_each_coset_candidate_within_three_rows(monkeypatch):
-    # a shrink-scan coset union in D140: the scan rejects every one of its 56
-    # candidates, each of 56 members, and stops each one within three rows
-    spec = {"group": {"type": "dihedral", "n": 140},
-            "set": {"type": "coset_union", "generators": [[5, 0]], "reps": [[3, 0], [9, 1]]}}
-    a = generate(spec)
+def _rows_per_candidate(monkeypatch) -> list[int]:
+    """The rows each scanned candidate ORs, one entry per candidate, filled in as the scan runs."""
     rows = []
     real_row_product, real_level_set = growth.row_product, growth.level_set
 
@@ -262,12 +259,102 @@ def test_the_scan_stops_each_coset_candidate_within_three_rows(monkeypatch):
 
     monkeypatch.setattr(growth, "row_product", row_product)
     monkeypatch.setattr(growth, "level_set", level_set)
+    return rows
+
+
+D140_COSETS = {"group": {"type": "dihedral", "n": 140},
+               "set": {"type": "coset_union", "generators": [[5, 0]], "reps": [[3, 0], [9, 1]]}}
+C3000_INTERVAL = {"group": {"type": "cyclic", "n": 3000}, "set": {"type": "interval", "start": 17, "length": 75}}
+
+
+def test_the_scan_stops_each_coset_candidate_within_three_rows(monkeypatch):
+    # a shrink-scan coset union in D140: the scan rejects every one of its 56
+    # candidates, each of 56 members, and stops each one within three rows
+    a = generate(D140_COSETS)
+    rows = _rows_per_candidate(monkeypatch)
     out = shrink_step(a, a, Fraction(1, 3))
     assert out.case == "terminate"
     assert (len(a), len(out.product)) == (56, 112)
     assert len(rows) == len(out.level_set) == 56
     # each row uA holds 56 elements, against a limit of floor(2/3 · 112) = 74
     assert max(rows) <= 3
+
+
+def test_the_scan_stops_each_interval_candidate_within_two_rows(monkeypatch):
+    # a shrink-scan interval in C3000: the first 50 candidates are rejected, and
+    # the rows of a candidate's highest and lowest members already pass the limit
+    a = generate(C3000_INTERVAL)
+    rows = _rows_per_candidate(monkeypatch)
+    out = shrink_step(a, a, Fraction(1, 3))
+    assert out.case == "shrink"
+    assert (len(out.product), len(out.shrunk), out.shrunk_product_size) == (149, 25, 99)
+    assert len(rows) == 51
+    # an interval of m members has a product of m + 74 elements, against a limit of
+    # floor(2/3 · 149) = 99: its two extreme rows hold m + 74 of them when m > 25
+    assert max(rows[:-1]) <= 2
+    # a witness ORs every member
+    assert rows[-1] == len(out.shrunk)
+
+
+#: the seed-0 shrink-scan instances of the benchmark, and a sparse interval that
+#: takes the loop, with the rows their ``run --k 2`` ORs and the candidates it scans;
+#: OR-ed in ascending order the intervals took 1,374 and 249 rows
+SCAN_ROWS = [
+    ({"group": {"type": "cyclic", "n": 3000}, "set": {"type": "interval", "start": 2322, "length": 75}}, 174, 100),
+    ({"group": {"type": "cyclic", "n": 3000}, "set": {"type": "interval", "start": 1243, "length": 75}}, 174, 100),
+    ({"group": {"type": "dihedral", "n": 140},
+      "set": {"type": "coset_union", "generators": [[5, 0]], "reps": [[98, 0], [134, 1]]}}, 112, 56),
+    ({"group": {"type": "dihedral", "n": 140},
+      "set": {"type": "coset_union", "generators": [[5, 0]], "reps": [[88, 0], [64, 1]]}}, 112, 56),
+    ({"group": {"type": "cyclic", "n": 100000}, "set": {"type": "interval", "start": 7, "length": 30}}, 69, 40),
+]
+
+
+@pytest.mark.parametrize("spec, total, candidates", SCAN_ROWS, ids=lambda v: repr(v) if isinstance(v, dict) else str(v))
+def test_a_run_ors_the_pinned_rows_over_its_candidates(monkeypatch, spec, total, candidates):
+    a = generate(spec)
+    rows = _rows_per_candidate(monkeypatch)
+    stable_neighbourhood(a, 2)
+    assert (sum(rows), len(rows)) == (total, candidates)
+
+
+def test_the_sparse_interval_scans_on_the_loop(monkeypatch):
+    # the masks do not pay on 30 elements of cyclic 100000, so its lookup indexes the convolution table
+    monkeypatch.setattr(CyclicMasks, "from_both_ends", lambda self, m: pytest.fail("scanned on masks"))
+    a = generate(SCAN_ROWS[-1][0])
+    assert shrink_step(a, a, Fraction(1, 3)).case == "shrink"
+
+
+@pytest.mark.parametrize("spec", [D140_COSETS, C3000_INTERVAL], ids=["cosets", "interval"])
+def test_no_rejected_candidate_decodes_its_overlap_on_masks(monkeypatch, spec):
+    a = generate(spec)
+    kernel = type(a.group.masks)
+    rows = _rows_per_candidate(monkeypatch)
+    scanning, decoded, elements = [True], [], []
+    real_decode, real_element, real_sym_set = kernel.decode, kernel.element, growth.sym_set
+
+    def decode(self, m):
+        if rows and scanning[0]:
+            decoded.append(len(rows))
+        return real_decode(self, m)
+
+    def element(self, i):
+        elements.append(i)
+        return real_element(self, i)
+
+    def sym_set(*args):
+        scanning[0] = False
+        return real_sym_set(*args)
+
+    monkeypatch.setattr(kernel, "decode", decode)
+    monkeypatch.setattr(kernel, "element", element)
+    monkeypatch.setattr(growth, "sym_set", sym_set)
+    out = shrink_step(a, a, Fraction(1, 3))
+    # the scan took the masks, decoded one bit for each row it OR-ed, and decoded no mask whole
+    assert len(elements) == sum(rows) > 0
+    assert decoded == []
+    if out.case == "shrink":
+        assert rows[-1] == len(out.shrunk)
 
 
 # -- the iteration ------------------------------------------------------------

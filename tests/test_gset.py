@@ -43,6 +43,7 @@ from conftest import (
     conv_counts,
     draw_subset,
     encode_one_line,
+    from_both_ends,
     oracle_conv_table,
     oracle_quadruples,
     pair_energy,
@@ -588,7 +589,8 @@ def test_loop_kernels_are_the_double_loop_over_multiply(monkeypatch, group, stre
         assert conv_table(a) == overlaps
         level, overlap = level_set(a, 2)
         assert level.elements == tuple(sorted(x for x, terms in overlaps.items() if len(terms) >= 2))
-        assert all(overlap(x) == overlaps[x] for x in level)
+        # the lookup yields each overlap from both ends of its canonical order
+        assert all(list(overlap(x)) == from_both_ends(overlaps[x]) for x in level)
         # the rows number AB in first-seen order over the same double loop
         index: dict = {}
         for _, x in pairs:

@@ -33,6 +33,16 @@ def test_fractions_render_in_lowest_terms():
     assert fraction_to_str(Fraction(-6, 4)) == "-3/2"
 
 
+@given(st.one_of(st.integers(), st.fractions()))
+def test_fraction_to_str_of_an_int_or_fraction_is_the_string_of_its_fraction(value):
+    assert fraction_to_str(value) == str(Fraction(value))
+
+
+def test_fraction_to_str_renders_a_bool_as_its_fraction():
+    assert (fraction_to_str(True), fraction_to_str(False)) == ("1", "0")
+    assert fraction_to_str(-(10**40)) == str(-(10**40))
+
+
 def test_parse_fraction_accepts_plain_ints():
     assert parse_fraction("12") == 12
     assert parse_fraction("-3") == -3
