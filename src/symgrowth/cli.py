@@ -153,7 +153,8 @@ def _parser() -> argparse.ArgumentParser:
     shared.add_argument("--instance", required=True, help="instance spec JSON file")
     shared.add_argument("--out", help="write output here (atomically) instead of stdout")
     shared.add_argument("--budget-pairs", type=int, help="override the pair budget for this run")
-    shared.add_argument("--trace", action="store_true", help="log per-step progress to stderr")
+    shared.add_argument("--trace", action="store_true",
+                        help="only run prints with it: each shrink step, as a JSON line on stderr")
     parser = _Parser(
         prog="symgrowth",
         description="Exact growth analysis of finite sets in groups, with certificates.",

@@ -234,11 +234,16 @@ def _cube_root(order: int) -> int:
 #: for the 1-bit kernel the sum starts from and its lane set-up.  Measured on
 #: sets of 3 to 64 elements for p from 2 to 16, with the group, and so its
 #: kernel, built anew for each call, and on single translates up to p = 45
-#: (numbers in CHANGES.md).
+#: (numbers in CHANGES.md).  The build takes about 20 steps, but ``_H_BUILD``
+#: is 36: in groups of 8 to 64 elements a product soon fills much of the
+#: group, so the loop makes fewer multiplications than the pairs it is
+#: priced at.  The extra 16 steps send ``doubling_stats`` on 3 elements mod
+#: 3 and 4 mod 2, and ``outside`` on 12 members and ``level_set`` on 16
+#: elements mod 4, to the loop, where each ran faster.
 _H_TRANSLATE = 1
 _H_ROTATIONS = 2
 _H_SHEAR_ROTATIONS = 0.5
-_H_BUILD = 20
+_H_BUILD = 36
 _H_BUILD_VALUE = 10
 _H_BUILD_WORDS = 8
 _H_WIDEN = 30

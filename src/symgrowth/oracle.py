@@ -6,6 +6,11 @@ fast path.  Oracles are deliberately slow and simple; they exist so that
 every fast-path computation and every emitted certificate can be checked
 against code with no shared logic to fail in the same way.
 
+The replay's level sets and candidates are read off ``oracle_overlaps``,
+the ordered double loop over A and A⁻¹.  The terminal symmetry set is
+counted over unordered pairs instead, since |X ∩ tX| = |X ∩ t⁻¹X|: one
+loop over u < w in X gives every count, charged as the ordered loop.
+
 The one exception to plain collections is the verifier's replay of the
 shrink scan: each row xA is an int mask over the step's own index of A'A,
 and a candidate's product size is the bit count of the OR of its rows.
@@ -122,14 +127,37 @@ def oracle_overlaps(group: Group, a: Iterable[Element]) -> dict[Element, list[El
 
 
 def oracle_sym_members(group: Group, a: Iterable[Element], eta: Fraction) -> tuple[Element, ...]:
-    """Symmetry-set members recomputed from the definition: |A ∩ tA| >= eta |A|."""
-    a = set(a)
-    return oracle_level_set(group, a, Fraction(eta) * len(a))
+    """Symmetry-set members recomputed from the definition: |A ∩ tA| >= eta |A|, in ascending order.
 
-
-def oracle_level_set(group: Group, aprime: Iterable[Element], tau: Fraction) -> tuple[Element, ...]:
-    """All t with |A' ∩ tA'| >= tau, in ascending order, filtered from ``oracle_overlaps(A')``."""
-    return _level(oracle_overlaps(group, aprime), tau)
+    |A ∩ tA| counts the pairs (u, w) of A with u·w⁻¹ = t.  The pairs u = w
+    give t = e, |A| times, and swapping u and w turns t into t⁻¹.  So one
+    loop over the pairs u < w, counting each u·w⁻¹ in h, gives every count:
+    h(t) + h(t⁻¹) for t ≠ e (2h(t) for an involution) and |A| for e.  It
+    multiplies |A|(|A| - 1)/2 pairs but is charged the |A|² of the ordered
+    loop, and a count is compared with ceil(eta |A|), an int.
+    """
+    a = sorted(set(a))
+    n = len(a)
+    charge_pairs(n * n)
+    if not a:
+        return ()
+    mul = group.multiply
+    inv = group.inverse
+    inverses = [inv(w) for w in a]
+    half: dict[Element, int] = {}
+    get = half.get
+    for i, u in enumerate(a, 1):
+        for w in inverses[i:]:
+            t = mul(u, w)
+            half[t] = get(t, 0) + 1
+    least = math.ceil(Fraction(eta) * n)
+    members = {group.identity} if n >= least else set()
+    for t, count in half.items():
+        t_inv = inv(t)
+        if count + get(t_inv, 0) >= least:
+            members.add(t)
+            members.add(t_inv)
+    return tuple(sorted(members))
 
 
 def _level(overlaps: dict[Element, list[Element]], tau: Fraction) -> tuple[Element, ...]:
@@ -323,7 +351,8 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     that table, and each candidate's |(A' ∩ tA')A| is the bit count of the
     OR of its members' rows, so the scan itself multiplies nothing and
     carries sizes, not sets, into the ledger.  The final symmetry
-    set is recomputed from its definition, the power containment is
+    set is recomputed from its definition (``oracle_sym_members``, over
+    the unordered pairs of the last product), the power containment is
     re-derived by membership tests of S^k against A² (``oracle_power``,
     whose work does not grow with the certificate's k), and every ledger
     line's numbers are recomputed once, during the replay, and compared as

@@ -3,7 +3,8 @@
 Unit tests draw random instances through CounterStream so every run sees the
 same data.  The ``oracle_*`` references count by definition, with the same
 loops and budget charges as the oracles in ``symgrowth.oracle``, for values
-no command computes that way; ``reference_scan`` finds a shrink step's
+no command computes that way; ``oracle_level_set`` filters a level set
+from ``oracle_overlaps``; ``reference_scan`` finds a shrink step's
 witness by building every candidate's product with ``oracle_product``,
 and ``from_both_ends`` puts a list in the order the level-set lookup yields;
 ``SIDES`` stands in for the mask cost rule to send calls to one kernel;
@@ -34,7 +35,7 @@ from symgrowth.groups import (
 from symgrowth.budget import charge_pairs
 from symgrowth.errors import InvalidElementError, ParameterError
 from symgrowth.gset import GSet, conv_table, product
-from symgrowth.oracle import oracle_level_set, oracle_power, oracle_product
+from symgrowth.oracle import oracle_overlaps, oracle_power, oracle_product
 from symgrowth.prng import splitmix64
 from symgrowth.symmetry import check_eta, sym_set
 
@@ -278,6 +279,15 @@ def from_both_ends(items) -> list:
         if rest:
             out.append(rest.popleft())
     return out
+
+
+def oracle_level_set(group, aprime, tau) -> tuple:
+    """All t with |A' ∩ tA'| >= tau, in ascending order, filtered from ``oracle_overlaps(A')``.
+
+    A count is an int, so it is compared with ceil(tau), not with a Fraction.
+    """
+    least = math.ceil(tau)
+    return tuple(sorted(t for t, inside in oracle_overlaps(group, aprime).items() if len(inside) >= least))
 
 
 def reference_scan(group, aprime, a, eps):

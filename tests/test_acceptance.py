@@ -18,7 +18,6 @@ from symgrowth.gset import GSet, conv_table, inverse_set, product
 from symgrowth.growth import almost_invariant, shrink_step, stable_neighbourhood
 from symgrowth.instances import generate
 from symgrowth.oracle import (
-    oracle_level_set,
     oracle_power,
     oracle_product,
     oracle_sym_members,
@@ -35,6 +34,7 @@ from conftest import (
     conv_counts,
     oracle_conv_table,
     oracle_conv_value,
+    oracle_level_set,
     oracle_quadruples,
     pair_energy,
     record_acceptance,

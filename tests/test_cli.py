@@ -152,6 +152,14 @@ def test_run_trace_logs_steps_to_stderr(capsys, interval_file):
     assert records == cert["trace"]["steps"]
 
 
+def test_trace_prints_nothing_outside_run(capsys, interval_file):
+    # every subcommand accepts --trace, and its help says that only run prints with it
+    code, out, err = run_cli(capsys, "stats", "--instance", interval_file, "--trace")
+    assert (code, err) == (0, "")
+    code, out, err = run_cli(capsys, "stats", "--help")
+    assert "only run prints with it" in " ".join(out.split())
+
+
 def test_verify_round_trip(capsys, tmp_path, interval_file):
     cert_path = tmp_path / "cert.json"
     run_cli(capsys, "run", "--instance", interval_file, "--k", "2",

@@ -33,7 +33,6 @@ from symgrowth.growth import (
 from symgrowth.instances import generate
 from symgrowth.masks import CyclicMasks
 from symgrowth.oracle import (
-    oracle_level_set,
     oracle_power,
     oracle_product,
     oracle_sym_members,
@@ -41,7 +40,7 @@ from symgrowth.oracle import (
 )
 from symgrowth.serialize import canonical_dumps
 
-from conftest import SIDES, reference_scan
+from conftest import SIDES, oracle_level_set, reference_scan
 
 C20 = CyclicGroup(20)
 INTERVAL = GSet(C20, [(i,) for i in range(5)])

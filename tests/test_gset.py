@@ -35,7 +35,7 @@ from symgrowth.gset import (
     row_product,
 )
 from symgrowth.instances import generate, random_set
-from symgrowth.oracle import oracle_inverse, oracle_level_set, oracle_overlaps, oracle_product
+from symgrowth.oracle import oracle_inverse, oracle_overlaps, oracle_product
 
 from conftest import (
     SIDES,
@@ -45,6 +45,7 @@ from conftest import (
     encode_one_line,
     from_both_ends,
     oracle_conv_table,
+    oracle_level_set,
     oracle_quadruples,
     pair_energy,
     small_group_pool,

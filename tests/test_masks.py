@@ -23,7 +23,6 @@ from symgrowth.gset import GSet, doubling_stats, level_set, product, row_product
 from symgrowth.instances import generate
 from symgrowth.oracle import (
     oracle_inverse,
-    oracle_level_set,
     oracle_overlaps,
     oracle_product,
     oracle_sym_members,
@@ -31,7 +30,7 @@ from symgrowth.oracle import (
 )
 from symgrowth.symmetry import sym_set
 
-from conftest import SIDES, from_both_ends, reference_scan
+from conftest import SIDES, from_both_ends, oracle_level_set, reference_scan
 
 
 def on_side(side):
@@ -274,13 +273,21 @@ def test_the_rule_sends_small_random_heisenberg_stats_to_the_masks(monkeypatch, 
     assert _multiplies(monkeypatch, a.group, lambda: doubling_stats(a)) == 0
 
 
-def test_the_rule_keeps_the_smallest_many_small_heisenberg_stats_on_the_loop(monkeypatch):
-    # many-small's heisenberg_mod15: two elements of Heisenberg mod 4, whose
-    # whole stats multiply fewer pairs than one call on masks costs
-    h4 = HeisenbergGroup(4)
-    a = GSet(h4, [(0, 0, 3), (1, 0, 2)])
-    assert _multiplies(monkeypatch, h4, lambda: doubling_stats(a)) > 0
-    assert "masks" not in vars(h4)
+@pytest.mark.parametrize("p, elements", [
+    (4, [(0, 0, 3), (1, 0, 2)]),
+    (3, [(0, 0, 0), (1, 0, 0), (0, 1, 2)]),
+    (2, [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 1)]),
+], ids=["h4-two", "h3-three", "h2-four"])
+def test_the_rule_keeps_the_smallest_many_small_heisenberg_stats_on_the_loop(monkeypatch, p, elements):
+    # many-small's heisenberg_mod15 is two elements mod 4, whose whole stats
+    # multiply fewer pairs than one call on masks costs; three elements mod 3
+    # and four mod 2 are priced at 99 and 96 pairs, but their products soon
+    # fill the group and the loop beats the masks' kernel build and 12 or 16
+    # translates
+    group = HeisenbergGroup(p)
+    a = GSet(group, elements)
+    assert _multiplies(monkeypatch, group, lambda: doubling_stats(a)) > 0
+    assert "masks" not in vars(group)
 
 
 @pytest.mark.parametrize("group", [CyclicGroup(10**12), DihedralGroup(10**12), HeisenbergGroup(10**4)],

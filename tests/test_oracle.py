@@ -35,7 +35,6 @@ from symgrowth.growth import stable_neighbourhood
 from symgrowth.oracle import (
     VerificationReport,
     oracle_inverse,
-    oracle_level_set,
     oracle_outside,
     oracle_overlaps,
     oracle_power,
@@ -50,8 +49,10 @@ from conftest import (
     CounterStream,
     draw_subset,
     failures,
+    one_line,
     oracle_conv_table,
     oracle_conv_value,
+    oracle_level_set,
     oracle_overlap,
     oracle_quadruples,
     reference_scan,
@@ -174,6 +175,78 @@ def test_oracle_sym_members_matches_fast_path():
             assert fast == slow
 
 
+def _table_copy(group):
+    """The same group as a TableGroup, indexed in encoding order."""
+    elems = [group.element_at(i) for i in range(group.order)]
+    index = {x: i for i, x in enumerate(elems)}
+    return TableGroup([[index[group.multiply(x, y)] for y in elems] for x in elems])
+
+
+def _involution_sets():
+    """Sets made mostly of involutions, where each t⁻¹ is t and its count is 2h(t)."""
+    d8 = DihedralGroup(8)
+    s4 = SymmetricGroup(4)
+    transpositions = [x for x in map(s4.element_at, range(s4.order))
+                      if sum(i != p for i, p in enumerate(one_line(s4, x))) == 2]
+    c2_cubed = DirectProductGroup([CyclicGroup(2)] * 3)
+    s3_table = _table_copy(SymmetricGroup(3))
+    assert len(transpositions) == 6
+    return [
+        pytest.param(d8, [(a, 1) for a in range(8)], id="d8-reflections"),
+        pytest.param(d8, [(0, 0), (1, 1), (2, 1), (5, 1)], id="d8-reflections-and-e"),
+        pytest.param(s4, transpositions, id="s4-transpositions"),
+        pytest.param(c2_cubed, [c2_cubed.element_at(i) for i in (1, 2, 4, 7)], id="c2xc2xc2"),
+        pytest.param(s3_table, [x for x in map(s3_table.element_at, range(6))
+                                if x != s3_table.identity and s3_table.multiply(x, x) == s3_table.identity],
+                     id="s3-table-involutions"),
+    ]
+
+
+def _sym_member_cases():
+    # one set on each of the six backends, then sets of involutions, then |X| = 1 and X = G
+    d6, s4, h3 = DihedralGroup(6), SymmetricGroup(4), HeisenbergGroup(3)
+    c4xd3 = DirectProductGroup([CyclicGroup(4), DihedralGroup(3)])
+    s3_table = _table_copy(SymmetricGroup(3))
+    on_backends = [
+        pytest.param(C20, [(0,), (1,), (2,), (3,), (7,), (11,)], id="cyclic"),
+        pytest.param(d6, [(0, 0), (1, 0), (2, 1), (3, 1), (5, 0)], id="dihedral"),
+        pytest.param(s4, [s4.element_at(i) for i in (0, 3, 5, 9, 14, 22)], id="symmetric"),
+        pytest.param(h3, [h3.element_at(i) for i in (0, 1, 4, 10, 13, 26)], id="heisenberg"),
+        pytest.param(c4xd3, [c4xd3.element_at(i) for i in (0, 2, 5, 7, 11, 18)], id="direct-product"),
+        pytest.param(s3_table, [s3_table.element_at(i) for i in (0, 1, 3)], id="table"),
+    ]
+    edges = [
+        pytest.param(d6, [(4, 1)], id="singleton"),
+        pytest.param(s3_table, [s3_table.element_at(i) for i in range(6)], id="whole-s3-table"),
+        pytest.param(h3, [h3.element_at(i) for i in range(27)], id="whole-h3"),
+    ]
+    return on_backends + _involution_sets() + edges
+
+
+@pytest.mark.parametrize("group, a", _sym_member_cases())
+def test_oracle_sym_members_equals_the_count_by_definition(group, a):
+    # at each threshold equal to some |X ∩ tX|, and one above it
+    everything = [group.element_at(i) for i in range(group.order)]
+    counts = {t: oracle_overlap(group, a, t) for t in everything}
+    n = len(a)
+    for c in sorted(set(counts.values()) - {0}):
+        for least in (c, c + 1):
+            by_definition = tuple(sorted(t for t, count in counts.items() if count >= least))
+            assert oracle_sym_members(group, reversed(a), Fraction(least, n)) == by_definition, (least, n)
+
+
+def test_oracle_sym_members_multiplies_each_unordered_pair_once(monkeypatch):
+    # |X ∩ tX| = |X ∩ t⁻¹X|, so the pairs u < w fix every count; the charge
+    # is still the |X|² of the ordered loop, made before any multiplication
+    for group, n in ((DihedralGroup(30), 17), (SymmetricGroup(5), 23), (CyclicGroup(50), 1)):
+        a = [group.element_at(i) for i in range(0, 2 * n, 2)]
+        members, seen = _metered(monkeypatch, type(group), lambda: oracle_sym_members(group, a, Fraction(1, 2)))
+        assert members == oracle_level_set(group, a, Fraction(n, 2))
+        assert seen["multiplies"] == n * (n - 1) // 2
+        assert seen["charged"] == seen["largest_charge"] == n * n
+        assert seen["most_ahead"] == 0
+
+
 def test_oracle_overlap_agrees_with_fast_overlap():
     d6 = DihedralGroup(6)
     a = GSet(d6, [(0, 0), (1, 0), (0, 1), (2, 1)])
@@ -269,13 +342,6 @@ def test_termination_cap_rejects_eps_outside_the_unit_interval(eps):
 
 
 # -- membership containment ---------------------------------------------------
-
-
-def _table_copy(group):
-    """The same group as a TableGroup, indexed in encoding order."""
-    elems = [group.element_at(i) for i in range(group.order)]
-    index = {x: i for i, x in enumerate(elems)}
-    return TableGroup([[index[group.multiply(x, y)] for y in elems] for x in elems])
 
 
 MEMBERSHIP_BACKENDS = [
