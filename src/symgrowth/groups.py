@@ -29,20 +29,23 @@ Encodings and their radices:
 * ``table``              -- ``(i,)`` with ``i`` the row index of the table;
                             ``(n,)``
 
-Each group has two kernels for sets of elements.  ``group.loop`` is the
-loop kernel, of class ``loop_kernel``, built for one call's operands: it
-holds elements in an internal form and multiplies them pair by pair, and
-its ``product`` stops once it holds the whole group.  On most backends the
-form is the encoding and a product is ``multiply``.  ``SymmetricGroup``
-(n >= 2) has ``OneLine``: one-line permutations, composed with
-``itemgetter`` without ``multiply``, and encoded again only where a caller
-keeps them.  Cyclic, dihedral and Heisenberg groups also name a kernel
-class of ``symgrowth.masks`` in ``mask_kernel``, and ``group.masks`` is
-that kernel: it holds a set as an int mask over the mixed-radix index and
-translates it by rotations (on Heisenberg groups, turns of each digit and
-a shear).  The other backends have ``mask_kernel = None`` and no
-``masks``.  ``multiply`` and ``inverse`` stay the plain per-element
-operations, and they alone are what ``oracle`` uses.
+Each group has two kernels for sets of elements, and both present one
+set-level protocol that ``gset`` writes each operation against (see
+``gset``).  ``group.loop`` is the loop kernel, of class ``loop_kernel``,
+built for one call's operands: it holds elements in an internal form and
+multiplies them pair by pair, and its ``times`` stops once it holds the
+whole group.  On most backends the form is the encoding and a product is
+``multiply``.  ``SymmetricGroup`` (n >= 2) has ``OneLine``: one-line
+permutations, composed with ``itemgetter`` without ``multiply``, and
+encoded again only where a caller keeps them.  The loop owns the
+convolution table and the shrink scan's index rows.  Cyclic, dihedral and
+Heisenberg groups also name a kernel class of ``symgrowth.masks`` in
+``mask_kernel``, and ``group.masks`` is that kernel: it holds a set as an
+int mask over the mixed-radix index and translates it by rotations (on
+Heisenberg groups, turns of each digit and a shear).  The other backends
+have ``mask_kernel = None`` and no ``masks``.  ``multiply`` and
+``inverse`` stay the plain per-element operations, and they alone are
+what ``oracle`` uses.
 """
 
 from __future__ import annotations
@@ -52,11 +55,15 @@ import itertools
 import json
 import math
 from abc import ABC, abstractmethod
+from collections import defaultdict
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, Iterator, Sequence
 
 from .errors import InvalidElementError, InvalidGroupError, ParameterError
 from .masks import CyclicMasks, DihedralMasks, HeisenbergMasks, Rotations
+
+if TYPE_CHECKING:
+    from .gset import GSet
 
 Element = tuple[int, ...]
 
@@ -69,13 +76,14 @@ LEHMER_MEMO_SIZE = math.factorial(7)
 class Loop:
     """The loop kernel of a group: elements in an internal form, multiplied pair by pair.
 
-    A call turns each of its operands into forms once, with ``forms``, and
-    each right operand's forms into factors, with ``factors``.  ``left(x,
-    ys)`` is the left translate x·Y and ``right(xs, y)`` the right translate
-    X·y, both as forms, ``inverse`` inverts a form, and ``encode`` turns
-    forms back into encodings, applied only to the forms a caller keeps.
-    Here a form and a factor are the encoding itself and a product is one
-    ``multiply``.
+    Built for one call, it presents the set-level protocol of ``masks``:
+    ``form`` is a set's forms as a frozenset, ``members`` its forms in
+    canonical order, ``right`` and ``lefts`` translate forms, ``count`` is
+    ``len``, and ``decode`` encodes and sorts.  Underneath, ``forms`` turns
+    each operand into forms once per call, ``factors`` turns forms into
+    what ``left(x, ys)`` translates x by, ``inverse`` inverts a form, and
+    ``encode`` runs only on the forms a caller keeps.  Here a form and a
+    factor are the encoding itself and a product is one ``multiply``.
     """
 
     def __init__(self, group: "Group"):
@@ -84,7 +92,7 @@ class Loop:
     def forms(self, xs: Sequence[Element]) -> Sequence:
         return xs
 
-    def factors(self, forms: Sequence) -> Sequence:
+    def factors(self, forms: Iterable) -> Iterable:
         return forms
 
     def encode(self, forms: Iterable) -> Iterable[Element]:
@@ -93,22 +101,41 @@ class Loop:
     def inverse(self, x):
         return self.group.inverse(x)
 
-    def left(self, x, ys: Sequence) -> Iterable:
+    def left(self, x, ys: Iterable) -> Iterable:
         return map(self.group.multiply, itertools.repeat(x), ys)
 
-    def right(self, xs: Sequence, y) -> Iterable:
+    def right(self, xs: Iterable, y) -> Iterable:
+        """The forms of X·y for the forms xs of X and the form y."""
         return map(self.group.multiply, xs, itertools.repeat(y))
 
-    def product(self, xs: Sequence, ys: Sequence) -> set:
-        """The forms {x*y : x in xs, y in ys} for forms xs and factors ys, one translate of the longer at a time.
+    # -- the set-level protocol, shared with ``masks.Rotations`` ---------------
 
-        That is xs*y for each y, or x*ys for each x when ys is the longer;
-        it stops once the set holds the whole group.
+    def form(self, a: GSet) -> frozenset:
+        return frozenset(self.forms(a.elements))
+
+    def members(self, a: GSet) -> Sequence:
+        return self.forms(a.elements)
+
+    count = staticmethod(len)
+
+    def decode(self, forms: Iterable) -> list[Element]:
+        """The encodings of distinct forms, in canonical order."""
+        return sorted(self.encode(forms))
+
+    def lefts(self, ys: Iterable) -> Callable[..., Iterable]:
+        """x -> the forms of x·Y, for the forms ys of Y."""
+        factors, left = self.factors(ys), self.left
+        return lambda x: left(x, factors)
+
+    def times(self, xs: Collection, ys: Sequence) -> set:
+        """The forms of XY for forms xs and ys: X·y for each y, or x·Y for each x when ys is the longer.
+
+        It stops once the set holds the whole group.
         """
         if len(xs) >= len(ys):
             translates = (self.right(xs, y) for y in ys)
         else:
-            translates = (self.left(x, ys) for x in xs)
+            translates = map(self.lefts(ys), xs)
         out: set = set()
         whole = self.group.order
         for translate in translates:
@@ -116,6 +143,66 @@ class Loop:
             if len(out) == whole:
                 break
         return out
+
+    def operands(self, a: GSet) -> tuple[Sequence, Sequence, list]:
+        """A's forms, and A and A⁻¹ as right operands of ``times``, from one turn of A into forms."""
+        xs = self.members(a)
+        return xs, xs, list(map(self.inverse, xs))
+
+    def quad(self, square: set, inv: Sequence) -> set:
+        """The forms of A²A⁻² from those of A² (A⁻¹ is unused): A² times its own inverted forms."""
+        return self.times(square, list(map(self.inverse, square)))
+
+    def product(self, a: GSet, b: GSet) -> tuple[list[Element], None]:
+        """AB, and no mask."""
+        return self.decode(self.times(self.members(a), self.members(b))), None
+
+    def rows(self, a: GSet, b: GSet) -> tuple[list[Element], None, Callable[[Element], int]]:
+        """AB, no mask, and the row uB of each u in A as an int mask over an index of AB in first-seen order."""
+        left = self.lefts(self.members(b))
+        index: dict = {}
+        setdefault = index.setdefault
+        rows = {}
+        for u, x in zip(a.elements, self.members(a)):
+            row = 0
+            for p in left(x):
+                row |= 1 << setdefault(p, len(index))
+            rows[u] = row
+        return self.decode(index), None, rows.__getitem__
+
+    def meets(self, t: GSet, w: GSet) -> Callable[..., bool]:
+        """x -> whether xW meets T, for a form x; it stops at the first w with xw in T, and encodes nothing."""
+        left, target = self.lefts(self.members(w)), self.form(t)
+        return lambda x: not target.isdisjoint(left(x))
+
+    def conv_table(self, a: GSet, b: GSet | None, least: int) -> dict[Element, list[Element]]:
+        """Each x in AB with 1_A * 1_B(x) >= least -> the u in A, in canonical order, with x in uB.
+
+        B is A^-1, A's forms inverted, when ``b`` is None, and then the
+        entry at t is A ∩ tA.  Only the x kept are encoded.
+        """
+        xs = self.members(a)
+        left = self.lefts(list(map(self.inverse, xs)) if b is None else self.members(b))
+        table: defaultdict = defaultdict(list)
+        for u, x in zip(a.elements, xs):
+            for p in left(x):
+                table[p].append(u)
+        kept = {p: terms for p, terms in table.items() if len(terms) >= least}
+        return dict(zip(self.encode(kept), kept.values()))
+
+    def level_set(self, a: GSet, least: int) -> tuple[list[Element], None, Callable[[Element], Iterator[Element]]]:
+        """The t with |A ∩ tA| >= least, ascending, no mask, and a lookup of A ∩ tA, read off ``conv_table``.
+
+        The lookup indexes each list from both ends: last, first, next to last, and so on.
+        """
+        table = self.conv_table(a, None, least)
+
+        def overlap(t: Element) -> Iterator[Element]:
+            # the pairs (last, first), (next to last, second), ... flattened, cut at the list's length
+            terms = table[t]
+            return itertools.islice(itertools.chain.from_iterable(zip(reversed(terms), terms)), len(terms))
+
+        return sorted(table), None, overlap
 
 
 class Group(ABC):
@@ -329,7 +416,7 @@ class OneLine(Loop):
     def forms(self, xs: Sequence[Element]) -> list[tuple[int, ...]]:
         return list(map(self.group._decode, xs))
 
-    def factors(self, forms: Sequence[tuple[int, ...]]) -> list[itemgetter]:
+    def factors(self, forms: Iterable[tuple[int, ...]]) -> list[itemgetter]:
         return [itemgetter(*y) for y in forms]
 
     def encode(self, forms: Iterable[tuple[int, ...]]) -> Iterable[Element]:
@@ -338,11 +425,11 @@ class OneLine(Loop):
     def inverse(self, x: tuple[int, ...]) -> tuple[int, ...]:
         return _one_line_inverse(x)
 
-    def left(self, x: tuple[int, ...], ys: Sequence[itemgetter]) -> Iterable[tuple[int, ...]]:
+    def left(self, x: tuple[int, ...], ys: Iterable[itemgetter]) -> Iterable[tuple[int, ...]]:
         return (get(x) for get in ys)
 
-    def right(self, xs: Sequence[tuple[int, ...]], y: itemgetter) -> Iterable[tuple[int, ...]]:
-        return map(y, xs)
+    def right(self, xs: Iterable[tuple[int, ...]], y: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
+        return map(itemgetter(*y), xs)
 
 
 class SymmetricGroup(Group):

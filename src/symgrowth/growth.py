@@ -227,7 +227,7 @@ def shrink_step(aprime: GSet, a: GSet, eps) -> StepOutcome:
         else:
             # a witness ORs every member, so ``taken`` is the whole of A' ∩ tA'
             shrunk_product_size = cover.bit_count()
-            shrunk = GSet._trusted(g, frozenset(taken))
+            shrunk = GSet._trusted(g, sorted(taken))
             entries.append(_entry("shrink_size_lower", "ge", len(shrunk), tau))
             entries.append(_entry("shrink_product_upper", "le", shrunk_product_size, limit))
             if not all(e.holds for e in entries):

@@ -84,7 +84,7 @@ def ball(group: Group, generators: Iterable[Element], radius: int) -> GSet:
         if not new:
             break
         frontier = new
-    return GSet._trusted(group, frozenset(members))
+    return GSet._trusted(group, sorted(members))
 
 
 def random_set(group: Group, size: int, seed: int) -> GSet:
@@ -99,7 +99,7 @@ def random_set(group: Group, size: int, seed: int) -> GSet:
         index = splitmix64(seed, counter) % group.order
         chosen.add(group.element_at(index))
         counter += 1
-    return GSet._trusted(group, frozenset(chosen))
+    return GSet._trusted(group, sorted(chosen))
 
 
 def perturbed_subgroup(group: Group, generators: Iterable[Element], swaps: int, seed: int) -> GSet:
@@ -127,7 +127,7 @@ def perturbed_subgroup(group: Group, generators: Iterable[Element], swaps: int, 
             added += 1
         del indices[removed]
         bisect.insort(indices, added)
-    return GSet._trusted(group, frozenset(map(group.element_at, indices)))
+    return GSet._trusted(group, map(group.element_at, indices))
 
 
 def generate(spec: dict) -> GSet:
@@ -154,13 +154,13 @@ def generate(spec: dict) -> GSet:
 
     if kind == "explicit":
         elems = _coerce_all(group, set_spec.get("elements"), "explicit elements")
-        return GSet._trusted(group, frozenset(elems))
+        return GSet._trusted(group, sorted(set(elems)))
     if kind == "subgroup":
         return closure(group, _nonempty_list(set_spec.get("generators"), "subgroup generators"))
     if kind == "coset_union":
         sub = closure(group, _nonempty_list(set_spec.get("generators"), "subgroup generators"))
         reps = _coerce_all(group, set_spec.get("reps"), "coset representatives")
-        return product(GSet._trusted(group, frozenset(reps)), sub)
+        return product(GSet._trusted(group, sorted(set(reps))), sub)
     if kind == "interval":
         if group.kind != "cyclic":
             raise ParameterError(f"interval sets require a cyclic group, got {group.kind}")
@@ -170,7 +170,7 @@ def generate(spec: dict) -> GSet:
         length = _nat(set_spec, "length", minimum=1)
         if length > group.order:
             raise ParameterError(f"interval length {length} exceeds the group order {group.order}")
-        return GSet._trusted(group, frozenset(((start + i) % group.order,) for i in range(length)))
+        return GSet._trusted(group, sorted(((start + i) % group.order,) for i in range(length)))
     if kind == "ball":
         return ball(
             group,

@@ -10,24 +10,35 @@ turns each digit within its lanes after a shear of c, one conditional turn
 per bit of p.  So each translate is a few big-int operations, done in C,
 instead of one ``multiply`` per member.  ``CyclicMasks``,
 ``DihedralMasks`` and ``HeisenbergMasks`` are the three kernels, named by
-the ``mask_kernel`` of those groups; the other backends have none.  Each
-kernel class has a cost rule, ``cost``, in loop steps, from the group's
-order: ``gset`` takes the masks when they pay, and only then is the kernel
-built, since it holds ints of as many bits as the group has elements.
+the ``mask_kernel`` of those groups; the other backends have none.  The
+cost rule, ``Rotations.cost``, in loop steps from the group's order, is
+read by ``gset._kernel``, which takes the masks only when they pay and
+only then builds them, since they hold ints of as many bits as the group
+has elements, and by ``level_set``.
 
-``widen(w)`` gives the same kernel on masks of ``w``-bit lanes, lane ``i``
-standing for ``element_at(i)``.  A sum of translates of such a mask holds
-convolution counts, one per lane, as long as no lane reaches
-``2**(w - 1)``: this is Kronecker substitution (Harvey, arXiv:0712.4046),
-with the product of the two lane polynomials taken as a sum of shifted
-copies of one of them.
+Each kernel presents the set-level protocol of ``groups.Loop``: ``form``
+(a set's mask, cached on the ``GSet``), ``members``, ``right`` and
+``lefts``, ``|`` and ``&`` on masks, ``count``, and ``decode`` in index
+order, which is canonical order.  It owns the mask strategy of each
+``gset`` operation; a level set counts over a pigeonhole support or in
+the lanes of one Kronecker sum.  ``widen(w)`` gives the same kernel on
+masks of ``w``-bit lanes, lane ``i`` standing for ``element_at(i)``.  A
+sum of translates of such a mask holds convolution counts, one per lane,
+as long as no lane reaches ``2**(w - 1)``: this is Kronecker substitution
+(Harvey, arXiv:0712.4046), with the product of the two lane polynomials
+taken as a sum of shifted copies of one of them.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import compress, repeat
-from typing import Callable, Iterable, Iterator
+import math
+import operator
+from itertools import compress, islice, repeat
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+
+if TYPE_CHECKING:
+    from .gset import GSet
 
 Element = tuple[int, ...]
 
@@ -52,6 +63,11 @@ _WORDS_PER_STEP = 45
 _DECODE = 2
 
 
+def lane_width(size: int) -> int:
+    """The least multiple of 8 bits whose lanes hold counts up to ``size`` below their top bit."""
+    return 8 * ((size.bit_length() + 8) // 8)
+
+
 class Rotations:
     """Translations of masks over the index of a group of ``order`` elements."""
 
@@ -67,9 +83,15 @@ class Rotations:
     @classmethod
     def cost(cls, order: int, translations: int, width: int = 1) -> float:
         """Loop steps that one call with ``translations`` translates of a ``width``-bit-lane mask costs."""
-        words = order / 64
-        rotate = words * width * cls.rotations / _WORDS_PER_STEP
-        return _CALL + translations * (_TRANSLATE + rotate) + words * _DECODE
+        return _CALL + translations * cls._translate_steps(order, width) + order / 64 * _DECODE + cls._build_steps(order, width)
+
+    @classmethod
+    def _translate_steps(cls, order: int, width: int) -> float:
+        return _TRANSLATE + order / 64 * width * cls.rotations / _WORDS_PER_STEP
+
+    @classmethod
+    def _build_steps(cls, order: int, width: int) -> float:
+        return 0
 
     def widen(self, width: int) -> "Rotations":
         """This kernel on masks of ``width``-bit lanes (``width`` a multiple of 8), built afresh.
@@ -132,6 +154,105 @@ class Rotations:
         ones = int.from_bytes(b"\1".ljust(step, b"\0") * self.order, "little")
         raised = counts + ones * ((1 << self.width - 1) - need)
         return self._from_flags(raised.to_bytes(self.bits >> 3, "little")[step - 1 :: step].translate(_TOP_BIT))
+
+    # -- the set-level protocol, shared with ``groups.Loop`` -------------------
+
+    def form(self, a: GSet) -> int:
+        """A's mask, encoded once per set and cached on it."""
+        if a._mask is None:
+            a._mask = self.encode(a.elements)
+        return a._mask
+
+    def members(self, a: GSet) -> Sequence[Element]:
+        """A's members as ``right``, ``lefts`` and ``meets`` take them: the elements themselves."""
+        return a.elements
+
+    count = staticmethod(int.bit_count)
+
+    def times(self, m: int, ys: Iterable[Element]) -> int:
+        """The mask of XY for the mask m of X: the OR of the right translates of m by each y in ys."""
+        return functools.reduce(operator.or_, map(self.right, repeat(m), ys), 0)
+
+    def operands(self, a: GSet) -> tuple[int, Sequence[Element], list[Element]]:
+        """A's mask, and A and A⁻¹ as right operands of ``times``."""
+        return self.form(a), a.elements, list(map(a.group.inverse, a.elements))
+
+    def quad(self, square: int, inv: Sequence[Element]) -> int:
+        """The mask of A²A⁻² from those of A² and A⁻¹: the chain (A²A⁻¹)A⁻¹, since a translate costs the same whatever |A²|."""
+        return self.times(self.times(square, inv), inv)
+
+    def product(self, a: GSet, b: GSet) -> tuple[list[Element], int]:
+        """AB and its mask: an OR of |B| right translates of A's mask, or of |A| left translates of B's."""
+        if len(b) <= len(a):
+            m = self.times(self.form(a), b.elements)
+        else:
+            m = functools.reduce(operator.or_, map(self.lefts(self.form(b)), a.elements), 0)
+        return self.decode(m), m
+
+    def rows(self, a: GSet, b: GSet) -> tuple[list[Element], int, Callable[[Element], int]]:
+        """AB, its mask, and the row uB of each u in A: the left translate of B's mask by u."""
+        left = self.lefts(self.form(b))
+        rows = {u: left(u) for u in a.elements}
+        m = functools.reduce(operator.or_, rows.values(), 0)
+        return self.decode(m), m, rows.__getitem__
+
+    def meets(self, t: GSet, w: GSet) -> Callable[[Element], int]:
+        """x -> whether xW meets T, as the mask of xW ∩ T: W's mask translated by x, ANDed with T's."""
+        left, target = self.lefts(self.form(w)), self.form(t)
+        return lambda x: left(x) & target
+
+    def level_set(self, a: GSet, least: int) -> tuple[list[Element], int | None, Callable[[Element], Iterator[Element]]]:
+        """The t with |A ∩ tA| >= least (least >= 1), ascending, their mask if it was built, and a lookup of A ∩ tA.
+
+        A ∩ tA is m & tm for A's mask m, decoded from both ends one bit at a
+        time when it is looked up, so a caller that stops early never decodes
+        the rest.  The counts are either its bit counts over the t of a
+        support, or the lanes of one Kronecker product, the sum of the right
+        translates of A's lane mask by A^-1, whichever ``cost`` finds
+        cheaper.  The support is cut by pigeonhole: a t with |A ∩ tA| >=
+        least has tx in A for at least one of any n - least + 1 members x of
+        A, so it lies in A·x⁻¹ for one of them, and the support is the union
+        of those n - least + 1 right translates, over the first members of
+        A^-1, A·A⁻¹ itself only at least = 1.  It is built one translate at a
+        time and given up for the lanes as soon as its bit counts would cost
+        more than they do; when even a support of n elements, its least
+        size, would, no translate is made.
+        """
+        m, n, order = self.form(a), len(a), self.order
+        left, walk = self.lefts(m), self.from_both_ends
+
+        def inside(t: Element) -> int:
+            return m & left(t)
+
+        def overlap(t: Element) -> Iterator[Element]:
+            return walk(inside(t))
+
+        if least > n:
+            return [], None, overlap
+        inv = sorted(map(a.group.inverse, a.elements))
+        width = lane_width(n)
+        kronecker = self.cost(order, n, width)
+        r = n - least + 1
+        # the bit counts over a support of n t, its least size; the rule is affine in the translates,
+        # so from ``most`` t on they cost no less than the lanes
+        fewest = self.cost(order, r + n)
+        if fewest < kronecker:
+            per_t = self.cost(order, r + n + 1) - fewest
+            most = n + (kronecker - fewest) / per_t if per_t else math.inf
+            right, support = self.right, 0
+            for x in islice(inv, r):
+                support |= right(m, x)
+                if support.bit_count() >= most:
+                    break
+            else:
+                return [t for t in self.decode(support) if inside(t).bit_count() >= least], None, overlap
+        wide = self.widen(width)
+        lanes, right = wide.spread(m), wide.right
+        counts = 0
+        for v in inv:
+            counts += right(lanes, v)
+        level = wide.at_least(counts, least)
+        return self.decode(level), level, overlap
 
 
 class CyclicMasks(Rotations):
@@ -296,14 +417,15 @@ class HeisenbergMasks(Rotations):
         self._left_shears = shears(selections(1))
 
     @classmethod
-    def cost(cls, order: int, translations: int, width: int = 1) -> float:
-        """The rule of ``Rotations`` with this kernel's translate, plus its build and a Kronecker sum's set-up."""
+    def _translate_steps(cls, order: int, width: int) -> float:
+        bits = _cube_root(order).bit_length()
+        return _H_TRANSLATE * bits + order / 64 * width * (_H_ROTATIONS + _H_SHEAR_ROTATIONS * bits) / _WORDS_PER_STEP
+
+    @classmethod
+    def _build_steps(cls, order: int, width: int) -> float:
+        """The kernel's lane masks, and a Kronecker sum's set-up on wider lanes."""
         p = _cube_root(order)
-        bits = p.bit_length()
-        words = order / 64
-        rotate = words * width * (_H_ROTATIONS + _H_SHEAR_ROTATIONS * bits) / _WORDS_PER_STEP
-        build = _H_BUILD + p * (_H_BUILD_VALUE + words * width / _H_BUILD_WORDS + (_H_WIDEN if width > 1 else 0))
-        return _CALL + translations * (_H_TRANSLATE * bits + rotate) + words * _DECODE + build
+        return _H_BUILD + p * (_H_BUILD_VALUE + order / 64 * width / _H_BUILD_WORDS + (_H_WIDEN if width > 1 else 0))
 
     def _translate(self, m: int, shear: list[tuple[int, int, int, int]], x: Element) -> int:
         for lanes, keep, up, down in shear:

@@ -7,7 +7,9 @@ no command computes that way; ``oracle_level_set`` filters a level set
 from ``oracle_overlaps``; ``reference_scan`` finds a shrink step's
 witness by building every candidate's product with ``oracle_product``,
 and ``from_both_ends`` puts a list in the order the level-set lookup yields;
-``SIDES`` stands in for the mask cost rule to send calls to one kernel;
+``SIDES`` stands in for the mask cost rule to send calls to one kernel,
+and ``on_side`` patches it in; ``conv_table`` is the loop kernel's
+convolution table, charged as ``gset`` charges a call;
 ``encode_value``, ``one_line`` and ``encode_one_line`` are independent
 references for the JSON encoder and the symmetric backend's Lehmer codes,
 and ``termination_cap_by_bisection`` for the termination cap.  The ``check_*`` helpers state the
@@ -23,6 +25,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -32,9 +35,10 @@ from symgrowth.groups import (
     HeisenbergGroup,
     SymmetricGroup,
 )
+from symgrowth import masks
 from symgrowth.budget import charge_pairs
 from symgrowth.errors import InvalidElementError, ParameterError
-from symgrowth.gset import GSet, conv_table, product
+from symgrowth.gset import GSet, product
 from symgrowth.oracle import oracle_overlaps, oracle_power, oracle_product
 from symgrowth.prng import splitmix64
 from symgrowth.symmetry import check_eta, sym_set
@@ -261,14 +265,31 @@ def check_iterated_power(a: GSet, eps, k: int) -> bool:
     return all(x in target for x in oracle_power(a.group, s.elements, k))
 
 
-#: stand-ins for ``gset._mask_cost`` that send every call to the loop, or to the
-#: masks with level-set counts by popcount, or to the masks with level-set
-#: counts by Kronecker lanes
+#: stand-ins for the mask cost rule, ``masks.Rotations.cost``, that send every
+#: call to the loop, or to the masks with level-set counts by popcount, or to
+#: the masks with level-set counts by Kronecker lanes
 SIDES = {
-    "loop": lambda group, translations, width=1: math.inf,
-    "popcount": lambda group, translations, width=1: -1 if width == 1 else 0,
-    "kronecker": lambda group, translations, width=1: 0,
+    "loop": lambda cls, order, translations, width=1: math.inf,
+    "popcount": lambda cls, order, translations, width=1: -1 if width == 1 else 0,
+    "kronecker": lambda cls, order, translations, width=1: 0,
 }
+
+
+def on_side(side):
+    """A patch of the cost rule, the one place both ``gset._kernel`` and the masks' level sets read it, to ``SIDES[side]``."""
+    return mock.patch.object(masks.Rotations, "cost", classmethod(SIDES[side]))
+
+
+def conv_table(a: GSet, b: GSet | None = None, least: int = 1) -> dict:
+    """The loop kernel's convolution table of A with B (A^-1 when ``b`` is None), charged |A||B| pairs up front.
+
+    Maps every x in AB with 1_A * 1_B(x) >= least to the list of u in A, in
+    canonical order, with x in uB; with B = A^-1 the entry at t is A ∩ tA.
+    """
+    if b is not None:
+        a.same_group(b)
+    charge_pairs(len(a) * len(a if b is None else b))
+    return a.group.loop.conv_table(a, b, least)
 
 
 def from_both_ends(items) -> list:

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from symgrowth.groups import group_from_spec
-from symgrowth.gset import GSet, conv_table, inverse_set, product
+from symgrowth.gset import GSet, inverse_set, product
 from symgrowth.growth import almost_invariant, shrink_step, stable_neighbourhood
 from symgrowth.instances import generate
 from symgrowth.oracle import (
@@ -32,6 +32,7 @@ from conftest import (
     check_nesting,
     check_submultiplicativity,
     conv_counts,
+    conv_table,
     oracle_conv_table,
     oracle_conv_value,
     oracle_level_set,

@@ -259,7 +259,7 @@ def test_loop_product_is_the_double_loop_over_multiply(group, data):
     xs = [group.element_at(i) for i in data.draw(operand, label="xs")]
     ys = [group.element_at(i) for i in data.draw(operand, label="ys")]
     loop = group.loop
-    got = loop.product(loop.forms(xs), loop.factors(loop.forms(ys)))
+    got = loop.times(loop.forms(xs), loop.forms(ys))
     assert set(loop.encode(got)) == {group.multiply(x, y) for x in xs for y in ys}
 
 
@@ -273,8 +273,8 @@ def test_loop_kernel_translates_and_inverts_as_multiply_does(group):
     assert list(loop.encode(map(loop.inverse, forms))) == [group.inverse(x) for x in xs]
     for x, form in zip(xs, forms):
         assert list(loop.encode(loop.left(form, factors))) == [group.multiply(x, y) for y in xs]
-    for y, factor in zip(xs, factors):
-        assert list(loop.encode(loop.right(forms, factor))) == [group.multiply(x, y) for x in xs]
+    for y, form in zip(xs, forms):
+        assert list(loop.encode(loop.right(forms, form))) == [group.multiply(x, y) for x in xs]
 
 
 @pytest.mark.parametrize("group", PRODUCT_BACKENDS, ids=lambda g: repr(g.describe()))

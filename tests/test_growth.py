@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symgrowth import growth, gset, oracle
+from symgrowth import growth, oracle
 from symgrowth.errors import EmptySetError, ParameterError
 from symgrowth.groups import (
     CyclicGroup,
@@ -40,7 +40,7 @@ from symgrowth.oracle import (
 )
 from symgrowth.serialize import canonical_dumps
 
-from conftest import SIDES, oracle_level_set, reference_scan
+from conftest import SIDES, on_side, oracle_level_set, reference_scan
 
 C20 = CyclicGroup(20)
 INTERVAL = GSet(C20, [(i,) for i in range(5)])
@@ -175,19 +175,6 @@ SIX_BACKENDS = [
 ]
 
 
-def _on_masks(group, translations, pairs, width=1):
-    return group.masks if group.mask_kernel else None
-
-
-#: each kernel a step can take: ``_kernel`` picks the loop or the masks, and
-#: ``_mask_cost`` then steers the masks' level sets to bit counts or to lanes
-KERNELS = {
-    "loop": (lambda group, translations, pairs, width=1: None, SIDES["loop"]),
-    "popcount": (_on_masks, SIDES["popcount"]),
-    "kronecker": (_on_masks, SIDES["kronecker"]),
-}
-
-
 def _reference_step(aprime, a, eps):
     """The case, t, A' ∩ tA', its product's size and the entries of a step, every product built in full by the oracle."""
     g = aprime.group
@@ -215,14 +202,13 @@ def step_inputs(draw):
     return GSet(group, map(group.element_at, a)), GSet(group, map(group.element_at, aprime))
 
 
-@given(st.sampled_from(sorted(KERNELS)), step_inputs(), st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]))
-def test_shrink_step_matches_a_full_reference_scan(kernel, sets, eps):
-    # the scan drops a candidate once its union of rows passes (1-eps)|A'A|; the step must not change
+@given(st.sampled_from(sorted(SIDES)), step_inputs(), st.sampled_from([Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)]))
+def test_shrink_step_matches_a_full_reference_scan(side, sets, eps):
+    # each side of the cost rule: the loop, or the masks (where the group has them) with level sets
+    # counted by popcount or by lanes; the scan drops a candidate once its union of rows passes
+    # (1-eps)|A'A|, and the step must not change
     a, aprime = sets
-    pick, cost = KERNELS[kernel]
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(gset, "_kernel", pick)
-        m.setattr(gset, "_mask_cost", cost)
+    with on_side(side):
         out = shrink_step(GSet(a.group, aprime.elements), GSet(a.group, a.elements), eps)
     case, t, shrunk, size, entries = _reference_step(aprime, a, eps)
     assert (out.case, out.t, out.shrunk_product_size) == (case, t, size)

@@ -1,13 +1,17 @@
 """Exact set arithmetic: products, convolutions, energies, doubling stats."""
 
+import ast
+import contextlib
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from symgrowth import groups, gset
+from symgrowth import groups, gset, masks
 from symgrowth.budget import set_pair_budget
 from symgrowth.errors import (
     EmptySetError,
@@ -21,12 +25,12 @@ from symgrowth.groups import (
     DirectProductGroup,
     HeisenbergGroup,
     Loop,
+    OneLine,
     SymmetricGroup,
     TableGroup,
 )
 from symgrowth.gset import (
     GSet,
-    conv_table,
     doubling_stats,
     inverse_set,
     level_set,
@@ -35,15 +39,17 @@ from symgrowth.gset import (
     row_product,
 )
 from symgrowth.instances import generate, random_set
+from symgrowth.masks import CyclicMasks, DihedralMasks, HeisenbergMasks, lane_width
 from symgrowth.oracle import oracle_inverse, oracle_overlaps, oracle_product
 
 from conftest import (
-    SIDES,
     CounterStream,
     conv_counts,
+    conv_table,
     draw_subset,
     encode_one_line,
     from_both_ends,
+    on_side,
     oracle_conv_table,
     oracle_level_set,
     oracle_quadruples,
@@ -228,10 +234,8 @@ def _level_set_counting_right(monkeypatch, a, need, side=None):
     """``level_set(a, need)`` on A's masks, counted by ``side`` or by the real rule, and the 1-bit right translates it made."""
     kernel, seen = a.group.masks, []
     real = kernel.right
-    with monkeypatch.context() as m:
+    with monkeypatch.context() as m, on_side(side) if side is not None else contextlib.nullcontext():
         m.setattr(gset, "_kernel", lambda group, translations, pairs, width=1: group.masks)
-        if side is not None:
-            m.setattr(gset, "_mask_cost", SIDES[side])
         m.setattr(kernel, "right", lambda mask, y: seen.append(y) or real(mask, y))
         level, _ = level_set(GSet(a.group, a.elements), need)
     return level, seen
@@ -267,7 +271,8 @@ def test_a_mask_level_set_gives_up_its_support_once_the_lanes_cost_less(monkeypa
     assert 1 <= len(seen) < r
     assert seen == list(inverse_set(a).elements[: len(seen)])
     m = g.masks.encode(a.elements)
-    lanes = gset._mask_cost(g, n, gset._lane_width(n))
+    cost = g.mask_kernel.cost
+    lanes = cost(g.order, n, lane_width(n))
 
     def support(j):
         out = 0
@@ -275,7 +280,7 @@ def test_a_mask_level_set_gives_up_its_support_once_the_lanes_cost_less(monkeypa
             out |= g.masks.right(m, x)
         return out.bit_count()
 
-    assert gset._mask_cost(g, r + support(len(seen) - 1)) < lanes <= gset._mask_cost(g, r + support(len(seen)))
+    assert cost(g.order, r + support(len(seen) - 1)) < lanes <= cost(g.order, r + support(len(seen)))
 
 
 def test_kernels_charge_their_multiplications():
@@ -482,7 +487,7 @@ def test_doubling_stats_builds_the_quad_the_cheapest_way(monkeypatch, name):
 
 def _loop_product(loop, xs, ys):
     """The encodings of the loop kernel's product of the elements xs and ys."""
-    return set(loop.encode(loop.product(loop.forms(xs), loop.factors(loop.forms(ys)))))
+    return set(loop.encode(loop.times(loop.forms(xs), loop.forms(ys))))
 
 
 @pytest.mark.parametrize("name", [name for name in QUAD_WAYS if name.startswith("s")])
@@ -658,6 +663,80 @@ def test_each_loop_kernel_call_decodes_each_operand_once(monkeypatch):
         call()
         assert sorted(decoded) == sorted(x for operand in operands for x in operand)
 
+
+
+# -- the kernels' set-level protocol ----------------------------------------------
+
+#: (kernel class, group) for every kernel class: the base loop, the one-line
+#: loop of S_n, and the three mask kernels, each on its smallest group and a larger one
+PROTOCOL_CASES = [
+    (Loop, SymmetricGroup(1)),
+    (Loop, DirectProductGroup([CyclicGroup(4), DihedralGroup(5)])),
+    (Loop, _table_of(SymmetricGroup(3))),
+    (OneLine, SymmetricGroup(2)),
+    (OneLine, SymmetricGroup(4)),
+    (CyclicMasks, CyclicGroup(1)),
+    (CyclicMasks, CyclicGroup(24)),
+    (DihedralMasks, DihedralGroup(1)),
+    (DihedralMasks, DihedralGroup(12)),
+    (HeisenbergMasks, HeisenbergGroup(2)),
+    (HeisenbergMasks, HeisenbergGroup(5)),
+]
+
+
+@pytest.mark.parametrize("kind, group", PROTOCOL_CASES, ids=lambda v: v.__name__ if isinstance(v, type) else repr(v.describe()))
+def test_each_kernel_presents_the_set_protocol_as_multiply_does(kind, group):
+    kernel = group.masks if issubclass(kind, masks.Rotations) else group.loop
+    assert type(kernel) is kind
+    mul = group.multiply
+    rng = random.Random(group.order)
+
+    def draw():
+        return GSet(group, [group.element_at(i) for i in rng.sample(range(group.order), rng.randint(0, group.order))])
+
+    for _ in range(8):
+        a, b = draw(), draw()
+        fa, fb = kernel.form(a), kernel.form(b)
+        assert kernel.decode(fa) == list(a.elements)
+        assert kernel.count(fa) == len(a)
+        assert kernel.decode(fa | fb) == sorted(set(a) | set(b))
+        assert kernel.decode(fa & fb) == sorted(set(a) & set(b))
+        assert kernel.count(fa | fb) == len(set(a) | set(b))
+        assert kernel.count(fa & fb) == len(set(a) & set(b))
+        left = kernel.lefts(fa)
+        for y, member in zip(b.elements, kernel.members(b)):
+            assert kernel.decode(kernel.right(fa, member)) == sorted({mul(x, y) for x in a})
+            assert kernel.decode(left(member)) == sorted({mul(y, x) for x in a})
+
+
+def _tests_the_kernel(test: ast.expr, chosen: set[str]) -> bool:
+    """Whether a condition reads a name bound to a chosen kernel, a group's kernels, or a type."""
+    for node in ast.walk(test):
+        if isinstance(node, ast.Name) and (node.id in chosen or node.id in ("isinstance", "type")):
+            return True
+        if isinstance(node, ast.Attribute) and node.attr in ("masks", "loop", "mask_kernel", "loop_kernel"):
+            return True
+    return False
+
+
+def test_no_public_gset_function_branches_on_its_kernel():
+    tree = ast.parse(Path(gset.__file__).read_text())
+    public = [node for node in tree.body if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    assert {"product", "level_set", "row_product", "outside", "doubling_stats", "inverse_set"} <= {f.name for f in public}
+    for function in public:
+        chosen = {"kernel"} | {
+            target.id
+            for node in ast.walk(function)
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Name) and node.value.func.id == "_kernel"
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        branches = [node for node in ast.walk(function) if isinstance(node, (ast.If, ast.IfExp))]
+        assert not [ast.unparse(b.test) for b in branches if _tests_the_kernel(b.test, chosen)], function.name
+    # the kernels' own strategies stay in the kernels
+    calls = {node.func.attr for node in ast.walk(tree) if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    assert not calls & {"widen", "spread", "at_least", "forms", "factors"}
 
 
 # -- pair budget --------------------------------------------------------------

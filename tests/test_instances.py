@@ -214,7 +214,7 @@ def test_coset_union_uses_left_cosets():
     # two cosets of a subgroup of order 28 in D140, which the cost rule puts on the masks
     d140 = DihedralGroup(140)
     sub = closure(d140, [(5, 0)])
-    assert gset._kernel(d140, 2, 2 * len(sub)) is not None
+    assert gset._kernel(d140, 2, 2 * len(sub)) is d140.masks
     got = generate(spec({"type": "dihedral", "n": 140},
                         {"type": "coset_union", "generators": [[5, 0]], "reps": [[3, 0], [9, 1]]}))
     assert got == GSet(d140, [d140.multiply(rep, h) for rep in ((3, 0), (9, 1)) for h in sub])

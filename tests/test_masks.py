@@ -1,7 +1,7 @@
 """The mask kernels of cyclic, dihedral and Heisenberg groups, against the oracles.
 
 Every ``gset`` operation that may run on masks is checked on each side of
-the cost rule: ``SIDES`` replaces ``gset._mask_cost`` so that every call
+the cost rule: ``on_side`` replaces ``masks.Rotations.cost`` so that every call
 takes the loop, or the masks with level-set counts by popcount, or the
 masks with level-set counts by Kronecker lanes.  The real rule is pinned
 separately, on the instances it must send to each side.
@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from symgrowth import gset, masks
-from symgrowth.groups import CyclicGroup, DihedralGroup, HeisenbergGroup
+from symgrowth.groups import CyclicGroup, DihedralGroup, HeisenbergGroup, Loop
 from symgrowth.growth import shrink_step, stable_neighbourhood
 from symgrowth.gset import GSet, doubling_stats, level_set, product, row_product
 from symgrowth.instances import generate
@@ -30,11 +30,7 @@ from symgrowth.oracle import (
 )
 from symgrowth.symmetry import sym_set
 
-from conftest import SIDES, from_both_ends, oracle_level_set, reference_scan
-
-
-def on_side(side):
-    return mock.patch.object(gset, "_mask_cost", SIDES[side])
+from conftest import SIDES, from_both_ends, on_side, oracle_level_set, reference_scan
 
 
 def fresh(a: GSet) -> GSet:
@@ -294,7 +290,7 @@ def test_the_rule_keeps_the_smallest_many_small_heisenberg_stats_on_the_loop(mon
                          ids=["cyclic", "dihedral", "heisenberg"])
 def test_a_kernel_the_rule_turns_down_is_never_built(group):
     # a kernel holds an int of |G| bits, so the rule must decide before building one
-    assert gset._kernel(group, 30, 900) is None
+    assert type(gset._kernel(group, 30, 900)) is Loop
     assert "masks" not in vars(group)
 
 

@@ -26,9 +26,9 @@ from symgrowth.groups import (
     SymmetricGroup,
     TableGroup,
 )
-from symgrowth import budget, gset, oracle
+from symgrowth import budget, gset, masks, oracle
 from symgrowth.budget import set_pair_budget
-from symgrowth.gset import GSet, conv_table, inverse_set, outside
+from symgrowth.gset import GSet, inverse_set, outside
 from symgrowth.instances import generate
 from symgrowth.serialize import parse_fraction
 from symgrowth.growth import stable_neighbourhood
@@ -46,7 +46,9 @@ from symgrowth.oracle import (
 from symgrowth.symmetry import sym_set
 
 from conftest import (
+    SIDES,
     CounterStream,
+    conv_table,
     draw_subset,
     failures,
     one_line,
@@ -389,7 +391,7 @@ def test_oracle_outside_charges_each_tested_member():
 def test_outside_counts_and_charges_as_the_oracle(monkeypatch, side):
     # the cost rule is pinned to one side; cyclic, dihedral and Heisenberg
     # groups are the ones with masks, and on their masks side nothing may multiply
-    monkeypatch.setattr(gset, "_mask_cost", lambda group, translations, width=1: math.inf if side == "loop" else 0)
+    monkeypatch.setattr(masks.Rotations, "cost", classmethod(SIDES["loop" if side == "loop" else "kronecker"]))
     charges = []
     for module in (gset, oracle):
         monkeypatch.setattr(module, "charge_pairs", charges.append)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from symgrowth.errors import EmptySetError, ParameterError
 from symgrowth.groups import CyclicGroup, DihedralGroup
-from symgrowth.gset import GSet, conv_table, inverse_set, product
+from symgrowth.gset import GSet, inverse_set, product
 from symgrowth.growth import shrink_step
 from symgrowth.symmetry import check_eta, sym_set
 
@@ -16,6 +16,7 @@ from conftest import (
     check_iterated_power,
     check_nesting,
     check_submultiplicativity,
+    conv_table,
     draw_fraction,
     draw_subset,
     small_group_pool,
