@@ -9,11 +9,18 @@ against code with no shared logic to fail in the same way.
 The replay's level sets and candidates are read off ``oracle_overlaps``,
 the ordered double loop over A and A⁻¹.  The terminal symmetry set is
 counted over unordered pairs instead, since |X ∩ tX| = |X ∩ t⁻¹X|: one
-loop over u < w in X gives every count, charged as the ordered loop.
+loop over u < w in X gives every count, charged as the ordered loop, and
+``oracle_sym_counts`` keys them by XX⁻¹.  X = A'A lies in A², so the
+verifier reads off those keys that a member of S^k lies in A²A⁻² without
+a multiplication, and tests only the other members against A².
 
 The one exception to plain collections is the verifier's replay of the
-shrink scan: each row xA is an int mask over the step's own index of A'A,
-and a candidate's product size is the bit count of the OR of its rows.
+shrink scan.  It builds one row table: step 0 indexes A·A and stores each
+row xA as an int mask over that index.  Every later A' is a subset of A,
+so A'A is the OR of its members' rows, and its size the bit count; the
+members of A'A are decoded from the set bits only at the terminate step.
+A candidate ORs its rows one at a time and is dropped once the bit count
+passes the int floor((1-eps)|A'A|).  Each step is still charged |A'||A|.
 The index and the masks are built here, from ``group.multiply`` alone, so
 the verifier still shares nothing with the fast path; tests check each
 mask count against a product built by definition.
@@ -21,11 +28,13 @@ mask count against a product built by definition.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .budget import charge_pairs
 from .errors import CertificateFormatError, InvalidElementError, ParameterError
@@ -119,28 +128,29 @@ def oracle_overlaps(group: Group, a: Iterable[Element]) -> dict[Element, list[El
     inv = oracle_inverse(group, a)
     charge_pairs(len(a) * len(inv))
     mul = group.multiply
-    table: dict[Element, list[Element]] = {}
+    table: defaultdict[Element, list[Element]] = defaultdict(list)
     for u in a:
         for w in inv:
-            table.setdefault(mul(u, w), []).append(u)
+            table[mul(u, w)].append(u)
+    table.default_factory = None  # a missing t is a KeyError, as in a dict
     return table
 
 
-def oracle_sym_members(group: Group, a: Iterable[Element], eta: Fraction) -> tuple[Element, ...]:
-    """Symmetry-set members recomputed from the definition: |A ∩ tA| >= eta |A|, in ascending order.
+def oracle_sym_counts(group: Group, a: Iterable[Element]) -> dict[Element, int]:
+    """|A ∩ tA| for every t in AA⁻¹, the t keyed in no particular order.
 
     |A ∩ tA| counts the pairs (u, w) of A with u·w⁻¹ = t.  The pairs u = w
     give t = e, |A| times, and swapping u and w turns t into t⁻¹.  So one
     loop over the pairs u < w, counting each u·w⁻¹ in h, gives every count:
-    h(t) + h(t⁻¹) for t ≠ e (2h(t) for an involution) and |A| for e.  It
-    multiplies |A|(|A| - 1)/2 pairs but is charged the |A|² of the ordered
-    loop, and a count is compared with ceil(eta |A|), an int.
+    h(t) + h(t⁻¹) for t ≠ e (2h(t) for an involution) and |A| for e, and
+    the keys are AA⁻¹.  It multiplies |A|(|A| - 1)/2 pairs but is charged
+    the |A|² of the ordered loop.
     """
     a = sorted(set(a))
     n = len(a)
     charge_pairs(n * n)
     if not a:
-        return ()
+        return {}
     mul = group.multiply
     inv = group.inverse
     inverses = [inv(w) for w in a]
@@ -150,14 +160,23 @@ def oracle_sym_members(group: Group, a: Iterable[Element], eta: Fraction) -> tup
         for w in inverses[i:]:
             t = mul(u, w)
             half[t] = get(t, 0) + 1
-    least = math.ceil(Fraction(eta) * n)
-    members = {group.identity} if n >= least else set()
+    # each h(t) is added to the count of t⁻¹, so t ends with h(t) + h(t⁻¹)
+    counts = dict(half)
+    current = counts.get
     for t, count in half.items():
         t_inv = inv(t)
-        if count + get(t_inv, 0) >= least:
-            members.add(t)
-            members.add(t_inv)
-    return tuple(sorted(members))
+        counts[t_inv] = current(t_inv, 0) + count
+    counts[group.identity] = n
+    return counts
+
+
+def _at_least(counts: dict[Element, int], eta: Fraction, n: int) -> tuple[Element, ...]:
+    """The t of an ``oracle_sym_counts`` table with |X ∩ tX| >= eta·n, in ascending order.
+
+    A count is an int, so it is compared with ceil(eta·n), not with a Fraction.
+    """
+    least = math.ceil(Fraction(eta) * n)
+    return tuple(sorted([t for t, count in counts.items() if count >= least]))
 
 
 def _level(overlaps: dict[Element, list[Element]], tau: Fraction) -> tuple[Element, ...]:
@@ -167,6 +186,74 @@ def _level(overlaps: dict[Element, list[Element]], tau: Fraction) -> tuple[Eleme
     """
     least = math.ceil(tau)
     return tuple(sorted(t for t, inside in overlaps.items() if len(inside) >= least))
+
+
+def _row_table(group: Group, a: tuple[Element, ...]) -> tuple[dict[Element, int], dict[Element, int]]:
+    """An index of A·A, each product's bit in first-seen order, and each row xA (x ∈ A) as an int mask over it.
+
+    Every A' of the replay is a subset of A, so A'A is the OR of these rows.
+    """
+    mul = group.multiply
+    index: defaultdict[Element, int] = defaultdict(itertools.count().__next__)
+    rows = {}
+    for x in a:
+        mask = 0
+        for v in a:
+            mask |= 1 << index[mul(x, v)]
+        rows[x] = mask
+    return index, rows
+
+
+def _union(rows: dict[Element, int], xs: Iterable[Element]) -> int:
+    """The mask of XA: the OR of the rows of the x in X."""
+    mask = 0
+    for x in xs:
+        mask |= rows[x]
+    return mask
+
+
+def _decode(index: dict[Element, int], mask: int) -> list[Element]:
+    """The members of a mask over ``index``, read off its set bits alone."""
+    elements = list(index)
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(elements[low.bit_length() - 1])
+        mask ^= low
+    return out
+
+
+def _scan(level: Iterable[Element], overlaps: dict[Element, list[Element]], rows: dict[Element, int],
+          most: int) -> tuple[Element | None, int]:
+    """The first t of ``level`` whose |(A' ∩ tA')A| is at most ``most``, with that size; (None, 0) if none.
+
+    The OR of a candidate's rows only grows, so it is dropped at the first
+    row that takes it past ``most``, and a witness is OR-ed in full.
+    """
+    for t in level:
+        cover = 0
+        for x in overlaps[t]:
+            cover |= rows[x]
+            if cover.bit_count() > most:
+                break
+        else:
+            return t, cover.bit_count()
+    return None, 0
+
+
+def _outside_quad(group: Group, xs: Iterable[Element], inside: Collection[Element], a2: Collection[Element]) -> int:
+    """Number of x in xs outside A²A⁻², each charged |A²| pairs as ``oracle_outside`` charges it.
+
+    ``inside`` is a subset of A²A⁻², as XX⁻¹ is for X ⊆ A²: its members
+    need no multiplication, and ``oracle_outside`` tests the rest.
+    """
+    rest = []
+    for x in xs:
+        if x in inside:
+            charge_pairs(len(a2))
+        else:
+            rest.append(x)
+    return oracle_outside(group, rest, a2, a2)
 
 
 def termination_cap(k0: Fraction, eps: Fraction) -> int:
@@ -344,21 +431,25 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     ledger entry's name, which must be one such a trace has.  A
     structural defect raises CertificateFormatError before the replay.
 
-    The shrinking chain is then replayed step by step: each step indexes
-    its product A'A in a dict, builds each row xA for x in A' as an int
-    mask over that index, and builds the table ``oracle_overlaps(A')``.
-    It reads its level set, every candidate's A' ∩ tA' and the next A' off
-    that table, and each candidate's |(A' ∩ tA')A| is the bit count of the
-    OR of its members' rows, so the scan itself multiplies nothing and
-    carries sizes, not sets, into the ledger.  The final symmetry
-    set is recomputed from its definition (``oracle_sym_members``, over
-    the unordered pairs of the last product), the power containment is
-    re-derived by membership tests of S^k against A² (``oracle_power``,
-    whose work does not grow with the certificate's k), and every ledger
-    line's numbers are recomputed once, during the replay, and compared as
-    exact strings.  Semantic mismatches come back as failed checks; the
-    replay stops early only at a claimed shrink step it finds no witness
-    for, and then ``trace_shape`` fails.
+    The shrinking chain is then replayed step by step from one row table:
+    step 0 indexes A·A and builds each row xA for x in A as an int mask
+    over that index, and every later A' ⊆ A takes its rows from it, so
+    |A'A| is the bit count of their OR (each step is still charged
+    |A'||A|).  Each step builds the table ``oracle_overlaps(A')`` and reads
+    its level set, every candidate's A' ∩ tA' and the next A' off it; a
+    candidate ORs its members' rows until the bit count passes the int
+    floor((1-eps)|A'A|), so the scan itself multiplies nothing and carries
+    sizes, not sets, into the ledger.  The final symmetry set is
+    recomputed from its definition (``oracle_sym_counts`` over the
+    unordered pairs of the last product X, decoded from its mask), and the
+    power containment is re-derived member by member (``oracle_power``,
+    whose work does not grow with the certificate's k): a member of S^k in
+    XX⁻¹, the keys of those counts, lies in A²A⁻² since X ⊆ A², and every
+    other member is tested against A², each charged |A²| either way.
+    Every ledger line's numbers are recomputed once, during the replay,
+    and compared as exact strings.  Semantic mismatches come back as
+    failed checks; the replay stops early only at a claimed shrink step it
+    finds no witness for, and then ``trace_shape`` fails.
     """
     if not isinstance(cert, dict):
         raise CertificateFormatError("certificate must be a JSON object")
@@ -434,26 +525,18 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     n_a = len(a)
     table: dict[str, tuple[str, Fraction, Fraction]] = {}
     cur = a
-    mul = group.multiply
     for i, step in enumerate(steps):
         tag = f"step{i}"
         rec.record(f"{tag}.index", i, step.get("index"))
         rec.record(f"{tag}.aprime_size", len(cur), step.get("aprime_size"))
-        # one row xA per x in A', as an int mask over this step's own index of
-        # A'A: a candidate's product (A' ∩ tA')A is the OR of its members' rows
+        # each step is charged |A'||A|, but only step 0 multiplies: its rows
+        # xA serve every later A' ⊆ A, and A'A is the OR of their masks
         charge_pairs(len(cur) * n_a)
-        index: dict[Element, int] = {}
-        rows = {}
-        for x in cur:
-            mask = 0
-            for v in a:
-                mask |= 1 << index.setdefault(mul(x, v), len(index))
-            rows[x] = mask
-        prod = tuple(index)
-        n_ap, n_p = len(cur), len(prod)
         if i == 0:
-            a2 = tuple(sorted(prod))  # the replay's first product is A·A
-            k0 = Fraction(n_p, n_a)
+            a2, rows = _row_table(group, a)  # the replay's first product is A·A
+            k0 = Fraction(len(a2), n_a)
+        prod = _union(rows, cur)
+        n_ap, n_p = len(cur), prod.bit_count()
         rec.record(f"{tag}.product_size", n_p, step.get("product_size"))
         tau = Fraction(n_ap**4, 2 * n_p * n_a**2)
         rec.record(f"{tag}.tau", fraction_to_str(tau), step.get("tau"))
@@ -463,16 +546,8 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
         rec.record(f"{tag}.level_set_size", len(level), step.get("level_set_size"))
 
         # the canonical scan: first t in the level set whose shrink passes
-        witness = None
         limit = (1 - eps) * n_p
-        for t in level:
-            cover = 0
-            for x in overlaps[t]:
-                cover |= rows[x]
-            n_cover = cover.bit_count()
-            if n_cover <= limit:
-                witness = t
-                break
+        witness, n_cover = _scan(level, overlaps, rows, math.floor(limit))
 
         table[f"{tag}.level_set_lower"] = ("ge", Fraction(len(level)), Fraction(n_ap**3, 2 * n_p * n_a))
         table[f"trace{i}.product_growth_bound"] = ("le", Fraction(n_p), (1 - eps) ** i * k0 * n_a)
@@ -501,12 +576,13 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     aprime = cur
     rec.record("aprime_matches", list(map(list, aprime)), claimed_aprime)
 
-    # the terminal symmetry set, recomputed from its definition; prod and
-    # level are the last replayed step's
-    threshold = (1 - eps) if eps < 1 else Fraction(1, len(prod))
+    # the terminal symmetry set, recomputed from its definition over X = A'A;
+    # prod, n_p and level are the last replayed step's
+    threshold = (1 - eps) if eps < 1 else Fraction(1, n_p)
     rec.record("s_threshold", fraction_to_str(threshold), claimed_threshold)
     rec.flag("s_sorted_unique", all(x < y for x, y in zip(s, s[1:])))
-    expected_s = oracle_sym_members(group, prod, threshold)
+    counts = oracle_sym_counts(group, _decode(a2, prod))
+    expected_s = _at_least(counts, threshold, n_p)
     rec.record("s_matches_symmetry_set", list(map(list, expected_s)), list(map(list, s)))
     s_set = set(s)
     has_identity = group.identity in s_set
@@ -514,8 +590,9 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     rec.flag("s_contains_identity", has_identity)
     rec.flag("s_symmetric", asymmetric == 0)
 
-    # the headline containment, member by member: x ∈ A²A⁻² iff xA² ∩ A² ≠ ∅
-    violations = oracle_outside(group, oracle_power(group, s, k), a2, a2)
+    # the headline containment, member by member: x ∈ A²A⁻² if x ∈ XX⁻¹ (the
+    # keys of counts, as X ⊆ A²), and otherwise iff xA² ∩ A² ≠ ∅
+    violations = _outside_quad(group, oracle_power(group, s, k), counts, a2)
     rec.record("power_containment_violations", 0, violations)
 
     table[f"step{last}.sym_size_lower"] = ("ge", Fraction(len(s)), Fraction(len(level)))
@@ -524,7 +601,7 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     table["identity_in_neighbourhood"] = ("eq", Fraction(int(has_identity)), Fraction(1))
     table["neighbourhood_symmetric"] = ("eq", Fraction(asymmetric), Fraction(0))
     table["power_containment"] = ("eq", Fraction(violations), Fraction(0))
-    size_bound = Fraction(len(aprime) ** 3, 2 * len(prod) * n_a)
+    size_bound = Fraction(len(aprime) ** 3, 2 * n_p * n_a)
     table["neighbourhood_size_lower_bound"] = ("ge", Fraction(len(s)), size_bound)
     table["termination_bound"] = ("le", Fraction(last), Fraction(cap))
 

@@ -4,7 +4,8 @@ Unit tests draw random instances through CounterStream so every run sees the
 same data.  The ``oracle_*`` references count by definition, with the same
 loops and budget charges as the oracles in ``symgrowth.oracle``, for values
 no command computes that way; ``oracle_level_set`` filters a level set
-from ``oracle_overlaps``; ``reference_scan`` finds a shrink step's
+from ``oracle_overlaps``, and ``oracle_sym_members`` a symmetry set from
+``oracle_sym_counts``; ``reference_scan`` finds a shrink step's
 witness by building every candidate's product with ``oracle_product``,
 and ``from_both_ends`` puts a list in the order the level-set lookup yields;
 ``SIDES`` stands in for the mask cost rule to send calls to one kernel,
@@ -39,7 +40,7 @@ from symgrowth import masks
 from symgrowth.budget import charge_pairs
 from symgrowth.errors import InvalidElementError, ParameterError
 from symgrowth.gset import GSet, product
-from symgrowth.oracle import oracle_overlaps, oracle_power, oracle_product
+from symgrowth.oracle import oracle_overlaps, oracle_power, oracle_product, oracle_sym_counts
 from symgrowth.prng import splitmix64
 from symgrowth.symmetry import check_eta, sym_set
 
@@ -309,6 +310,16 @@ def oracle_level_set(group, aprime, tau) -> tuple:
     """
     least = math.ceil(tau)
     return tuple(sorted(t for t, inside in oracle_overlaps(group, aprime).items() if len(inside) >= least))
+
+
+def oracle_sym_members(group, a, eta) -> tuple:
+    """Symmetry-set members |A ∩ tA| >= eta |A|, in ascending order, filtered from ``oracle_sym_counts(A)``.
+
+    A count is an int, so it is compared with ceil(eta |A|), not with a Fraction.
+    """
+    a = set(a)
+    least = math.ceil(Fraction(eta) * len(a))
+    return tuple(sorted(t for t, count in oracle_sym_counts(group, a).items() if count >= least))
 
 
 def reference_scan(group, aprime, a, eps):

@@ -20,7 +20,6 @@ from symgrowth.instances import generate
 from symgrowth.oracle import (
     oracle_power,
     oracle_product,
-    oracle_sym_members,
     verify_certificate,
 )
 from symgrowth.serialize import canonical_dumps
@@ -37,6 +36,7 @@ from conftest import (
     oracle_conv_value,
     oracle_level_set,
     oracle_quadruples,
+    oracle_sym_members,
     pair_energy,
     record_acceptance,
     small_group_pool,

@@ -35,12 +35,11 @@ from symgrowth.masks import CyclicMasks
 from symgrowth.oracle import (
     oracle_power,
     oracle_product,
-    oracle_sym_members,
     verify_certificate,
 )
 from symgrowth.serialize import canonical_dumps
 
-from conftest import SIDES, on_side, oracle_level_set, reference_scan
+from conftest import SIDES, on_side, oracle_level_set, oracle_sym_members, reference_scan
 
 C20 = CyclicGroup(20)
 INTERVAL = GSet(C20, [(i,) for i in range(5)])

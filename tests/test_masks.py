@@ -25,12 +25,18 @@ from symgrowth.oracle import (
     oracle_inverse,
     oracle_overlaps,
     oracle_product,
-    oracle_sym_members,
     verify_certificate,
 )
 from symgrowth.symmetry import sym_set
 
-from conftest import SIDES, from_both_ends, on_side, oracle_level_set, reference_scan
+from conftest import (
+    SIDES,
+    from_both_ends,
+    on_side,
+    oracle_level_set,
+    oracle_sym_members,
+    reference_scan,
+)
 
 
 def fresh(a: GSet) -> GSet:

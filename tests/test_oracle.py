@@ -9,6 +9,7 @@ import math
 import random
 import sys
 import time
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -39,7 +40,7 @@ from symgrowth.oracle import (
     oracle_overlaps,
     oracle_power,
     oracle_product,
-    oracle_sym_members,
+    oracle_sym_counts,
     termination_cap,
     verify_certificate,
 )
@@ -57,6 +58,7 @@ from conftest import (
     oracle_level_set,
     oracle_overlap,
     oracle_quadruples,
+    oracle_sym_members,
     reference_scan,
     small_group_pool,
     termination_cap_by_bisection,
@@ -247,6 +249,19 @@ def test_oracle_sym_members_multiplies_each_unordered_pair_once(monkeypatch):
         assert seen["multiplies"] == n * (n - 1) // 2
         assert seen["charged"] == seen["largest_charge"] == n * n
         assert seen["most_ahead"] == 0
+
+
+def test_oracle_sym_counts_are_the_overlaps_of_every_quotient(stream):
+    # the keys are XX⁻¹, built by a double loop, and each count is |X ∩ tX|
+    # as the ordered loop of oracle_overlaps lists it, on all six backends
+    groups = small_group_pool() + [DirectProductGroup([CyclicGroup(4), DihedralGroup(3)]), _table_copy(DihedralGroup(6))]
+    for group in groups:
+        for _ in range(4):
+            a = draw_subset(group, 1 + stream.below(min(group.order, 12)), stream).elements
+            counts = oracle_sym_counts(group, reversed(a))
+            assert tuple(sorted(counts)) == oracle_product(group, a, oracle_inverse(group, a))
+            overlaps = oracle_overlaps(group, a)
+            assert counts == {t: len(inside) for t, inside in overlaps.items()}
 
 
 def test_oracle_overlap_agrees_with_fast_overlap():
@@ -465,6 +480,7 @@ D40_COSETS = {"group": {"type": "dihedral", "n": 40},
               "set": {"type": "coset_union", "generators": [[5, 0]], "reps": [[0, 0], [1, 1]]}}
 C20_INTERVAL = {"group": {"type": "cyclic", "n": 20}, "set": {"type": "interval", "start": 0, "length": 5}}
 S6_RANDOM = {"group": {"type": "symmetric", "n": 6}, "set": {"type": "random", "size": 10, "seed": 0}}
+C3000_INTERVAL75 = {"group": {"type": "cyclic", "n": 3000}, "set": {"type": "interval", "start": 17, "length": 75}}
 
 
 def _metered(monkeypatch, group_class, work):
@@ -576,8 +592,8 @@ def test_verifier_mask_counts_equal_products_built_by_definition():
     assert shrinks > 0 and rejected > 0
 
 
-@pytest.mark.parametrize("spec, k", [(D40_COSETS, 2), (S6_RANDOM, 2), (C20_INTERVAL, 5)],
-                         ids=["d40-cosets", "s6-random", "c20-interval"])
+@pytest.mark.parametrize("spec, k", [(D40_COSETS, 2), (S6_RANDOM, 2), (C20_INTERVAL, 5), (C3000_INTERVAL75, 2)],
+                         ids=["d40-cosets", "s6-random", "c20-interval", "c3000-interval75"])
 def test_verify_costs_what_run_costs(monkeypatch, spec, k):
     a = generate(spec)
     cert, run = _metered(monkeypatch, type(a.group),
@@ -591,6 +607,47 @@ def test_verify_costs_what_run_costs(monkeypatch, spec, k):
     assert verify["largest_charge"] == run["largest_charge"]
     # every multiplication of the replay is paid for before it is made
     assert verify["most_ahead"] == 0
+
+
+def test_verify_multiplies_each_row_once_and_nothing_for_an_honest_containment(monkeypatch):
+    # a shrink step, then the terminate step: every row xA is multiplied at
+    # step 0 and reused at step 1, and each member of S^2 lies in XX⁻¹
+    a = generate(C3000_INTERVAL75)
+    cert = stable_neighbourhood(a, 2, instance=C3000_INTERVAL75).to_json_dict()
+    steps = cert["trace"]["steps"]
+    assert [step["action"] for step in steps] == ["shrink", "terminate"] and len(cert["s"]) == 67
+    made = Counter()
+    phase = [None]
+    real_multiply = CyclicGroup.multiply
+
+    def multiply(g, x, y):
+        made[phase[0]] += 1
+        return real_multiply(g, x, y)
+
+    def inside(name, fn):
+        def wrapped(*args):
+            outer, phase[0] = phase[0], name
+            try:
+                return fn(*args)
+            finally:
+                phase[0] = outer
+        return wrapped
+
+    monkeypatch.setattr(CyclicGroup, "multiply", multiply)
+    for name in ("oracle_overlaps", "oracle_sym_counts", "oracle_power", "oracle_outside"):
+        monkeypatch.setattr(oracle, name, inside(name, getattr(oracle, name)))
+    assert verify_certificate(cert, a.elements, instance=C3000_INTERVAL75).overall
+
+    n_a, n_x, n_s = len(a), steps[-1]["product_size"], len(cert["s"])
+    expected = {
+        None: n_a * n_a,  # the rows, not the sum of |A_i||A| over the steps
+        "oracle_overlaps": sum(step["aprime_size"] ** 2 for step in steps),
+        "oracle_sym_counts": n_x * (n_x - 1) // 2,
+        "oracle_power": n_s * n_s,  # S·S at k = 2
+    }
+    assert n_a * n_a < sum(step["aprime_size"] * n_a for step in steps)
+    assert made == expected and made["oracle_outside"] == 0
+    assert sum(made.values()) == 21215
 
 
 def test_oracle_level_set_equals_the_overlap_scan_over_the_group(stream):
@@ -642,6 +699,37 @@ def test_verifier_counts_every_power_member_outside_the_quad_product():
     check = {c.name: c for c in report.checks}["power_containment_violations"]
     assert (check.expected, check.actual, check.passed) == (0, expected, False)
     assert not {c.name: c for c in report.checks}["ledger.power_containment"].passed
+
+
+def test_a_forged_neighbourhood_never_hides_a_containment_violation(stream):
+    # members of S^k in XX⁻¹ skip their multiplications, so S is forged with
+    # extra elements, drawn at random and, where A²A⁻² is not the whole
+    # group, one from outside it: the count the verifier reports is the full
+    # membership count of S^k against A², every time
+    groups = small_group_pool() + [DirectProductGroup([CyclicGroup(4), DihedralGroup(3)]), _table_copy(DihedralGroup(6))]
+    clean = violated = 0
+    for group in groups:
+        elements = [group.element_at(i) for i in range(group.order)]
+        for _ in range(3):
+            a = draw_subset(group, 2 + stream.below(min(group.order - 1, 6)), stream).elements
+            k = 1 + stream.below(3)
+            cert = stable_neighbourhood(GSet(group, a), k).to_json_dict()
+            a2 = oracle_product(group, a, a)
+            quad = set(oracle_product(group, a2, oracle_inverse(group, a2)))
+            outsiders = [x for x in elements if x not in quad]
+            s = {group.coerce(x) for x in cert["s"]}
+            for _ in range(1 + stream.below(2)):
+                s.add(elements[stream.below(group.order)])
+            if outsiders and stream.below(2):
+                s.add(outsiders[stream.below(len(outsiders))])
+            s = sorted(s)
+            cert["s"] = [list(x) for x in s]
+            expected = oracle_outside(group, oracle_power(group, s, k), a2, a2)
+            check = {c.name: c for c in verify_certificate(cert, a).checks}["power_containment_violations"]
+            assert check.actual == expected, (group.describe(), a, s, k)
+            violated += expected > 0
+            clean += expected == 0
+    assert violated > 0 and clean > 0
 
 
 def test_verifier_flags_dropped_neighbourhood_element():
