@@ -152,7 +152,7 @@ def _parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--instance", required=True, help="instance spec JSON file")
     shared.add_argument("--out", help="write output here (atomically) instead of stdout")
-    shared.add_argument("--budget-pairs", type=int, help="override the pair budget for this run")
+    shared.add_argument("--budget-pairs", type=int, help="cap the pairs any single call may charge (default 10^8)")
     shared.add_argument("--trace", action="store_true",
                         help="only run prints with it: each shrink step, as a JSON line on stderr")
     parser = _Parser(

@@ -29,21 +29,17 @@ Encodings and their radices:
 * ``table``              -- ``(i,)`` with ``i`` the row index of the table;
                             ``(n,)``
 
-Each group has two kernels for sets of elements, and both present one
-set-level protocol that ``gset`` writes each operation against (see
-``gset``).  ``group.loop`` is the loop kernel, of class ``loop_kernel``,
-built for one call's operands: it holds elements in an internal form and
-multiplies them pair by pair, and its ``times`` stops once it holds the
-whole group.  On most backends the form is the encoding and a product is
-``multiply``.  ``SymmetricGroup`` (n >= 2) has ``OneLine``: one-line
-permutations, composed with ``itemgetter`` without ``multiply``, and
-encoded again only where a caller keeps them.  The loop owns the
-convolution table and the shrink scan's index rows.  Cyclic, dihedral and
-Heisenberg groups also name a kernel class of ``symgrowth.masks`` in
-``mask_kernel``, and ``group.masks`` is that kernel: it holds a set as an
-int mask over the mixed-radix index and translates it by rotations (on
-Heisenberg groups, turns of each digit and a shear).  The other backends
-have ``mask_kernel = None`` and no ``masks``.  ``multiply`` and
+Each group has two kernels for sets of elements, and both present the
+set-level protocol that ``gset`` describes and writes each operation
+against.  ``group.loop`` is the loop kernel, of class ``loop_kernel``
+(``Loop``, or ``OneLine`` on ``SymmetricGroup`` with n >= 2), built for
+one call's operands; it owns the convolution table and the shrink scan's
+index rows.  Cyclic, dihedral and Heisenberg groups also name a kernel
+class of ``symgrowth.masks`` in ``mask_kernel``, and ``group.masks`` is
+that kernel: it holds a set as an int mask over the mixed-radix index
+and translates it by rotations (on Heisenberg groups, turns of each digit
+and a shear).  The other
+backends have ``mask_kernel = None`` and no ``masks``.  ``multiply`` and
 ``inverse`` stay the plain per-element operations, and they alone are
 what ``oracle`` uses.
 """
@@ -69,7 +65,8 @@ Element = tuple[int, ...]
 
 #: default cap on the degree of symmetric-group backends
 SYMMETRIC_DEGREE_LIMIT = 10
-#: entries each memo of a symmetric group's Lehmer converters keeps: all of S7
+#: entries each memo of a symmetric group's Lehmer converters keeps: all of S7,
+#: so a set spread over S8 or beyond cannot grow them without limit
 LEHMER_MEMO_SIZE = math.factorial(7)
 
 
@@ -179,7 +176,9 @@ class Loop:
         """Each x in AB with 1_A * 1_B(x) >= least -> the u in A, in canonical order, with x in uB.
 
         B is A^-1, A's forms inverted, when ``b`` is None, and then the
-        entry at t is A ∩ tA.  Only the x kept are encoded.
+        entry at t is A ∩ tA.  Every term of AB is listed before any is
+        dropped, so the table costs memory where AB has many elements.
+        Only the x kept are encoded.
         """
         xs = self.members(a)
         left = self.lefts(list(map(self.inverse, xs)) if b is None else self.members(b))
@@ -211,8 +210,9 @@ class Group(ABC):
     Instances are immutable after construction and all operations are pure,
     so a group may be shared freely across workers.
 
-    ``multiply`` and ``inverse`` trust their arguments: elements are checked
-    where they enter the program (``coerce``, ``GSet(...)``, instance load,
+    ``multiply``, ``inverse`` and the loop kernels trust their arguments,
+    and nothing they call checks them: elements are checked where they
+    enter the program (``coerce``, ``GSet(...)``, instance load,
     certificate decode), not on every operation.
     """
 

@@ -4,12 +4,13 @@ A ``GSet`` is an immutable, canonically ordered subset of a fixed group.
 Every statistic that could be fractional (the doubling ratio) is a
 ``fractions.Fraction``; floats never enter any computation here.
 
-Product-style operations cost |A|*|B| group multiplications.  A global pair
-budget guards against accidentally quadratic-in-the-group blowups: when the
-multiplications needed by one call would exceed the remaining budget the
-call raises ``PairBudgetError`` before doing the work.  ``product`` stops
-once its output is the whole group, but it is still charged the full
-|A|*|B| up front.
+Product-style operations cost |A|*|B| group multiplications.  A pair
+budget guards against accidentally quadratic-in-the-group blowups.  It caps
+each charge on its own, not a running total: a call whose charge exceeds
+the cap (``budget.pair_budget``) raises ``PairBudgetError`` before doing
+the work, however much earlier calls charged.  ``product`` stops once its
+output is the whole group, but it is still charged the full |A|*|B| up
+front.
 
 Each operation is written once, over the kernel ``_kernel`` picks: the
 group's ``masks`` (see ``masks``: a set as an int mask over the group
@@ -18,13 +19,14 @@ index, on cyclic, dihedral and Heisenberg groups) when the ``cost`` of its
 and its ``loop`` (``groups.Loop``) otherwise.  Both present one protocol:
 a set's ``form`` and ``members``, right and left translates, ``|`` and
 ``&`` on forms, ``count``, and ``decode`` in canonical order; and each
-owns its strategy for each operation.  Either way a call is charged the
-same pairs, as a bound.  ``row_product`` gives the row uB of each u in A
-as an int mask, so the shrink scan sizes the product of any subset of A
-with B by OR-ing rows; ``level_set`` gives each A ∩ tA on demand, from
-both ends of its canonical order, so a scan that stops early never
-decodes the rest; ``outside`` tests whether xW meets T, so TW⁻¹ is never
-built; and ``doubling_stats`` counts its sets without decoding them.
+owns its strategy for each operation, so a ``gset`` function keeps only
+its checks, its charges and the kernel call.  Either way a call is
+charged the same pairs, as a bound.  ``row_product`` gives the row uB of
+each u in A as an int mask, so the shrink scan sizes the product of any
+subset of A with B by OR-ing rows; ``level_set`` gives each A ∩ tA on
+demand, from both ends of its canonical order, so a scan that stops early
+never decodes the rest; ``outside`` tests whether xW meets T, so TW⁻¹ is
+never built; and ``doubling_stats`` counts its sets without decoding them.
 """
 
 from __future__ import annotations
@@ -182,7 +184,8 @@ def row_product(a: GSet, b: GSet) -> tuple[GSet, Callable[[Element], int]]:
 def outside(xs: GSet, t: GSet, w: GSet) -> int:
     """The number of x in X outside TW⁻¹, by membership: x ∈ TW⁻¹ iff xW meets T.
 
-    Each member tested is charged |W| pairs, so TW⁻¹ itself is never built.
+    Each member tested is charged |W| pairs, no more than a build of TW⁻¹
+    would charge at once, so TW⁻¹ itself is never built.
     """
     xs.same_group(t)
     t.same_group(w)

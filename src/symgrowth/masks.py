@@ -182,7 +182,7 @@ class Rotations:
         return self.times(self.times(square, inv), inv)
 
     def product(self, a: GSet, b: GSet) -> tuple[list[Element], int]:
-        """AB and its mask: an OR of |B| right translates of A's mask, or of |A| left translates of B's."""
+        """AB and its mask: an OR of |B| right translates of A's mask, or of |A| left translates of B's, whichever are fewer."""
         if len(b) <= len(a):
             m = self.times(self.form(a), b.elements)
         else:

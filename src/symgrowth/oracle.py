@@ -2,28 +2,18 @@
 
 Everything here recomputes results from first principles with flat loops
 over plain element collections, sharing only the group backends with the
-fast path.  Oracles are deliberately slow and simple; they exist so that
-every fast-path computation and every emitted certificate can be checked
-against code with no shared logic to fail in the same way.
+fast path: nothing comes from ``gset``, ``masks``, ``symmetry``, ``growth``
+or ``instances``.  Oracles are deliberately slow and simple; they exist so
+that every fast-path computation and every emitted certificate can be
+checked against code with no shared logic to fail in the same way.
 
-The replay's level sets and candidates are read off ``oracle_overlaps``,
-the ordered double loop over A and A⁻¹.  The terminal symmetry set is
-counted over unordered pairs instead, since |X ∩ tX| = |X ∩ t⁻¹X|: one
-loop over u < w in X gives every count, charged as the ordered loop, and
-``oracle_sym_counts`` keys them by XX⁻¹.  X = A'A lies in A², so the
-verifier reads off those keys that a member of S^k lies in A²A⁻² without
-a multiplication, and tests only the other members against A².
-
-The one exception to plain collections is the verifier's replay of the
-shrink scan.  It builds one row table: step 0 indexes A·A and stores each
-row xA as an int mask over that index.  Every later A' is a subset of A,
-so A'A is the OR of its members' rows, and its size the bit count; the
-members of A'A are decoded from the set bits only at the terminate step.
-A candidate ORs its rows one at a time and is dropped once the bit count
-passes the int floor((1-eps)|A'A|).  Each step is still charged |A'||A|.
-The index and the masks are built here, from ``group.multiply`` alone, so
-the verifier still shares nothing with the fast path; tests check each
-mask count against a product built by definition.
+There are two exceptions to a plain transcription of a definition.
+``oracle_sym_counts`` loops over unordered pairs only, since
+|X ∩ tX| = |X ∩ t⁻¹X|.  The verifier's replay holds its products as int
+masks over an index of A·A, which it builds here from ``group.multiply``
+alone, so it still shares nothing with the fast path; tests check each
+mask count against a product built by definition.  ``verify_certificate``
+says how the replay uses both.
 """
 
 from __future__ import annotations
@@ -445,11 +435,15 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     power containment is re-derived member by member (``oracle_power``,
     whose work does not grow with the certificate's k): a member of S^k in
     XX⁻¹, the keys of those counts, lies in A²A⁻² since X ⊆ A², and every
-    other member is tested against A², each charged |A²| either way.
-    Every ledger line's numbers are recomputed once, during the replay,
-    and compared as exact strings.  Semantic mismatches come back as
-    failed checks; the replay stops early only at a claimed shrink step it
-    finds no witness for, and then ``trace_shape`` fails.
+    other member is tested against A², each charged |A²| either way.  On
+    an honest certificate no member is tested: each s in S has
+    |X ∩ sX| >= (1-eps)|X|, so with eps = 1/(k+1) the sets X, s_1X,
+    s_1s_2X, ..., s_1...s_kX share a member, and s_1...s_k lies in XX⁻¹.
+    Every multiplication is charged before it is made.  Every ledger
+    line's numbers are recomputed once, during the replay, and compared
+    as exact strings.  Semantic mismatches come back as failed checks; the
+    replay stops early only at a claimed shrink step it finds no witness
+    for, and then ``trace_shape`` fails.
     """
     if not isinstance(cert, dict):
         raise CertificateFormatError("certificate must be a JSON object")
