@@ -13,7 +13,7 @@ There are two exceptions to a plain transcription of a definition.
 masks over an index of A·A, which it builds here from ``group.multiply``
 alone, so it still shares nothing with the fast path; tests check each
 mask count against a product built by definition.  ``verify_certificate``
-says how the replay uses both.
+runs in phases, and ``_replay`` and ``_check_terminal`` say how they use each.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -160,22 +161,13 @@ def oracle_sym_counts(group: Group, a: Iterable[Element]) -> dict[Element, int]:
     return counts
 
 
-def _at_least(counts: dict[Element, int], eta: Fraction, n: int) -> tuple[Element, ...]:
-    """The t of an ``oracle_sym_counts`` table with |X ∩ tX| >= eta·n, in ascending order.
+def _at_least(counts: dict[Element, int], least: int) -> tuple[Element, ...]:
+    """The t of a table of counts |X ∩ tX| whose count is at least ``least``, in ascending order.
 
-    A count is an int, so it is compared with ceil(eta·n), not with a Fraction.
+    A count is an int, so a Fraction threshold such as tau or eta·|X| is
+    passed as its ceiling, not compared as a Fraction.
     """
-    least = math.ceil(Fraction(eta) * n)
     return tuple(sorted([t for t, count in counts.items() if count >= least]))
-
-
-def _level(overlaps: dict[Element, list[Element]], tau: Fraction) -> tuple[Element, ...]:
-    """The t of an ``oracle_overlaps`` table with at least tau members, in ascending order.
-
-    A count is an int, so it is compared with ceil(tau), not with a Fraction.
-    """
-    least = math.ceil(tau)
-    return tuple(sorted(t for t, inside in overlaps.items() if len(inside) >= least))
 
 
 def _row_table(group: Group, a: tuple[Element, ...]) -> tuple[dict[Element, int], dict[Element, int]]:
@@ -377,14 +369,8 @@ def _decode_elements(group: Group, raw: Iterable, what: str) -> tuple[Element, .
     return tuple(out)
 
 
-def _relation_holds(relation: str, lhs: Fraction, rhs: Fraction) -> bool:
-    if relation == "ge":
-        return lhs >= rhs
-    if relation == "le":
-        return lhs <= rhs
-    if relation == "eq":
-        return lhs == rhs
-    raise CertificateFormatError(f"unknown ledger relation {relation!r}")
+# the relations of the verifier's own ledger lines; a certificate's relation is only compared with them
+_RELATIONS = {"ge": operator.ge, "le": operator.le, "eq": operator.eq}
 
 
 def _ledger_names(last: int) -> frozenset[str]:
@@ -413,41 +399,53 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     """Recompute a certificate from scratch and report every discrepancy.
 
     The only trusted inputs are the group spec inside the certificate and
-    the instance set supplied by the caller; both the instance set and
-    the certificate's S are decoded by ``group.coerce``, as instance files
-    are.  Every structural check runs first, before any multiplication:
-    each field's presence and type, each trace step's action, the trace's
-    shape (shrink steps, then one terminate step, the last) and each
-    ledger entry's name, which must be one such a trace has.  A
-    structural defect raises CertificateFormatError before the replay.
+    the instance set supplied by the caller.  Only the first phase,
+    ``_decode_certificate``, raises CertificateFormatError, before any
+    charge.  Every multiplication is charged before it is made, and
+    semantic mismatches come back as failed checks.
+    """
+    decoded = _decode_certificate(cert, a_elements)
+    rec = VerificationReport()
+    rec.record("format", CERTIFICATE_FORMAT, cert["format"])
+    if instance is not None:
+        rec.record("instance_spec_matches", json.dumps(instance, sort_keys=True),
+                   json.dumps(cert["instance"], sort_keys=True))
+    rec.record("instance_set_matches", list(map(list, decoded.a)), cert["a"])
+    rec.record("epsilon_matches_k", decoded.expected_eps, fraction_to_str(decoded.eps))
+    rec.record("trace_epsilon", fraction_to_str(decoded.eps), cert["trace"]["epsilon"])
+    replay = _replay(decoded, rec)
+    if replay is not None:
+        _check_terminal(decoded, replay, rec)
+        _check_ledger(replay.table, cert["ledger"], rec)
+        rec.flag("verified_flag", cert.get("verified") is True)
+    return rec
 
-    The shrinking chain is then replayed step by step from one row table:
-    step 0 indexes A·A and builds each row xA for x in A as an int mask
-    over that index, and every later A' ⊆ A takes its rows from it, so
-    |A'A| is the bit count of their OR (each step is still charged
-    |A'||A|).  Each step builds the table ``oracle_overlaps(A')`` and reads
-    its level set, every candidate's A' ∩ tA' and the next A' off it; a
-    candidate ORs its members' rows until the bit count passes the int
-    floor((1-eps)|A'A|), so the scan itself multiplies nothing and carries
-    sizes, not sets, into the ledger.  The final symmetry set is
-    recomputed from its definition (``oracle_sym_counts`` over the
-    unordered pairs of the last product X, decoded from its mask), and the
-    power containment is re-derived member by member (``oracle_power``,
-    whose work does not grow with the certificate's k): a member of S^k in
-    XX⁻¹, the keys of those counts, lies in A²A⁻² since X ⊆ A², and every
-    other member is tested against A², each charged |A²| either way.  On
-    an honest certificate no member is tested: each s in S has
-    |X ∩ sX| >= (1-eps)|X|, so with eps = 1/(k+1) the sets X, s_1X,
-    s_1s_2X, ..., s_1...s_kX share a member, and s_1...s_k lies in XX⁻¹.
-    Every multiplication is charged before it is made.  Every ledger
-    line's numbers are recomputed once, during the replay, and compared
-    as exact strings.  Semantic mismatches come back as failed checks; the
-    replay stops early only at a claimed shrink step it finds no witness
-    for, and then ``trace_shape`` fails.
+
+@dataclass(frozen=True)
+class _Decoded:
+    """A certificate whose structure and types are checked, and its parsed fields; the phases read the rest from it."""
+
+    cert: dict
+    group: Group
+    a: tuple[Element, ...]
+    eps: Fraction
+    expected_eps: str
+    s: tuple[Element, ...]
+    last: int  # the index of the terminate step
+
+
+def _decode_certificate(cert: dict, a_elements: Iterable[Element]) -> _Decoded:
+    """Every structural check of a certificate; it neither multiplies nor charges.
+
+    The instance set and the certificate's S are decoded by
+    ``group.coerce``, as instance files are.  Checked: each field's
+    presence and type, each trace step's action, the trace's shape (shrink
+    steps, then one terminate step, the last) and each ledger entry's
+    name, which must be one such a trace has.
     """
     if not isinstance(cert, dict):
         raise CertificateFormatError("certificate must be a JSON object")
-    fmt = _need(cert, "format", str)
+    _need(cert, "format", str)
     inst = _need(cert, "instance", dict)
     group_spec = _need(inst, "group", dict, "instance spec")
     try:
@@ -457,9 +455,7 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     a = tuple(sorted(set(_decode_elements(group, a_elements, "instance set"))))
     if not a:
         raise CertificateFormatError("instance set is empty")
-
-    # -- decode: every structural check that does not need the replay
-    claimed_a = _need(cert, "a", list)
+    _need(cert, "a", list)
     k = _need(cert, "k", int)
     if isinstance(k, bool) or k < 1:
         raise CertificateFormatError(f"certificate k must be a positive integer, got {k!r}")
@@ -478,7 +474,7 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
     steps = _need(trace, "steps", list, "trace")
     if not steps:
         raise CertificateFormatError("trace has no steps")
-    trace_eps = _need(trace, "epsilon", str, "trace")
+    _need(trace, "epsilon", str, "trace")
     last = len(steps) - 1
     for i, step in enumerate(steps):
         if not isinstance(step, dict):
@@ -488,38 +484,52 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
             raise CertificateFormatError(f"trace step {i} has unknown action {action!r}")
         if (action == "terminate") != (i == last):
             raise CertificateFormatError(f"trace step {i} is a {action} step, but the last step, and only it, must terminate")
-    claimed_i0 = _need(trace, "i0", int, "trace")
-    claimed_k0 = _need(trace, "doubling", str, "trace")
-    claimed_cap = _need(trace, "termination_cap", int, "trace")
-    claimed_aprime = _need(cert, "aprime", list)
-    claimed_threshold = _need(cert, "s_threshold", str)
+    _need(trace, "i0", int, "trace")
+    _need(trace, "doubling", str, "trace")
+    _need(trace, "termination_cap", int, "trace")
+    _need(cert, "aprime", list)
+    _need(cert, "s_threshold", str)
     s = _decode_elements(group, _need(cert, "s", list), "certificate S")
-    ledger = _need(cert, "ledger", list)
     names = _ledger_names(last)
-    for entry in ledger:
+    for entry in _need(cert, "ledger", list):
         if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
             raise CertificateFormatError("ledger entries must be objects with a name")
         if entry["name"] not in names:
             raise CertificateFormatError(f"unknown ledger entry {entry['name']!r}")
+    return _Decoded(cert, group, a, eps, expected_eps, s, last)
 
-    rec = VerificationReport()
-    rec.record("format", CERTIFICATE_FORMAT, fmt)
-    if instance is not None:
-        rec.record(
-            "instance_spec_matches",
-            json.dumps(instance, sort_keys=True),
-            json.dumps(inst, sort_keys=True),
-        )
-    rec.record("instance_set_matches", list(map(list, a)), claimed_a)
-    rec.record("epsilon_matches_k", expected_eps, fraction_to_str(eps))
-    rec.record("trace_epsilon", fraction_to_str(eps), trace_eps)
 
-    # replay the shrinking chain from A, checking each recorded step and
-    # recomputing its ledger lines once: name -> (relation, lhs, rhs)
+@dataclass(frozen=True)
+class _Replay:
+    """The replay's terminate step: the index of A·A, A', the mask of X = A'A, its level set, K0 and the ledger lines."""
+
+    index: dict[Element, int]
+    aprime: tuple[Element, ...]
+    product: int
+    level: tuple[Element, ...]
+    k0: Fraction
+    table: dict[str, tuple[str, Fraction, Fraction]]  # name -> (relation, lhs, rhs)
+
+
+def _replay(decoded: _Decoded, rec: VerificationReport) -> _Replay | None:
+    """Replay the shrinking chain from A, checking each claimed step and recomputing its ledger lines once.
+
+    Step 0 indexes A·A and builds each row xA for x in A as an int mask
+    over that index, and every later A' ⊆ A takes its rows from it, so
+    |A'A| is the bit count of their OR (each step is still charged
+    |A'||A|).  Each step builds the table ``oracle_overlaps(A')`` and reads
+    its level set, every candidate's A' ∩ tA' and the next A' off it; a
+    candidate ORs its members' rows until the bit count passes the int
+    floor((1-eps)|A'A|), so the scan itself multiplies nothing and carries
+    sizes, not sets, into the ledger.  The replay stops early, and returns
+    None, only at a claimed shrink step it finds no witness for, and then
+    ``trace_shape`` fails.
+    """
+    group, a, eps, last = decoded.group, decoded.a, decoded.eps, decoded.last
     n_a = len(a)
     table: dict[str, tuple[str, Fraction, Fraction]] = {}
     cur = a
-    for i, step in enumerate(steps):
+    for i, step in enumerate(decoded.cert["trace"]["steps"]):
         tag = f"step{i}"
         rec.record(f"{tag}.index", i, step.get("index"))
         rec.record(f"{tag}.aprime_size", len(cur), step.get("aprime_size"))
@@ -536,9 +546,8 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
         rec.record(f"{tag}.tau", fraction_to_str(tau), step.get("tau"))
         # the step's overlaps A' ∩ tA' give its level set and every candidate
         overlaps = oracle_overlaps(group, cur)
-        level = _level(overlaps, tau)
+        level = _at_least({t: len(inside) for t, inside in overlaps.items()}, math.ceil(tau))
         rec.record(f"{tag}.level_set_size", len(level), step.get("level_set_size"))
-
         # the canonical scan: first t in the level set whose shrink passes
         limit = (1 - eps) * n_p
         witness, n_cover = _scan(level, overlaps, rows, math.floor(limit))
@@ -557,26 +566,38 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
         cur = tuple(overlaps[witness])
         table[f"{tag}.shrink_size_lower"] = ("ge", Fraction(len(cur)), tau)
         table[f"{tag}.shrink_product_upper"] = ("le", Fraction(n_cover), limit)
-    # whether the replay reached the terminate step
     rec.flag("trace_shape", i == last)
-    if i != last:
-        return rec
+    return _Replay(a2, cur, prod, level, k0, table) if i == last else None
 
-    rec.record("i0", last, claimed_i0)
-    rec.record("doubling", fraction_to_str(k0), claimed_k0)
-    cap = termination_cap(k0, eps)
-    rec.record("termination_cap", cap, claimed_cap)
 
-    aprime = cur
-    rec.record("aprime_matches", list(map(list, aprime)), claimed_aprime)
+def _check_terminal(decoded: _Decoded, replay: _Replay, rec: VerificationReport) -> None:
+    """Check the run-level claims at the terminate step, and add the run's ledger lines to the replay's table.
 
-    # the terminal symmetry set, recomputed from its definition over X = A'A;
-    # prod, n_p and level are the last replayed step's
+    The symmetry set is recomputed from its definition
+    (``oracle_sym_counts`` over the unordered pairs of the last product
+    X, decoded from its mask), and the power containment is re-derived
+    member by member (``oracle_power``, whose work does not grow with the
+    certificate's k): a member of S^k in XX⁻¹, the keys of those counts,
+    lies in A²A⁻² since X ⊆ A², and every other member is tested against
+    A², each charged |A²| either way.  On an honest certificate no member
+    is tested: each s in S has |X ∩ sX| >= (1-eps)|X|, so with
+    eps = 1/(k+1) the sets X, s_1X, s_1s_2X, ..., s_1...s_kX share a
+    member, and s_1...s_k lies in XX⁻¹.
+    """
+    cert, group, eps, s, last = decoded.cert, decoded.group, decoded.eps, decoded.s, decoded.last
+    trace, table = cert["trace"], replay.table
+    n_a, n_p = len(decoded.a), replay.product.bit_count()
+    rec.record("i0", last, trace["i0"])
+    rec.record("doubling", fraction_to_str(replay.k0), trace["doubling"])
+    cap = termination_cap(replay.k0, eps)
+    rec.record("termination_cap", cap, trace["termination_cap"])
+    rec.record("aprime_matches", list(map(list, replay.aprime)), cert["aprime"])
+
     threshold = (1 - eps) if eps < 1 else Fraction(1, n_p)
-    rec.record("s_threshold", fraction_to_str(threshold), claimed_threshold)
+    rec.record("s_threshold", fraction_to_str(threshold), cert["s_threshold"])
     rec.flag("s_sorted_unique", all(x < y for x, y in zip(s, s[1:])))
-    counts = oracle_sym_counts(group, _decode(a2, prod))
-    expected_s = _at_least(counts, threshold, n_p)
+    counts = oracle_sym_counts(group, _decode(replay.index, replay.product))
+    expected_s = _at_least(counts, math.ceil(threshold * n_p))
     rec.record("s_matches_symmetry_set", list(map(list, expected_s)), list(map(list, s)))
     s_set = set(s)
     has_identity = group.identity in s_set
@@ -586,20 +607,22 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
 
     # the headline containment, member by member: x ∈ A²A⁻² if x ∈ XX⁻¹ (the
     # keys of counts, as X ⊆ A²), and otherwise iff xA² ∩ A² ≠ ∅
-    violations = _outside_quad(group, oracle_power(group, s, k), counts, a2)
+    violations = _outside_quad(group, oracle_power(group, s, cert["k"]), counts, replay.index)
     rec.record("power_containment_violations", 0, violations)
 
-    table[f"step{last}.sym_size_lower"] = ("ge", Fraction(len(s)), Fraction(len(level)))
-    level_outside = sum(1 for t in level if t not in s_set)
+    table[f"step{last}.sym_size_lower"] = ("ge", Fraction(len(s)), Fraction(len(replay.level)))
+    level_outside = sum(1 for t in replay.level if t not in s_set)
     table[f"step{last}.level_set_in_sym"] = ("eq", Fraction(level_outside), Fraction(0))
     table["identity_in_neighbourhood"] = ("eq", Fraction(int(has_identity)), Fraction(1))
     table["neighbourhood_symmetric"] = ("eq", Fraction(asymmetric), Fraction(0))
     table["power_containment"] = ("eq", Fraction(violations), Fraction(0))
-    size_bound = Fraction(len(aprime) ** 3, 2 * n_p * n_a)
+    size_bound = Fraction(len(replay.aprime) ** 3, 2 * n_p * n_a)
     table["neighbourhood_size_lower_bound"] = ("ge", Fraction(len(s)), size_bound)
     table["termination_bound"] = ("le", Fraction(last), Fraction(cap))
 
-    # the table's keys are the names the decode allowed, so every lookup succeeds
+
+def _check_ledger(table: dict[str, tuple[str, Fraction, Fraction]], ledger: list, rec: VerificationReport) -> None:
+    """Compare each ledger line with the table's as exact strings; the decode allowed only the table's names."""
     rec.record("ledger_names", sorted(table), sorted(entry["name"] for entry in ledger))
     for entry in ledger:
         name = entry["name"]
@@ -609,9 +632,6 @@ def verify_certificate(cert: dict, a_elements: Iterable[Element], instance: dict
             and entry.get("lhs") == fraction_to_str(lhs)
             and entry.get("rhs") == fraction_to_str(rhs)
             and entry.get("holds") is True
-            and _relation_holds(relation, lhs, rhs)
+            and _RELATIONS[relation](lhs, rhs)
         )
         rec.flag(f"ledger.{name}", ok)
-
-    rec.flag("verified_flag", cert.get("verified") is True)
-    return rec

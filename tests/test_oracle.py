@@ -483,22 +483,28 @@ S6_RANDOM = {"group": {"type": "symmetric", "n": 6}, "set": {"type": "random", "
 C3000_INTERVAL75 = {"group": {"type": "cyclic", "n": 3000}, "set": {"type": "interval", "start": 17, "length": 75}}
 
 
-def _metered(monkeypatch, group_class, work):
+def _metered(monkeypatch, group_class, work, refuse=False):
     """Run ``work()`` counting group_class.multiply calls and pair charges.
 
     ``most_ahead`` is the largest lead, at any multiply, of the
-    multiplications done so far over the pairs charged so far.
+    multiplications done so far over the pairs charged so far.  With
+    ``refuse``, a charge, a multiply or an inverse fails the test at once,
+    by an exception that ``except Exception`` does not catch.
     """
     seen = {"multiplies": 0, "charged": 0, "largest_charge": 0, "most_ahead": 0}
     real_charge = budget.charge_pairs
     real_multiply = group_class.multiply
 
     def charge(n):
+        if refuse:
+            pytest.fail(f"charged {n} pairs")
         seen["largest_charge"] = max(seen["largest_charge"], n)
         seen["charged"] += n
         real_charge(n)
 
     def multiply(g, x, y):
+        if refuse:
+            pytest.fail(f"multiplied {x!r} by {y!r}")
         seen["multiplies"] += 1
         seen["most_ahead"] = max(seen["most_ahead"], seen["multiplies"] - seen["charged"])
         return real_multiply(g, x, y)
@@ -509,6 +515,8 @@ def _metered(monkeypatch, group_class, work):
             if getattr(mod, "__name__", "").startswith("symgrowth") and getattr(mod, "charge_pairs", None) is real_charge:
                 m.setattr(mod, "charge_pairs", charge)
         m.setattr(group_class, "multiply", multiply)
+        if refuse:
+            m.setattr(group_class, "inverse", lambda g, x: pytest.fail(f"inverted {x!r}"))
         result = work()
     return result, seen
 
@@ -519,6 +527,19 @@ def _verify_or_refusal(cert, elements, instance=None):
         return verify_certificate(cert, elements, instance=instance)
     except CertificateFormatError as exc:
         return exc
+
+
+def _decoded_or_refusal(monkeypatch, a, cert):
+    """The verifier's decode of ``cert``, or the CertificateFormatError it raised; a charge,
+    multiply or inverse in the decode fails the test."""
+
+    def decode():
+        try:
+            return oracle._decode_certificate(cert, a.elements)
+        except CertificateFormatError as exc:
+            return exc
+
+    return _metered(monkeypatch, type(a.group), decode, refuse=True)[0]
 
 
 def test_verifier_scan_replays_the_canonical_witness_from_the_row_table(monkeypatch):
@@ -739,13 +760,14 @@ def test_verifier_flags_dropped_neighbourhood_element():
     assert not report.overall
 
 
-def test_verifier_flags_doctored_ledger_value():
+@pytest.mark.parametrize("key, value", [("lhs", "1000"), ("relation", "gt"), ("relation", None), ("relation", 7)])
+def test_verifier_flags_doctored_ledger_value(key, value):
+    # a relation the verifier has no operator for is a failed line, not a format error
     cert = fresh_cert()
     entry = next(e for e in cert["ledger"] if e["name"] == "step0.level_set_lower")
-    entry["lhs"] = "1000"
+    entry[key] = value
     report = verify_certificate(cert, INTERVAL.elements)
-    assert not report.overall
-    assert "ledger.step0.level_set_lower" in {c.name for c in failures(report)}
+    assert {c.name for c in failures(report)} == {"ledger.step0.level_set_lower"}
 
 
 def test_verifier_flags_doctored_trace_witness():
@@ -1240,6 +1262,8 @@ def test_a_structural_defect_is_refused_before_any_multiplication(monkeypatch, b
     assert isinstance(refused, CertificateFormatError)
     assert seen["multiplies"] == 0
     assert seen["charged"] == 0
+    decoded = _decoded_or_refusal(monkeypatch, a, cert)
+    assert isinstance(decoded, CertificateFormatError) and str(decoded) == str(refused)
 
 
 def _benchmark_workloads():
@@ -1285,6 +1309,24 @@ def test_every_benchmark_mutant_is_refused(monkeypatch):
         for kind in workloads.MUTATIONS:
             mutant = workloads.mutate(cert, kind, random.Random(f"{inst.name}:{kind}"))
             assert _refused(monkeypatch, inst.spec, a, mutant), (inst.name, kind)
+            # the decode returns or refuses the mutant without a charge, a multiply or an inverse
+            decoded = _decoded_or_refusal(monkeypatch, a, mutant)
+            assert isinstance(decoded, (oracle._Decoded, CertificateFormatError)), (inst.name, kind)
+
+
+def test_only_the_decode_raises_a_format_error():
+    # with the decode doing no work, this is the rule that no certificate is
+    # refused as malformed after a charge
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    raisers = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Raise) and node.exc is not None
+        and any(isinstance(name, ast.Name) and name.id == "CertificateFormatError" for name in ast.walk(node.exc))
+    }
+    assert raisers == {"_decode_certificate", "_need", "_decode_elements"}
 
 
 def test_oracle_imports_nothing_from_the_fast_path():
