@@ -39,9 +39,19 @@ class of ``symgrowth.masks`` in ``mask_kernel``, and ``group.masks`` is
 that kernel: it holds a set as an int mask over the mixed-radix index
 and translates it by rotations (on Heisenberg groups, turns of each digit
 and a shear).  The other
-backends have ``mask_kernel = None`` and no ``masks``.  ``multiply`` and
-``inverse`` stay the plain per-element operations, and they alone are
-what ``oracle`` uses.
+backends have ``mask_kernel = None`` and no ``masks``.
+
+Each backend states its group law once, on an internal element form:
+``form_multiply`` and ``form_inverse`` act on forms, ``to_form`` and
+``from_form`` convert one element, and ``multiply`` and ``inverse`` are
+the law read through them on encodings.  A form is hashable, equal to
+another exactly when their elements are equal, and forms sort in encoding
+order, so a canonical order holds without encoding.  The forms are the
+residue (cyclic), the mixed-radix index ``2·rot + flip`` (dihedral), the
+row index (table), the one-line tuple (symmetric, whose order is Lehmer
+order), the tuple of the factors' forms (direct product) and the encoding
+itself (Heisenberg).  The loop kernels and ``oracle`` share this element
+law, and nothing set-level.
 """
 
 from __future__ import annotations
@@ -71,39 +81,40 @@ LEHMER_MEMO_SIZE = math.factorial(7)
 
 
 class Loop:
-    """The loop kernel of a group: elements in an internal form, multiplied pair by pair.
+    """The loop kernel of a group: elements in the group's internal form, multiplied pair by pair by its law.
 
     Built for one call, it presents the set-level protocol of ``masks``:
     ``form`` is a set's forms as a frozenset, ``members`` its forms in
     canonical order, ``right`` and ``lefts`` translate forms, ``count`` is
     ``len``, and ``decode`` encodes and sorts.  Underneath, ``forms`` turns
-    each operand into forms once per call, ``factors`` turns forms into
-    what ``left(x, ys)`` translates x by, ``inverse`` inverts a form, and
-    ``encode`` runs only on the forms a caller keeps.  Here a form and a
-    factor are the encoding itself and a product is one ``multiply``.
+    each operand into forms once per call (``to_form``), ``factors`` turns
+    forms into what ``left(x, ys)`` translates x by, ``inverse`` inverts a
+    form, and ``encode`` (``from_form``) runs only on the forms a caller
+    keeps.  Here a factor is the form itself and a product is one
+    ``form_multiply``.
     """
 
     def __init__(self, group: "Group"):
         self.group = group
 
-    def forms(self, xs: Sequence[Element]) -> Sequence:
-        return xs
+    def forms(self, xs: Sequence[Element]) -> list:
+        return list(map(self.group.to_form, xs))
 
     def factors(self, forms: Iterable) -> Iterable:
         return forms
 
     def encode(self, forms: Iterable) -> Iterable[Element]:
-        return forms
+        return map(self.group.from_form, forms)
 
     def inverse(self, x):
-        return self.group.inverse(x)
+        return self.group.form_inverse(x)
 
     def left(self, x, ys: Iterable) -> Iterable:
-        return map(self.group.multiply, itertools.repeat(x), ys)
+        return map(self.group.form_multiply, itertools.repeat(x), ys)
 
     def right(self, xs: Iterable, y) -> Iterable:
         """The forms of X·y for the forms xs of X and the form y."""
-        return map(self.group.multiply, xs, itertools.repeat(y))
+        return map(self.group.form_multiply, xs, itertools.repeat(y))
 
     # -- the set-level protocol, shared with ``masks.Rotations`` ---------------
 
@@ -116,8 +127,8 @@ class Loop:
     count = staticmethod(len)
 
     def decode(self, forms: Iterable) -> list[Element]:
-        """The encodings of distinct forms, in canonical order."""
-        return sorted(self.encode(forms))
+        """The encodings of distinct forms, in canonical order, which is the forms' own."""
+        return list(self.encode(sorted(forms)))
 
     def lefts(self, ys: Iterable) -> Callable[..., Iterable]:
         """x -> the forms of x·Y, for the forms ys of Y."""
@@ -210,8 +221,9 @@ class Group(ABC):
     Instances are immutable after construction and all operations are pure,
     so a group may be shared freely across workers.
 
-    ``multiply``, ``inverse`` and the loop kernels trust their arguments,
-    and nothing they call checks them: elements are checked where they
+    The element law (``multiply``, ``inverse`` and their form versions),
+    the form converters and the loop kernels trust their arguments, and
+    nothing they call checks them: elements are checked where they
     enter the program (``coerce``, ``GSet(...)``, instance load,
     certificate decode), not on every operation.
     """
@@ -244,13 +256,28 @@ class Group(ABC):
         """The all-zero digit tuple, element 0 of the encoding order."""
         return (0,) * len(self.radices)
 
-    @abstractmethod
-    def multiply(self, x: Element, y: Element) -> Element:
-        ...
+    # -- the element law, stated once per backend on its internal form ---------
+
+    # ``to_form(x)`` is the internal form of x, and ``from_form`` its inverse.
+    # Unless a backend says otherwise the form is the encoding itself, and
+    # ``tuple`` returns a tuple unchanged, so the identity costs no Python call.
+    to_form = from_form = staticmethod(tuple)
 
     @abstractmethod
+    def form_multiply(self, f, g):
+        """The form of x·y for the forms f of x and g of y: the group law."""
+
+    @abstractmethod
+    def form_inverse(self, f):
+        """The form of x⁻¹ for the form f of x."""
+
+    def multiply(self, x: Element, y: Element) -> Element:
+        """x·y on encodings: the law read through ``to_form`` and ``from_form``."""
+        return self.from_form(self.form_multiply(self.to_form(x), self.to_form(y)))
+
     def inverse(self, x: Element) -> Element:
-        ...
+        """x⁻¹ on encodings, read through the forms as ``multiply`` is."""
+        return self.from_form(self.form_inverse(self.to_form(x)))
 
     @abstractmethod
     def describe(self) -> dict:
@@ -337,11 +364,17 @@ class CyclicGroup(Group):
         self.n = n
         self.radices = (n,)
 
-    def multiply(self, x: Element, y: Element) -> Element:
-        return ((x[0] + y[0]) % self.n,)
+    # the form is the residue
+    to_form = staticmethod(itemgetter(0))
 
-    def inverse(self, x: Element) -> Element:
-        return ((-x[0]) % self.n,)
+    def from_form(self, f: int) -> Element:
+        return (f,)
+
+    def form_multiply(self, f: int, g: int) -> int:
+        return (f + g) % self.n
+
+    def form_inverse(self, f: int) -> int:
+        return -f % self.n
 
     def describe(self) -> dict:
         return {"type": "cyclic", "n": self.n}
@@ -363,16 +396,22 @@ class DihedralGroup(Group):
             raise InvalidGroupError(f"dihedral degree must be >= 1, got {n}")
         self.n = n
         self.radices = (n, 2)
+        self._twice = 2 * n
 
-    def multiply(self, x: Element, y: Element) -> Element:
-        a, e = x
-        b, f = y
-        rot = (a - b) % self.n if e else (a + b) % self.n
-        return (rot, e ^ f)
+    # the form is the index 2·rot + flip
+    def to_form(self, x: Element) -> int:
+        return 2 * x[0] + x[1]
 
-    def inverse(self, x: Element) -> Element:
-        a, e = x
-        return x if e else ((-a) % self.n, 0)
+    def from_form(self, f: int) -> Element:
+        return (f >> 1, f & 1)
+
+    def form_multiply(self, f: int, g: int) -> int:
+        # r^a s^e · r^b s^e' = r^(a ± b) s^(e ^ e'), minus when e = 1; on the
+        # indices 2a + e and 2b + e' that is their sum or difference mod 2n
+        return (f - g if f & 1 else f + g) % self._twice
+
+    def form_inverse(self, f: int) -> int:
+        return f if f & 1 else -f % self._twice
 
     def describe(self) -> dict:
         return {"type": "dihedral", "n": self.n}
@@ -404,26 +443,17 @@ def _one_line_inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
 
 
 class OneLine(Loop):
-    """The loop kernel of S_n for n >= 2: permutations in one-line form, composed without ``multiply``.
+    """The loop kernel of S_n for n >= 2: the group's one-line forms, composed by ``itemgetter``.
 
-    A form is the one-line tuple (p(0), ..., p(n-1)), decoded once per
-    operand of a call.  A factor is ``itemgetter(*y)``: (x*y)(i) = x(y(i)),
-    so x*y is ``itemgetter(*y)(x)``.  ``encode`` runs only on the forms a
-    caller keeps.  On S1 ``itemgetter`` with one index returns a scalar, so
-    S1 keeps the base loop.
+    A factor is ``itemgetter(*y)``: (x*y)(i) = x(y(i)), so x*y is
+    ``itemgetter(*y)(x)``, one C call per pair where ``form_multiply`` is a
+    Python one; the forms, their inverses and their encodings are the
+    group's.  On S1 ``itemgetter`` with one index returns a scalar, so S1
+    keeps the base loop.
     """
-
-    def forms(self, xs: Sequence[Element]) -> list[tuple[int, ...]]:
-        return list(map(self.group._decode, xs))
 
     def factors(self, forms: Iterable[tuple[int, ...]]) -> list[itemgetter]:
         return [itemgetter(*y) for y in forms]
-
-    def encode(self, forms: Iterable[tuple[int, ...]]) -> Iterable[Element]:
-        return map(self.group._encode, forms)
-
-    def inverse(self, x: tuple[int, ...]) -> tuple[int, ...]:
-        return _one_line_inverse(x)
 
     def left(self, x: tuple[int, ...], ys: Iterable[itemgetter]) -> Iterable[tuple[int, ...]]:
         return (get(x) for get in ys)
@@ -455,17 +485,16 @@ class SymmetricGroup(Group):
         self.n = n
         self.limit = limit
         self.radices = tuple(range(n, 0, -1))
-        # per-group memos of the two pure converters, bounded; both trust their argument
-        self._decode = functools.lru_cache(LEHMER_MEMO_SIZE)(_lehmer_to_one_line)
-        self._encode = functools.lru_cache(LEHMER_MEMO_SIZE)(_one_line_to_lehmer)
+        # the form is the one-line tuple: to_form and from_form are per-group
+        # memos of the two pure converters, bounded; both trust their argument
+        self.to_form = functools.lru_cache(LEHMER_MEMO_SIZE)(_lehmer_to_one_line)
+        self.from_form = functools.lru_cache(LEHMER_MEMO_SIZE)(_one_line_to_lehmer)
         self.loop_kernel = OneLine if n > 1 else Loop
 
-    def multiply(self, x: Element, y: Element) -> Element:
-        px = self._decode(x)
-        return self._encode(tuple([px[v] for v in self._decode(y)]))
+    def form_multiply(self, f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple([f[v] for v in g])
 
-    def inverse(self, x: Element) -> Element:
-        return self._encode(_one_line_inverse(self._decode(x)))
+    form_inverse = staticmethod(_one_line_inverse)
 
     def describe(self) -> dict:
         spec: dict = {"type": "symmetric", "n": self.n}
@@ -491,13 +520,16 @@ class HeisenbergGroup(Group):
         self.p = p
         self.radices = (p, p, p)
 
-    def multiply(self, x: Element, y: Element) -> Element:
+    def form_multiply(self, x: Element, y: Element) -> Element:
         p = self.p
         return ((x[0] + y[0]) % p, (x[1] + y[1]) % p, (x[2] + y[2] + x[0] * y[1]) % p)
 
-    def inverse(self, x: Element) -> Element:
+    def form_inverse(self, x: Element) -> Element:
         p = self.p
         return ((-x[0]) % p, (-x[1]) % p, (x[0] * x[1] - x[2]) % p)
+
+    # the form is the encoding, so the encoded view is the law itself
+    multiply, inverse = form_multiply, form_inverse
 
     def describe(self) -> dict:
         return {"type": "heisenberg_mod", "p": self.p}
@@ -522,16 +554,31 @@ class DirectProductGroup(Group):
     def identity(self) -> Element:
         return tuple(v for g in self.factors for v in g.identity)
 
-    def multiply(self, x: Element, y: Element) -> Element:
+    # The form is the tuple of the factors' forms, multiplied factor by
+    # factor.  Plain loops, not comprehensions, so a nested product takes
+    # one frame per level, no more than the JSON reader and writer take.
+    def to_form(self, x: Element) -> tuple:
         out = ()
         for g, s in self._parts:
-            out += g.multiply(x[s], y[s])
+            out += (g.to_form(x[s]),)
         return out
 
-    def inverse(self, x: Element) -> Element:
+    def from_form(self, f: tuple) -> Element:
         out = ()
-        for g, s in self._parts:
-            out += g.inverse(x[s])
+        for g, part in zip(self.factors, f):
+            out += g.from_form(part)
+        return out
+
+    def form_multiply(self, f: tuple, g: tuple) -> tuple:
+        out = ()
+        for h, a, b in zip(self.factors, f, g):
+            out += (h.form_multiply(a, b),)
+        return out
+
+    def form_inverse(self, f: tuple) -> tuple:
+        out = ()
+        for h, a in zip(self.factors, f):
+            out += (h.form_inverse(a),)
         return out
 
     def describe(self) -> dict:
@@ -623,11 +670,17 @@ class TableGroup(Group):
     def identity(self) -> Element:
         return (self.identity_index,)
 
-    def multiply(self, x: Element, y: Element) -> Element:
-        return (self.table[x[0]][y[0]],)
+    # the form is the row index
+    to_form = staticmethod(itemgetter(0))
 
-    def inverse(self, x: Element) -> Element:
-        return (self._inv[x[0]],)
+    def from_form(self, f: int) -> Element:
+        return (f,)
+
+    def form_multiply(self, f: int, g: int) -> int:
+        return self.table[f][g]
+
+    def form_inverse(self, f: int) -> int:
+        return self._inv[f]
 
     def describe(self) -> dict:
         return {

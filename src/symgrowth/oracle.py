@@ -1,19 +1,23 @@
 """Brute-force reference implementations and the certificate verifier.
 
 Everything here recomputes results from first principles with flat loops
-over plain element collections, sharing only the group backends with the
-fast path: nothing comes from ``gset``, ``masks``, ``symmetry``, ``growth``
-or ``instances``.  Oracles are deliberately slow and simple; they exist so
-that every fast-path computation and every emitted certificate can be
-checked against code with no shared logic to fail in the same way.
+over plain element collections.  It shares the element law with the fast
+path, each backend's ``to_form``, ``form_multiply``, ``form_inverse`` and
+``from_form``, and nothing set-level: nothing comes from ``gset``,
+``masks``, ``symmetry``, ``growth`` or ``instances``.  Each oracle turns
+its operands into forms once, multiplies forms, and encodes only what it
+returns.  Oracles are deliberately slow and simple; they exist so that
+every fast-path computation and every emitted certificate can be checked
+against code with no shared logic to fail in the same way.
 
 There are two exceptions to a plain transcription of a definition.
 ``oracle_sym_counts`` loops over unordered pairs only, since
 |X ∩ tX| = |X ∩ t⁻¹X|.  The verifier's replay holds its products as int
-masks over an index of A·A, which it builds here from ``group.multiply``
-alone, so it still shares nothing with the fast path; tests check each
-mask count against a product built by definition.  ``verify_certificate``
-runs in phases, and ``_replay`` and ``_check_terminal`` say how they use each.
+masks over the members of A·A, which it builds here from the element law
+alone, so it still shares nothing set-level with the fast path; tests
+check each mask count against a product built by definition.
+``verify_certificate`` runs in phases, and ``_replay`` and
+``_check_terminal`` say how they use each.
 """
 
 from __future__ import annotations
@@ -37,15 +41,16 @@ CERTIFICATE_FORMAT = "symgrowth.certificate/1"
 
 def oracle_product(group: Group, a: Iterable[Element], b: Iterable[Element]) -> tuple[Element, ...]:
     """Product set by plain double loop; the reference for fast-path product."""
-    a = tuple(a)
-    b = tuple(b)
+    to = group.to_form
+    a = list(map(to, a))
+    b = list(map(to, b))
     charge_pairs(len(a) * len(b))
-    mul = group.multiply
+    mul = group.form_multiply
     out = set()
     for x in a:
         for y in b:
             out.add(mul(x, y))
-    return tuple(sorted(out))
+    return tuple(map(group.from_form, sorted(out)))
 
 
 def oracle_inverse(group: Group, a: Iterable[Element]) -> tuple[Element, ...]:
@@ -81,15 +86,16 @@ def oracle_power(group: Group, a: Iterable[Element], k: int) -> tuple[Element, .
 def _element_power(group: Group, s: Element, e: int) -> Element:
     """s^e for e >= 1 by square-and-multiply, charged before it multiplies."""
     charge_pairs(e.bit_count() + e.bit_length() - 1)
-    mul = group.multiply
-    result = group.identity
+    mul = group.form_multiply
+    s = group.to_form(s)
+    result = group.to_form(group.identity)
     while e:
         if e & 1:
             result = mul(result, s)
         e >>= 1
         if e:
             s = mul(s, s)
-    return result
+    return group.from_form(result)
 
 
 def oracle_outside(group: Group, xs: Iterable[Element], t: Iterable[Element], w: Iterable[Element]) -> int:
@@ -98,11 +104,12 @@ def oracle_outside(group: Group, xs: Iterable[Element], t: Iterable[Element], w:
     Each member tested is charged |W| multiplications and stops at its first hit,
     so the set T·W⁻¹ itself is never built.
     """
-    t = frozenset(t)
-    w = tuple(w)
-    mul = group.multiply
+    to = group.to_form
+    t = frozenset(map(to, t))
+    w = list(map(to, w))
+    mul = group.form_multiply
     outside = 0
-    for x in xs:
+    for x in map(to, xs):
         charge_pairs(len(w))
         if not any(mul(x, v) in t for v in w):
             outside += 1
@@ -115,16 +122,16 @@ def oracle_overlaps(group: Group, a: Iterable[Element]) -> dict[Element, list[El
     t = u·v⁻¹ with u, v in A exactly when u = tv lies in A ∩ tA, so one
     double loop over (u, v⁻¹), charged |A|², lists every overlap at once.
     """
-    a = tuple(sorted(set(a)))
-    inv = oracle_inverse(group, a)
+    a = sorted(set(a))
+    forms = list(map(group.to_form, a))
+    inv = list(map(group.to_form, oracle_inverse(group, a)))
     charge_pairs(len(a) * len(inv))
-    mul = group.multiply
-    table: defaultdict[Element, list[Element]] = defaultdict(list)
-    for u in a:
+    mul = group.form_multiply
+    table: defaultdict = defaultdict(list)
+    for u, x in zip(a, forms):
         for w in inv:
-            table[mul(u, w)].append(u)
-    table.default_factory = None  # a missing t is a KeyError, as in a dict
-    return table
+            table[mul(x, w)].append(u)
+    return dict(zip(map(group.from_form, table), table.values()))
 
 
 def oracle_sym_counts(group: Group, a: Iterable[Element]) -> dict[Element, int]:
@@ -137,15 +144,15 @@ def oracle_sym_counts(group: Group, a: Iterable[Element]) -> dict[Element, int]:
     the keys are AA⁻¹.  It multiplies |A|(|A| - 1)/2 pairs but is charged
     the |A|² of the ordered loop.
     """
-    a = sorted(set(a))
+    a = list(map(group.to_form, sorted(set(a))))
     n = len(a)
     charge_pairs(n * n)
     if not a:
         return {}
-    mul = group.multiply
-    inv = group.inverse
+    mul = group.form_multiply
+    inv = group.form_inverse
     inverses = [inv(w) for w in a]
-    half: dict[Element, int] = {}
+    half: dict = {}  # form -> count
     get = half.get
     for i, u in enumerate(a, 1):
         for w in inverses[i:]:
@@ -157,8 +164,8 @@ def oracle_sym_counts(group: Group, a: Iterable[Element]) -> dict[Element, int]:
     for t, count in half.items():
         t_inv = inv(t)
         counts[t_inv] = current(t_inv, 0) + count
-    counts[group.identity] = n
-    return counts
+    counts[group.to_form(group.identity)] = n
+    return dict(zip(map(group.from_form, counts), counts.values()))
 
 
 def _at_least(counts: dict[Element, int], least: int) -> tuple[Element, ...]:
@@ -170,20 +177,23 @@ def _at_least(counts: dict[Element, int], least: int) -> tuple[Element, ...]:
     return tuple(sorted([t for t, count in counts.items() if count >= least]))
 
 
-def _row_table(group: Group, a: tuple[Element, ...]) -> tuple[dict[Element, int], dict[Element, int]]:
-    """An index of A·A, each product's bit in first-seen order, and each row xA (x ∈ A) as an int mask over it.
+def _row_table(group: Group, a: tuple[Element, ...]) -> tuple[list[Element], dict[Element, int]]:
+    """The members of A·A in first-seen order, and each row xA (x ∈ A) as an int mask, bit i for the i-th member.
 
-    Every A' of the replay is a subset of A, so A'A is the OR of these rows.
+    The products are multiplied and indexed as forms, and each member is
+    encoded once.  Every A' of the replay is a subset of A, so A'A is the
+    OR of these rows.
     """
-    mul = group.multiply
-    index: defaultdict[Element, int] = defaultdict(itertools.count().__next__)
+    mul = group.form_multiply
+    forms = list(map(group.to_form, a))
+    index: defaultdict = defaultdict(itertools.count().__next__)
     rows = {}
-    for x in a:
+    for x, f in zip(a, forms):
         mask = 0
-        for v in a:
-            mask |= 1 << index[mul(x, v)]
+        for g in forms:
+            mask |= 1 << index[mul(f, g)]
         rows[x] = mask
-    return index, rows
+    return list(map(group.from_form, index)), rows
 
 
 def _union(rows: dict[Element, int], xs: Iterable[Element]) -> int:
@@ -194,9 +204,8 @@ def _union(rows: dict[Element, int], xs: Iterable[Element]) -> int:
     return mask
 
 
-def _decode(index: dict[Element, int], mask: int) -> list[Element]:
-    """The members of a mask over ``index``, read off its set bits alone."""
-    elements = list(index)
+def _decode(elements: list[Element], mask: int) -> list[Element]:
+    """The members of a mask over ``elements``, read off its set bits alone."""
     out = []
     while mask:
         low = mask & -mask
@@ -501,9 +510,9 @@ def _decode_certificate(cert: dict, a_elements: Iterable[Element]) -> _Decoded:
 
 @dataclass(frozen=True)
 class _Replay:
-    """The replay's terminate step: the index of A·A, A', the mask of X = A'A, its level set, K0 and the ledger lines."""
+    """The replay's terminate step: the members of A·A in bit order, A', the mask of X = A'A, its level set, K0 and the ledger lines."""
 
-    index: dict[Element, int]
+    a2: list[Element]
     aprime: tuple[Element, ...]
     product: int
     level: tuple[Element, ...]
@@ -596,7 +605,7 @@ def _check_terminal(decoded: _Decoded, replay: _Replay, rec: VerificationReport)
     threshold = (1 - eps) if eps < 1 else Fraction(1, n_p)
     rec.record("s_threshold", fraction_to_str(threshold), cert["s_threshold"])
     rec.flag("s_sorted_unique", all(x < y for x, y in zip(s, s[1:])))
-    counts = oracle_sym_counts(group, _decode(replay.index, replay.product))
+    counts = oracle_sym_counts(group, _decode(replay.a2, replay.product))
     expected_s = _at_least(counts, math.ceil(threshold * n_p))
     rec.record("s_matches_symmetry_set", list(map(list, expected_s)), list(map(list, s)))
     s_set = set(s)
@@ -607,7 +616,7 @@ def _check_terminal(decoded: _Decoded, replay: _Replay, rec: VerificationReport)
 
     # the headline containment, member by member: x ∈ A²A⁻² if x ∈ XX⁻¹ (the
     # keys of counts, as X ⊆ A²), and otherwise iff xA² ∩ A² ≠ ∅
-    violations = _outside_quad(group, oracle_power(group, s, cert["k"]), counts, replay.index)
+    violations = _outside_quad(group, oracle_power(group, s, cert["k"]), counts, replay.a2)
     rec.record("power_containment_violations", 0, violations)
 
     table[f"step{last}.sym_size_lower"] = ("ge", Fraction(len(s)), Fraction(len(replay.level)))

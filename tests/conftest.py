@@ -9,8 +9,10 @@ from ``oracle_overlaps``, and ``oracle_sym_members`` a symmetry set from
 witness by building every candidate's product with ``oracle_product``,
 and ``from_both_ends`` puts a list in the order the level-set lookup yields;
 ``SIDES`` stands in for the mask cost rule to send calls to one kernel,
-and ``on_side`` patches it in; ``conv_table`` is the loop kernel's
-convolution table, charged as ``gset`` charges a call;
+and ``on_side`` patches it in; ``count_law`` counts a backend's
+multiplications and inversions, on encodings and on forms alike;
+``conv_table`` is the loop kernel's convolution table, charged as
+``gset`` charges a call;
 ``encode_value``, ``one_line`` and ``encode_one_line`` are independent
 references for the JSON encoder and the symmetric backend's Lehmer codes,
 and ``termination_cap_by_bisection`` for the termination cap.  The ``check_*`` helpers state the
@@ -23,6 +25,7 @@ outside pytest's capture.
 
 from __future__ import annotations
 
+import inspect
 import math
 from collections import deque
 from fractions import Fraction
@@ -279,6 +282,38 @@ SIDES = {
 def on_side(side):
     """A patch of the cost rule, the one place both ``gset._kernel`` and the masks' level sets read it, to ``SIDES[side]``."""
     return mock.patch.object(masks.Rotations, "cost", classmethod(SIDES[side]))
+
+
+#: each entry point of a backend's element law, and what a call of it counts as
+LAW = {"multiply": "multiplies", "form_multiply": "multiplies", "inverse": "inverses", "form_inverse": "inverses"}
+
+
+def count_law(m, group_class, before=None) -> dict:
+    """Count the calls of ``group_class``'s element law, on encodings or on forms, patched through ``m``.
+
+    Returns the live counts of ``"multiplies"`` and ``"inverses"``.  Only an
+    outermost call counts, so a ``multiply`` that runs ``form_multiply``
+    counts once.  ``before(kind, args)`` runs at each counted call, before
+    the count; it may fail the test.
+    """
+    seen = {"multiplies": 0, "inverses": 0}
+    depth = [0]
+    for name, kind in LAW.items():
+        real = inspect.getattr_static(group_class, name)
+
+        def counted(g, *args, real=real, kind=kind):
+            if not depth[0]:
+                if before is not None:
+                    before(kind, args)
+                seen[kind] += 1
+            depth[0] += 1
+            try:
+                return real.__get__(g, type(g))(*args)
+            finally:
+                depth[0] -= 1
+
+        m.setattr(group_class, name, counted)
+    return seen
 
 
 def conv_table(a: GSet, b: GSet | None = None, least: int = 1) -> dict:

@@ -288,6 +288,47 @@ def test_inverse_is_the_two_sided_inverse_and_concatenates_the_factors(group):
             assert y == tuple(v for g, s in group._parts for v in g.inverse(x[s]))
 
 
+#: every backend, with its smallest cases (C1, S1, S2, D1, D2), a nested direct
+#: product with a symmetric factor, and table copies of D3 and S3
+LAW_BACKENDS = BACKENDS + [
+    SymmetricGroup(2),
+    DihedralGroup(2),
+    DirectProductGroup([DirectProductGroup([SymmetricGroup(3), CyclicGroup(2)]), DihedralGroup(2)]),
+    relabelled_table(DihedralGroup(3), [3, 5, 0, 1, 4, 2]),
+]
+
+
+@pytest.mark.parametrize("group", LAW_BACKENDS, ids=lambda g: repr(g.describe()))
+def test_each_backend_states_its_law_once_on_its_forms(group):
+    elems = list(group.elements())
+    forms = [group.to_form(x) for x in elems]
+    # a form round-trips, and forms are distinct and sort in encoding order
+    assert [group.from_form(f) for f in forms] == elems
+    assert len(set(forms)) == len(forms)
+    shuffled = forms[:]
+    random.Random(group.order).shuffle(shuffled)
+    assert sorted(shuffled) == forms
+    e = group.to_form(group.identity)
+    assert group.from_form(e) == group.identity
+    for x, f in zip(elems, forms):
+        inv = group.form_inverse(f)
+        assert group.from_form(inv) == group.inverse(x)
+        assert group.form_multiply(f, inv) == e == group.form_multiply(inv, f)
+        assert group.form_multiply(f, e) == f == group.form_multiply(e, f)
+        for y, g in zip(elems, forms):
+            assert group.from_form(group.form_multiply(f, g)) == group.multiply(x, y)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_dihedral_index_law_is_the_rotation_and_flip_law(n):
+    # r^a s^e · r^b s^f = r^(a + b) s^f when e = 0 and r^(a - b) s^(1 - f) when e = 1
+    g = DihedralGroup(n)
+    for a, e in g.elements():
+        assert g.inverse((a, e)) == ((a, 1) if e else (-a % n, 0))
+        for b, f in g.elements():
+            assert g.multiply((a, e), (b, f)) == (((a - b) if e else (a + b)) % n, e ^ f)
+
+
 def test_symmetric_degree_guard():
     with pytest.raises(InvalidGroupError):
         SymmetricGroup(SYMMETRIC_DEGREE_LIMIT + 1)
@@ -302,8 +343,8 @@ def test_lehmer_memos_stay_within_their_bound():
     y = g.element_at(12345)
     for x in g.elements():
         g.multiply(x, y)
-    assert g._decode.cache_info().currsize <= LEHMER_MEMO_SIZE
-    assert g._encode.cache_info().currsize <= LEHMER_MEMO_SIZE
+    assert g.to_form.cache_info().currsize <= LEHMER_MEMO_SIZE
+    assert g.from_form.cache_info().currsize <= LEHMER_MEMO_SIZE
 
 
 def test_heisenberg_matrix_product():

@@ -121,7 +121,7 @@ def test_step_proper_subset_input():
 
 
 class CountingDihedral(DihedralGroup):
-    """A dihedral group that counts its multiplications."""
+    """A dihedral group that counts its multiplications, each of which runs ``form_multiply``."""
 
     # no masks, so the step runs the loop kernel whose multiplications are counted
     mask_kernel = None
@@ -130,9 +130,9 @@ class CountingDihedral(DihedralGroup):
         super().__init__(n)
         self.calls = 0
 
-    def multiply(self, x, y):
+    def form_multiply(self, f, g):
         self.calls += 1
-        return super().multiply(x, y)
+        return super().form_multiply(f, g)
 
 
 @pytest.mark.parametrize(

@@ -46,6 +46,7 @@ from conftest import (
     CounterStream,
     conv_counts,
     conv_table,
+    count_law,
     draw_subset,
     encode_one_line,
     from_both_ends,
@@ -388,19 +389,6 @@ def test_doubling_sizes_dominate_size(stream):
         assert s.doubling >= 1
 
 
-def _counting_multiply(monkeypatch, group):
-    """Count ``group``'s multiplications from now on; returns the live counter."""
-    seen = {"multiplies": 0}
-    real = type(group).multiply
-
-    def multiply(g, x, y):
-        seen["multiplies"] += 1
-        return real(g, x, y)
-
-    monkeypatch.setattr(type(group), "multiply", multiply)
-    return seen
-
-
 def _quad_by_definition(a):
     g = a.group
     square = oracle_product(g, a.elements, a.elements)
@@ -456,11 +444,11 @@ MOST_MULTIPLIES = {
 
 
 def _base_loop(monkeypatch, group):
-    """Make ``group``'s loop kernel the base ``Loop``, which multiplies every pair with ``multiply``, and drop its masks.
+    """Make ``group``'s loop kernel the base ``Loop``, which multiplies every pair with ``form_multiply``, and drop its masks.
 
-    The symmetric backend's ``OneLine`` composes one-line forms without
-    ``multiply``, and the masks translate without it, so counts are taken
-    on the loop they replace.
+    The symmetric backend's ``OneLine`` composes one-line forms with
+    ``itemgetter``, and the masks translate without the law, so counts are
+    taken on the loop they replace.
     """
     monkeypatch.setattr(group, "loop_kernel", Loop)
     monkeypatch.setattr(group, "mask_kernel", None)
@@ -472,7 +460,7 @@ def test_doubling_stats_builds_the_quad_the_cheapest_way(monkeypatch, name):
     a = generate(spec)
     n, n2, g = len(a), len(product(a, a)), a.group.order
     _base_loop(monkeypatch, a.group)
-    seen = _counting_multiply(monkeypatch, a.group)
+    seen = count_law(monkeypatch, type(a.group))
     stats = doubling_stats(a)
     monkeypatch.undo()
     assert stats.quad_size == _quad_by_definition(a)
@@ -513,7 +501,7 @@ def test_product_stops_at_the_whole_group_but_charges_every_pair(monkeypatch):
     monkeypatch.setattr(gset, "charge_pairs", charged.append)
     assert product(a3, t) == whole
     _base_loop(monkeypatch, s3)
-    seen = _counting_multiply(monkeypatch, s3)
+    seen = count_law(monkeypatch, type(s3))
     # A3 e = A3 and A3 (01) holds the odd permutations, so the loop stops after two translates
     assert product(a3, t) == whole
     assert seen["multiplies"] == 2 * len(a3)
@@ -528,7 +516,7 @@ def test_product_of_operands_larger_than_the_group_multiplies_nothing(monkeypatc
     ys = GSet(h3, [h3.identity, (1, 1, 1), (2, 0, 1)])
     charged = []
     monkeypatch.setattr(gset, "charge_pairs", charged.append)
-    seen = _counting_multiply(monkeypatch, h3)
+    seen = count_law(monkeypatch, type(h3))
     assert product(xs, ys).elements == tuple(sorted(h3.elements()))
     assert seen["multiplies"] == 0
     assert charged == [len(xs) * len(ys)]
@@ -542,7 +530,7 @@ def test_product_translates_the_longer_operand(monkeypatch, longer_first):
     h3 = HeisenbergGroup(3)
     xs = [x for x in h3.elements() if x != (1, 2, 0)]
     ys = [h3.identity, (1, 1, 1), (2, 0, 1)]
-    seen = _counting_multiply(monkeypatch, h3)
+    seen = count_law(monkeypatch, type(h3))
     assert _loop_product(h3.loop, *((xs, ys) if longer_first else (ys, xs))) == set(h3.elements())
     assert seen["multiplies"] == 2 * len(xs)
 
@@ -642,13 +630,13 @@ def test_each_loop_kernel_call_decodes_each_operand_once(monkeypatch):
     g = SymmetricGroup(6)
     a, b, t = (random_set(g, 10, seed) for seed in range(3))
     decoded = []
-    real = g._decode
+    real = g.to_form
 
     def decode(x):
         decoded.append(x)
         return real(x)
 
-    monkeypatch.setattr(g, "_decode", decode)
+    monkeypatch.setattr(g, "to_form", decode)
     calls = [
         (lambda: product(a, b), [a, b]),
         (lambda: conv_table(a, b), [a, b]),
@@ -667,11 +655,19 @@ def test_each_loop_kernel_call_decodes_each_operand_once(monkeypatch):
 
 # -- the kernels' set-level protocol ----------------------------------------------
 
-#: (kernel class, group) for every kernel class: the base loop, the one-line
-#: loop of S_n, and the three mask kernels, each on its smallest group and a larger one
+#: (kernel class, group) for every kernel class: the base loop on every
+#: backend's forms, the one-line loop of S_n, and the three mask kernels, each
+#: on its smallest group and a larger one
 PROTOCOL_CASES = [
+    (Loop, CyclicGroup(1)),
+    (Loop, CyclicGroup(24)),
+    (Loop, DihedralGroup(1)),
+    (Loop, DihedralGroup(12)),
+    (Loop, HeisenbergGroup(3)),
     (Loop, SymmetricGroup(1)),
     (Loop, DirectProductGroup([CyclicGroup(4), DihedralGroup(5)])),
+    (Loop, DirectProductGroup([DirectProductGroup([SymmetricGroup(3), CyclicGroup(2)]), DihedralGroup(2)])),
+    (Loop, _table_of(DihedralGroup(3))),
     (Loop, _table_of(SymmetricGroup(3))),
     (OneLine, SymmetricGroup(2)),
     (OneLine, SymmetricGroup(4)),

@@ -31,6 +31,7 @@ from symgrowth.symmetry import sym_set
 
 from conftest import (
     SIDES,
+    count_law,
     from_both_ends,
     on_side,
     oracle_level_set,
@@ -217,15 +218,8 @@ QUAD_BUILD_BALL = {"group": {"type": "heisenberg_mod", "p": 9},
 
 
 def _multiplies(monkeypatch, group, work):
-    seen = {"multiplies": 0}
-    real = type(group).multiply
-
-    def multiply(g, x, y):
-        seen["multiplies"] += 1
-        return real(g, x, y)
-
     with monkeypatch.context() as m:
-        m.setattr(type(group), "multiply", multiply)
+        seen = count_law(m, type(group))
         work()
     return seen["multiplies"]
 

@@ -27,9 +27,9 @@ from symgrowth.groups import (
     SymmetricGroup,
     TableGroup,
 )
-from symgrowth import budget, gset, masks, oracle
+from symgrowth import budget, groups, gset, masks, oracle
 from symgrowth.budget import set_pair_budget
-from symgrowth.gset import GSet, inverse_set, outside
+from symgrowth.gset import GSet, doubling_stats, inverse_set, outside
 from symgrowth.instances import generate
 from symgrowth.serialize import parse_fraction
 from symgrowth.growth import stable_neighbourhood
@@ -50,6 +50,7 @@ from conftest import (
     SIDES,
     CounterStream,
     conv_table,
+    count_law,
     draw_subset,
     failures,
     one_line,
@@ -423,6 +424,7 @@ def test_outside_counts_and_charges_as_the_oracle(monkeypatch, side):
             with monkeypatch.context() as m:
                 if side == "masks" and group.mask_kernel is not None:
                     m.setattr(type(group), "multiply", None)
+                    m.setattr(type(group), "form_multiply", None)
                 assert outside(xs, t, w) == expected, (group.describe(), xs, t, w)
             assert charges == oracle_charges == [len(w)] * len(xs)
             planted += expected
@@ -484,16 +486,16 @@ C3000_INTERVAL75 = {"group": {"type": "cyclic", "n": 3000}, "set": {"type": "int
 
 
 def _metered(monkeypatch, group_class, work, refuse=False):
-    """Run ``work()`` counting group_class.multiply calls and pair charges.
+    """Run ``work()`` counting group_class's multiplications, on encodings or on forms, and pair charges.
 
-    ``most_ahead`` is the largest lead, at any multiply, of the
+    ``most_ahead`` is the largest lead, at any multiplication, of the
     multiplications done so far over the pairs charged so far.  With
-    ``refuse``, a charge, a multiply or an inverse fails the test at once,
-    by an exception that ``except Exception`` does not catch.
+    ``refuse``, a charge, a multiplication or an inversion (``multiply``,
+    ``form_multiply``, ``inverse`` or ``form_inverse``) fails the test at
+    once, by an exception that ``except Exception`` does not catch.
     """
     seen = {"multiplies": 0, "charged": 0, "largest_charge": 0, "most_ahead": 0}
     real_charge = budget.charge_pairs
-    real_multiply = group_class.multiply
 
     def charge(n):
         if refuse:
@@ -502,22 +504,20 @@ def _metered(monkeypatch, group_class, work, refuse=False):
         seen["charged"] += n
         real_charge(n)
 
-    def multiply(g, x, y):
+    def before(kind, args):
         if refuse:
-            pytest.fail(f"multiplied {x!r} by {y!r}")
-        seen["multiplies"] += 1
-        seen["most_ahead"] = max(seen["most_ahead"], seen["multiplies"] - seen["charged"])
-        return real_multiply(g, x, y)
+            pytest.fail(f"the group law ran ({kind}) on {args!r}")
+        if kind == "multiplies":
+            seen["most_ahead"] = max(seen["most_ahead"], law["multiplies"] + 1 - seen["charged"])
 
     with monkeypatch.context() as m:
         # every module that imported charge_pairs by name
         for mod in list(sys.modules.values()):
             if getattr(mod, "__name__", "").startswith("symgrowth") and getattr(mod, "charge_pairs", None) is real_charge:
                 m.setattr(mod, "charge_pairs", charge)
-        m.setattr(group_class, "multiply", multiply)
-        if refuse:
-            m.setattr(group_class, "inverse", lambda g, x: pytest.fail(f"inverted {x!r}"))
+        law = count_law(m, group_class, before)
         result = work()
+    seen["multiplies"] = law["multiplies"]
     return result, seen
 
 
@@ -639,11 +639,10 @@ def test_verify_multiplies_each_row_once_and_nothing_for_an_honest_containment(m
     assert [step["action"] for step in steps] == ["shrink", "terminate"] and len(cert["s"]) == 67
     made = Counter()
     phase = [None]
-    real_multiply = CyclicGroup.multiply
 
-    def multiply(g, x, y):
-        made[phase[0]] += 1
-        return real_multiply(g, x, y)
+    def multiply(kind, args):
+        if kind == "multiplies":
+            made[phase[0]] += 1
 
     def inside(name, fn):
         def wrapped(*args):
@@ -654,7 +653,7 @@ def test_verify_multiplies_each_row_once_and_nothing_for_an_honest_containment(m
                 phase[0] = outer
         return wrapped
 
-    monkeypatch.setattr(CyclicGroup, "multiply", multiply)
+    count_law(monkeypatch, CyclicGroup, multiply)
     for name in ("oracle_overlaps", "oracle_sym_counts", "oracle_power", "oracle_outside"):
         monkeypatch.setattr(oracle, name, inside(name, getattr(oracle, name)))
     assert verify_certificate(cert, a.elements, instance=C3000_INTERVAL75).overall
@@ -669,6 +668,45 @@ def test_verify_multiplies_each_row_once_and_nothing_for_an_honest_containment(m
     assert n_a * n_a < sum(step["aprime_size"] * n_a for step in steps)
     assert made == expected and made["oracle_outside"] == 0
     assert sum(made.values()) == 21215
+
+
+S5_C2_RANDOM = {"group": {"type": "direct_product", "factors": [{"type": "symmetric", "n": 5}, {"type": "cyclic", "n": 2}]},
+                "set": {"type": "random", "size": 20, "seed": 0}}
+
+
+def test_a_symmetric_factor_is_encoded_once_per_member_of_an_encoded_set_not_per_pair(monkeypatch):
+    # with the Lehmer memos off, each call of the encoder is one encoding of the
+    # S5 factor: stats counts its sets without encoding them, and verify encodes
+    # each member of a set it builds once, A², each step's A'⁻¹ and A'A'⁻¹, XX⁻¹,
+    # S⁻¹ and S², where a product per pair would encode every pair
+    calls = [0]
+    real = groups._one_line_to_lehmer
+
+    def counted(perm):
+        calls[0] += 1
+        return real(perm)
+
+    monkeypatch.setattr(groups, "_one_line_to_lehmer", counted)
+    monkeypatch.setattr(groups, "LEHMER_MEMO_SIZE", 0)
+    a = generate(S5_C2_RANDOM)
+    cert = stable_neighbourhood(a, 2, instance=S5_C2_RANDOM).to_json_dict()
+    calls[0] = 0
+    doubling_stats(a)
+    assert calls[0] == 0
+    assert verify_certificate(cert, a.elements, instance=S5_C2_RANDOM).overall
+    made = calls[0]
+
+    g = a.group
+    aprimes = [a.elements]
+    for step in cert["trace"]["steps"][:-1]:
+        translate = set(oracle_product(g, [tuple(step["t"])], aprimes[-1]))
+        aprimes.append(tuple(u for u in aprimes[-1] if u in translate))
+    x = oracle_product(g, aprimes[-1], a.elements)
+    s = [tuple(v) for v in cert["s"]]
+    encoded = (len(oracle_product(g, a.elements, a.elements))
+               + sum(len(ap) + len(oracle_product(g, ap, oracle_inverse(g, ap))) for ap in aprimes)
+               + len(oracle_product(g, x, oracle_inverse(g, x))) + len(s) + len(oracle_product(g, s, s)))
+    assert len(aprimes) == 2 and 0 < made <= encoded < len(a) ** 2 + len(x) ** 2 // 2
 
 
 def test_oracle_level_set_equals_the_overlap_scan_over_the_group(stream):
