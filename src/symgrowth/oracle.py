@@ -5,13 +5,14 @@ over plain element collections.  It shares the element law with the fast
 path, each backend's ``to_form``, ``form_multiply``, ``form_inverse`` and
 ``from_form``, and nothing set-level: nothing comes from ``gset``,
 ``masks``, ``symmetry``, ``growth`` or ``instances``.  Each oracle turns
-its operands into forms once, multiplies forms, and encodes only what it
-returns.  Oracles are deliberately slow and simple; they exist so that
+its operands into forms once, multiplies forms, and encodes only what the
+report shows: what an oracle returns, and what the verifier prints or
+compares.  Oracles are deliberately slow and simple; they exist so that
 every fast-path computation and every emitted certificate can be checked
 against code with no shared logic to fail in the same way.
 
 There are two exceptions to a plain transcription of a definition.
-``oracle_sym_counts`` loops over unordered pairs only, since
+``_sym_counts`` loops over unordered pairs only, since
 |X ∩ tX| = |X ∩ t⁻¹X|.  The verifier's replay holds its products as int
 masks over the members of A·A, which it builds here from the element law
 alone, so it still shares nothing set-level with the fast path; tests
@@ -51,11 +52,6 @@ def oracle_product(group: Group, a: Iterable[Element], b: Iterable[Element]) -> 
         for y in b:
             out.add(mul(x, y))
     return tuple(map(group.from_form, sorted(out)))
-
-
-def oracle_inverse(group: Group, a: Iterable[Element]) -> tuple[Element, ...]:
-    inv = group.inverse
-    return tuple(sorted(inv(x) for x in set(a)))
 
 
 def oracle_power(group: Group, a: Iterable[Element], k: int) -> tuple[Element, ...]:
@@ -116,26 +112,24 @@ def oracle_outside(group: Group, xs: Iterable[Element], t: Iterable[Element], w:
     return outside
 
 
-def oracle_overlaps(group: Group, a: Iterable[Element]) -> dict[Element, list[Element]]:
-    """For every t in AA⁻¹, the members of A ∩ tA in ascending order, keyed by t in first-seen order.
+def _overlaps(group: Group, a: list) -> dict:
+    """For every t in AA⁻¹, the members of A ∩ tA in ascending order, all as forms; A is given as its forms, ascending.
 
     t = u·v⁻¹ with u, v in A exactly when u = tv lies in A ∩ tA, so one
     double loop over (u, v⁻¹), charged |A|², lists every overlap at once.
     """
-    a = sorted(set(a))
-    forms = list(map(group.to_form, a))
-    inv = list(map(group.to_form, oracle_inverse(group, a)))
-    charge_pairs(len(a) * len(inv))
+    charge_pairs(len(a) ** 2)
     mul = group.form_multiply
+    inv = list(map(group.form_inverse, a))
     table: defaultdict = defaultdict(list)
-    for u, x in zip(a, forms):
+    for u in a:
         for w in inv:
-            table[mul(x, w)].append(u)
-    return dict(zip(map(group.from_form, table), table.values()))
+            table[mul(u, w)].append(u)
+    return table
 
 
-def oracle_sym_counts(group: Group, a: Iterable[Element]) -> dict[Element, int]:
-    """|A ∩ tA| for every t in AA⁻¹, the t keyed in no particular order.
+def _sym_counts(group: Group, a: list) -> dict:
+    """|A ∩ tA| for every t in AA⁻¹, keyed by its form in no particular order; A is given as its distinct forms.
 
     |A ∩ tA| counts the pairs (u, w) of A with u·w⁻¹ = t.  The pairs u = w
     give t = e, |A| times, and swapping u and w turns t into t⁻¹.  So one
@@ -144,7 +138,6 @@ def oracle_sym_counts(group: Group, a: Iterable[Element]) -> dict[Element, int]:
     the keys are AA⁻¹.  It multiplies |A|(|A| - 1)/2 pairs but is charged
     the |A|² of the ordered loop.
     """
-    a = list(map(group.to_form, sorted(set(a))))
     n = len(a)
     charge_pairs(n * n)
     if not a:
@@ -165,10 +158,10 @@ def oracle_sym_counts(group: Group, a: Iterable[Element]) -> dict[Element, int]:
         t_inv = inv(t)
         counts[t_inv] = current(t_inv, 0) + count
     counts[group.to_form(group.identity)] = n
-    return dict(zip(map(group.from_form, counts), counts.values()))
+    return counts
 
 
-def _at_least(counts: dict[Element, int], least: int) -> tuple[Element, ...]:
+def _at_least(counts: dict, least: int) -> tuple:
     """The t of a table of counts |X ∩ tX| whose count is at least ``least``, in ascending order.
 
     A count is an int, so a Fraction threshold such as tau or eta·|X| is
@@ -177,26 +170,24 @@ def _at_least(counts: dict[Element, int], least: int) -> tuple[Element, ...]:
     return tuple(sorted([t for t, count in counts.items() if count >= least]))
 
 
-def _row_table(group: Group, a: tuple[Element, ...]) -> tuple[list[Element], dict[Element, int]]:
+def _row_table(group: Group, a: list) -> tuple[list, dict]:
     """The members of A·A in first-seen order, and each row xA (x ∈ A) as an int mask, bit i for the i-th member.
 
-    The products are multiplied and indexed as forms, and each member is
-    encoded once.  Every A' of the replay is a subset of A, so A'A is the
-    OR of these rows.
+    A, the members and the row keys are forms.  Every A' of the replay is a
+    subset of A, so A'A is the OR of these rows.
     """
     mul = group.form_multiply
-    forms = list(map(group.to_form, a))
     index: defaultdict = defaultdict(itertools.count().__next__)
     rows = {}
-    for x, f in zip(a, forms):
+    for f in a:
         mask = 0
-        for g in forms:
+        for g in a:
             mask |= 1 << index[mul(f, g)]
-        rows[x] = mask
-    return list(map(group.from_form, index)), rows
+        rows[f] = mask
+    return list(index), rows
 
 
-def _union(rows: dict[Element, int], xs: Iterable[Element]) -> int:
+def _union(rows: dict, xs: Iterable) -> int:
     """The mask of XA: the OR of the rows of the x in X."""
     mask = 0
     for x in xs:
@@ -204,7 +195,7 @@ def _union(rows: dict[Element, int], xs: Iterable[Element]) -> int:
     return mask
 
 
-def _decode(elements: list[Element], mask: int) -> list[Element]:
+def _decode(elements: list, mask: int) -> list:
     """The members of a mask over ``elements``, read off its set bits alone."""
     out = []
     while mask:
@@ -214,8 +205,7 @@ def _decode(elements: list[Element], mask: int) -> list[Element]:
     return out
 
 
-def _scan(level: Iterable[Element], overlaps: dict[Element, list[Element]], rows: dict[Element, int],
-          most: int) -> tuple[Element | None, int]:
+def _scan(level: Iterable, overlaps: dict, rows: dict, most: int) -> tuple:
     """The first t of ``level`` whose |(A' ∩ tA')A| is at most ``most``, with that size; (None, 0) if none.
 
     The OR of a candidate's rows only grows, so it is dropped at the first
@@ -232,18 +222,24 @@ def _scan(level: Iterable[Element], overlaps: dict[Element, list[Element]], rows
     return None, 0
 
 
-def _outside_quad(group: Group, xs: Iterable[Element], inside: Collection[Element], a2: Collection[Element]) -> int:
+def _outside_quad(group: Group, xs: Iterable[Element], inside: Collection, a2: list) -> int:
     """Number of x in xs outside A²A⁻², each charged |A²| pairs as ``oracle_outside`` charges it.
 
-    ``inside`` is a subset of A²A⁻², as XX⁻¹ is for X ⊆ A²: its members
-    need no multiplication, and ``oracle_outside`` tests the rest.
+    ``inside`` holds the forms of a subset of A²A⁻², as XX⁻¹ does for
+    X ⊆ A², and ``a2`` those of A²: a member in ``inside`` needs no
+    multiplication, and A² is encoded for ``oracle_outside`` only if it
+    has a member left to test.
     """
+    to = group.to_form
     rest = []
     for x in xs:
-        if x in inside:
+        if to(x) in inside:
             charge_pairs(len(a2))
         else:
             rest.append(x)
+    if not rest:
+        return 0
+    a2 = list(map(group.from_form, a2))
     return oracle_outside(group, rest, a2, a2)
 
 
@@ -510,12 +506,12 @@ def _decode_certificate(cert: dict, a_elements: Iterable[Element]) -> _Decoded:
 
 @dataclass(frozen=True)
 class _Replay:
-    """The replay's terminate step: the members of A·A in bit order, A', the mask of X = A'A, its level set, K0 and the ledger lines."""
+    """The replay's terminate step: the forms of A·A in bit order, A', the mask of X = A'A, the forms of its level set, K0 and the ledger lines."""
 
-    a2: list[Element]
+    a2: list
     aprime: tuple[Element, ...]
     product: int
-    level: tuple[Element, ...]
+    level: tuple
     k0: Fraction
     table: dict[str, tuple[str, Fraction, Fraction]]  # name -> (relation, lhs, rhs)
 
@@ -523,10 +519,11 @@ class _Replay:
 def _replay(decoded: _Decoded, rec: VerificationReport) -> _Replay | None:
     """Replay the shrinking chain from A, checking each claimed step and recomputing its ledger lines once.
 
-    Step 0 indexes A·A and builds each row xA for x in A as an int mask
-    over that index, and every later A' ⊆ A takes its rows from it, so
+    The replay runs on forms, and encodes only each witness t for the
+    report.  Step 0 indexes A·A and builds each row xA for x in A as an int
+    mask over that index, and every later A' ⊆ A takes its rows from it, so
     |A'A| is the bit count of their OR (each step is still charged
-    |A'||A|).  Each step builds the table ``oracle_overlaps(A')`` and reads
+    |A'||A|).  Each step builds the table ``_overlaps(A')`` and reads
     its level set, every candidate's A' ∩ tA' and the next A' off it; a
     candidate ORs its members' rows until the bit count passes the int
     floor((1-eps)|A'A|), so the scan itself multiplies nothing and carries
@@ -537,7 +534,7 @@ def _replay(decoded: _Decoded, rec: VerificationReport) -> _Replay | None:
     group, a, eps, last = decoded.group, decoded.a, decoded.eps, decoded.last
     n_a = len(a)
     table: dict[str, tuple[str, Fraction, Fraction]] = {}
-    cur = a
+    cur = forms = list(map(group.to_form, a))  # ascending, as forms sort as encodings do
     for i, step in enumerate(decoded.cert["trace"]["steps"]):
         tag = f"step{i}"
         rec.record(f"{tag}.index", i, step.get("index"))
@@ -546,7 +543,7 @@ def _replay(decoded: _Decoded, rec: VerificationReport) -> _Replay | None:
         # xA serve every later A' ⊆ A, and A'A is the OR of their masks
         charge_pairs(len(cur) * n_a)
         if i == 0:
-            a2, rows = _row_table(group, a)  # the replay's first product is A·A
+            a2, rows = _row_table(group, forms)  # the replay's first product is A·A
             k0 = Fraction(len(a2), n_a)
         prod = _union(rows, cur)
         n_ap, n_p = len(cur), prod.bit_count()
@@ -554,7 +551,7 @@ def _replay(decoded: _Decoded, rec: VerificationReport) -> _Replay | None:
         tau = Fraction(n_ap**4, 2 * n_p * n_a**2)
         rec.record(f"{tag}.tau", fraction_to_str(tau), step.get("tau"))
         # the step's overlaps A' ∩ tA' give its level set and every candidate
-        overlaps = oracle_overlaps(group, cur)
+        overlaps = _overlaps(group, cur)
         level = _at_least({t: len(inside) for t, inside in overlaps.items()}, math.ceil(tau))
         rec.record(f"{tag}.level_set_size", len(level), step.get("level_set_size"))
         # the canonical scan: first t in the level set whose shrink passes
@@ -568,23 +565,27 @@ def _replay(decoded: _Decoded, rec: VerificationReport) -> _Replay | None:
         if i == last:
             rec.flag(f"{tag}.no_shrink_witness", witness is None)
             break
-        rec.record(f"{tag}.t", list(witness) if witness is not None else None, step.get("t"))
+        rec.record(f"{tag}.t", list(group.from_form(witness)) if witness is not None else None, step.get("t"))
         if witness is None:
             # recorded chain diverges; replay cannot continue faithfully
             break
-        cur = tuple(overlaps[witness])
+        cur = overlaps[witness]
         table[f"{tag}.shrink_size_lower"] = ("ge", Fraction(len(cur)), tau)
         table[f"{tag}.shrink_product_upper"] = ("le", Fraction(n_cover), limit)
     rec.flag("trace_shape", i == last)
-    return _Replay(a2, cur, prod, level, k0, table) if i == last else None
+    if i < last:
+        return None
+    element = dict(zip(forms, a))  # A' in the instance's own elements, with nothing encoded
+    return _Replay(a2, tuple(element[f] for f in cur), prod, level, k0, table)
 
 
 def _check_terminal(decoded: _Decoded, replay: _Replay, rec: VerificationReport) -> None:
     """Check the run-level claims at the terminate step, and add the run's ledger lines to the replay's table.
 
-    The symmetry set is recomputed from its definition
-    (``oracle_sym_counts`` over the unordered pairs of the last product
-    X, decoded from its mask), and the power containment is re-derived
+    The symmetry set is recomputed from its definition (``_sym_counts``
+    over the unordered pairs of the last product X, read off its mask as
+    forms, and only the expected S is encoded), and S is checked against
+    the level set as forms.  The power containment is re-derived
     member by member (``oracle_power``, whose work does not grow with the
     certificate's k): a member of S^k in XX⁻¹, the keys of those counts,
     lies in A²A⁻² since X ⊆ A², and every other member is tested against
@@ -605,17 +606,18 @@ def _check_terminal(decoded: _Decoded, replay: _Replay, rec: VerificationReport)
     threshold = (1 - eps) if eps < 1 else Fraction(1, n_p)
     rec.record("s_threshold", fraction_to_str(threshold), cert["s_threshold"])
     rec.flag("s_sorted_unique", all(x < y for x, y in zip(s, s[1:])))
-    counts = oracle_sym_counts(group, _decode(replay.a2, replay.product))
+    counts = _sym_counts(group, _decode(replay.a2, replay.product))
     expected_s = _at_least(counts, math.ceil(threshold * n_p))
-    rec.record("s_matches_symmetry_set", list(map(list, expected_s)), list(map(list, s)))
-    s_set = set(s)
-    has_identity = group.identity in s_set
-    asymmetric = sum(1 for x in s if group.inverse(x) not in s_set)
+    rec.record("s_matches_symmetry_set", [list(group.from_form(t)) for t in expected_s], list(map(list, s)))
+    s_forms = list(map(group.to_form, s))
+    s_set = set(s_forms)
+    has_identity = group.to_form(group.identity) in s_set
+    asymmetric = sum(1 for f in s_forms if group.form_inverse(f) not in s_set)
     rec.flag("s_contains_identity", has_identity)
     rec.flag("s_symmetric", asymmetric == 0)
 
     # the headline containment, member by member: x ∈ A²A⁻² if x ∈ XX⁻¹ (the
-    # keys of counts, as X ⊆ A²), and otherwise iff xA² ∩ A² ≠ ∅
+    # form keys of counts, as X ⊆ A²), and otherwise iff xA² ∩ A² ≠ ∅
     violations = _outside_quad(group, oracle_power(group, s, cert["k"]), counts, replay.a2)
     rec.record("power_containment_violations", 0, violations)
 

@@ -3,7 +3,10 @@
 Unit tests draw random instances through CounterStream so every run sees the
 same data.  The ``oracle_*`` references count by definition, with the same
 loops and budget charges as the oracles in ``symgrowth.oracle``, for values
-no command computes that way; ``oracle_level_set`` filters a level set
+no command computes that way; ``oracle_overlaps`` and ``oracle_sym_counts``
+are the verifier's form-keyed overlap and count cores, encoded, and
+``oracle_inverse`` inverts a set member by member;
+``oracle_level_set`` filters a level set
 from ``oracle_overlaps``, and ``oracle_sym_members`` a symmetry set from
 ``oracle_sym_counts``; ``reference_scan`` finds a shrink step's
 witness by building every candidate's product with ``oracle_product``,
@@ -39,11 +42,11 @@ from symgrowth.groups import (
     HeisenbergGroup,
     SymmetricGroup,
 )
-from symgrowth import masks
+from symgrowth import masks, oracle
 from symgrowth.budget import charge_pairs
 from symgrowth.errors import InvalidElementError, ParameterError
 from symgrowth.gset import GSet, product
-from symgrowth.oracle import oracle_overlaps, oracle_power, oracle_product, oracle_sym_counts
+from symgrowth.oracle import oracle_power, oracle_product
 from symgrowth.prng import splitmix64
 from symgrowth.symmetry import check_eta, sym_set
 
@@ -336,6 +339,24 @@ def from_both_ends(items) -> list:
         if rest:
             out.append(rest.popleft())
     return out
+
+
+def oracle_inverse(group, a) -> tuple:
+    """A⁻¹ in ascending order."""
+    inv = group.inverse
+    return tuple(sorted(inv(x) for x in set(a)))
+
+
+def oracle_overlaps(group, a) -> dict:
+    """For every t in AA⁻¹, the members of A ∩ tA in ascending order: the verifier's form-keyed ``_overlaps``, encoded."""
+    table = oracle._overlaps(group, sorted(map(group.to_form, set(a))))
+    return {group.from_form(t): list(map(group.from_form, inside)) for t, inside in table.items()}
+
+
+def oracle_sym_counts(group, a) -> dict:
+    """|A ∩ tA| for every t in AA⁻¹: the verifier's form-keyed ``_sym_counts``, encoded."""
+    counts = oracle._sym_counts(group, list(map(group.to_form, set(a))))
+    return {group.from_form(t): count for t, count in counts.items()}
 
 
 def oracle_level_set(group, aprime, tau) -> tuple:

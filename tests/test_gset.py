@@ -40,7 +40,7 @@ from symgrowth.gset import (
 )
 from symgrowth.instances import generate, random_set
 from symgrowth.masks import CyclicMasks, DihedralMasks, HeisenbergMasks, lane_width
-from symgrowth.oracle import oracle_inverse, oracle_overlaps, oracle_product
+from symgrowth.oracle import oracle_product
 
 from conftest import (
     CounterStream,
@@ -52,7 +52,9 @@ from conftest import (
     from_both_ends,
     on_side,
     oracle_conv_table,
+    oracle_inverse,
     oracle_level_set,
+    oracle_overlaps,
     oracle_quadruples,
     pair_energy,
     small_group_pool,

@@ -21,12 +21,7 @@ from symgrowth.groups import CyclicGroup, DihedralGroup, HeisenbergGroup, Loop
 from symgrowth.growth import shrink_step, stable_neighbourhood
 from symgrowth.gset import GSet, doubling_stats, level_set, product, row_product
 from symgrowth.instances import generate
-from symgrowth.oracle import (
-    oracle_inverse,
-    oracle_overlaps,
-    oracle_product,
-    verify_certificate,
-)
+from symgrowth.oracle import oracle_product, verify_certificate
 from symgrowth.symmetry import sym_set
 
 from conftest import (
@@ -34,7 +29,9 @@ from conftest import (
     count_law,
     from_both_ends,
     on_side,
+    oracle_inverse,
     oracle_level_set,
+    oracle_overlaps,
     oracle_sym_members,
     reference_scan,
 )

@@ -4,6 +4,7 @@ import ast
 import copy
 import decimal
 import functools
+import hashlib
 import json
 import math
 import random
@@ -35,12 +36,9 @@ from symgrowth.serialize import parse_fraction
 from symgrowth.growth import stable_neighbourhood
 from symgrowth.oracle import (
     VerificationReport,
-    oracle_inverse,
     oracle_outside,
-    oracle_overlaps,
     oracle_power,
     oracle_product,
-    oracle_sym_counts,
     termination_cap,
     verify_certificate,
 )
@@ -56,9 +54,12 @@ from conftest import (
     one_line,
     oracle_conv_table,
     oracle_conv_value,
+    oracle_inverse,
     oracle_level_set,
     oracle_overlap,
+    oracle_overlaps,
     oracle_quadruples,
+    oracle_sym_counts,
     oracle_sym_members,
     reference_scan,
     small_group_pool,
@@ -654,15 +655,15 @@ def test_verify_multiplies_each_row_once_and_nothing_for_an_honest_containment(m
         return wrapped
 
     count_law(monkeypatch, CyclicGroup, multiply)
-    for name in ("oracle_overlaps", "oracle_sym_counts", "oracle_power", "oracle_outside"):
+    for name in ("_overlaps", "_sym_counts", "oracle_power", "oracle_outside"):
         monkeypatch.setattr(oracle, name, inside(name, getattr(oracle, name)))
     assert verify_certificate(cert, a.elements, instance=C3000_INTERVAL75).overall
 
     n_a, n_x, n_s = len(a), steps[-1]["product_size"], len(cert["s"])
     expected = {
         None: n_a * n_a,  # the rows, not the sum of |A_i||A| over the steps
-        "oracle_overlaps": sum(step["aprime_size"] ** 2 for step in steps),
-        "oracle_sym_counts": n_x * (n_x - 1) // 2,
+        "_overlaps": sum(step["aprime_size"] ** 2 for step in steps),
+        "_sym_counts": n_x * (n_x - 1) // 2,
         "oracle_power": n_s * n_s,  # S·S at k = 2
     }
     assert n_a * n_a < sum(step["aprime_size"] * n_a for step in steps)
@@ -676,9 +677,10 @@ S5_C2_RANDOM = {"group": {"type": "direct_product", "factors": [{"type": "symmet
 
 def test_a_symmetric_factor_is_encoded_once_per_member_of_an_encoded_set_not_per_pair(monkeypatch):
     # with the Lehmer memos off, each call of the encoder is one encoding of the
-    # S5 factor: stats counts its sets without encoding them, and verify encodes
-    # each member of a set it builds once, A², each step's A'⁻¹ and A'A'⁻¹, XX⁻¹,
-    # S⁻¹ and S², where a product per pair would encode every pair
+    # S5 factor: stats counts its sets without encoding them, and verify replays
+    # on forms and encodes only what its report shows, each witness t and the
+    # expected S, beside the S² that oracle_power returns, where the replay on
+    # encodings encoded A², each A'⁻¹ and A'A'⁻¹, XX⁻¹ and S⁻¹ (617 calls)
     calls = [0]
     real = groups._one_line_to_lehmer
 
@@ -696,17 +698,11 @@ def test_a_symmetric_factor_is_encoded_once_per_member_of_an_encoded_set_not_per
     assert verify_certificate(cert, a.elements, instance=S5_C2_RANDOM).overall
     made = calls[0]
 
-    g = a.group
-    aprimes = [a.elements]
-    for step in cert["trace"]["steps"][:-1]:
-        translate = set(oracle_product(g, [tuple(step["t"])], aprimes[-1]))
-        aprimes.append(tuple(u for u in aprimes[-1] if u in translate))
-    x = oracle_product(g, aprimes[-1], a.elements)
+    steps = cert["trace"]["steps"]
+    witnesses, level = len(steps) - 1, steps[-1]["level_set_size"]
     s = [tuple(v) for v in cert["s"]]
-    encoded = (len(oracle_product(g, a.elements, a.elements))
-               + sum(len(ap) + len(oracle_product(g, ap, oracle_inverse(g, ap))) for ap in aprimes)
-               + len(oracle_product(g, x, oracle_inverse(g, x))) + len(s) + len(oracle_product(g, s, s)))
-    assert len(aprimes) == 2 and 0 < made <= encoded < len(a) ** 2 + len(x) ** 2 // 2
+    assert made == witnesses + len(s) + len(oracle_product(a.group, s, s))
+    assert witnesses == 1 and made <= level + len(s) + witnesses
 
 
 def test_oracle_level_set_equals_the_overlap_scan_over_the_group(stream):
@@ -1350,6 +1346,100 @@ def test_every_benchmark_mutant_is_refused(monkeypatch):
             # the decode returns or refuses the mutant without a charge, a multiply or an inverse
             decoded = _decoded_or_refusal(monkeypatch, a, mutant)
             assert isinstance(decoded, (oracle._Decoded, CertificateFormatError)), (inst.name, kind)
+
+
+# the instances of the CI's command loop but its sparse C100000 ones
+CI_INSTANCES = {
+    "interval75": C3000_INTERVAL75,
+    "cosets": {"group": {"type": "dihedral", "n": 140},
+               "set": {"type": "coset_union", "generators": [[5, 0]], "reps": [[3, 0], [9, 1]]}},
+    "s6": S6_RANDOM,
+    "ball": {"group": {"type": "heisenberg_mod", "p": 9},
+             "set": {"type": "ball", "generators": [[1, 0, 0], [0, 1, 0], [8, 0, 0], [0, 8, 0]], "radius": 2}},
+    "c4xd5": {"group": {"type": "direct_product", "factors": [{"type": "cyclic", "n": 4}, {"type": "dihedral", "n": 5}]},
+              "set": {"type": "random", "size": 12, "seed": 0}},
+    "s3table": {"group": {"type": "table", "identity": 0,
+                          "table": [[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 3, 0, 1, 5, 4],
+                                    [3, 2, 5, 4, 0, 1], [4, 5, 1, 0, 3, 2], [5, 4, 3, 2, 1, 0]]},
+                "set": {"type": "random", "size": 3, "seed": 0}},
+    "s5xc2": S5_C2_RANDOM,
+}
+
+# (exit code, sha256 of the report at exit 1 or of the one stderr line at exit 2)
+# of `verify` on each CI instance's `run --k 2` certificate under each mutation
+# kind of the benchmark's reject path, drawn as the benchmark draws it
+REJECT_OUTCOMES = {
+    "interval75/ledger_lhs": (1, "611d8cbea94afb3043e709e48cc0eb55b2361edab216db27934fa00cc52aa102"),
+    "interval75/s_element": (1, "633555eaa14fb8299bc816e5f42fc5ad91ddd04693672b1c3311affc372decbd"),
+    "interval75/k": (1, "889aa8f8280cccf6580369bdf1a5ce6724f2ca4b1abedfad23e3f44fedcb3e66"),
+    "interval75/drop_trace_step": (2, "fe1a161515a81dd56d4ba66bcf66d22046eda642e2fd9619520c7a616c13305b"),
+    "interval75/ledger_name_unparsable": (2, "5350e37a909e76d4b8ea4ee7555381ee9b20fe2fcca16e98aa04bc2a7ce2945c"),
+    "interval75/ledger_shrink_after_last": (2, "09547d00412fed101f9c9cbaf6481ce2867a23715c26dbb8d06f72e535625b51"),
+    "interval75/s_wrong_width": (2, "576f4d47443fdbd5d91acdae76a5d2bc28f430854aa3fab7108a27437aee6e8d"),
+    "cosets/ledger_lhs": (1, "15ad1e56f737b3e892b86c060678d0ac9e0001a5a2525856b056b5c0bfbf960e"),
+    "cosets/s_element": (1, "5e4561949dc00209c72e521a8c9f5460a8cbd4aab73e72b44bdfa64c09e952fd"),
+    "cosets/k": (1, "0a2cbbbf500330945136466a91339f568cb9184cffa92a4519a463c283611dfb"),
+    "cosets/drop_trace_step": (2, "e3ab90241aa82f58e94ba63dd4c1932ebfd3483b0bfefb5c8db6594c18483d66"),
+    "cosets/ledger_name_unparsable": (2, "5350e37a909e76d4b8ea4ee7555381ee9b20fe2fcca16e98aa04bc2a7ce2945c"),
+    "cosets/ledger_shrink_after_last": (2, "b3c39a3b6bb4653da5fb26e970a933789930e78aef45a0d75a32bbfa4969fd05"),
+    "cosets/s_wrong_width": (2, "9e49d975045821203e20b41043995d270a1d5bc5a7efca47f517d0146fb2f894"),
+    "s6/ledger_lhs": (1, "4c4b1888e69ca0989912a9d07e0a5406d97323f6099704ec99d6aed080970b7a"),
+    "s6/s_element": (1, "5083fcfb6539966017499e25292b4c315ff22a8990ae5da687ceb4a59062ba40"),
+    "s6/k": (1, "e4914efb5a10cb4ec7eef4097a87ed133d512d2f0812a9e2c263734ed7961dd0"),
+    "s6/drop_trace_step": (2, "fe1a161515a81dd56d4ba66bcf66d22046eda642e2fd9619520c7a616c13305b"),
+    "s6/ledger_name_unparsable": (2, "5350e37a909e76d4b8ea4ee7555381ee9b20fe2fcca16e98aa04bc2a7ce2945c"),
+    "s6/ledger_shrink_after_last": (2, "09547d00412fed101f9c9cbaf6481ce2867a23715c26dbb8d06f72e535625b51"),
+    "s6/s_wrong_width": (2, "f4b22d57a5d7a3d818eb9fe91f7d894e3e57747b025057a244ced411d40dba2a"),
+    "ball/ledger_lhs": (1, "25e771ba2abe5530fdec836104ab054609f2cdacb8e6caefb64a272b571c191b"),
+    "ball/s_element": (1, "18e83367a784904d6abe258bdc445e9b661d331801c34678c5d4728a68f99ff6"),
+    "ball/k": (1, "29f74570e7f3f8929147eb74570eb8c8ef14e1c6cd488e3074478c56d20f1775"),
+    "ball/drop_trace_step": (2, "ccf8ec1b05e52e9bb644002b5bae64917c8d22b93bbfd49a7e7c382f16cc069c"),
+    "ball/ledger_name_unparsable": (2, "5350e37a909e76d4b8ea4ee7555381ee9b20fe2fcca16e98aa04bc2a7ce2945c"),
+    "ball/ledger_shrink_after_last": (2, "56215adf03df82f2df52162501360648f787dec6e4f44fbba334064c88c8de55"),
+    "ball/s_wrong_width": (2, "81bc83622cc93d560fbb22ea3c47e8897b45064c9da3b865c9a2c886c86f7a95"),
+    "c4xd5/ledger_lhs": (1, "5c3308d29fb2786d8a38eedd5937d82477c44a472bb7c274316aaaccdb6375f4"),
+    "c4xd5/s_element": (1, "41f628b116e25c4094377bb8ec208d9b2e51863c14be099f1755446903c52b74"),
+    "c4xd5/k": (1, "864f5e18eb28454072adaa04c55d92f2e828358e137702174c739c619a99ce7a"),
+    "c4xd5/drop_trace_step": (2, "b3c39a3b6bb4653da5fb26e970a933789930e78aef45a0d75a32bbfa4969fd05"),
+    "c4xd5/ledger_name_unparsable": (2, "5350e37a909e76d4b8ea4ee7555381ee9b20fe2fcca16e98aa04bc2a7ce2945c"),
+    "c4xd5/ledger_shrink_after_last": (2, "09547d00412fed101f9c9cbaf6481ce2867a23715c26dbb8d06f72e535625b51"),
+    "c4xd5/s_wrong_width": (2, "aa5eb7823442b845625c364728a5b9db51c235752714c364001c8309f8bea486"),
+    "s3table/ledger_lhs": (1, "794716950aeb055688a66ebacd9e12cb1b26f1ac7a214696dc7d4427b0f590c4"),
+    "s3table/s_element": (1, "5c44d7bfad9cc32882194497f6939a8897b9516189c0e428b45f91bd942fcaf9"),
+    "s3table/k": (1, "1090f8a4e769cd573c7e6d20b0d0156943d4cd5ea059f9e8c21fa53c6e1c0af4"),
+    "s3table/drop_trace_step": (2, "b3c39a3b6bb4653da5fb26e970a933789930e78aef45a0d75a32bbfa4969fd05"),
+    "s3table/ledger_name_unparsable": (2, "5350e37a909e76d4b8ea4ee7555381ee9b20fe2fcca16e98aa04bc2a7ce2945c"),
+    "s3table/ledger_shrink_after_last": (2, "09547d00412fed101f9c9cbaf6481ce2867a23715c26dbb8d06f72e535625b51"),
+    "s3table/s_wrong_width": (2, "2778d32d03809e48744cd394fc6c85eff4b4424ce1470f1fe93730bf87322ad1"),
+    "s5xc2/ledger_lhs": (1, "05fcfc6a611726b17719cc34c6c1f7085987813c1e38c5ba34ab7de96472ef34"),
+    "s5xc2/s_element": (1, "d56ebf5c34b8e40e7d7b70861a3d2463a8f8c4dc9399d6db92938089090749d6"),
+    "s5xc2/k": (1, "cc938779737ac4fa3964c70c28d9643f30beb5cf85840d024120a5a84468ce02"),
+    "s5xc2/drop_trace_step": (2, "fe1a161515a81dd56d4ba66bcf66d22046eda642e2fd9619520c7a616c13305b"),
+    "s5xc2/ledger_name_unparsable": (2, "5350e37a909e76d4b8ea4ee7555381ee9b20fe2fcca16e98aa04bc2a7ce2945c"),
+    "s5xc2/ledger_shrink_after_last": (2, "09547d00412fed101f9c9cbaf6481ce2867a23715c26dbb8d06f72e535625b51"),
+    "s5xc2/s_wrong_width": (2, "8e4b6cc586ed72ddd368e054036094fa4c9840a0e0ee1f28c01d35f81d57bfe3"),
+}
+
+
+def test_each_mutation_kind_keeps_its_pinned_reject_outcome(tmp_path, capsys):
+    from symgrowth.cli import main
+
+    workloads = _benchmark_workloads()
+    out = {}
+    for name, spec in CI_INSTANCES.items():
+        instance, cert, report = (tmp_path / f"{name}.{s}.json" for s in ("instance", "cert", "report"))
+        instance.write_text(json.dumps(spec))
+        assert main(["run", "--instance", str(instance), "--k", "2", "--out", str(cert)]) == 0
+        honest = json.loads(cert.read_text())
+        for kind in workloads.MUTATIONS:
+            mutant = tmp_path / f"{name}.{kind}.json"
+            mutant.write_text(json.dumps(workloads.mutate(honest, kind, random.Random(f"{name}:{kind}"))))
+            report.unlink(missing_ok=True)
+            capsys.readouterr()
+            code = main(["verify", "--instance", str(instance), "--certificate", str(mutant), "--out", str(report)])
+            shown = report.read_bytes() if code == 1 else capsys.readouterr().err.encode()
+            out[f"{name}/{kind}"] = (code, hashlib.sha256(shown).hexdigest())
+    assert out == REJECT_OUTCOMES
 
 
 def test_only_the_decode_raises_a_format_error():
