@@ -43,15 +43,16 @@ backends have ``mask_kernel = None`` and no ``masks``.
 
 Each backend states its group law once, on an internal element form:
 ``form_multiply`` and ``form_inverse`` act on forms, ``to_form`` and
-``from_form`` convert one element, and ``multiply`` and ``inverse`` are
-the law read through them on encodings.  A form is hashable, equal to
-another exactly when their elements are equal, and forms sort in encoding
-order, so a canonical order holds without encoding.  The forms are the
-residue (cyclic), the mixed-radix index ``2·rot + flip`` (dihedral), the
-row index (table), the one-line tuple (symmetric, whose order is Lehmer
-order), the tuple of the factors' forms (direct product) and the encoding
-itself (Heisenberg).  The loop kernels and ``oracle`` share this element
-law, and nothing set-level.
+``from_form`` convert one element, ``all_forms`` lists every element's
+form, and ``multiply`` and ``inverse`` are the law read through them on
+encodings.  A form is hashable, equal to another exactly when their
+elements are equal, and forms sort in encoding order, so a canonical
+order holds without encoding.  The forms are the residue (cyclic), the
+mixed-radix index ``2·rot + flip`` (dihedral), the row index (table),
+the one-line tuple (symmetric, whose order is Lehmer order), the tuple
+of the factors' forms (direct product) and the encoding itself
+(Heisenberg).  The loop kernels and ``oracle`` share this element law,
+and nothing set-level.
 """
 
 from __future__ import annotations
@@ -138,18 +139,37 @@ class Loop:
     def times(self, xs: Collection, ys: Sequence) -> set:
         """The forms of XY for forms xs and ys: X·y for each y, or x·Y for each x when ys is the longer.
 
-        It stops once the set holds the whole group.
+        When ys is the longer it adds x·Y for each x and stops once the set
+        holds the whole group.  Otherwise it adds X·y for each y until the
+        set misses fewer forms than X holds, and then finishes on the
+        complement: it lists the missing forms once, and for each remaining
+        y drops every missing g with g·y⁻¹ in X, which is g in X·y, until
+        none is missing.  The product is the group minus what is left, and
+        each of those rounds multiplies fewer forms than a translate would.
         """
-        if len(xs) >= len(ys):
-            translates = (self.right(xs, y) for y in ys)
-        else:
-            translates = map(self.lefts(ys), xs)
         out: set = set()
         whole = self.group.order
-        for translate in translates:
-            out.update(translate)
-            if len(out) == whole:
+        if len(xs) < len(ys):
+            for translate in map(self.lefts(ys), xs):
+                out.update(translate)
+                if len(out) == whole:
+                    break
+            return out
+        done = 0
+        while done < len(ys) and whole - len(out) >= len(xs):
+            out.update(self.right(xs, ys[done]))
+            done += 1
+        if done == len(ys) or len(out) == whole:
+            return out
+        missing = list(itertools.filterfalse(out.__contains__, self.group.all_forms()))
+        inside = set(xs)
+        left = missing
+        for y in ys[done:]:
+            left = [g for g, h in zip(left, self.right(left, self.inverse(y))) if h not in inside]
+            if not left:
                 break
+        out.update(missing)
+        out.difference_update(left)
         return out
 
     def operands(self, a: GSet) -> tuple[Sequence, Sequence, list]:
@@ -158,7 +178,13 @@ class Loop:
         return xs, xs, list(map(self.inverse, xs))
 
     def quad(self, square: set, inv: Sequence) -> set:
-        """The forms of A²A⁻² from those of A² (A⁻¹ is unused): A² times its own inverted forms."""
+        """The forms of A²A⁻² from those of A²: A² times its own inverted forms.
+
+        ``inv``, A⁻¹'s forms, is not read here; the masks build the chain
+        from it.  The two operands have one size, so ``times`` translates
+        A² by each inverse, finishing on the complement once few forms are
+        missing.
+        """
         return self.times(square, list(map(self.inverse, square)))
 
     def product(self, a: GSet, b: GSet) -> tuple[list[Element], None]:
@@ -279,6 +305,10 @@ class Group(ABC):
         """x⁻¹ on encodings, read through the forms as ``multiply`` is."""
         return self.from_form(self.form_inverse(self.to_form(x)))
 
+    def all_forms(self) -> Iterable:
+        """The form of every element, each once, in any order: here the encodings, which are the default forms."""
+        return self.elements()
+
     @abstractmethod
     def describe(self) -> dict:
         """JSON-compatible spec fragment that reconstructs this group."""
@@ -376,6 +406,9 @@ class CyclicGroup(Group):
     def form_inverse(self, f: int) -> int:
         return -f % self.n
 
+    def all_forms(self) -> range:
+        return range(self.n)
+
     def describe(self) -> dict:
         return {"type": "cyclic", "n": self.n}
 
@@ -412,6 +445,9 @@ class DihedralGroup(Group):
 
     def form_inverse(self, f: int) -> int:
         return f if f & 1 else -f % self._twice
+
+    def all_forms(self) -> range:
+        return range(self._twice)
 
     def describe(self) -> dict:
         return {"type": "dihedral", "n": self.n}
@@ -495,6 +531,9 @@ class SymmetricGroup(Group):
         return tuple([f[v] for v in g])
 
     form_inverse = staticmethod(_one_line_inverse)
+
+    def all_forms(self) -> Iterator[tuple[int, ...]]:
+        return itertools.permutations(range(self.n))
 
     def describe(self) -> dict:
         spec: dict = {"type": "symmetric", "n": self.n}
@@ -580,6 +619,9 @@ class DirectProductGroup(Group):
         for h, a in zip(self.factors, f):
             out += (h.form_inverse(a),)
         return out
+
+    def all_forms(self) -> Iterator[tuple]:
+        return itertools.product(*(g.all_forms() for g in self.factors))
 
     def describe(self) -> dict:
         return {"type": "direct_product", "factors": [g.describe() for g in self.factors]}
@@ -681,6 +723,9 @@ class TableGroup(Group):
 
     def form_inverse(self, f: int) -> int:
         return self._inv[f]
+
+    def all_forms(self) -> range:
+        return range(self.n)
 
     def describe(self) -> dict:
         return {

@@ -8,9 +8,10 @@ Product-style operations cost |A|*|B| group multiplications.  A pair
 budget guards against accidentally quadratic-in-the-group blowups.  It caps
 each charge on its own, not a running total: a call whose charge exceeds
 the cap (``budget.pair_budget``) raises ``PairBudgetError`` before doing
-the work, however much earlier calls charged.  ``product`` stops once its
-output is the whole group, but it is still charged the full |A|*|B| up
-front.
+the work, however much earlier calls charged.  On the loop, ``product``
+stops once its output is the whole group, and a product that misses
+fewer elements than A holds finishes on its complement, each missing g
+tested by g·b⁻¹ in A; it is still charged the full |A|*|B| up front.
 
 Each operation is written once, over the kernel ``_kernel`` picks: the
 group's ``masks`` (see ``masks``: a set as an int mask over the group
@@ -136,7 +137,10 @@ def product(a: GSet, b: GSet) -> GSet:
     If |A| + |B| > |G|, then AB = G without a multiplication: for each g,
     A and gB⁻¹ are too large to be disjoint, so g = xy with x in A, y in B.
     Otherwise it is the kernel's ``product``: on the masks an OR of
-    translates, on the loop one that stops early once AB = G.
+    translates, on the loop translates of the longer operand that stop
+    once AB = G.  When |A| >= |B| and the translates miss fewer elements
+    than A holds, the loop finishes on the complement: each missing g is
+    dropped once g·b⁻¹ is in A for a remaining b.
     """
     a.same_group(b)
     charge_pairs(len(a) * len(b))
@@ -229,7 +233,11 @@ def doubling_stats(a: GSet) -> DoublingStats:
     A^2 (A^2)^-1 when it does not, charged |A^2|^2 pairs; the masks build
     that as the chain too, since their translate costs the same whatever
     |A^2|.  The kernel's ``operands`` put only A in its form, each ``times``
-    is charged |X||Y| pairs, and no set is decoded.
+    is charged |X||Y| pairs, and no set is decoded.  On the loop, a
+    ``times`` whose translates of X miss fewer elements than X holds, as
+    the last one of a large-doubling chain does, finishes on the
+    complement: each missing g is tested by g·y⁻¹ in X, fewer
+    multiplications than one more translate.
     """
     a.require_nonempty("doubling input")
     size = len(a)

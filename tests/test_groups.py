@@ -319,6 +319,22 @@ def test_each_backend_states_its_law_once_on_its_forms(group):
             assert group.from_form(group.form_multiply(f, g)) == group.multiply(x, y)
 
 
+@pytest.mark.parametrize("group", [
+    CyclicGroup(1),
+    DihedralGroup(1),
+    SymmetricGroup(1),
+    SymmetricGroup(2),
+    SymmetricGroup(6),
+    HeisenbergGroup(2),
+    relabelled_table(DihedralGroup(3), [3, 5, 0, 1, 4, 2]),
+    DirectProductGroup([DirectProductGroup([SymmetricGroup(3), CyclicGroup(2)]), DihedralGroup(2)]),
+], ids=lambda g: repr(g.describe()))
+def test_all_forms_lists_each_form_once(group):
+    forms = list(group.all_forms())
+    assert len(forms) == len(set(forms)) == group.order
+    assert set(forms) == {group.to_form(x) for x in group.elements()}
+
+
 @pytest.mark.parametrize("n", range(1, 8))
 def test_dihedral_index_law_is_the_rotation_and_flip_law(n):
     # r^a s^e · r^b s^f = r^(a + b) s^f when e = 0 and r^(a - b) s^(1 - f) when e = 1

@@ -527,14 +527,17 @@ def test_product_of_operands_larger_than_the_group_multiplies_nothing(monkeypatc
 @pytest.mark.parametrize("longer_first", [True, False])
 def test_product_translates_the_longer_operand(monkeypatch, longer_first):
     # X misses one element z of G and Y lists the identity first: X e = X
-    # (or e X = X), and the next translate by y != e holds z, so the product
-    # stops after exactly two translates of X
+    # (or e X = X).  Translating X on the right, the set then misses one
+    # form, fewer than X holds, so the loop finishes on the complement: z y⁻¹
+    # is in X for the next y, one multiplication.  Translating on the left,
+    # the next translate by y != e holds z, so the product stops after
+    # exactly two translates of X
     h3 = HeisenbergGroup(3)
     xs = [x for x in h3.elements() if x != (1, 2, 0)]
     ys = [h3.identity, (1, 1, 1), (2, 0, 1)]
     seen = count_law(monkeypatch, type(h3))
     assert _loop_product(h3.loop, *((xs, ys) if longer_first else (ys, xs))) == set(h3.elements())
-    assert seen["multiplies"] == 2 * len(xs)
+    assert seen["multiplies"] == (len(xs) + 1 if longer_first else 2 * len(xs))
 
 
 # -- the loop kernels against the multiply double loop ------------------------
@@ -605,7 +608,65 @@ def test_loop_kernels_are_the_double_loop_over_multiply(monkeypatch, group, stre
         )
 
 
-S6_RANDOM_10 = [{"group": {"type": "symmetric", "n": 6}, "set": {"type": "random", "size": 10, "seed": seed}}
+def _shuffled(items, stream):
+    """The items in the order of a Fisher-Yates shuffle drawn from ``stream``."""
+    items = list(items)
+    for i in range(len(items) - 1, 0, -1):
+        j = stream.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+@pytest.mark.parametrize("group", LOOP_BACKENDS, ids=lambda g: repr(g.describe()))
+def test_loop_times_finishes_near_whole_products_on_the_complement(monkeypatch, group):
+    # X is each prefix of one shuffle of G and Y each prefix of it or of a
+    # second shuffle, no longer than X, so the loop translates X by each y.
+    # The walk below replays its switch with the double loop: after the j-th
+    # translate, the product misses gap < |X| elements.  A pair finishes on
+    # the complement when a y is left after the switch and gap > 0.
+    mul, n = group.multiply, group.order
+    stream = CounterStream(0)
+    xorder = _shuffled(group.elements(), stream)
+    base = Loop(group)
+    cases = set()
+    for yorder in (xorder, _shuffled(group.elements(), stream)):
+        for k in range(1, n + 1):
+            xs, walk, switch = xorder[:k], set(), None
+            for j in range(1, k + 1):
+                ys = yorder[:j]
+                walk |= {mul(x, ys[-1]) for x in xs}
+                if switch is None and n - len(walk) < k:
+                    switch = (j, n - len(walk))
+                assert _loop_product(group.loop, xs, ys) == walk
+                with monkeypatch.context() as m:
+                    seen = count_law(m, type(group))
+                    assert _loop_product(base, xs, ys) == walk
+                assert seen["multiplies"] <= k * j
+                if switch is None:
+                    cases.add("far")
+                elif switch[0] < j and switch[1] > 0:
+                    cases.add({n: "whole", n - 1: "one short"}.get(len(walk), "finished"))
+                    if switch[1] == k - 1:
+                        cases.add("at the switch")
+    # in a group of order 1 or 2, a product that misses fewer than |X| misses none
+    assert {"far", "whole", "one short", "at the switch"} <= cases if n > 2 else cases <= {"far"}
+
+
+@given(st.data())
+def test_loop_times_is_the_double_loop_within_the_pairs_charged(data):
+    group = data.draw(st.sampled_from(LOOP_BACKENDS), label="group")
+    indices = st.lists(st.integers(0, group.order - 1), min_size=1, unique=True)
+    xs = [group.element_at(i) for i in data.draw(indices, label="xs")]
+    ys = [group.element_at(i) for i in data.draw(indices, label="ys")]
+    expected = {group.multiply(x, y) for x in xs for y in ys}
+    assert _loop_product(group.loop, xs, ys) == expected
+    with pytest.MonkeyPatch.context() as m:
+        seen = count_law(m, type(group))
+        assert _loop_product(Loop(group), xs, ys) == expected
+    assert seen["multiplies"] <= len(xs) * len(ys)
+
+
+S6_RANDOM_10 = [{"group":{"type": "symmetric", "n": 6}, "set": {"type": "random", "size": 10, "seed": seed}}
                 for seed in range(3)]
 
 

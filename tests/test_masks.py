@@ -239,9 +239,13 @@ def test_the_rule_sends_large_sparse_groups_and_tiny_sets_to_the_loop(monkeypatc
     # a random 300 in cyclic 10^7: one translate rotates 156,250 words
     a = generate(C10M)
     assert _multiplies(monkeypatch, a.group, lambda: product(a, a)) == len(a) ** 2
-    # three elements of cyclic 6: the fixed cost of a call on masks exceeds 9 multiplications
+    # three elements of cyclic 6: the fixed cost of a call on masks exceeds 9
+    # multiplications.  The loop translates A by 0 and by 1, 6 multiplications;
+    # then only 5 is missing, fewer than |A|, and one multiplication, 5 - 3,
+    # finishes on the complement: 7
     tiny = GSet(CyclicGroup(6), [(0,), (1,), (3,)])
-    assert _multiplies(monkeypatch, tiny.group, lambda: product(tiny, tiny)) == 9
+    assert _multiplies(monkeypatch, tiny.group, lambda: product(tiny, tiny)) == 7
+    assert "masks" not in vars(tiny.group)
 
 
 def test_the_rule_sends_a_quad_build_ball_to_the_masks(monkeypatch):
