@@ -31,27 +31,29 @@ Encodings and their radices:
 
 Each group has two kernels for sets of elements, and both present the
 set-level protocol that ``gset`` describes and writes each operation
-against.  ``group.loop`` is the loop kernel, of class ``loop_kernel``
-(``Loop``, or ``OneLine`` on ``SymmetricGroup`` with n >= 2), built for
-one call's operands; it owns the convolution table and the shrink scan's
-index rows.  Cyclic, dihedral and Heisenberg groups also name a kernel
-class of ``symgrowth.masks`` in ``mask_kernel``, and ``group.masks`` is
-that kernel: it holds a set as an int mask over the mixed-radix index
-and translates it by rotations (on Heisenberg groups, turns of each digit
-and a shear).  The other
+against, on the forms below.  ``group.loop`` is the loop kernel, of
+class ``loop_kernel`` (``Loop``, or ``OneLine`` on ``SymmetricGroup``
+with n >= 2), built for one call's operands; it owns the convolution
+table and the shrink scan's index rows.  Cyclic, dihedral and Heisenberg
+groups also name a kernel class of ``symgrowth.masks`` in
+``mask_kernel``, and ``group.masks`` is that kernel: it holds a set as
+an int mask over the mixed-radix index and translates it by rotations
+(on Heisenberg groups, turns of each digit and a shear).  The other
 backends have ``mask_kernel = None`` and no ``masks``.
 
 Each backend states its group law once, on an internal element form:
-``form_multiply`` and ``form_inverse`` act on forms, ``to_form`` and
-``from_form`` convert one element, ``all_forms`` lists every element's
-form, and ``multiply`` and ``inverse`` are the law read through them on
+``form_multiply`` and ``form_inverse`` act on forms, ``identity_form``
+is the identity's, ``to_form`` and ``from_form`` convert one element,
+``all_forms`` lists every element's form in canonical order, and
+``multiply`` and ``inverse`` are the law read through them on
 encodings.  A form is hashable, equal to another exactly when their
 elements are equal, and forms sort in encoding order, so a canonical
 order holds without encoding.  The forms are the residue (cyclic), the
 mixed-radix index ``2·rot + flip`` (dihedral), the row index (table),
 the one-line tuple (symmetric, whose order is Lehmer order), the tuple
 of the factors' forms (direct product) and the encoding itself
-(Heisenberg).  The loop kernels and ``oracle`` share this element law,
+(Heisenberg).  A ``GSet`` holds its members' forms, so the kernels work
+on forms alone.  The loop kernels and ``oracle`` share this element law,
 and nothing set-level.
 """
 
@@ -76,36 +78,25 @@ Element = tuple[int, ...]
 
 #: default cap on the degree of symmetric-group backends
 SYMMETRIC_DEGREE_LIMIT = 10
-#: entries each memo of a symmetric group's Lehmer converters keeps: all of S7,
-#: so a set spread over S8 or beyond cannot grow them without limit
-LEHMER_MEMO_SIZE = math.factorial(7)
 
 
 class Loop:
     """The loop kernel of a group: elements in the group's internal form, multiplied pair by pair by its law.
 
-    Built for one call, it presents the set-level protocol of ``masks``:
-    ``form`` is a set's forms as a frozenset, ``members`` its forms in
-    canonical order, ``right`` and ``lefts`` translate forms, ``count`` is
-    ``len``, and ``decode`` encodes and sorts.  Underneath, ``forms`` turns
-    each operand into forms once per call (``to_form``), ``factors`` turns
-    forms into what ``left(x, ys)`` translates x by, ``inverse`` inverts a
-    form, and ``encode`` (``from_form``) runs only on the forms a caller
-    keeps.  Here a factor is the form itself and a product is one
+    Built for one call, it presents the set-level protocol of ``masks``
+    on the forms a ``GSet`` holds: ``form`` is a set's forms as a
+    frozenset, ``right`` and ``lefts`` translate forms, ``count`` is
+    ``len``, and ``decode`` sorts.  Underneath, ``factors`` turns forms
+    into what ``left(x, ys)`` translates x by and ``inverse`` inverts a
+    form.  Here a factor is the form itself and a product is one
     ``form_multiply``.
     """
 
     def __init__(self, group: "Group"):
         self.group = group
 
-    def forms(self, xs: Sequence[Element]) -> list:
-        return list(map(self.group.to_form, xs))
-
     def factors(self, forms: Iterable) -> Iterable:
         return forms
-
-    def encode(self, forms: Iterable) -> Iterable[Element]:
-        return map(self.group.from_form, forms)
 
     def inverse(self, x):
         return self.group.form_inverse(x)
@@ -120,16 +111,11 @@ class Loop:
     # -- the set-level protocol, shared with ``masks.Rotations`` ---------------
 
     def form(self, a: GSet) -> frozenset:
-        return frozenset(self.forms(a.elements))
-
-    def members(self, a: GSet) -> Sequence:
-        return self.forms(a.elements)
+        return a._members
 
     count = staticmethod(len)
-
-    def decode(self, forms: Iterable) -> list[Element]:
-        """The encodings of distinct forms, in canonical order, which is the forms' own."""
-        return list(self.encode(sorted(forms)))
+    # distinct forms in canonical order, which is their own
+    decode = staticmethod(sorted)
 
     def lefts(self, ys: Iterable) -> Callable[..., Iterable]:
         """x -> the forms of x·Y, for the forms ys of Y."""
@@ -173,9 +159,8 @@ class Loop:
         return out
 
     def operands(self, a: GSet) -> tuple[Sequence, Sequence, list]:
-        """A's forms, and A and A⁻¹ as right operands of ``times``, from one turn of A into forms."""
-        xs = self.members(a)
-        return xs, xs, list(map(self.inverse, xs))
+        """A's forms, and A and A⁻¹ as right operands of ``times``."""
+        return a.forms, a.forms, list(map(self.inverse, a.forms))
 
     def quad(self, square: set, inv: Sequence) -> set:
         """The forms of A²A⁻² from those of A²: A² times its own inverted forms.
@@ -187,53 +172,50 @@ class Loop:
         """
         return self.times(square, list(map(self.inverse, square)))
 
-    def product(self, a: GSet, b: GSet) -> tuple[list[Element], None]:
-        """AB, and no mask."""
-        return self.decode(self.times(self.members(a), self.members(b))), None
+    def product(self, a: GSet, b: GSet) -> tuple[list, None]:
+        """AB's forms, and no mask."""
+        return self.decode(self.times(a.forms, b.forms)), None
 
-    def rows(self, a: GSet, b: GSet) -> tuple[list[Element], None, Callable[[Element], int]]:
-        """AB, no mask, and the row uB of each u in A as an int mask over an index of AB in first-seen order."""
-        left = self.lefts(self.members(b))
+    def rows(self, a: GSet, b: GSet) -> tuple[list, None, Callable[..., int]]:
+        """AB's forms, no mask, and the row uB of each form u of A as an int mask over an index of AB in first-seen order."""
+        left = self.lefts(b.forms)
         index: dict = {}
         setdefault = index.setdefault
         rows = {}
-        for u, x in zip(a.elements, self.members(a)):
+        for u in a.forms:
             row = 0
-            for p in left(x):
+            for p in left(u):
                 row |= 1 << setdefault(p, len(index))
             rows[u] = row
         return self.decode(index), None, rows.__getitem__
 
     def meets(self, t: GSet, w: GSet) -> Callable[..., bool]:
-        """x -> whether xW meets T, for a form x; it stops at the first w with xw in T, and encodes nothing."""
-        left, target = self.lefts(self.members(w)), self.form(t)
+        """x -> whether xW meets T, for a form x; it stops at the first w with xw in T."""
+        left, target = self.lefts(w.forms), self.form(t)
         return lambda x: not target.isdisjoint(left(x))
 
-    def conv_table(self, a: GSet, b: GSet | None, least: int) -> dict[Element, list[Element]]:
-        """Each x in AB with 1_A * 1_B(x) >= least -> the u in A, in canonical order, with x in uB.
+    def conv_table(self, a: GSet, b: GSet | None, least: int) -> dict:
+        """Each x in AB with 1_A * 1_B(x) >= least -> the u in A, in canonical order, with x in uB, all as forms.
 
         B is A^-1, A's forms inverted, when ``b`` is None, and then the
         entry at t is A ∩ tA.  Every term of AB is listed before any is
         dropped, so the table costs memory where AB has many elements.
-        Only the x kept are encoded.
         """
-        xs = self.members(a)
-        left = self.lefts(list(map(self.inverse, xs)) if b is None else self.members(b))
+        left = self.lefts(list(map(self.inverse, a.forms)) if b is None else b.forms)
         table: defaultdict = defaultdict(list)
-        for u, x in zip(a.elements, xs):
-            for p in left(x):
+        for u in a.forms:
+            for p in left(u):
                 table[p].append(u)
-        kept = {p: terms for p, terms in table.items() if len(terms) >= least}
-        return dict(zip(self.encode(kept), kept.values()))
+        return {p: terms for p, terms in table.items() if len(terms) >= least}
 
-    def level_set(self, a: GSet, least: int) -> tuple[list[Element], None, Callable[[Element], Iterator[Element]]]:
-        """The t with |A ∩ tA| >= least, ascending, no mask, and a lookup of A ∩ tA, read off ``conv_table``.
+    def level_set(self, a: GSet, least: int) -> tuple[list, None, Callable[..., Iterator]]:
+        """The forms t with |A ∩ tA| >= least, ascending, no mask, and a lookup of A ∩ tA's forms, read off ``conv_table``.
 
         The lookup indexes each list from both ends: last, first, next to last, and so on.
         """
         table = self.conv_table(a, None, least)
 
-        def overlap(t: Element) -> Iterator[Element]:
+        def overlap(t) -> Iterator:
             # the pairs (last, first), (next to last, second), ... flattened, cut at the list's length
             terms = table[t]
             return itertools.islice(itertools.chain.from_iterable(zip(reversed(terms), terms)), len(terms))
@@ -289,6 +271,11 @@ class Group(ABC):
     # ``tuple`` returns a tuple unchanged, so the identity costs no Python call.
     to_form = from_form = staticmethod(tuple)
 
+    @functools.cached_property
+    def identity_form(self):
+        """The identity's form: unless a backend says otherwise, the identity itself."""
+        return self.identity
+
     @abstractmethod
     def form_multiply(self, f, g):
         """The form of x·y for the forms f of x and g of y: the group law."""
@@ -306,7 +293,7 @@ class Group(ABC):
         return self.from_form(self.form_inverse(self.to_form(x)))
 
     def all_forms(self) -> Iterable:
-        """The form of every element, each once, in any order: here the encodings, which are the default forms."""
+        """The form of every element, each once, in canonical order: here the encodings, which are the default forms."""
         return self.elements()
 
     @abstractmethod
@@ -396,6 +383,7 @@ class CyclicGroup(Group):
 
     # the form is the residue
     to_form = staticmethod(itemgetter(0))
+    identity_form = 0
 
     def from_form(self, f: int) -> Element:
         return (f,)
@@ -432,6 +420,8 @@ class DihedralGroup(Group):
         self._twice = 2 * n
 
     # the form is the index 2·rot + flip
+    identity_form = 0
+
     def to_form(self, x: Element) -> int:
         return 2 * x[0] + x[1]
 
@@ -521,11 +511,12 @@ class SymmetricGroup(Group):
         self.n = n
         self.limit = limit
         self.radices = tuple(range(n, 0, -1))
-        # the form is the one-line tuple: to_form and from_form are per-group
-        # memos of the two pure converters, bounded; both trust their argument
-        self.to_form = functools.lru_cache(LEHMER_MEMO_SIZE)(_lehmer_to_one_line)
-        self.from_form = functools.lru_cache(LEHMER_MEMO_SIZE)(_one_line_to_lehmer)
+        self.identity_form = tuple(range(n))
         self.loop_kernel = OneLine if n > 1 else Loop
+
+    # the form is the one-line tuple
+    to_form = staticmethod(_lehmer_to_one_line)
+    from_form = staticmethod(_one_line_to_lehmer)
 
     def form_multiply(self, f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
         return tuple([f[v] for v in g])
@@ -585,6 +576,7 @@ class DirectProductGroup(Group):
             raise InvalidGroupError("direct product needs at least one factor")
         self.factors = factors
         self.radices = tuple(r for g in factors for r in g.radices)
+        self.identity_form = tuple(g.identity_form for g in factors)
         ends = tuple(itertools.accumulate(len(g.radices) for g in factors))
         # each factor with the slice of the concatenated encoding it owns
         self._parts = tuple(zip(factors, map(slice, (0,) + ends, ends)))
@@ -674,7 +666,7 @@ class TableGroup(Group):
             raise InvalidGroupError(f"identity index {identity_index!r} is not a row index")
         elif rows[identity_index] != line or tuple(map(itemgetter(identity_index), rows)) != line:
             raise InvalidGroupError(f"designated identity {identity_index} is not two-sided")
-        self.identity_index = e = identity_index
+        self.identity_index = self.identity_form = e = identity_index
         inv = tuple(row.index(e) for row in rows)
         for i, j in enumerate(inv):
             if rows[j][i] != e:

@@ -216,7 +216,7 @@ def shrink_step(aprime: GSet, a: GSet, eps) -> StepOutcome:
     # only grows, so a candidate is dropped once it holds more than ``most``
     limit = (1 - eps) * np_
     most = math.floor(limit)
-    for t in level:
+    for t in level.forms:
         cover = 0
         taken = []
         for u in overlap(t):
@@ -239,7 +239,7 @@ def shrink_step(aprime: GSet, a: GSet, eps) -> StepOutcome:
                 tau=tau,
                 level_set=level,
                 entries=tuple(entries),
-                t=t,
+                t=g.from_form(t),
                 shrunk=shrunk,
                 shrunk_product_size=shrunk_product_size,
             )
@@ -247,7 +247,7 @@ def shrink_step(aprime: GSet, a: GSet, eps) -> StepOutcome:
     threshold = (1 - eps) if eps < 1 else Fraction(1, np_)
     sym = sym_set(p, threshold)
     entries.append(_entry("sym_size_lower", "ge", len(sym), len(level)))
-    outside = sum(1 for t in level if t not in sym)
+    outside = len(set(level.forms).difference(sym.forms))
     entries.append(_entry("level_set_in_sym", "eq", outside, 0))
     if not all(e.holds for e in entries):
         raise InvariantViolation("terminate case inequalities failed")
@@ -354,7 +354,8 @@ def stable_neighbourhood(
         ledger.extend(_prefixed(f"step{i}", e) for e in out.entries)
 
     ledger.append(_entry("identity_in_neighbourhood", "eq", 1 if s.contains_identity() else 0, 1))
-    asym = sum(1 for x in s if group.inverse(x) not in s)
+    # inversion is one to one, so |S⁻¹ \ S| counts the members whose inverse is not in S
+    asym = len(set(map(group.form_inverse, s.forms)).difference(s.forms))
     ledger.append(_entry("neighbourhood_symmetric", "eq", asym, 0))
 
     # S holds the identity, so S^j ⊆ S^(j+1): once a power stops growing it is S^k

@@ -1,8 +1,11 @@
 """Exact arithmetic on finite subsets of a group.
 
-A ``GSet`` is an immutable, canonically ordered subset of a fixed group.
-Every statistic that could be fractional (the doubling ratio) is a
-``fractions.Fraction``; floats never enter any computation here.
+A ``GSet`` is an immutable, canonically ordered subset of a fixed group,
+held as its members' forms (see ``groups``), which every operation here
+and in the kernels reads and builds; a member is encoded only when
+``elements`` is first read.  Every statistic that could be fractional
+(the doubling ratio) is a ``fractions.Fraction``; floats never enter any
+computation here.
 
 Product-style operations cost |A|*|B| group multiplications.  A pair
 budget guards against accidentally quadratic-in-the-group blowups.  It caps
@@ -18,16 +21,17 @@ group's ``masks`` (see ``masks``: a set as an int mask over the group
 index, on cyclic, dihedral and Heisenberg groups) when the ``cost`` of its
 ``mask_kernel`` beats the pairs the loop would multiply, built only then,
 and its ``loop`` (``groups.Loop``) otherwise.  Both present one protocol:
-a set's ``form`` and ``members``, right and left translates, ``|`` and
-``&`` on forms, ``count``, and ``decode`` in canonical order; and each
+a set's ``form``, right and left translates by forms, ``|`` and ``&`` on
+``form``, ``count``, and ``decode`` in canonical order; and each
 owns its strategy for each operation, so a ``gset`` function keeps only
 its checks, its charges and the kernel call.  Either way a call is
 charged the same pairs, as a bound.  ``row_product`` gives the row uB of
 each u in A as an int mask, so the shrink scan sizes the product of any
 subset of A with B by OR-ing rows; ``level_set`` gives each A ∩ tA on
 demand, from both ends of its canonical order, so a scan that stops early
-never decodes the rest; ``outside`` tests whether xW meets T, so TW⁻¹ is
-never built; and ``doubling_stats`` counts its sets without decoding them.
+never reads the rest (both look up by forms); ``outside`` tests whether
+xW meets T, so TW⁻¹ is never built; and ``doubling_stats`` counts its
+sets without decoding them.
 """
 
 from __future__ import annotations
@@ -38,45 +42,61 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .budget import charge_pairs
-from .errors import EmptySetError, GroupMismatchError
+from .errors import EmptySetError, GroupMismatchError, InvalidElementError
 from .groups import Element, Group, Loop
 from .masks import Rotations, lane_width
 
 
 class GSet:
-    """An immutable subset of a group, kept in sorted encoding order."""
+    """An immutable subset of a group, held as its members' forms in canonical order.
 
-    __slots__ = ("group", "_elems", "_members", "_mask")
+    ``elements``, iteration and ``repr`` give the encodings, built on first
+    use and kept; a set built from encodings keeps those.
+    """
+
+    __slots__ = ("group", "forms", "_members", "_elems", "_mask")
 
     def __init__(self, group: Group, elems: Iterable[Element]):
         members = frozenset(elems)
         for x in members:
             group.validate(x)
-        self.group = group
-        self._members = members
-        self._elems = tuple(sorted(members))
-        self._mask = None
+        self._hold(group, tuple(sorted(members)))
+
+    def _hold(self, group: Group, elems: tuple[Element, ...]) -> None:
+        self.group, self._elems, self._mask = group, elems, None
+        self.forms = tuple(map(group.to_form, elems))
+        self._members = frozenset(self.forms)
 
     @classmethod
-    def _trusted(cls, group: Group, elems: Iterable[Element], mask: int | None = None) -> "GSet":
-        """A GSet of distinct members of ``group`` in canonical order, with their mask if known, built without validation."""
+    def _encoded(cls, group: Group, elems: Iterable[Element]) -> "GSet":
+        """A GSet of distinct encodings of members of ``group`` in canonical order, built without validation; it keeps them."""
         self = cls.__new__(cls)
-        self.group = group
-        self._elems = tuple(elems)
-        self._members = frozenset(self._elems)
-        self._mask = mask
+        self._hold(group, tuple(elems))
+        return self
+
+    @classmethod
+    def _trusted(cls, group: Group, forms: Iterable, mask: int | None = None) -> "GSet":
+        """A GSet of the distinct forms of members of ``group`` in canonical order, with their mask if known, built without validation."""
+        self = cls.__new__(cls)
+        self.group, self._elems, self._mask = group, None, mask
+        self.forms = tuple(forms)
+        self._members = frozenset(self.forms)
         return self
 
     # -- container protocol -------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._elems)
+        return len(self.forms)
 
     def __iter__(self) -> Iterator[Element]:
-        return iter(self._elems)
+        return iter(self.elements)
 
     def __contains__(self, x: object) -> bool:
-        return x in self._members
+        try:
+            self.group.validate(x)
+        except InvalidElementError:  # not an encoding: compare it with the encodings, as a set of them would
+            return x in frozenset(self.elements)
+        return self.group.to_form(x) in self._members
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GSet):
@@ -87,17 +107,19 @@ class GSet:
         return hash((self.group, self._members))
 
     def __repr__(self) -> str:
-        shown = ", ".join(map(str, self._elems[:4]))
+        shown = ", ".join(map(str, self.elements[:4]))
         more = "" if len(self) <= 4 else f", ... ({len(self)} total)"
         return f"GSet({self.group.kind}, [{shown}{more}])"
 
     @property
     def elements(self) -> tuple[Element, ...]:
-        """All members in canonical sorted order."""
+        """All members' encodings in canonical sorted order."""
+        if self._elems is None:
+            self._elems = tuple(map(self.group.from_form, self.forms))
         return self._elems
 
     def require_nonempty(self, what: str = "set") -> None:
-        if not self._elems:
+        if not self.forms:
             raise EmptySetError(f"{what} must be nonempty")
 
     def same_group(self, other: "GSet") -> None:
@@ -111,12 +133,12 @@ class GSet:
         return self._members <= other._members
 
     def contains_identity(self) -> bool:
-        return self.group.identity in self._members
+        return self.group.identity_form in self._members
 
     def is_symmetric(self) -> bool:
         """True when the set equals its elementwise inverse."""
-        g = self.group
-        return all(g.inverse(x) in self._members for x in self._elems)
+        inverse, members = self.group.form_inverse, self._members
+        return all(inverse(x) in members for x in self.forms)
 
 
 def _kernel(group: Group, translations: int, pairs: int, width: int = 1) -> Rotations | Loop:
@@ -146,21 +168,22 @@ def product(a: GSet, b: GSet) -> GSet:
     charge_pairs(len(a) * len(b))
     g = a.group
     if len(a) + len(b) > g.order:
-        return GSet._trusted(g, g.elements())
+        return GSet._trusted(g, g.all_forms())
     return GSet._trusted(g, *_kernel(g, min(len(a), len(b)), len(a) * len(b)).product(a, b))
 
 
 def inverse_set(a: GSet) -> GSet:
     """The set A^-1 = {x^-1 : x in A}."""
     g = a.group
-    return GSet._trusted(g, sorted(map(g.inverse, a)))
+    return GSet._trusted(g, sorted(map(g.form_inverse, a.forms)))
 
 
-def level_set(a: GSet, need) -> tuple[GSet, Callable[[Element], Iterator[Element]]]:
-    """The level set {t : |A ∩ tA| >= need} and a lazy lookup of A ∩ tA for its t.
+def level_set(a: GSet, need) -> tuple[GSet, Callable[..., Iterator]]:
+    """The level set {t : |A ∩ tA| >= need} and a lazy lookup of A ∩ tA for its t, both on forms.
 
-    The lookup yields A ∩ tA from both ends of the canonical order: its
-    highest member, then its lowest, then the next highest, and so on.
+    The lookup takes the form of t and yields the forms of A ∩ tA from both
+    ends of the canonical order: its highest member, then its lowest, then
+    the next highest, and so on.
     Costs |A|^2 pairs of the budget; the masks are priced at the lanes of
     one Kronecker sum.
     """
@@ -172,8 +195,8 @@ def level_set(a: GSet, need) -> tuple[GSet, Callable[[Element], Iterator[Element
     return GSet._trusted(g, level, mask), overlap
 
 
-def row_product(a: GSet, b: GSet) -> tuple[GSet, Callable[[Element], int]]:
-    """The product set AB and a lookup of the row uB of each u in A as an int mask.
+def row_product(a: GSet, b: GSet) -> tuple[GSet, Callable[..., int]]:
+    """The product set AB and a lookup, by the form of u, of the row uB of each u in A as an int mask.
 
     The product of a subset of A with B is the OR of its members' rows, and
     its size the OR's bit count.  Costs |A|*|B| pairs of the budget.
@@ -196,7 +219,7 @@ def outside(xs: GSet, t: GSet, w: GSet) -> int:
     kernel = _kernel(t.group, len(xs), len(xs) * len(w))
     meets = kernel.meets(t, w)
     count = 0
-    for x in kernel.members(xs):
+    for x in xs.forms:
         charge_pairs(len(w))
         if not meets(x):
             count += 1

@@ -66,18 +66,19 @@ def ball(group: Group, generators: Iterable[Element], radius: int) -> GSet:
 
     The generating set is used exactly as given: inverses participate only
     if listed, so the ball is the breadth-first expansion of {identity}
-    under right multiplication.  Each generator is decoded once, with
-    ``group.coerce``, so it may be a JSON array or an element tuple.
+    under right multiplication, on forms.  Each generator is decoded once,
+    with ``group.coerce``, so it may be a JSON array or an element tuple.
     """
-    gens = [group.coerce(g) for g in generators]
-    members = {group.identity}
-    frontier = [group.identity]
+    gens = [group.to_form(group.coerce(g)) for g in generators]
+    multiply = group.form_multiply
+    frontier = [group.identity_form]
+    members = set(frontier)
     for _ in range(radius):
         charge_pairs(len(frontier) * len(gens))
         new = []
         for x in frontier:
             for g in gens:
-                y = group.multiply(x, g)
+                y = multiply(x, g)
                 if y not in members:
                     members.add(y)
                     new.append(y)
@@ -99,7 +100,7 @@ def random_set(group: Group, size: int, seed: int) -> GSet:
         index = splitmix64(seed, counter) % group.order
         chosen.add(group.element_at(index))
         counter += 1
-    return GSet._trusted(group, sorted(chosen))
+    return GSet._encoded(group, sorted(chosen))
 
 
 def perturbed_subgroup(group: Group, generators: Iterable[Element], swaps: int, seed: int) -> GSet:
@@ -127,7 +128,7 @@ def perturbed_subgroup(group: Group, generators: Iterable[Element], swaps: int, 
             added += 1
         del indices[removed]
         bisect.insort(indices, added)
-    return GSet._trusted(group, map(group.element_at, indices))
+    return GSet._encoded(group, map(group.element_at, indices))
 
 
 def generate(spec: dict) -> GSet:
@@ -154,13 +155,13 @@ def generate(spec: dict) -> GSet:
 
     if kind == "explicit":
         elems = _coerce_all(group, set_spec.get("elements"), "explicit elements")
-        return GSet._trusted(group, sorted(set(elems)))
+        return GSet._encoded(group, sorted(set(elems)))
     if kind == "subgroup":
         return closure(group, _nonempty_list(set_spec.get("generators"), "subgroup generators"))
     if kind == "coset_union":
         sub = closure(group, _nonempty_list(set_spec.get("generators"), "subgroup generators"))
         reps = _coerce_all(group, set_spec.get("reps"), "coset representatives")
-        return product(GSet._trusted(group, sorted(set(reps))), sub)
+        return product(GSet._encoded(group, sorted(set(reps))), sub)
     if kind == "interval":
         if group.kind != "cyclic":
             raise ParameterError(f"interval sets require a cyclic group, got {group.kind}")
@@ -170,7 +171,7 @@ def generate(spec: dict) -> GSet:
         length = _nat(set_spec, "length", minimum=1)
         if length > group.order:
             raise ParameterError(f"interval length {length} exceeds the group order {group.order}")
-        return GSet._trusted(group, sorted(((start + i) % group.order,) for i in range(length)))
+        return GSet._encoded(group, sorted(((start + i) % group.order,) for i in range(length)))
     if kind == "ball":
         return ball(
             group,

@@ -1,6 +1,9 @@
 """Subsets of cyclic, dihedral and Heisenberg groups as int masks over the group index.
 
-Bit ``i`` of a mask stands for ``group.element_at(i)``.  In Z_n a
+Bit ``i`` of a mask stands for form ``i`` on cyclic and dihedral groups,
+whose form is the index, so a set's forms are its bits; on Heisenberg
+groups, whose form is the encoding, it stands for ``element_at(i)``, and
+the kernel maps forms to bits and back.  In Z_n a
 translate of a set is a rotation of its n-bit mask.  In D_n, whose index
 of ``(a, f)`` is ``2a + f``, a right translate rotates the rotation lanes
 one way and the reflection lanes the other, and a left translate by a
@@ -16,17 +19,18 @@ read by ``gset._kernel``, which takes the masks only when they pay and
 only then builds them, since they hold ints of as many bits as the group
 has elements, and by ``level_set``.
 
-Each kernel presents the set-level protocol of ``groups.Loop``: ``form``
-(a set's mask, cached on the ``GSet``), ``members``, ``right`` and
-``lefts``, ``|`` and ``&`` on masks, ``count``, and ``decode`` in index
-order, which is canonical order.  It owns the mask strategy of each
-``gset`` operation; a level set counts over a pigeonhole support or in
-the lanes of one Kronecker sum.  ``widen(w)`` gives the same kernel on
-masks of ``w``-bit lanes, lane ``i`` standing for ``element_at(i)``.  A
-sum of translates of such a mask holds convolution counts, one per lane,
-as long as no lane reaches ``2**(w - 1)``: this is Kronecker substitution
-(Harvey, arXiv:0712.4046), with the product of the two lane polynomials
-taken as a sum of shifted copies of one of them.
+Each kernel presents the set-level protocol of ``groups.Loop`` on the
+forms a ``GSet`` holds: ``form`` (a set's mask, cached on the ``GSet``),
+``right`` and ``lefts`` by forms, ``|`` and ``&`` on masks, ``count``,
+and ``decode`` to forms in index order, which is canonical order.  It
+owns the mask strategy of each ``gset`` operation; a level set counts
+over a pigeonhole support or in the lanes of one Kronecker sum.
+``widen(w)`` gives the same kernel on masks of ``w``-bit lanes, lane
+``i`` standing for what bit ``i`` does.  A sum of translates of such a
+mask holds convolution counts, one per lane, as long as no lane reaches
+``2**(w - 1)``: this is Kronecker substitution (Harvey,
+arXiv:0712.4046), with the product of the two lane polynomials taken as
+a sum of shifted copies of one of them.
 """
 
 from __future__ import annotations
@@ -110,17 +114,28 @@ class Rotations:
     def _from_flags(self, flags) -> int:
         return int(flags.translate(_DIGITS)[::-1], 2)
 
-    def decode(self, m: int) -> list[Element]:
-        """The members of the 1-bit mask ``m`` in ascending index order, which is encoding order.
+    def encode(self, forms: Iterable[int]) -> int:
+        """The mask of a set's forms: on cyclic and dihedral groups a form is its bit index."""
+        flags = bytearray(self.order)
+        for i in forms:
+            flags[i] = 1
+        return self._from_flags(flags)
+
+    def element(self, i: int) -> int:
+        """The form of bit ``i``: the bit index itself."""
+        return i
+
+    def decode(self, m: int) -> list:
+        """The forms of the members of the 1-bit mask ``m`` in ascending index order, which is canonical order.
 
         ``compress`` skips the zero bytes in C, so the Python steps are one
         per set bit.
         """
         data = m.to_bytes((m.bit_length() + 7) // 8, "little")
-        return self._elements([8 * j + i for j in compress(range(len(data)), data) for i in _BITS[data[j]]])
+        return [8 * j + i for j in compress(range(len(data)), data) for i in _BITS[data[j]]]
 
-    def from_both_ends(self, m: int) -> Iterator[Element]:
-        """The members of the 1-bit mask ``m``, highest first, then lowest, then next highest, and so on.
+    def from_both_ends(self, m: int) -> Iterator:
+        """The forms of the members of the 1-bit mask ``m``, highest first, then lowest, then next highest, and so on.
 
         Each is taken off the mask as its bit, the top one by ``bit_length``
         and the bottom one by ``m & -m``, so a caller that stops early never
@@ -158,51 +173,47 @@ class Rotations:
     # -- the set-level protocol, shared with ``groups.Loop`` -------------------
 
     def form(self, a: GSet) -> int:
-        """A's mask, encoded once per set and cached on it."""
+        """A's mask, built once per set and cached on it."""
         if a._mask is None:
-            a._mask = self.encode(a.elements)
+            a._mask = self.encode(a.forms)
         return a._mask
-
-    def members(self, a: GSet) -> Sequence[Element]:
-        """A's members as ``right``, ``lefts`` and ``meets`` take them: the elements themselves."""
-        return a.elements
 
     count = staticmethod(int.bit_count)
 
-    def times(self, m: int, ys: Iterable[Element]) -> int:
-        """The mask of XY for the mask m of X: the OR of the right translates of m by each y in ys."""
+    def times(self, m: int, ys: Iterable) -> int:
+        """The mask of XY for the mask m of X: the OR of the right translates of m by each form y in ys."""
         return functools.reduce(operator.or_, map(self.right, repeat(m), ys), 0)
 
-    def operands(self, a: GSet) -> tuple[int, Sequence[Element], list[Element]]:
-        """A's mask, and A and A⁻¹ as right operands of ``times``."""
-        return self.form(a), a.elements, list(map(a.group.inverse, a.elements))
+    def operands(self, a: GSet) -> tuple[int, Sequence, list]:
+        """A's mask, and the forms of A and A⁻¹ as right operands of ``times``."""
+        return self.form(a), a.forms, list(map(a.group.form_inverse, a.forms))
 
-    def quad(self, square: int, inv: Sequence[Element]) -> int:
+    def quad(self, square: int, inv: Sequence) -> int:
         """The mask of A²A⁻² from those of A² and A⁻¹: the chain (A²A⁻¹)A⁻¹, since a translate costs the same whatever |A²|."""
         return self.times(self.times(square, inv), inv)
 
-    def product(self, a: GSet, b: GSet) -> tuple[list[Element], int]:
-        """AB and its mask: an OR of |B| right translates of A's mask, or of |A| left translates of B's, whichever are fewer."""
+    def product(self, a: GSet, b: GSet) -> tuple[list, int]:
+        """AB's forms and its mask: an OR of |B| right translates of A's mask, or of |A| left translates of B's, whichever are fewer."""
         if len(b) <= len(a):
-            m = self.times(self.form(a), b.elements)
+            m = self.times(self.form(a), b.forms)
         else:
-            m = functools.reduce(operator.or_, map(self.lefts(self.form(b)), a.elements), 0)
+            m = functools.reduce(operator.or_, map(self.lefts(self.form(b)), a.forms), 0)
         return self.decode(m), m
 
-    def rows(self, a: GSet, b: GSet) -> tuple[list[Element], int, Callable[[Element], int]]:
-        """AB, its mask, and the row uB of each u in A: the left translate of B's mask by u."""
+    def rows(self, a: GSet, b: GSet) -> tuple[list, int, Callable[..., int]]:
+        """AB's forms, its mask, and the row uB of each form u of A: the left translate of B's mask by u."""
         left = self.lefts(self.form(b))
-        rows = {u: left(u) for u in a.elements}
+        rows = {u: left(u) for u in a.forms}
         m = functools.reduce(operator.or_, rows.values(), 0)
         return self.decode(m), m, rows.__getitem__
 
-    def meets(self, t: GSet, w: GSet) -> Callable[[Element], int]:
-        """x -> whether xW meets T, as the mask of xW ∩ T: W's mask translated by x, ANDed with T's."""
+    def meets(self, t: GSet, w: GSet) -> Callable[..., int]:
+        """x -> whether xW meets T, for a form x, as the mask of xW ∩ T: W's mask translated by x, ANDed with T's."""
         left, target = self.lefts(self.form(w)), self.form(t)
         return lambda x: left(x) & target
 
-    def level_set(self, a: GSet, least: int) -> tuple[list[Element], int | None, Callable[[Element], Iterator[Element]]]:
-        """The t with |A ∩ tA| >= least (least >= 1), ascending, their mask if it was built, and a lookup of A ∩ tA.
+    def level_set(self, a: GSet, least: int) -> tuple[list, int | None, Callable[..., Iterator]]:
+        """The forms t with |A ∩ tA| >= least (least >= 1), ascending, their mask if it was built, and a lookup of A ∩ tA.
 
         A ∩ tA is m & tm for A's mask m, decoded from both ends one bit at a
         time when it is looked up, so a caller that stops early never decodes
@@ -221,15 +232,15 @@ class Rotations:
         m, n, order = self.form(a), len(a), self.order
         left, walk = self.lefts(m), self.from_both_ends
 
-        def inside(t: Element) -> int:
+        def inside(t) -> int:
             return m & left(t)
 
-        def overlap(t: Element) -> Iterator[Element]:
+        def overlap(t) -> Iterator:
             return walk(inside(t))
 
         if least > n:
             return [], None, overlap
-        inv = sorted(map(a.group.inverse, a.elements))
+        inv = sorted(map(a.group.form_inverse, a.forms))
         width = lane_width(n)
         kronecker = self.cost(order, n, width)
         r = n - least + 1
@@ -256,35 +267,22 @@ class Rotations:
 
 
 class CyclicMasks(Rotations):
-    """Z_n: the translate of a set by ``(c,)`` on either side is a rotation by c."""
+    """Z_n: the translate of a set by the form c on either side is a rotation by c."""
 
     rotations = 1
 
-    def encode(self, elements: Iterable[Element]) -> int:
-        flags = bytearray(self.order)
-        for (i,) in elements:
-            flags[i] = 1
-        return self._from_flags(flags)
-
-    def _elements(self, index) -> list[Element]:
-        return list(zip(index))
-
-    def element(self, i: int) -> Element:
-        """The element of bit ``i``."""
-        return (i,)
-
-    def right(self, m: int, y: Element) -> int:
+    def right(self, m: int, y: int) -> int:
         """The mask of X·y for the mask ``m`` of X."""
-        return self._rotate(m, y[0])
+        return self._rotate(m, y)
 
-    def lefts(self, m: int) -> Callable[[Element], int]:
+    def lefts(self, m: int) -> Callable[[int], int]:
         """x -> the mask of x·X, for the mask ``m`` of X."""
         rotate = self._rotate
-        return lambda x: rotate(m, x[0])
+        return lambda x: rotate(m, x)
 
 
 class DihedralMasks(Rotations):
-    """D_n with index 2a + f for ``(a, f)``; lanes of even index are the rotations."""
+    """D_n with index and form 2a + f for ``(a, f)``; lanes of even index are the rotations."""
 
     rotations = 2
 
@@ -293,42 +291,28 @@ class DihedralMasks(Rotations):
         # every bit of every rotation lane
         self._rotation_lanes = self.full // ((1 << 2 * width) - 1) * ((1 << width) - 1)
 
-    def encode(self, elements: Iterable[Element]) -> int:
-        flags = bytearray(self.order)
-        for a, f in elements:
-            flags[2 * a + f] = 1
-        return self._from_flags(flags)
-
-    def _elements(self, index) -> list[Element]:
-        return list(map(divmod, index, repeat(2)))
-
-    def element(self, i: int) -> Element:
-        """The element of bit ``i``."""
-        return divmod(i, 2)
-
-    def right(self, m: int, y: Element) -> int:
-        """The mask of X·y: (a, 0)(b, f) = (a + b, f) and (a, 1)(b, f) = (a - b, 1 - f)."""
-        b, f = y
+    def right(self, m: int, y: int) -> int:
+        """The mask of X·y for the form y = 2b + f: (a, 0)(b, f) = (a + b, f) and (a, 1)(b, f) = (a - b, 1 - f)."""
+        f = y & 1
         rot = m & self._rotation_lanes
-        rot, ref = self._rotate(rot, 2 * b), self._rotate(m ^ rot, -2 * b)
+        rot, ref = self._rotate(rot, y - f), self._rotate(m ^ rot, f - y)
         if f:
             return rot << self.width | ref >> self.width
         return rot | ref
 
-    def lefts(self, m: int) -> Callable[[Element], int]:
-        """x -> the mask of x·X, for the mask ``m`` of X.
+    def lefts(self, m: int) -> Callable[[int], int]:
+        """x -> the mask of x·X, for the mask ``m`` of X and the form x = 2c + g.
 
-        (c, 0)(a, f) = (c + a, f) rotates m.  (c, 1)(a, f) = (c - a, 1 - f):
-        reversing the 2n-bit mask sends index 2a + f to 2(n - 1 - a) + 1 - f,
-        and a rotation by c + 1 steps finishes the job.  The reversed mask is
-        built once, here.
+        (c, 0)(a, f) = (c + a, f) rotates m by 2c lanes.  (c, 1)(a, f) =
+        (c - a, 1 - f): reversing the 2n-bit mask sends index 2a + f to
+        2(n - 1 - a) + 1 - f, and a rotation by c + 1 steps, 2c + 2 lanes,
+        finishes the job.  The reversed mask is built once, here.
         """
         rotate = self._rotate
         reversed_m = int(bin(m)[2:].zfill(self.bits)[::-1], 2)
 
-        def left(x: Element) -> int:
-            c, g = x
-            return rotate(reversed_m, 2 * c + 2) if g else rotate(m, 2 * c)
+        def left(x: int) -> int:
+            return rotate(reversed_m, x + 1) if x & 1 else rotate(m, x)
 
         return left
 
@@ -445,20 +429,19 @@ class HeisenbergMasks(Rotations):
             m = low << up | (m ^ low) >> down
         return self._rotate(m, a * self.p * self.p)
 
-    def encode(self, elements: Iterable[Element]) -> int:
+    def encode(self, forms: Iterable[Element]) -> int:
         flags = bytearray(self.order)
         p = self.p
-        for a, b, c in elements:
+        for a, b, c in forms:
             flags[(a * p + b) * p + c] = 1
         return self._from_flags(flags)
 
-    def _elements(self, index) -> list[Element]:
-        p = self.p
-        pp = p * p
-        return [(i // pp, i // p % p, i % p) for i in index]
+    def decode(self, m: int) -> list[Element]:
+        p, pp = self.p, self.p * self.p
+        return [(i // pp, i // p % p, i % p) for i in super().decode(m)]
 
     def element(self, i: int) -> Element:
-        """The element of bit ``i``."""
+        """The form of bit ``i``, which is its encoding."""
         p = self.p
         return (i // (p * p), i // p % p, i % p)
 

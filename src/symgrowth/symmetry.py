@@ -46,11 +46,10 @@ def sym_set(a: GSet, eta) -> GSet:
     """
     a.require_nonempty("symmetry set input")
     eta = check_eta(eta)
-    g = a.group
     members, _ = level_set(a, eta * len(a))
     # identity and closure under inversion hold by definition; failing here means
     # the computation itself is broken, not the input
-    if g.identity not in members:
+    if not members.contains_identity():
         raise InvariantViolation("identity escaped a symmetry set")
     if not members.is_symmetric():
         raise InvariantViolation("symmetry set not closed under inversion")

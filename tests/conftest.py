@@ -15,7 +15,7 @@ and ``from_both_ends`` puts a list in the order the level-set lookup yields;
 and ``on_side`` patches it in; ``count_law`` counts a backend's
 multiplications and inversions, on encodings and on forms alike;
 ``conv_table`` is the loop kernel's convolution table, charged as
-``gset`` charges a call;
+``gset`` charges a call and encoded;
 ``encode_value``, ``one_line`` and ``encode_one_line`` are independent
 references for the JSON encoder and the symmetric backend's Lehmer codes,
 and ``termination_cap_by_bisection`` for the termination cap.  The ``check_*`` helpers state the
@@ -320,7 +320,7 @@ def count_law(m, group_class, before=None) -> dict:
 
 
 def conv_table(a: GSet, b: GSet | None = None, least: int = 1) -> dict:
-    """The loop kernel's convolution table of A with B (A^-1 when ``b`` is None), charged |A||B| pairs up front.
+    """The loop kernel's convolution table of A with B (A^-1 when ``b`` is None), charged |A||B| pairs up front, encoded.
 
     Maps every x in AB with 1_A * 1_B(x) >= least to the list of u in A, in
     canonical order, with x in uB; with B = A^-1 the entry at t is A ∩ tA.
@@ -328,7 +328,8 @@ def conv_table(a: GSet, b: GSet | None = None, least: int = 1) -> dict:
     if b is not None:
         a.same_group(b)
     charge_pairs(len(a) * len(a if b is None else b))
-    return a.group.loop.conv_table(a, b, least)
+    encode = a.group.from_form
+    return {encode(x): list(map(encode, terms)) for x, terms in a.group.loop.conv_table(a, b, least).items()}
 
 
 def from_both_ends(items) -> list:

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import json
 import math
 import random
 
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from symgrowth.cli import main
 from symgrowth.errors import InvalidElementError, InvalidGroupError
 from symgrowth.groups import (
-    LEHMER_MEMO_SIZE,
     SYMMETRIC_DEGREE_LIMIT,
     CyclicGroup,
     DihedralGroup,
@@ -258,23 +259,22 @@ def test_loop_product_is_the_double_loop_over_multiply(group, data):
     operand = st.one_of(indices, indices, st.just(list(range(group.order))))
     xs = [group.element_at(i) for i in data.draw(operand, label="xs")]
     ys = [group.element_at(i) for i in data.draw(operand, label="ys")]
-    loop = group.loop
-    got = loop.times(loop.forms(xs), loop.forms(ys))
-    assert set(loop.encode(got)) == {group.multiply(x, y) for x in xs for y in ys}
+    got = group.loop.times(list(map(group.to_form, xs)), list(map(group.to_form, ys)))
+    assert set(map(group.from_form, got)) == {group.multiply(x, y) for x in xs for y in ys}
 
 
 @pytest.mark.parametrize("group", PRODUCT_BACKENDS, ids=lambda g: repr(g.describe()))
 def test_loop_kernel_translates_and_inverts_as_multiply_does(group):
     rng = random.Random(group.order)
     xs = [group.element_at(rng.randrange(group.order)) for _ in range(6)]
-    loop = group.loop
-    forms = loop.forms(xs)
+    loop, encode = group.loop, group.from_form
+    forms = list(map(group.to_form, xs))
     factors = loop.factors(forms)
-    assert list(loop.encode(map(loop.inverse, forms))) == [group.inverse(x) for x in xs]
+    assert list(map(encode, map(loop.inverse, forms))) == [group.inverse(x) for x in xs]
     for x, form in zip(xs, forms):
-        assert list(loop.encode(loop.left(form, factors))) == [group.multiply(x, y) for y in xs]
+        assert list(map(encode, loop.left(form, factors))) == [group.multiply(x, y) for y in xs]
     for y, form in zip(xs, forms):
-        assert list(loop.encode(loop.right(forms, form))) == [group.multiply(x, y) for x in xs]
+        assert list(map(encode, loop.right(forms, form))) == [group.multiply(x, y) for x in xs]
 
 
 @pytest.mark.parametrize("group", PRODUCT_BACKENDS, ids=lambda g: repr(g.describe()))
@@ -310,6 +310,7 @@ def test_each_backend_states_its_law_once_on_its_forms(group):
     assert sorted(shuffled) == forms
     e = group.to_form(group.identity)
     assert group.from_form(e) == group.identity
+    assert group.identity_form == e
     for x, f in zip(elems, forms):
         inv = group.form_inverse(f)
         assert group.from_form(inv) == group.inverse(x)
@@ -330,9 +331,8 @@ def test_each_backend_states_its_law_once_on_its_forms(group):
     DirectProductGroup([DirectProductGroup([SymmetricGroup(3), CyclicGroup(2)]), DihedralGroup(2)]),
 ], ids=lambda g: repr(g.describe()))
 def test_all_forms_lists_each_form_once(group):
-    forms = list(group.all_forms())
-    assert len(forms) == len(set(forms)) == group.order
-    assert set(forms) == {group.to_form(x) for x in group.elements()}
+    # in canonical order, which is encoding order
+    assert list(group.all_forms()) == [group.to_form(x) for x in group.elements()]
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -352,15 +352,27 @@ def test_symmetric_degree_guard():
     assert g.order == 39916800
 
 
-def test_lehmer_memos_stay_within_their_bound():
-    # all of S7 fits, so S7 keeps every conversion; S8 has 40,320 elements
-    assert LEHMER_MEMO_SIZE >= math.factorial(7)
-    g = SymmetricGroup(8)
-    y = g.element_at(12345)
-    for x in g.elements():
-        g.multiply(x, y)
-    assert g.to_form.cache_info().currsize <= LEHMER_MEMO_SIZE
-    assert g.from_form.cache_info().currsize <= LEHMER_MEMO_SIZE
+def test_an_s8_run_converts_elements_only_at_its_boundary(monkeypatch, tmp_path, capsys):
+    # a random 400 in S8: each member of A turns into a form once on the way in,
+    # and only what the certificate prints, and each shrink witness, turns back
+    calls = {"to_form": 0, "from_form": 0}
+    for name in calls:
+
+        def counted(x, real=getattr(SymmetricGroup, name), name=name):
+            calls[name] += 1
+            return real(x)
+
+        monkeypatch.setattr(SymmetricGroup, name, staticmethod(counted))
+    spec = {"group": {"type": "symmetric", "n": 8}, "set": {"type": "random", "size": 400, "seed": 0}}
+    path = tmp_path / "s8.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", "--instance", str(path), "--k", "2"]) == 0
+    cert = json.loads(capsys.readouterr().out)
+    printed = len(cert["a"]) + len(cert["aprime"]) + len(cert["s"])
+    witnesses = sum(1 for step in cert["trace"]["steps"] if step["action"] == "shrink")
+    assert witnesses > 0
+    assert 0 < calls["to_form"] <= len(cert["a"]) == 400
+    assert 0 < calls["from_form"] <= printed + witnesses
 
 
 def test_heisenberg_matrix_product():

@@ -41,6 +41,7 @@ from symgrowth.gset import (
 from symgrowth.instances import generate, random_set
 from symgrowth.masks import CyclicMasks, DihedralMasks, HeisenbergMasks, lane_width
 from symgrowth.oracle import oracle_product
+from symgrowth.serialize import canonical_dumps, elements_to_json
 
 from conftest import (
     CounterStream,
@@ -118,6 +119,74 @@ def test_symmetry_and_identity_flags():
 def test_require_nonempty():
     with pytest.raises(EmptySetError):
         GSet(C20, []).require_nonempty("test set")
+
+
+#: one small group per backend, for the sets that hold forms
+FORM_BACKENDS = [
+    CyclicGroup(12),
+    DihedralGroup(5),
+    SymmetricGroup(4),
+    HeisenbergGroup(3),
+    DirectProductGroup([SymmetricGroup(3), CyclicGroup(2)]),
+    TableGroup([[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
+]
+
+#: what ``x in s`` answered, on every backend above, when a GSet held
+#: encodings: by equality with a member's encoding, so a float or bool digit
+#: equal to an int one counts, and an unhashable value raises TypeError
+MEMBERSHIP = {
+    "member": True,
+    "non_member": False,
+    "float_digits": True,
+    "bool_digits": True,
+    "too_long": False,
+    "too_short": False,
+    "out_of_range": False,
+    "int": False,
+    "str": False,
+    "none": False,
+    "empty": False,
+    "list": TypeError,
+    "nested": False,
+}
+
+
+@pytest.mark.parametrize("group", FORM_BACKENDS, ids=lambda g: g.kind)
+def test_a_set_from_encodings_and_one_from_forms_agree(group):
+    elems = [group.element_at(i) for i in range(0, group.order, 3)]
+    built = [
+        GSet(group, reversed(elems)),
+        GSet._trusted(group, sorted(map(group.to_form, elems))),
+        # a kernel's result, built from forms
+        product(GSet(group, [group.identity]), GSet(group, elems)),
+    ]
+    for a in built:
+        assert a == built[0] and hash(a) == hash(built[0])
+        assert a.elements == tuple(elems) == tuple(a)
+        assert canonical_dumps(elements_to_json(a.elements)) == canonical_dumps(elements_to_json(elems))
+        assert all(x in a for x in elems)
+        member = elems[-1]
+        probes = {
+            "member": member,
+            "non_member": next(x for x in group.elements() if x not in elems),
+            "float_digits": tuple(map(float, member)),
+            "bool_digits": tuple(bool(d) if d in (0, 1) else d for d in member),
+            "too_long": member + (0,),
+            "too_short": member[:-1],
+            "out_of_range": group.radices,
+            "int": 0,
+            "str": "a",
+            "none": None,
+            "empty": (),
+            "list": list(member),
+            "nested": (member,),
+        }
+        for name, x in probes.items():
+            if MEMBERSHIP[name] is TypeError:
+                with pytest.raises(TypeError):
+                    x in a
+            else:
+                assert (x in a) is MEMBERSHIP[name], name
 
 
 # -- product sets -------------------------------------------------------------
@@ -209,11 +278,13 @@ def test_row_product_rows_are_left_translates(stream):
         b = draw_subset(group, 1 + stream.below(8), stream)
         p, row = row_product(a, b)
         assert p == product(a, b)
+        # the lookup is keyed on forms
+        rows = {u: row(group.to_form(u)) for u in a}
         for u in a:
-            assert row(u).bit_count() == len(b)
+            assert rows[u].bit_count() == len(b)
             for v in a:
                 shared = set(product(GSet(group, [u]), b)) & set(product(GSet(group, [v]), b))
-                assert (row(u) & row(v)).bit_count() == len(shared)
+                assert (rows[u] & rows[v]).bit_count() == len(shared)
 
 
 def test_row_product_covers_subset_products(stream):
@@ -227,7 +298,7 @@ def test_row_product_covers_subset_products(stream):
             sub = [x for i, x in enumerate(a) if pick >> i & 1]
             cover = 0
             for u in sub:
-                cover |= row(u)
+                cover |= row(group.to_form(u))
             assert cover.bit_count() == len(product(GSet(group, sub), b))
 
 
@@ -272,8 +343,8 @@ def test_a_mask_level_set_gives_up_its_support_once_the_lanes_cost_less(monkeypa
     assert level._mask is not None  # the lanes built the level set's mask
     r = n - need + 1
     assert 1 <= len(seen) < r
-    assert seen == list(inverse_set(a).elements[: len(seen)])
-    m = g.masks.encode(a.elements)
+    assert seen == list(inverse_set(a).forms[: len(seen)])
+    m = g.masks.encode(a.forms)
     cost = g.mask_kernel.cost
     lanes = cost(g.order, n, lane_width(n))
 
@@ -477,7 +548,8 @@ def test_doubling_stats_builds_the_quad_the_cheapest_way(monkeypatch, name):
 
 def _loop_product(loop, xs, ys):
     """The encodings of the loop kernel's product of the elements xs and ys."""
-    return set(loop.encode(loop.times(loop.forms(xs), loop.forms(ys))))
+    to = loop.group.to_form
+    return set(map(loop.group.from_form, loop.times(list(map(to, xs)), list(map(to, ys)))))
 
 
 @pytest.mark.parametrize("name", [name for name in QUAD_WAYS if name.startswith("s")])
@@ -588,8 +660,9 @@ def test_loop_kernels_are_the_double_loop_over_multiply(monkeypatch, group, stre
         assert conv_table(a) == overlaps
         level, overlap = level_set(a, 2)
         assert level.elements == tuple(sorted(x for x, terms in overlaps.items() if len(terms) >= 2))
-        # the lookup yields each overlap from both ends of its canonical order
-        assert all(list(overlap(x)) == from_both_ends(overlaps[x]) for x in level)
+        # the lookup, keyed on forms, yields each overlap from both ends of its canonical order
+        to, back = group.to_form, group.from_form
+        assert all([back(u) for u in overlap(to(x))] == from_both_ends(overlaps[x]) for x in level)
         # the rows number AB in first-seen order over the same double loop
         index: dict = {}
         for _, x in pairs:
@@ -597,7 +670,7 @@ def test_loop_kernels_are_the_double_loop_over_multiply(monkeypatch, group, stre
         p, row = row_product(a, b)
         assert p.elements == tuple(sorted(index))
         for u in a:
-            assert row(u) == sum(1 << index[mul(u, v)] for v in b)
+            assert row(to(u)) == sum(1 << index[mul(u, v)] for v in b)
         assert outside(a, t, b) == sum(1 for x in a if not any(mul(x, v) in t for v in b))
         square = times(a, a)
         s = doubling_stats(a)
@@ -670,50 +743,53 @@ S6_RANDOM_10 = [{"group":{"type": "symmetric", "n": 6}, "set": {"type": "random"
                 for seed in range(3)]
 
 
+def _count_conversions(monkeypatch, group) -> dict:
+    """Count ``group``'s calls of ``to_form`` and ``from_form``, patched on the group itself."""
+    calls = {"to_form": 0, "from_form": 0}
+    for name in calls:
+
+        def counted(x, real=getattr(group, name), name=name):
+            calls[name] += 1
+            return real(x)
+
+        monkeypatch.setattr(group, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("spec", S6_RANDOM_10, ids=lambda spec: f"seed{spec['set']['seed']}")
 def test_doubling_stats_on_s6_encodes_no_element(monkeypatch, spec):
-    calls = {"encode": 0, "decode": 0}
-    for name, key in (("_one_line_to_lehmer", "encode"), ("_lehmer_to_one_line", "decode")):
-
-        def counted(perm, real=getattr(groups, name), key=key):
-            calls[key] += 1
-            return real(perm)
-
-        monkeypatch.setattr(groups, name, counted)
-    # a fresh group, whose memos wrap the counted converters
+    # the set holds its forms, so the stats convert nothing either way
     a = generate(spec)
+    calls = _count_conversions(monkeypatch, a.group)
     stats = doubling_stats(a)
-    assert calls == {"encode": 0, "decode": len(a)}
+    assert calls == {"to_form": 0, "from_form": 0}
     monkeypatch.undo()
     _base_loop(monkeypatch, a.group)
     assert doubling_stats(a) == stats
 
 
-def test_each_loop_kernel_call_decodes_each_operand_once(monkeypatch):
-    g = SymmetricGroup(6)
-    a, b, t = (random_set(g, 10, seed) for seed in range(3))
-    decoded = []
-    real = g.to_form
-
-    def decode(x):
-        decoded.append(x)
-        return real(x)
-
-    monkeypatch.setattr(g, "to_form", decode)
-    calls = [
-        (lambda: product(a, b), [a, b]),
-        (lambda: conv_table(a, b), [a, b]),
-        (lambda: conv_table(a), [a]),
-        (lambda: level_set(a, 2), [a]),
-        (lambda: row_product(a, b), [a, b]),
-        (lambda: outside(a, t, b), [a, t, b]),
-        (lambda: doubling_stats(a), [a]),
-    ]
-    for call, operands in calls:
-        decoded.clear()
-        call()
-        assert sorted(decoded) == sorted(x for operand in operands for x in operand)
-
+def test_no_kernel_call_converts_an_element(monkeypatch):
+    # every operand and every result is a set of forms; the sets are built first
+    for g in (SymmetricGroup(6), CyclicGroup(40), DihedralGroup(20), HeisenbergGroup(3)):
+        a, b, t = (random_set(g, 10, seed) for seed in range(3))
+        for side in ("loop", "kronecker", "popcount"):
+            with monkeypatch.context() as m, on_side(side):
+                calls = _count_conversions(m, g)
+                product(a, b)
+                g.loop.conv_table(a, b, 1)
+                g.loop.conv_table(a, None, 1)
+                level, overlap = level_set(a, 2)
+                for x in level.forms:
+                    list(overlap(x))
+                p, row = row_product(a, b)
+                for u in a.forms:
+                    row(u)
+                outside(a, t, b)
+                doubling_stats(a)
+                inverse_set(a)
+                a.is_symmetric()
+                a.contains_identity()
+                assert calls == {"to_form": 0, "from_form": 0}, (g, side)
 
 
 # -- the kernels' set-level protocol ----------------------------------------------
@@ -747,7 +823,7 @@ PROTOCOL_CASES = [
 def test_each_kernel_presents_the_set_protocol_as_multiply_does(kind, group):
     kernel = group.masks if issubclass(kind, masks.Rotations) else group.loop
     assert type(kernel) is kind
-    mul = group.multiply
+    mul, to = group.multiply, group.to_form
     rng = random.Random(group.order)
 
     def draw():
@@ -756,16 +832,17 @@ def test_each_kernel_presents_the_set_protocol_as_multiply_does(kind, group):
     for _ in range(8):
         a, b = draw(), draw()
         fa, fb = kernel.form(a), kernel.form(b)
-        assert kernel.decode(fa) == list(a.elements)
+        # the kernel reads and decodes to the forms the sets hold
+        assert kernel.decode(fa) == list(a.forms)
         assert kernel.count(fa) == len(a)
-        assert kernel.decode(fa | fb) == sorted(set(a) | set(b))
-        assert kernel.decode(fa & fb) == sorted(set(a) & set(b))
+        assert kernel.decode(fa | fb) == sorted(set(a.forms) | set(b.forms))
+        assert kernel.decode(fa & fb) == sorted(set(a.forms) & set(b.forms))
         assert kernel.count(fa | fb) == len(set(a) | set(b))
         assert kernel.count(fa & fb) == len(set(a) & set(b))
         left = kernel.lefts(fa)
-        for y, member in zip(b.elements, kernel.members(b)):
-            assert kernel.decode(kernel.right(fa, member)) == sorted({mul(x, y) for x in a})
-            assert kernel.decode(left(member)) == sorted({mul(y, x) for x in a})
+        for y, member in zip(b.elements, b.forms):
+            assert kernel.decode(kernel.right(fa, member)) == sorted({to(mul(x, y)) for x in a})
+            assert kernel.decode(left(member)) == sorted({to(mul(y, x)) for x in a})
 
 
 def _tests_the_kernel(test: ast.expr, chosen: set[str]) -> bool:

@@ -93,12 +93,13 @@ def test_row_product_rows_are_the_translates(side, sets, data):
     sub = data.draw(st.lists(st.sampled_from(a.elements), unique=True))
     cover = 0
     for u in sub:
-        cover |= row(u)
+        # the rows are keyed on forms
+        cover |= row(g.to_form(u))
     assert cover.bit_count() == len(oracle_product(g, sub, b))
     if side != "loop":
         # on masks a row is the translate uB itself, over the group index
         u = data.draw(st.sampled_from(a.elements))
-        assert tuple(g.masks.decode(row(u))) == oracle_product(g, [u], b)
+        assert tuple(map(g.from_form, g.masks.decode(row(g.to_form(u))))) == oracle_product(g, [u], b)
 
 
 @given(sides, mask_group_sets(1), fractions)
@@ -112,7 +113,8 @@ def test_level_set_and_its_overlaps_match_the_oracle(side, sets, scale):
     overlaps = oracle_overlaps(g, a)
     for t in level:
         # from both ends of the canonical order: highest, lowest, next highest, ...
-        assert list(overlap(t)) == from_both_ends(overlaps[t])
+        # keyed on forms and yielding forms
+        assert list(map(g.from_form, overlap(g.to_form(t)))) == from_both_ends(overlaps[t])
 
 
 @given(sides, mask_group_sets(1), fractions)

@@ -28,7 +28,7 @@ from symgrowth.groups import (
     SymmetricGroup,
     TableGroup,
 )
-from symgrowth import budget, groups, gset, masks, oracle
+from symgrowth import budget, gset, masks, oracle
 from symgrowth.budget import set_pair_budget
 from symgrowth.gset import GSet, doubling_stats, inverse_set, outside
 from symgrowth.instances import generate
@@ -676,20 +676,19 @@ S5_C2_RANDOM = {"group": {"type": "direct_product", "factors": [{"type": "symmet
 
 
 def test_a_symmetric_factor_is_encoded_once_per_member_of_an_encoded_set_not_per_pair(monkeypatch):
-    # with the Lehmer memos off, each call of the encoder is one encoding of the
-    # S5 factor: stats counts its sets without encoding them, and verify replays
-    # on forms and encodes only what its report shows, each witness t and the
-    # expected S, beside the S² that oracle_power returns, where the replay on
-    # encodings encoded A², each A'⁻¹ and A'A'⁻¹, XX⁻¹ and S⁻¹ (617 calls)
+    # each call of the encoder is one encoding of the S5 factor: stats counts
+    # its sets without encoding them, and verify replays on forms and encodes
+    # only what its report shows, each witness t and the expected S, beside
+    # the S² that oracle_power returns, where the replay on encodings encoded
+    # A², each A'⁻¹ and A'A'⁻¹, XX⁻¹ and S⁻¹ (617 calls)
     calls = [0]
-    real = groups._one_line_to_lehmer
+    real = SymmetricGroup.from_form
 
     def counted(perm):
         calls[0] += 1
         return real(perm)
 
-    monkeypatch.setattr(groups, "_one_line_to_lehmer", counted)
-    monkeypatch.setattr(groups, "LEHMER_MEMO_SIZE", 0)
+    monkeypatch.setattr(SymmetricGroup, "from_form", staticmethod(counted))
     a = generate(S5_C2_RANDOM)
     cert = stable_neighbourhood(a, 2, instance=S5_C2_RANDOM).to_json_dict()
     calls[0] = 0
