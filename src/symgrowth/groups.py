@@ -42,19 +42,24 @@ an int mask over the mixed-radix index and translates it by rotations
 backends have ``mask_kernel = None`` and no ``masks``.
 
 Each backend states its group law once, on an internal element form:
-``form_multiply`` and ``form_inverse`` act on forms, ``identity_form``
-is the identity's, ``to_form`` and ``from_form`` convert one element,
-``all_forms`` lists every element's form in canonical order, and
-``multiply`` and ``inverse`` are the law read through them on
-encodings.  A form is hashable, equal to another exactly when their
-elements are equal, and forms sort in encoding order, so a canonical
-order holds without encoding.  The forms are the residue (cyclic), the
-mixed-radix index ``2·rot + flip`` (dihedral), the row index (table),
-the one-line tuple (symmetric, whose order is Lehmer order), the tuple
-of the factors' forms (direct product) and the encoding itself
-(Heisenberg).  A ``GSet`` holds its members' forms, so the kernels work
-on forms alone.  The loop kernels and ``oracle`` share this element law,
-and nothing set-level.
+``form_multiply`` and ``form_inverse`` act on forms, ``form_row`` is
+``form_multiply`` along a row (x·y for one x and each y of a list),
+``identity_form`` is the identity's, ``to_form`` and ``from_form``
+convert one element, ``all_forms`` lists every element's form in
+canonical order, and ``multiply`` and ``inverse`` are the law read
+through them on encodings.  A form is hashable, equal to another
+exactly when their elements are equal, and forms sort in encoding
+order, so a canonical order holds without encoding.  The forms are the
+residue (cyclic), the mixed-radix index ``2·rot + flip`` (dihedral), the
+row index (table), the one-line tuple (symmetric, whose order is Lehmer
+order), the tuple of the factors' forms (direct product) and the
+encoding itself (Heisenberg).  A ``GSet`` holds its members' forms, so
+the kernels work on forms alone.  The loop kernels multiply pair by
+pair, through ``form_multiply`` or, on S_n, ``OneLine``'s
+``itemgetter``; ``oracle`` multiplies along rows, through ``form_row``,
+which every backend but S1 writes apart from ``form_multiply``: one
+comprehension or one C ``map``, and on a direct product its factors'
+rows.
 """
 
 from __future__ import annotations
@@ -284,6 +289,14 @@ class Group(ABC):
     def form_inverse(self, f):
         """The form of x⁻¹ for the form f of x."""
 
+    def form_row(self, f, gs: Sequence) -> list:
+        """The forms of x·y for each form y in ``gs``, in order, where f is x's form: the law along a row.
+
+        Here one ``form_multiply`` per y; a backend may state the row
+        itself, so a product costs a list slot instead of a Python call.
+        """
+        return list(map(self.form_multiply, itertools.repeat(f), gs))
+
     def multiply(self, x: Element, y: Element) -> Element:
         """x·y on encodings: the law read through ``to_form`` and ``from_form``."""
         return self.from_form(self.form_multiply(self.to_form(x), self.to_form(y)))
@@ -391,6 +404,10 @@ class CyclicGroup(Group):
     def form_multiply(self, f: int, g: int) -> int:
         return (f + g) % self.n
 
+    def form_row(self, f: int, gs: Sequence[int]) -> list[int]:
+        n = self.n
+        return [(f + g) % n for g in gs]
+
     def form_inverse(self, f: int) -> int:
         return -f % self.n
 
@@ -432,6 +449,13 @@ class DihedralGroup(Group):
         # r^a s^e · r^b s^e' = r^(a ± b) s^(e ^ e'), minus when e = 1; on the
         # indices 2a + e and 2b + e' that is their sum or difference mod 2n
         return (f - g if f & 1 else f + g) % self._twice
+
+    def form_row(self, f: int, gs: Sequence[int]) -> list[int]:
+        # f's parity decides the sign once for the whole row
+        twice = self._twice
+        if f & 1:
+            return [(f - g) % twice for g in gs]
+        return [(f + g) % twice for g in gs]
 
     def form_inverse(self, f: int) -> int:
         return f if f & 1 else -f % self._twice
@@ -521,6 +545,13 @@ class SymmetricGroup(Group):
     def form_multiply(self, f: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
         return tuple([f[v] for v in g])
 
+    def form_row(self, f: tuple[int, ...], gs: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        # (x·y)(i) = x(y(i)), one C call per y; S1 keeps the base row, since
+        # ``itemgetter`` with one index returns a scalar
+        if self.n == 1:
+            return super().form_row(f, gs)
+        return [itemgetter(*g)(f) for g in gs]
+
     form_inverse = staticmethod(_one_line_inverse)
 
     def all_forms(self) -> Iterator[tuple[int, ...]]:
@@ -557,6 +588,11 @@ class HeisenbergGroup(Group):
     def form_inverse(self, x: Element) -> Element:
         p = self.p
         return ((-x[0]) % p, (-x[1]) % p, (x[0] * x[1] - x[2]) % p)
+
+    def form_row(self, f: Element, gs: Sequence[Element]) -> list[Element]:
+        p = self.p
+        a, b, c = f
+        return [((a + x) % p, (b + y) % p, (c + z + a * y) % p) for x, y, z in gs]
 
     # the form is the encoding, so the encoded view is the law itself
     multiply, inverse = form_multiply, form_inverse
@@ -611,6 +647,13 @@ class DirectProductGroup(Group):
         for h, a in zip(self.factors, f):
             out += (h.form_inverse(a),)
         return out
+
+    def form_row(self, f: tuple, gs: Sequence[tuple]) -> list[tuple]:
+        # each factor's row over its column of gs, zipped back into tuples
+        columns = []
+        for i, (h, a) in enumerate(zip(self.factors, f)):
+            columns.append(h.form_row(a, list(map(itemgetter(i), gs))))
+        return list(zip(*columns))
 
     def all_forms(self) -> Iterator[tuple]:
         return itertools.product(*(g.all_forms() for g in self.factors))
@@ -712,6 +755,9 @@ class TableGroup(Group):
 
     def form_multiply(self, f: int, g: int) -> int:
         return self.table[f][g]
+
+    def form_row(self, f: int, gs: Sequence[int]) -> list[int]:
+        return list(map(self.table[f].__getitem__, gs))
 
     def form_inverse(self, f: int) -> int:
         return self._inv[f]

@@ -227,7 +227,9 @@ class Rotations:
         A^-1, A·A⁻¹ itself only at least = 1.  It is built one translate at a
         time and given up for the lanes as soon as its bit counts would cost
         more than they do; when even a support of n elements, its least
-        size, would, no translate is made.
+        size, would, no translate is made.  At least = 1 every t of the
+        complete support AA⁻¹ is in the level set, so it is returned with
+        its mask and nothing is bit-counted.
         """
         m, n, order = self.form(a), len(a), self.order
         left, walk = self.lefts(m), self.from_both_ends
@@ -256,6 +258,8 @@ class Rotations:
                 if support.bit_count() >= most:
                     break
             else:
+                if least == 1:
+                    return self.decode(support), support, overlap
                 return [t for t in self.decode(support) if inside(t).bit_count() >= least], None, overlap
         wide = self.widen(width)
         lanes, right = wide.spread(m), wide.right

@@ -1,15 +1,20 @@
 """Brute-force reference implementations and the certificate verifier.
 
 Everything here recomputes results from first principles with flat loops
-over plain element collections.  It shares the element law with the fast
-path, each backend's ``to_form``, ``form_multiply``, ``form_inverse`` and
-``from_form``, and nothing set-level: nothing comes from ``gset``,
-``masks``, ``symmetry``, ``growth`` or ``instances``.  Each oracle turns
-its operands into forms once, multiplies forms, and encodes only what the
-report shows: what an oracle returns, and what the verifier prints or
-compares.  Oracles are deliberately slow and simple; they exist so that
-every fast-path computation and every emitted certificate can be checked
-against code with no shared logic to fail in the same way.
+over plain element collections.  It takes from ``groups`` each backend's
+element law (``to_form``, ``form_row``, ``form_multiply``,
+``form_inverse`` and ``from_form``) and nothing set-level: nothing comes
+from ``gset``, ``masks``, ``symmetry``, ``growth`` or ``instances``.
+Each oracle turns its operands into forms once, multiplies forms along
+rows (x·y for one x and every y of a list, in one ``form_row`` call),
+and encodes only what the report shows: what an oracle returns, and
+what the verifier prints or compares.  Every pair is still multiplied,
+and charged before its row is made.  Every backend but S1 writes its
+row apart from ``form_multiply``, which the loop kernels run, so the
+verifier multiplies through code the fast path does not run.  Oracles
+are deliberately slow and simple; they exist so that every fast-path
+computation and every emitted certificate can be checked against code
+with no shared logic to fail in the same way.
 
 There are two exceptions to a plain transcription of a definition.
 ``_sym_counts`` loops over unordered pairs only, since
@@ -27,7 +32,7 @@ import itertools
 import json
 import math
 import operator
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Collection, Iterable
@@ -46,11 +51,10 @@ def oracle_product(group: Group, a: Iterable[Element], b: Iterable[Element]) -> 
     a = list(map(to, a))
     b = list(map(to, b))
     charge_pairs(len(a) * len(b))
-    mul = group.form_multiply
+    row = group.form_row
     out = set()
     for x in a:
-        for y in b:
-            out.add(mul(x, y))
+        out.update(row(x, b))
     return tuple(map(group.from_form, sorted(out)))
 
 
@@ -97,17 +101,17 @@ def _element_power(group: Group, s: Element, e: int) -> Element:
 def oracle_outside(group: Group, xs: Iterable[Element], t: Iterable[Element], w: Iterable[Element]) -> int:
     """Number of x in xs outside T·W⁻¹, by membership: x ∈ TW⁻¹ iff xw ∈ T for some w ∈ W.
 
-    Each member tested is charged |W| multiplications and stops at its first hit,
-    so the set T·W⁻¹ itself is never built.
+    Each member tested is charged |W| multiplications, its row xW, so the
+    set T·W⁻¹ itself is never built.
     """
     to = group.to_form
     t = frozenset(map(to, t))
     w = list(map(to, w))
-    mul = group.form_multiply
+    row = group.form_row
     outside = 0
     for x in map(to, xs):
         charge_pairs(len(w))
-        if not any(mul(x, v) in t for v in w):
+        if t.isdisjoint(row(x, w)):
             outside += 1
     return outside
 
@@ -119,12 +123,12 @@ def _overlaps(group: Group, a: list) -> dict:
     double loop over (u, v⁻¹), charged |A|², lists every overlap at once.
     """
     charge_pairs(len(a) ** 2)
-    mul = group.form_multiply
+    row = group.form_row
     inv = list(map(group.form_inverse, a))
     table: defaultdict = defaultdict(list)
     for u in a:
-        for w in inv:
-            table[mul(u, w)].append(u)
+        for t in row(u, inv):
+            table[t].append(u)
     return table
 
 
@@ -142,15 +146,12 @@ def _sym_counts(group: Group, a: list) -> dict:
     charge_pairs(n * n)
     if not a:
         return {}
-    mul = group.form_multiply
+    row = group.form_row
     inv = group.form_inverse
     inverses = [inv(w) for w in a]
-    half: dict = {}  # form -> count
-    get = half.get
+    half = Counter()  # form -> count
     for i, u in enumerate(a, 1):
-        for w in inverses[i:]:
-            t = mul(u, w)
-            half[t] = get(t, 0) + 1
+        half.update(row(u, inverses[i:]))
     # each h(t) is added to the count of t⁻¹, so t ends with h(t) + h(t⁻¹)
     counts = dict(half)
     current = counts.get
@@ -176,13 +177,13 @@ def _row_table(group: Group, a: list) -> tuple[list, dict]:
     A, the members and the row keys are forms.  Every A' of the replay is a
     subset of A, so A'A is the OR of these rows.
     """
-    mul = group.form_multiply
+    row = group.form_row
     index: defaultdict = defaultdict(itertools.count().__next__)
     rows = {}
     for f in a:
         mask = 0
-        for g in a:
-            mask |= 1 << index[mul(f, g)]
+        for p in row(f, a):
+            mask |= 1 << index[p]
         rows[f] = mask
     return list(index), rows
 

@@ -13,7 +13,7 @@ witness by building every candidate's product with ``oracle_product``,
 and ``from_both_ends`` puts a list in the order the level-set lookup yields;
 ``SIDES`` stands in for the mask cost rule to send calls to one kernel,
 and ``on_side`` patches it in; ``count_law`` counts a backend's
-multiplications and inversions, on encodings and on forms alike;
+multiplications and inversions, on encodings, on forms and along rows alike;
 ``conv_table`` is the loop kernel's convolution table, charged as
 ``gset`` charges a call and encoded;
 ``encode_value``, ``one_line`` and ``encode_one_line`` are independent
@@ -287,28 +287,38 @@ def on_side(side):
     return mock.patch.object(masks.Rotations, "cost", classmethod(SIDES[side]))
 
 
-#: each entry point of a backend's element law, and what a call of it counts as
-LAW = {"multiply": "multiplies", "form_multiply": "multiplies", "inverse": "inverses", "form_inverse": "inverses"}
+#: each entry point of a backend's element law, what a call of it counts as,
+#: and how many of those a call with these arguments makes: a row
+#: ``form_row(f, gs)`` makes ``len(gs)`` products
+LAW = {
+    "multiply": ("multiplies", lambda x, y: 1),
+    "form_multiply": ("multiplies", lambda f, g: 1),
+    "form_row": ("multiplies", lambda f, gs: len(gs)),
+    "inverse": ("inverses", lambda x: 1),
+    "form_inverse": ("inverses", lambda f: 1),
+}
 
 
 def count_law(m, group_class, before=None) -> dict:
-    """Count the calls of ``group_class``'s element law, on encodings or on forms, patched through ``m``.
+    """Count the products and inversions of ``group_class``'s element law, on encodings, forms or rows, patched through ``m``.
 
     Returns the live counts of ``"multiplies"`` and ``"inverses"``.  Only an
     outermost call counts, so a ``multiply`` that runs ``form_multiply``
-    counts once.  ``before(kind, args)`` runs at each counted call, before
-    the count; it may fail the test.
+    counts once, and a row its ``len(gs)`` products however it makes them.
+    ``before(kind, args, count)`` runs at each counted call, before its
+    ``count`` is added; it may fail the test.
     """
     seen = {"multiplies": 0, "inverses": 0}
     depth = [0]
-    for name, kind in LAW.items():
+    for name, (kind, size) in LAW.items():
         real = inspect.getattr_static(group_class, name)
 
-        def counted(g, *args, real=real, kind=kind):
+        def counted(g, *args, real=real, kind=kind, size=size):
             if not depth[0]:
+                count = size(*args)
                 if before is not None:
-                    before(kind, args)
-                seen[kind] += 1
+                    before(kind, args, count)
+                seen[kind] += count
             depth[0] += 1
             try:
                 return real.__get__(g, type(g))(*args)

@@ -322,6 +322,37 @@ def test_each_backend_states_its_law_once_on_its_forms(group):
 
 @pytest.mark.parametrize("group", [
     CyclicGroup(1),
+    CyclicGroup(6),
+    DihedralGroup(1),
+    DihedralGroup(2),
+    DihedralGroup(5),
+    SymmetricGroup(1),
+    SymmetricGroup(2),
+    SymmetricGroup(4),
+    HeisenbergGroup(2),
+    HeisenbergGroup(3),
+    S3_TABLE,
+    DirectProductGroup([DirectProductGroup([SymmetricGroup(1), CyclicGroup(3)]), DihedralGroup(2)]),
+], ids=lambda g: repr(g.describe()))
+def test_form_row_is_form_multiply_along_a_row(group):
+    # the oracle's law: every backend but S1, whose one-index itemgetter would
+    # return a scalar, writes its row apart from form_multiply, and a direct
+    # product zips its factors' rows
+    forms = list(group.all_forms())
+    rng = random.Random(group.order)
+    repeats = [rng.choice(forms) for _ in range(2 * len(forms) + 3)]
+    assert len(set(repeats)) < len(repeats)
+    for f in forms:
+        for gs in (forms, [], repeats):
+            row = group.form_row(f, gs)
+            assert type(row) is list
+            assert row == [group.form_multiply(f, g) for g in gs]
+    if isinstance(group, TableGroup):
+        assert group.identity_index != 0
+
+
+@pytest.mark.parametrize("group", [
+    CyclicGroup(1),
     DihedralGroup(1),
     SymmetricGroup(1),
     SymmetricGroup(2),

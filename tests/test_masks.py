@@ -117,6 +117,40 @@ def test_level_set_and_its_overlaps_match_the_oracle(side, sets, scale):
         assert list(map(g.from_form, overlap(g.to_form(t)))) == from_both_ends(overlaps[t])
 
 
+@pytest.mark.parametrize("group", [CyclicGroup(40), DihedralGroup(20), HeisenbergGroup(4)], ids=repr)
+def test_a_least_one_level_set_is_its_support_with_no_translate_after_it(monkeypatch, group):
+    # at least 1 the support, the union of every translate A·x⁻¹, is AA⁻¹ and so
+    # the whole level set: it comes back with its mask, and no t is bit-counted
+    rng = random.Random(group.order)
+    a = GSet(group, [group.element_at(i) for i in rng.sample(range(group.order), 9)])
+    kernel = type(group.masks)
+    real = kernel.lefts
+    made = [0]
+
+    def lefts(self, m):
+        left = real(self, m)
+
+        def counted(x):
+            made[0] += 1
+            return left(x)
+
+        return counted
+
+    monkeypatch.setattr(kernel, "lefts", lefts)
+    with on_side("popcount"):
+        level, overlap = level_set(fresh(a), 1)
+        assert made[0] == 0
+        assert level.elements == oracle_level_set(group, a.elements, 1)
+        assert level._mask == group.masks.encode(level.forms)
+        overlaps = oracle_overlaps(group, a)
+        for t in level:
+            assert list(map(group.from_form, overlap(group.to_form(t)))) == from_both_ends(overlaps[t])
+        # a lookup translates, and so does a level set that bit-counts its support
+        made[0] = 0
+        level, _ = level_set(fresh(a), 2)
+        assert made[0] > 0 and level.elements == oracle_level_set(group, a.elements, 2)
+
+
 @given(sides, mask_group_sets(1), fractions)
 def test_sym_set_matches_the_oracle(side, sets, eta):
     (a,) = sets

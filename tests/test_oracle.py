@@ -487,13 +487,14 @@ C3000_INTERVAL75 = {"group": {"type": "cyclic", "n": 3000}, "set": {"type": "int
 
 
 def _metered(monkeypatch, group_class, work, refuse=False):
-    """Run ``work()`` counting group_class's multiplications, on encodings or on forms, and pair charges.
+    """Run ``work()`` counting group_class's multiplications, on encodings, on forms or along rows, and pair charges.
 
-    ``most_ahead`` is the largest lead, at any multiplication, of the
-    multiplications done so far over the pairs charged so far.  With
-    ``refuse``, a charge, a multiplication or an inversion (``multiply``,
-    ``form_multiply``, ``inverse`` or ``form_inverse``) fails the test at
-    once, by an exception that ``except Exception`` does not catch.
+    ``most_ahead`` is the largest lead, at any multiplication or row, of
+    the multiplications done so far, that one's included, over the pairs
+    charged so far.  With ``refuse``, a charge, a multiplication or an
+    inversion (``multiply``, ``form_multiply``, ``form_row``, ``inverse``
+    or ``form_inverse``) fails the test at once, by an exception that
+    ``except Exception`` does not catch.
     """
     seen = {"multiplies": 0, "charged": 0, "largest_charge": 0, "most_ahead": 0}
     real_charge = budget.charge_pairs
@@ -505,11 +506,11 @@ def _metered(monkeypatch, group_class, work, refuse=False):
         seen["charged"] += n
         real_charge(n)
 
-    def before(kind, args):
+    def before(kind, args, count):
         if refuse:
             pytest.fail(f"the group law ran ({kind}) on {args!r}")
         if kind == "multiplies":
-            seen["most_ahead"] = max(seen["most_ahead"], law["multiplies"] + 1 - seen["charged"])
+            seen["most_ahead"] = max(seen["most_ahead"], law["multiplies"] + count - seen["charged"])
 
     with monkeypatch.context() as m:
         # every module that imported charge_pairs by name
@@ -641,9 +642,9 @@ def test_verify_multiplies_each_row_once_and_nothing_for_an_honest_containment(m
     made = Counter()
     phase = [None]
 
-    def multiply(kind, args):
+    def multiply(kind, args, count):
         if kind == "multiplies":
-            made[phase[0]] += 1
+            made[phase[0]] += count
 
     def inside(name, fn):
         def wrapped(*args):
