@@ -33,13 +33,13 @@ Each group has two kernels for sets of elements, and both present the
 set-level protocol that ``gset`` describes and writes each operation
 against, on the forms below.  ``group.loop`` is the loop kernel, of
 class ``loop_kernel`` (``Loop``, or ``OneLine`` on ``SymmetricGroup``
-with n >= 2), built for one call's operands; it owns the convolution
-table and the shrink scan's index rows.  Cyclic, dihedral and Heisenberg
-groups also name a kernel class of ``symgrowth.masks`` in
-``mask_kernel``, and ``group.masks`` is that kernel: it holds a set as
-an int mask over the mixed-radix index and translates it by rotations
-(on Heisenberg groups, turns of each digit and a shear).  The other
-backends have ``mask_kernel = None`` and no ``masks``.
+with n >= 2); it owns the convolution table and the shrink scan's index
+rows.  Cyclic, dihedral and Heisenberg groups also name a kernel class of
+``symgrowth.masks`` in ``mask_kernel``, and ``group.masks`` is that
+kernel, built from the group's ``radices``: it holds a set as an int mask
+over the mixed-radix index and translates it by rotations (on Heisenberg
+groups, turns of each digit and a shear).  The other backends have
+``mask_kernel = None`` and no ``masks``.
 
 Each backend states its group law once, on an internal element form:
 ``form_multiply`` and ``form_inverse`` act on forms, ``form_row`` is
@@ -88,26 +88,14 @@ SYMMETRIC_DEGREE_LIMIT = 10
 class Loop:
     """The loop kernel of a group: elements in the group's internal form, multiplied pair by pair by its law.
 
-    Built for one call, it presents the set-level protocol of ``masks``
-    on the forms a ``GSet`` holds: ``form`` is a set's forms as a
-    frozenset, ``right`` and ``lefts`` translate forms, ``count`` is
-    ``len``, and ``decode`` sorts.  Underneath, ``factors`` turns forms
-    into what ``left(x, ys)`` translates x by and ``inverse`` inverts a
-    form.  Here a factor is the form itself and a product is one
-    ``form_multiply``.
+    It presents the set-level protocol of ``masks`` on the forms a
+    ``GSet`` holds: ``form`` is a set's forms as a frozenset, ``right``
+    and ``lefts`` translate forms, each product one ``form_multiply``,
+    ``count`` is ``len``, and ``decode`` sorts.
     """
 
     def __init__(self, group: "Group"):
         self.group = group
-
-    def factors(self, forms: Iterable) -> Iterable:
-        return forms
-
-    def inverse(self, x):
-        return self.group.form_inverse(x)
-
-    def left(self, x, ys: Iterable) -> Iterable:
-        return map(self.group.form_multiply, itertools.repeat(x), ys)
 
     def right(self, xs: Iterable, y) -> Iterable:
         """The forms of X·y for the forms xs of X and the form y."""
@@ -124,8 +112,8 @@ class Loop:
 
     def lefts(self, ys: Iterable) -> Callable[..., Iterable]:
         """x -> the forms of x·Y, for the forms ys of Y."""
-        factors, left = self.factors(ys), self.left
-        return lambda x: left(x, factors)
+        multiply = self.group.form_multiply
+        return lambda x: map(multiply, itertools.repeat(x), ys)
 
     def times(self, xs: Collection, ys: Sequence) -> set:
         """The forms of XY for forms xs and ys: X·y for each y, or x·Y for each x when ys is the longer.
@@ -156,16 +144,12 @@ class Loop:
         inside = set(xs)
         left = missing
         for y in ys[done:]:
-            left = [g for g, h in zip(left, self.right(left, self.inverse(y))) if h not in inside]
+            left = [g for g, h in zip(left, self.right(left, self.group.form_inverse(y))) if h not in inside]
             if not left:
                 break
         out.update(missing)
         out.difference_update(left)
         return out
-
-    def operands(self, a: GSet) -> tuple[Sequence, Sequence, list]:
-        """A's forms, and A and A⁻¹ as right operands of ``times``."""
-        return a.forms, a.forms, list(map(self.inverse, a.forms))
 
     def quad(self, square: set, inv: Sequence) -> set:
         """The forms of A²A⁻² from those of A²: A² times its own inverted forms.
@@ -175,7 +159,7 @@ class Loop:
         A² by each inverse, finishing on the complement once few forms are
         missing.
         """
-        return self.times(square, list(map(self.inverse, square)))
+        return self.times(square, list(map(self.group.form_inverse, square)))
 
     def product(self, a: GSet, b: GSet) -> tuple[list, None]:
         """AB's forms, and no mask."""
@@ -206,7 +190,7 @@ class Loop:
         entry at t is A ∩ tA.  Every term of AB is listed before any is
         dropped, so the table costs memory where AB has many elements.
         """
-        left = self.lefts(list(map(self.inverse, a.forms)) if b is None else b.forms)
+        left = self.lefts(list(map(self.group.form_inverse, a.forms)) if b is None else b.forms)
         table: defaultdict = defaultdict(list)
         for u in a.forms:
             for p in left(u):
@@ -252,7 +236,7 @@ class Group(ABC):
     @functools.cached_property
     def masks(self) -> Rotations:
         """The ``mask_kernel`` of this group, built on first use (it holds an int of ``order`` bits)."""
-        return self.mask_kernel(self.order)
+        return self.mask_kernel(self.radices)
 
     @property
     def loop(self) -> Loop:
@@ -495,18 +479,16 @@ def _one_line_inverse(perm: tuple[int, ...]) -> tuple[int, ...]:
 class OneLine(Loop):
     """The loop kernel of S_n for n >= 2: the group's one-line forms, composed by ``itemgetter``.
 
-    A factor is ``itemgetter(*y)``: (x*y)(i) = x(y(i)), so x*y is
-    ``itemgetter(*y)(x)``, one C call per pair where ``form_multiply`` is a
-    Python one; the forms, their inverses and their encodings are the
-    group's.  On S1 ``itemgetter`` with one index returns a scalar, so S1
-    keeps the base loop.
+    (x*y)(i) = x(y(i)), so x*y is ``itemgetter(*y)(x)``, one C call per
+    pair where ``form_multiply`` is a Python one; ``lefts`` and ``right``
+    build each y's ``itemgetter`` once per call, and the forms, their
+    inverses and their encodings are the group's.  On S1 ``itemgetter``
+    with one index returns a scalar, so S1 keeps the base loop.
     """
 
-    def factors(self, forms: Iterable[tuple[int, ...]]) -> list[itemgetter]:
-        return [itemgetter(*y) for y in forms]
-
-    def left(self, x: tuple[int, ...], ys: Iterable[itemgetter]) -> Iterable[tuple[int, ...]]:
-        return (get(x) for get in ys)
+    def lefts(self, ys: Iterable[tuple[int, ...]]) -> Callable[[tuple[int, ...]], Iterable[tuple[int, ...]]]:
+        getters = [itemgetter(*y) for y in ys]
+        return lambda x: (get(x) for get in getters)
 
     def right(self, xs: Iterable[tuple[int, ...]], y: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
         return map(itemgetter(*y), xs)

@@ -145,10 +145,10 @@ def _kernel(group: Group, translations: int, pairs: int, width: int = 1) -> Rota
     """The group's masks when a call with ``translations`` translates costs less than ``pairs`` loop steps, else its loop.
 
     The rule, the ``cost`` of the group's ``mask_kernel``, reads only the
-    group's order, so a group the masks do not pay on never builds them.
+    group's radices, so a group the masks do not pay on never builds them.
     """
     kernel = group.mask_kernel
-    if kernel is not None and kernel.cost(group.order, translations, width) < pairs:
+    if kernel is not None and kernel.cost(group.radices, translations, width) < pairs:
         return group.masks
     return group.loop
 
@@ -255,8 +255,8 @@ def doubling_stats(a: GSet) -> DoublingStats:
     squaring A^2, bounding |A^2 A^-1| by min(|G|, |A^2||A|), and as
     A^2 (A^2)^-1 when it does not, charged |A^2|^2 pairs; the masks build
     that as the chain too, since their translate costs the same whatever
-    |A^2|.  The kernel's ``operands`` put only A in its form, each ``times``
-    is charged |X||Y| pairs, and no set is decoded.  On the loop, a
+    |A^2|.  Only A is put in the kernel's ``form``, each ``times`` is
+    charged |X||Y| pairs, and no set is decoded.  On the loop, a
     ``times`` whose translates of X miss fewer elements than X holds, as
     the last one of a large-doubling chain does, finishes on the
     complement: each missing g is tested by g·y⁻¹ in X, fewer
@@ -281,8 +281,8 @@ def doubling_stats(a: GSet) -> DoublingStats:
         charge_pairs(count(xs) * len(ys))
         return kernel.times(xs, ys)
 
-    start, right, inv = kernel.operands(a)
-    square = times(start, right)
+    start, inv = kernel.form(a), list(map(g.form_inverse, a.forms))
+    square = times(start, a.forms)
     n2, n_inv = count(square), count(times(start, inv))
     if whole in (n2, n_inv):
         quad_size = whole

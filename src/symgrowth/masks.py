@@ -3,7 +3,7 @@
 Bit ``i`` of a mask stands for form ``i`` on cyclic and dihedral groups,
 whose form is the index, so a set's forms are its bits; on Heisenberg
 groups, whose form is the encoding, it stands for ``element_at(i)``, and
-the kernel maps forms to bits and back.  In Z_n a
+only ``HeisenbergMasks`` maps forms to bits and back.  In Z_n a
 translate of a set is a rotation of its n-bit mask.  In D_n, whose index
 of ``(a, f)`` is ``2a + f``, a right translate rotates the rotation lanes
 one way and the reflection lanes the other, and a left translate by a
@@ -13,11 +13,12 @@ turns each digit within its lanes after a shear of c, one conditional turn
 per bit of p.  So each translate is a few big-int operations, done in C,
 instead of one ``multiply`` per member.  ``CyclicMasks``,
 ``DihedralMasks`` and ``HeisenbergMasks`` are the three kernels, named by
-the ``mask_kernel`` of those groups; the other backends have none.  The
-cost rule, ``Rotations.cost``, in loop steps from the group's order, is
-read by ``gset._kernel``, which takes the masks only when they pay and
-only then builds them, since they hold ints of as many bits as the group
-has elements, and by ``level_set``.
+the ``mask_kernel`` of those groups, each built from the group's
+``radices``; the other backends have none.  The cost rule,
+``Rotations.cost``, in loop steps, reads the group's radices (the order,
+and on Heisenberg groups p) and is read by ``gset._kernel``, which takes
+the masks only when they pay and only then builds them, since they hold
+ints of as many bits as the group has elements, and by ``level_set``.
 
 Each kernel presents the set-level protocol of ``groups.Loop`` on the
 forms a ``GSet`` holds: ``form`` (a set's mask, cached on the ``GSet``),
@@ -38,6 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from itertools import compress, islice, repeat
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -73,28 +75,35 @@ def lane_width(size: int) -> int:
 
 
 class Rotations:
-    """Translations of masks over the index of a group of ``order`` elements."""
+    """Translations of masks over the index of a group of these ``radices``, with ``order`` their product."""
 
     #: rotations of the whole mask per translate, for the cost rule
     rotations: int
 
-    def __init__(self, order: int, width: int = 1):
-        self.order = order
+    def __init__(self, radices: tuple[int, ...], width: int = 1):
+        self.radices = radices
+        self.order = math.prod(radices)
         self.width = width
         self.bits = self.order * width
         self.full = (1 << self.bits) - 1
 
     @classmethod
-    def cost(cls, order: int, translations: int, width: int = 1) -> float:
-        """Loop steps that one call with ``translations`` translates of a ``width``-bit-lane mask costs."""
-        return _CALL + translations * cls._translate_steps(order, width) + order / 64 * _DECODE + cls._build_steps(order, width)
+    def cost(cls, radices: tuple[int, ...], translations: int, width: int = 1) -> float:
+        """Loop steps that one call with ``translations`` translates of a ``width``-bit-lane mask costs, in a group of these ``radices``.
+
+        Infinite past the float range, where one translate alone outprices any call's pairs.
+        """
+        order = math.prod(radices)
+        if order > sys.float_info.max:
+            return math.inf
+        return _CALL + translations * cls._translate_steps(radices, width) + order / 64 * _DECODE + cls._build_steps(radices, width)
 
     @classmethod
-    def _translate_steps(cls, order: int, width: int) -> float:
-        return _TRANSLATE + order / 64 * width * cls.rotations / _WORDS_PER_STEP
+    def _translate_steps(cls, radices: tuple[int, ...], width: int) -> float:
+        return _TRANSLATE + math.prod(radices) / 64 * width * cls.rotations / _WORDS_PER_STEP
 
     @classmethod
-    def _build_steps(cls, order: int, width: int) -> float:
+    def _build_steps(cls, radices: tuple[int, ...], width: int) -> float:
         return 0
 
     def widen(self, width: int) -> "Rotations":
@@ -103,7 +112,7 @@ class Rotations:
         A cyclic or dihedral build costs about one translate of such a mask,
         a Heisenberg one its lane masks, and its caller sums |A| translates.
         """
-        return type(self)(self.order, width)
+        return type(self)(self.radices, width)
 
     def _rotate(self, m: int, lanes: int) -> int:
         shift = lanes % self.order * self.width
@@ -121,10 +130,6 @@ class Rotations:
             flags[i] = 1
         return self._from_flags(flags)
 
-    def element(self, i: int) -> int:
-        """The form of bit ``i``: the bit index itself."""
-        return i
-
     def decode(self, m: int) -> list:
         """The forms of the members of the 1-bit mask ``m`` in ascending index order, which is canonical order.
 
@@ -134,21 +139,20 @@ class Rotations:
         data = m.to_bytes((m.bit_length() + 7) // 8, "little")
         return [8 * j + i for j in compress(range(len(data)), data) for i in _BITS[data[j]]]
 
-    def from_both_ends(self, m: int) -> Iterator:
-        """The forms of the members of the 1-bit mask ``m``, highest first, then lowest, then next highest, and so on.
+    def from_both_ends(self, m: int) -> Iterator[int]:
+        """The bit indices of the members of the 1-bit mask ``m``, highest first, then lowest, then next highest, and so on.
 
-        Each is taken off the mask as its bit, the top one by ``bit_length``
-        and the bottom one by ``m & -m``, so a caller that stops early never
-        decodes the rest.
+        On cyclic and dihedral groups those are the members' forms.  Each is
+        taken off the mask, the top one by ``bit_length`` and the bottom one
+        by ``m & -m``, so a caller that stops early never decodes the rest.
         """
-        element = self.element
         while m:
             top = m.bit_length() - 1
-            yield element(top)
+            yield top
             m ^= 1 << top
             if m:
                 low = m & -m
-                yield element(low.bit_length() - 1)
+                yield low.bit_length() - 1
                 m ^= low
 
     def spread(self, m: int) -> int:
@@ -183,10 +187,6 @@ class Rotations:
     def times(self, m: int, ys: Iterable) -> int:
         """The mask of XY for the mask m of X: the OR of the right translates of m by each form y in ys."""
         return functools.reduce(operator.or_, map(self.right, repeat(m), ys), 0)
-
-    def operands(self, a: GSet) -> tuple[int, Sequence, list]:
-        """A's mask, and the forms of A and A⁻¹ as right operands of ``times``."""
-        return self.form(a), a.forms, list(map(a.group.form_inverse, a.forms))
 
     def quad(self, square: int, inv: Sequence) -> int:
         """The mask of A²A⁻² from those of A² and A⁻¹: the chain (A²A⁻¹)A⁻¹, since a translate costs the same whatever |A²|."""
@@ -231,7 +231,7 @@ class Rotations:
         complete support AA⁻¹ is in the level set, so it is returned with
         its mask and nothing is bit-counted.
         """
-        m, n, order = self.form(a), len(a), self.order
+        m, n, radices = self.form(a), len(a), self.radices
         left, walk = self.lefts(m), self.from_both_ends
 
         def inside(t) -> int:
@@ -244,13 +244,13 @@ class Rotations:
             return [], None, overlap
         inv = sorted(map(a.group.form_inverse, a.forms))
         width = lane_width(n)
-        kronecker = self.cost(order, n, width)
+        kronecker = self.cost(radices, n, width)
         r = n - least + 1
         # the bit counts over a support of n t, its least size; the rule is affine in the translates,
         # so from ``most`` t on they cost no less than the lanes
-        fewest = self.cost(order, r + n)
+        fewest = self.cost(radices, r + n)
         if fewest < kronecker:
-            per_t = self.cost(order, r + n + 1) - fewest
+            per_t = self.cost(radices, r + n + 1) - fewest
             most = n + (kronecker - fewest) / per_t if per_t else math.inf
             right, support = self.right, 0
             for x in islice(inv, r):
@@ -290,8 +290,8 @@ class DihedralMasks(Rotations):
 
     rotations = 2
 
-    def __init__(self, order: int, width: int = 1):
-        super().__init__(order, width)
+    def __init__(self, radices: tuple[int, ...], width: int = 1):
+        super().__init__(radices, width)
         # every bit of every rotation lane
         self._rotation_lanes = self.full // ((1 << 2 * width) - 1) * ((1 << width) - 1)
 
@@ -319,17 +319,6 @@ class DihedralMasks(Rotations):
             return rotate(reversed_m, x + 1) if x & 1 else rotate(m, x)
 
         return left
-
-
-@functools.lru_cache(maxsize=64)
-def _cube_root(order: int) -> int:
-    """The p with p**3 == order."""
-    p = round(order ** (1 / 3))
-    while p**3 > order:
-        p -= 1
-    while (p + 1) ** 3 <= order:
-        p += 1
-    return p
 
 
 #: The cost rule on Heisenberg masks, in the same loop steps.  A translate
@@ -376,9 +365,9 @@ class HeisenbergMasks(Rotations):
     wide as a set's mask.
     """
 
-    def __init__(self, order: int, width: int = 1):
-        super().__init__(order, width)
-        self.p = p = _cube_root(order)
+    def __init__(self, radices: tuple[int, ...], width: int = 1):
+        super().__init__(radices, width)
+        self.p = p = radices[0]
         bits = p.bit_length()
         # one value of c, b and a spans one lane, p lanes and p^2 lanes
         spans = (width, p * width, p * p * width)
@@ -405,15 +394,15 @@ class HeisenbergMasks(Rotations):
         self._left_shears = shears(selections(1))
 
     @classmethod
-    def _translate_steps(cls, order: int, width: int) -> float:
-        bits = _cube_root(order).bit_length()
-        return _H_TRANSLATE * bits + order / 64 * width * (_H_ROTATIONS + _H_SHEAR_ROTATIONS * bits) / _WORDS_PER_STEP
+    def _translate_steps(cls, radices: tuple[int, ...], width: int) -> float:
+        bits = radices[0].bit_length()
+        return _H_TRANSLATE * bits + math.prod(radices) / 64 * width * (_H_ROTATIONS + _H_SHEAR_ROTATIONS * bits) / _WORDS_PER_STEP
 
     @classmethod
-    def _build_steps(cls, order: int, width: int) -> float:
+    def _build_steps(cls, radices: tuple[int, ...], width: int) -> float:
         """The kernel's lane masks, and a Kronecker sum's set-up on wider lanes."""
-        p = _cube_root(order)
-        return _H_BUILD + p * (_H_BUILD_VALUE + order / 64 * width / _H_BUILD_WORDS + (_H_WIDEN if width > 1 else 0))
+        p = radices[0]
+        return _H_BUILD + p * (_H_BUILD_VALUE + math.prod(radices) / 64 * width / _H_BUILD_WORDS + (_H_WIDEN if width > 1 else 0))
 
     def _translate(self, m: int, shear: list[tuple[int, int, int, int]], x: Element) -> int:
         for lanes, keep, up, down in shear:
@@ -444,10 +433,10 @@ class HeisenbergMasks(Rotations):
         p, pp = self.p, self.p * self.p
         return [(i // pp, i // p % p, i % p) for i in super().decode(m)]
 
-    def element(self, i: int) -> Element:
-        """The form of bit ``i``, which is its encoding."""
-        p = self.p
-        return (i // (p * p), i // p % p, i % p)
+    def from_both_ends(self, m: int) -> Iterator[Element]:
+        """The forms of the members of ``m`` in the order of ``Rotations.from_both_ends``: each bit's encoding."""
+        p, pp = self.p, self.p * self.p
+        return ((i // pp, i // p % p, i % p) for i in super().from_both_ends(m))
 
     def right(self, m: int, y: Element) -> int:
         """The mask of X·y: the c of x·y is c + c' + a·b', so c is sheared by a·b'."""

@@ -276,9 +276,9 @@ def check_iterated_power(a: GSet, eps, k: int) -> bool:
 #: call to the loop, or to the masks with level-set counts by popcount, or to
 #: the masks with level-set counts by Kronecker lanes
 SIDES = {
-    "loop": lambda cls, order, translations, width=1: math.inf,
-    "popcount": lambda cls, order, translations, width=1: -1 if width == 1 else 0,
-    "kronecker": lambda cls, order, translations, width=1: 0,
+    "loop": lambda cls, radices, translations, width=1: math.inf,
+    "popcount": lambda cls, radices, translations, width=1: -1 if width == 1 else 0,
+    "kronecker": lambda cls, radices, translations, width=1: 0,
 }
 
 

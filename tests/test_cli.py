@@ -536,6 +536,26 @@ def test_a_random_30_in_cyclic_10_to_the_12_runs_on_the_loop(capsys, tmp_path):
         assert code == 0, err
 
 
+@pytest.mark.parametrize("group", [
+    {"type": "cyclic", "n": 10**320},
+    {"type": "dihedral", "n": 10**320},
+    {"type": "heisenberg_mod", "p": 10**111 + 7},
+    {"type": "heisenberg_mod", "p": 10**30 + 57},
+], ids=["c10^320", "d10^320", "h10^111+7", "h10^30+57"])
+def test_a_random_3_in_a_group_past_the_float_range_runs_on_the_loop(capsys, tmp_path, group):
+    # the first three orders are past the largest float, so the cost rule prices the
+    # masks at infinity without making the order a float; the Heisenberg masks read
+    # p from the group's radices, however many digits it has
+    spec = tmp_path / "huge.json"
+    spec.write_text(json.dumps({"group": group, "set": {"type": "random", "size": 3, "seed": 0}}))
+    cert = tmp_path / "cert.json"
+    for argv in (["stats", "--instance", str(spec)],
+                 ["run", "--instance", str(spec), "--k", "2", "--out", str(cert)],
+                 ["verify", "--instance", str(spec), "--certificate", str(cert)]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, err
+
+
 def test_budget_exhaustion_exit_code(capsys, interval_file):
     code, _, err = run_cli(capsys, "stats", "--instance", interval_file,
                            "--budget-pairs", "10")

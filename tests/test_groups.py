@@ -269,10 +269,10 @@ def test_loop_kernel_translates_and_inverts_as_multiply_does(group):
     xs = [group.element_at(rng.randrange(group.order)) for _ in range(6)]
     loop, encode = group.loop, group.from_form
     forms = list(map(group.to_form, xs))
-    factors = loop.factors(forms)
-    assert list(map(encode, map(loop.inverse, forms))) == [group.inverse(x) for x in xs]
+    left = loop.lefts(forms)
+    assert list(map(encode, map(group.form_inverse, forms))) == [group.inverse(x) for x in xs]
     for x, form in zip(xs, forms):
-        assert list(map(encode, loop.left(form, factors))) == [group.multiply(x, y) for y in xs]
+        assert list(map(encode, left(form))) == [group.multiply(x, y) for y in xs]
     for y, form in zip(xs, forms):
         assert list(map(encode, loop.right(forms, form))) == [group.multiply(x, y) for x in xs]
 

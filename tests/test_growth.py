@@ -314,28 +314,29 @@ def test_no_rejected_candidate_decodes_its_overlap_on_masks(monkeypatch, spec):
     a = generate(spec)
     kernel = type(a.group.masks)
     rows = _rows_per_candidate(monkeypatch)
-    scanning, decoded, elements = [True], [], []
-    real_decode, real_element, real_sym_set = kernel.decode, kernel.element, growth.sym_set
+    scanning, decoded, members = [True], [], []
+    real_decode, real_walk, real_sym_set = kernel.decode, kernel.from_both_ends, growth.sym_set
 
     def decode(self, m):
         if rows and scanning[0]:
             decoded.append(len(rows))
         return real_decode(self, m)
 
-    def element(self, i):
-        elements.append(i)
-        return real_element(self, i)
+    def from_both_ends(self, m):
+        for i in real_walk(self, m):
+            members.append(i)
+            yield i
 
     def sym_set(*args):
         scanning[0] = False
         return real_sym_set(*args)
 
     monkeypatch.setattr(kernel, "decode", decode)
-    monkeypatch.setattr(kernel, "element", element)
+    monkeypatch.setattr(kernel, "from_both_ends", from_both_ends)
     monkeypatch.setattr(growth, "sym_set", sym_set)
     out = shrink_step(a, a, Fraction(1, 3))
     # the scan took the masks, decoded one bit for each row it OR-ed, and decoded no mask whole
-    assert len(elements) == sum(rows) > 0
+    assert len(members) == sum(rows) > 0
     assert decoded == []
     if out.case == "shrink":
         assert rows[-1] == len(out.shrunk)

@@ -317,14 +317,15 @@ def _level_set_counting_right(monkeypatch, a, need, side=None):
 
 @pytest.mark.parametrize("group", [CyclicGroup(40), DihedralGroup(20), HeisenbergGroup(4)], ids=["c40", "d20", "h4"])
 def test_mask_level_sets_take_a_pigeonhole_support(monkeypatch, group, stream):
-    # a t with |A ∩ tA| >= least lies in A·x⁻¹ for one of any n - least + 1 members x
+    # a t with |A ∩ tA| >= least lies in A·x⁻¹ for one of any n - least + 1 members x,
+    # and no t has least > n, so that level set is empty with no translate made
     for _ in range(6):
         a = draw_subset(group, 3 + stream.below(14), stream)
         n = len(a)
-        for least in sorted({1, math.ceil(n / 2), math.ceil(2 * n / 3), n - 1, n}):
+        for least in sorted({1, math.ceil(n / 2), math.ceil(2 * n / 3), n - 1, n, n + 1}):
             level, seen = _level_set_counting_right(monkeypatch, a, least, "popcount")
             assert level.elements == oracle_level_set(group, a.elements, least)
-            assert len(seen) == n - least + 1
+            assert len(seen) == max(n - least + 1, 0)
             level, seen = _level_set_counting_right(monkeypatch, a, least, "kronecker")
             assert level.elements == oracle_level_set(group, a.elements, least)
             # the lanes cost less than bit counts over even the least support, so none is built
@@ -346,7 +347,7 @@ def test_a_mask_level_set_gives_up_its_support_once_the_lanes_cost_less(monkeypa
     assert seen == list(inverse_set(a).forms[: len(seen)])
     m = g.masks.encode(a.forms)
     cost = g.mask_kernel.cost
-    lanes = cost(g.order, n, lane_width(n))
+    lanes = cost(g.radices, n, lane_width(n))
 
     def support(j):
         out = 0
@@ -354,7 +355,7 @@ def test_a_mask_level_set_gives_up_its_support_once_the_lanes_cost_less(monkeypa
             out |= g.masks.right(m, x)
         return out.bit_count()
 
-    assert cost(g.order, r + support(len(seen) - 1)) < lanes <= cost(g.order, r + support(len(seen)))
+    assert cost(g.radices, r + support(len(seen) - 1)) < lanes <= cost(g.radices, r + support(len(seen)))
 
 
 def test_kernels_charge_their_multiplications():

@@ -860,6 +860,13 @@ def test_verifier_rejects_malformed_certificates():
             verify_certificate(broken, INTERVAL.elements)
 
 
+def test_verifier_refuses_an_empty_instance_set_before_any_charge(monkeypatch):
+    cert = fresh_cert()
+    refused, _ = _metered(monkeypatch, CyclicGroup, lambda: _verify_or_refusal(cert, []), refuse=True)
+    assert isinstance(refused, CertificateFormatError)
+    assert str(refused) == "instance set is empty"
+
+
 @pytest.mark.parametrize("group", [{"type": "nonsense"}, {"type": "cyclic", "n": 3}], ids=["unknown", "without-a"])
 def test_verifier_rejects_bad_group_spec(group):
     # a group the instance set does not lie in makes the certificate one for another group
