@@ -33,12 +33,12 @@ Each group has two kernels for sets of elements, and both present the
 set-level protocol that ``gset`` describes and writes each operation
 against, on the forms below.  ``group.loop`` is the loop kernel, of
 class ``loop_kernel`` (``Loop``, or ``OneLine`` on ``SymmetricGroup``
-with n >= 2); it owns the convolution table and the shrink scan's index
-rows.  Cyclic, dihedral and Heisenberg groups also name a kernel class of
-``symgrowth.masks`` in ``mask_kernel``, and ``group.masks`` is that
-kernel, built from the group's ``radices``: it holds a set as an int mask
-over the mixed-radix index and translates it by rotations (on Heisenberg
-groups, turns of each digit and a shear).  The other backends have
+with n >= 2); it owns the level set's overlap lists and the shrink
+scan's index rows.  Cyclic, dihedral and Heisenberg groups also name a
+kernel class of ``symgrowth.masks`` in ``mask_kernel``, and
+``group.masks`` is that kernel, built from the group's ``radices``: it
+holds a set as an int mask over the mixed-radix index and translates it
+by rotations (on Heisenberg groups, turns of each digit and a shear).  The other backends have
 ``mask_kernel = None`` and no ``masks``.
 
 Each backend states its group law once, on an internal element form:
@@ -46,10 +46,11 @@ Each backend states its group law once, on an internal element form:
 ``form_multiply`` along a row (x·y for one x and each y of a list),
 ``identity_form`` is the identity's, ``to_form`` and ``from_form``
 convert one element, ``all_forms`` lists every element's form in
-canonical order, and ``multiply`` and ``inverse`` are the law read
-through them on encodings.  A form is hashable, equal to another
-exactly when their elements are equal, and forms sort in encoding
-order, so a canonical order holds without encoding.  The forms are the
+canonical order, and ``multiply`` is the law read through them on
+encodings, for callers that hold encodings (nothing in the package
+does).  A form is hashable, equal to another exactly when their
+elements are equal, and forms sort in encoding order, so a canonical
+order holds without encoding.  The forms are the
 residue (cyclic), the mixed-radix index ``2·rot + flip`` (dihedral), the
 row index (table), the one-line tuple (symmetric, whose order is Lehmer
 order), the tuple of the factors' forms (direct product) and the
@@ -183,26 +184,20 @@ class Loop:
         left, target = self.lefts(w.forms), self.form(t)
         return lambda x: not target.isdisjoint(left(x))
 
-    def conv_table(self, a: GSet, b: GSet | None, least: int) -> dict:
-        """Each x in AB with 1_A * 1_B(x) >= least -> the u in A, in canonical order, with x in uB, all as forms.
+    def level_set(self, a: GSet, least: int) -> tuple[list, None, Callable[..., Iterator]]:
+        """The forms t with |A ∩ tA| >= least, ascending, no mask, and a lookup of A ∩ tA's forms.
 
-        B is A^-1, A's forms inverted, when ``b`` is None, and then the
-        entry at t is A ∩ tA.  Every term of AB is listed before any is
-        dropped, so the table costs memory where AB has many elements.
+        One pass files each u of A under u·v⁻¹ for each v of A, so the list
+        at t is A ∩ tA in canonical order; all of AA⁻¹ is listed before any
+        t is dropped.  The lookup indexes each list from both ends: last,
+        first, next to last, and so on.
         """
-        left = self.lefts(list(map(self.group.form_inverse, a.forms)) if b is None else b.forms)
+        left = self.lefts(list(map(self.group.form_inverse, a.forms)))
         table: defaultdict = defaultdict(list)
         for u in a.forms:
-            for p in left(u):
-                table[p].append(u)
-        return {p: terms for p, terms in table.items() if len(terms) >= least}
-
-    def level_set(self, a: GSet, least: int) -> tuple[list, None, Callable[..., Iterator]]:
-        """The forms t with |A ∩ tA| >= least, ascending, no mask, and a lookup of A ∩ tA's forms, read off ``conv_table``.
-
-        The lookup indexes each list from both ends: last, first, next to last, and so on.
-        """
-        table = self.conv_table(a, None, least)
+            for t in left(u):
+                table[t].append(u)
+        table = {t: terms for t, terms in table.items() if len(terms) >= least}
 
         def overlap(t) -> Iterator:
             # the pairs (last, first), (next to last, second), ... flattened, cut at the list's length
@@ -218,11 +213,11 @@ class Group(ABC):
     Instances are immutable after construction and all operations are pure,
     so a group may be shared freely across workers.
 
-    The element law (``multiply``, ``inverse`` and their form versions),
-    the form converters and the loop kernels trust their arguments, and
-    nothing they call checks them: elements are checked where they
-    enter the program (``coerce``, ``GSet(...)``, instance load,
-    certificate decode), not on every operation.
+    The element law (``multiply`` and its form versions), the form
+    converters and the loop kernels trust their arguments, and nothing
+    they call checks them: elements are checked where they enter the
+    program (``coerce``, ``GSet(...)``, instance load, certificate
+    decode), not on every operation.
     """
 
     kind: str
@@ -284,10 +279,6 @@ class Group(ABC):
     def multiply(self, x: Element, y: Element) -> Element:
         """x·y on encodings: the law read through ``to_form`` and ``from_form``."""
         return self.from_form(self.form_multiply(self.to_form(x), self.to_form(y)))
-
-    def inverse(self, x: Element) -> Element:
-        """x⁻¹ on encodings, read through the forms as ``multiply`` is."""
-        return self.from_form(self.form_inverse(self.to_form(x)))
 
     def all_forms(self) -> Iterable:
         """The form of every element, each once, in canonical order: here the encodings, which are the default forms."""
@@ -577,7 +568,7 @@ class HeisenbergGroup(Group):
         return [((a + x) % p, (b + y) % p, (c + z + a * y) % p) for x, y, z in gs]
 
     # the form is the encoding, so the encoded view is the law itself
-    multiply, inverse = form_multiply, form_inverse
+    multiply = form_multiply
 
     def describe(self) -> dict:
         return {"type": "heisenberg_mod", "p": self.p}

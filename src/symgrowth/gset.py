@@ -29,9 +29,10 @@ charged the same pairs, as a bound.  ``row_product`` gives the row uB of
 each u in A as an int mask, so the shrink scan sizes the product of any
 subset of A with B by OR-ing rows; ``level_set`` gives each A ∩ tA on
 demand, from both ends of its canonical order, so a scan that stops early
-never reads the rest (both look up by forms); ``outside`` tests whether
-xW meets T, so TW⁻¹ is never built; and ``doubling_stats`` counts its
-sets without decoding them.
+never reads the rest (both look up by forms; the loop files every
+overlap in one pass over A and A's inverted forms); ``outside`` tests
+whether xW meets T, so TW⁻¹ is never built; and ``doubling_stats``
+counts its sets without decoding them.
 """
 
 from __future__ import annotations

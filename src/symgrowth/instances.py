@@ -5,6 +5,9 @@ fragment names one of the generators below.  Generation is a pure function
 of that dict: the random and perturbed generators draw from the
 counter-based PRNG in ``prng`` with the seed given in the instance, so
 the same instance yields the same set in any run or implementation.
+Every set is built with the group's element law on forms, never with a
+set kernel of ``gset``, so the instance set a certificate is checked
+against does not come from the fast path the verifier checks.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Iterable
 from .budget import charge_pairs
 from .errors import EmptySetError, ParameterError
 from .groups import Element, Group, group_from_spec
-from .gset import DoublingStats, GSet, doubling_stats, product
+from .gset import DoublingStats, GSet, doubling_stats
 from .prng import splitmix64
 
 #: the fields each set type's spec may hold besides ``type``
@@ -160,8 +163,10 @@ def generate(spec: dict) -> GSet:
         return closure(group, _nonempty_list(set_spec.get("generators"), "subgroup generators"))
     if kind == "coset_union":
         sub = closure(group, _nonempty_list(set_spec.get("generators"), "subgroup generators"))
-        reps = _coerce_all(group, set_spec.get("reps"), "coset representatives")
-        return product(GSet._encoded(group, sorted(set(reps))), sub)
+        reps = set(map(group.to_form, _coerce_all(group, set_spec.get("reps"), "coset representatives")))
+        # R·H by the element law along rows, so no set kernel builds the set a certificate is checked against
+        charge_pairs(len(reps) * len(sub))
+        return GSet._trusted(group, sorted({p for r in reps for p in group.form_row(r, sub.forms)}))
     if kind == "interval":
         if group.kind != "cyclic":
             raise ParameterError(f"interval sets require a cyclic group, got {group.kind}")

@@ -3,8 +3,9 @@
 Everything here recomputes results from first principles with flat loops
 over plain element collections.  It takes from ``groups`` each backend's
 element law (``to_form``, ``form_row``, ``form_multiply``,
-``form_inverse`` and ``from_form``) and nothing set-level: nothing comes
-from ``gset``, ``masks``, ``symmetry``, ``growth`` or ``instances``.
+``form_inverse``, ``identity_form`` and ``from_form``) and nothing
+set-level: nothing comes from ``gset``, ``masks``, ``symmetry``,
+``growth`` or ``instances``.
 Each oracle turns its operands into forms once, multiplies forms along
 rows (x·y for one x and every y of a list, in one ``form_row`` call),
 and encodes only what the report shows: what an oracle returns, and
@@ -88,7 +89,7 @@ def _element_power(group: Group, s: Element, e: int) -> Element:
     charge_pairs(e.bit_count() + e.bit_length() - 1)
     mul = group.form_multiply
     s = group.to_form(s)
-    result = group.to_form(group.identity)
+    result = group.identity_form
     while e:
         if e & 1:
             result = mul(result, s)
@@ -96,24 +97,6 @@ def _element_power(group: Group, s: Element, e: int) -> Element:
         if e:
             s = mul(s, s)
     return group.from_form(result)
-
-
-def oracle_outside(group: Group, xs: Iterable[Element], t: Iterable[Element], w: Iterable[Element]) -> int:
-    """Number of x in xs outside T·W⁻¹, by membership: x ∈ TW⁻¹ iff xw ∈ T for some w ∈ W.
-
-    Each member tested is charged |W| multiplications, its row xW, so the
-    set T·W⁻¹ itself is never built.
-    """
-    to = group.to_form
-    t = frozenset(map(to, t))
-    w = list(map(to, w))
-    row = group.form_row
-    outside = 0
-    for x in map(to, xs):
-        charge_pairs(len(w))
-        if t.isdisjoint(row(x, w)):
-            outside += 1
-    return outside
 
 
 def _overlaps(group: Group, a: list) -> dict:
@@ -158,7 +141,7 @@ def _sym_counts(group: Group, a: list) -> dict:
     for t, count in half.items():
         t_inv = inv(t)
         counts[t_inv] = current(t_inv, 0) + count
-    counts[group.to_form(group.identity)] = n
+    counts[group.identity_form] = n
     return counts
 
 
@@ -224,24 +207,22 @@ def _scan(level: Iterable, overlaps: dict, rows: dict, most: int) -> tuple:
 
 
 def _outside_quad(group: Group, xs: Iterable[Element], inside: Collection, a2: list) -> int:
-    """Number of x in xs outside A²A⁻², each charged |A²| pairs as ``oracle_outside`` charges it.
+    """Number of x in xs outside A²A⁻², by membership: x ∈ A²A⁻² iff its row xA² meets A².
 
     ``inside`` holds the forms of a subset of A²A⁻², as XX⁻¹ does for
     X ⊆ A², and ``a2`` those of A²: a member in ``inside`` needs no
-    multiplication, and A² is encoded for ``oracle_outside`` only if it
-    has a member left to test.
+    multiplication, and every other member's row is tested against A²'s
+    forms.  Each member is charged |A²| pairs either way.
     """
-    to = group.to_form
     rest = []
-    for x in xs:
-        if to(x) in inside:
-            charge_pairs(len(a2))
-        else:
+    for x in map(group.to_form, xs):
+        charge_pairs(len(a2))
+        if x not in inside:
             rest.append(x)
     if not rest:
         return 0
-    a2 = list(map(group.from_form, a2))
-    return oracle_outside(group, rest, a2, a2)
+    square, row = frozenset(a2), group.form_row
+    return sum(1 for x in rest if square.isdisjoint(row(x, a2)))
 
 
 def termination_cap(k0: Fraction, eps: Fraction) -> int:
@@ -612,7 +593,7 @@ def _check_terminal(decoded: _Decoded, replay: _Replay, rec: VerificationReport)
     rec.record("s_matches_symmetry_set", [list(group.from_form(t)) for t in expected_s], list(map(list, s)))
     s_forms = list(map(group.to_form, s))
     s_set = set(s_forms)
-    has_identity = group.to_form(group.identity) in s_set
+    has_identity = group.identity_form in s_set
     asymmetric = sum(1 for f in s_forms if group.form_inverse(f) not in s_set)
     rec.flag("s_contains_identity", has_identity)
     rec.flag("s_symmetric", asymmetric == 0)

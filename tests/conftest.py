@@ -4,8 +4,10 @@ Unit tests draw random instances through CounterStream so every run sees the
 same data.  The ``oracle_*`` references count by definition, with the same
 loops and budget charges as the oracles in ``symgrowth.oracle``, for values
 no command computes that way; ``oracle_overlaps`` and ``oracle_sym_counts``
-are the verifier's form-keyed overlap and count cores, encoded, and
-``oracle_inverse`` inverts a set member by member;
+are the verifier's form-keyed overlap and count cores, encoded,
+``encoded_inverse`` inverts one encoding through the group's forms, and
+``oracle_inverse`` inverts a set member by member with it;
+``oracle_outside`` counts the members of X outside TW⁻¹ by membership;
 ``oracle_level_set`` filters a level set
 from ``oracle_overlaps``, and ``oracle_sym_members`` a symmetry set from
 ``oracle_sym_counts``; ``reference_scan`` finds a shrink step's
@@ -14,8 +16,9 @@ and ``from_both_ends`` puts a list in the order the level-set lookup yields;
 ``SIDES`` stands in for the mask cost rule to send calls to one kernel,
 and ``on_side`` patches it in; ``count_law`` counts a backend's
 multiplications and inversions, on encodings, on forms and along rows alike;
-``conv_table`` is the loop kernel's convolution table, charged as
-``gset`` charges a call and encoded;
+``conv_table`` is the convolution table by definition, a double loop of
+``multiply`` over encodings charged |A||B| pairs, so it shares nothing
+with the kernels it checks;
 ``encode_value``, ``one_line`` and ``encode_one_line`` are independent
 references for the JSON encoder and the symmetric backend's Lehmer codes,
 and ``termination_cap_by_bisection`` for the termination cap.  The ``check_*`` helpers state the
@@ -294,7 +297,6 @@ LAW = {
     "multiply": ("multiplies", lambda x, y: 1),
     "form_multiply": ("multiplies", lambda f, g: 1),
     "form_row": ("multiplies", lambda f, gs: len(gs)),
-    "inverse": ("inverses", lambda x: 1),
     "form_inverse": ("inverses", lambda f: 1),
 }
 
@@ -330,16 +332,23 @@ def count_law(m, group_class, before=None) -> dict:
 
 
 def conv_table(a: GSet, b: GSet | None = None, least: int = 1) -> dict:
-    """The loop kernel's convolution table of A with B (A^-1 when ``b`` is None), charged |A||B| pairs up front, encoded.
+    """The convolution table of A with B (A^-1 when ``b`` is None) by a double loop over encodings, charged |A||B| pairs.
 
     Maps every x in AB with 1_A * 1_B(x) >= least to the list of u in A, in
     canonical order, with x in uB; with B = A^-1 the entry at t is A ∩ tA.
     """
-    if b is not None:
+    group = a.group
+    if b is None:
+        ys = [encoded_inverse(group, x) for x in a]
+    else:
         a.same_group(b)
-    charge_pairs(len(a) * len(a if b is None else b))
-    encode = a.group.from_form
-    return {encode(x): list(map(encode, terms)) for x, terms in a.group.loop.conv_table(a, b, least).items()}
+        ys = b.elements
+    charge_pairs(len(a) * len(ys))
+    table: dict = {}
+    for u in a:
+        for v in ys:
+            table.setdefault(group.multiply(u, v), []).append(u)
+    return {x: terms for x, terms in table.items() if len(terms) >= least}
 
 
 def from_both_ends(items) -> list:
@@ -352,10 +361,31 @@ def from_both_ends(items) -> list:
     return out
 
 
+def encoded_inverse(group, x) -> tuple:
+    """x⁻¹ on encodings, read through the group's forms."""
+    return group.from_form(group.form_inverse(group.to_form(x)))
+
+
 def oracle_inverse(group, a) -> tuple:
     """A⁻¹ in ascending order."""
-    inv = group.inverse
-    return tuple(sorted(inv(x) for x in set(a)))
+    return tuple(sorted(encoded_inverse(group, x) for x in set(a)))
+
+
+def oracle_outside(group, xs, t, w) -> int:
+    """Number of x in xs outside T·W⁻¹, by membership: x ∈ TW⁻¹ iff xw ∈ T for some w ∈ W.
+
+    Each member tested is charged |W| multiplications, its row xW, so the
+    set T·W⁻¹ itself is never built.
+    """
+    to = group.to_form
+    t = frozenset(map(to, t))
+    w = list(map(to, w))
+    outside = 0
+    for x in map(to, xs):
+        charge_pairs(len(w))
+        if t.isdisjoint(group.form_row(x, w)):
+            outside += 1
+    return outside
 
 
 def oracle_overlaps(group, a) -> dict:

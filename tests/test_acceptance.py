@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from symgrowth.groups import group_from_spec
-from symgrowth.gset import GSet, inverse_set, product
+from symgrowth.gset import GSet, inverse_set, level_set, product
 from symgrowth.growth import almost_invariant, shrink_step, stable_neighbourhood
 from symgrowth.instances import generate
 from symgrowth.oracle import (
@@ -30,11 +30,11 @@ from conftest import (
     check_iterated_power,
     check_nesting,
     check_submultiplicativity,
-    conv_counts,
     conv_table,
-    oracle_conv_table,
-    oracle_conv_value,
+    from_both_ends,
     oracle_level_set,
+    oracle_overlap,
+    oracle_overlaps,
     oracle_quadruples,
     oracle_sym_members,
     pair_energy,
@@ -407,10 +407,14 @@ def test_criterion_oracle_equivalence_and_faults(suite):
         x = group.element_at(stream.below(group.order))
 
         instances += 1
+        need = eta * len(a)
+        level, overlap = level_set(a, need)
+        overlaps = oracle_overlaps(group, a.elements)
         agreed = (
             product(a, b).elements == oracle_product(group, a.elements, b.elements)
-            and conv_counts(conv_table(a, b)) == oracle_conv_table(group, a.elements, b.elements)
-            and len(conv_table(a, b).get(x, ())) == oracle_conv_value(group, a.elements, b.elements, x)
+            and level.elements == oracle_level_set(group, a.elements, need)
+            and all(list(map(group.from_form, overlap(group.to_form(t)))) == from_both_ends(overlaps[t]) for t in level)
+            and (x in level) == (oracle_overlap(group, a.elements, x) >= need)
             and sym_set(a, eta).elements == oracle_sym_members(group, a.elements, eta)
         )
         out = shrink_step(a, a, eps)
@@ -452,7 +456,7 @@ def test_criterion_oracle_equivalence_and_faults(suite):
     record_acceptance(
         "oracle equivalence and fault injection",
         ok,
-        f"{instances} random instances across product/conv/sym/step, "
+        f"{instances} random instances across product/level/sym/step, "
         f"{mismatches} mismatches; {detected}/{injected} corrupted certificates detected",
     )
     assert instances >= 200

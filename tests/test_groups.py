@@ -28,7 +28,7 @@ from symgrowth.groups import (
 )
 from symgrowth.serialize import elements_to_json
 
-from conftest import encode_one_line, one_line
+from conftest import encode_one_line, encoded_inverse, one_line
 
 
 def relabelled_table(group, labels):
@@ -72,7 +72,7 @@ def test_sampled_axioms(group):
         x, y, z = (group.element_at(rng.randrange(group.order)) for _ in range(3))
         assert group.multiply(group.multiply(x, y), z) == group.multiply(x, group.multiply(y, z))
         assert group.multiply(x, e) == x == group.multiply(e, x)
-        assert group.multiply(x, group.inverse(x)) == e == group.multiply(group.inverse(x), x)
+        assert group.multiply(x, encoded_inverse(group, x)) == e == group.multiply(encoded_inverse(group, x), x)
 
 
 @pytest.mark.parametrize("group", BACKENDS, ids=lambda g: repr(g.describe()))
@@ -86,7 +86,7 @@ def test_backend_table_loads_as_a_table_group(group):
     index = {group.element_at(i): i for i in range(group.order)}
     assert table.identity == (labels[index[group.identity]],)
     for x, i in index.items():
-        assert table.inverse((labels[i],)) == (labels[index[group.inverse(x)]],)
+        assert encoded_inverse(table, (labels[i],)) == (labels[index[encoded_inverse(group, x)]],)
 
 
 @pytest.mark.parametrize("group", BACKENDS, ids=lambda g: repr(g.describe()))
@@ -101,7 +101,7 @@ def test_multiply_and_inverse_validate_nothing(monkeypatch, group):
     calls = []
     monkeypatch.setattr(Group, "validate", lambda self, x: calls.append(x))
     for x, y in pairs:
-        group.inverse(group.multiply(x, y))
+        encoded_inverse(group, group.multiply(x, y))
     assert calls == []
 
 
@@ -164,8 +164,8 @@ def test_table_load_decodes_each_sampled_element_once(monkeypatch):
 def test_cyclic_arithmetic():
     g = CyclicGroup(10)
     assert g.multiply((7,), (5,)) == (2,)
-    assert g.inverse((3,)) == (7,)
-    assert g.inverse((0,)) == (0,)
+    assert encoded_inverse(g, (3,)) == (7,)
+    assert encoded_inverse(g, (0,)) == (0,)
     assert g.identity == (0,)
 
 
@@ -183,9 +183,9 @@ def test_dihedral_relations():
     assert g.multiply(s, r) == (5, 1)          # sr = r^-1 s
     assert g.multiply(s, s) == g.identity
     # s r s = r^-1
-    assert g.multiply(g.multiply(s, r), s) == g.inverse(r)
-    assert g.inverse((2, 0)) == (4, 0)
-    assert g.inverse((2, 1)) == (2, 1)         # reflections are involutions
+    assert g.multiply(g.multiply(s, r), s) == encoded_inverse(g, r)
+    assert encoded_inverse(g, (2, 0)) == (4, 0)
+    assert encoded_inverse(g, (2, 1)) == (2, 1)         # reflections are involutions
 
 
 def test_symmetric_one_line_round_trip():
@@ -216,7 +216,7 @@ def test_symmetric_composition_convention():
     got = one_line(g, g.multiply(p, q))
     assert got == (1, 0, 2)
     # three-cycle inverse is the opposite three-cycle
-    assert one_line(g, g.inverse(p)) == (2, 0, 1)
+    assert one_line(g, encoded_inverse(g, p)) == (2, 0, 1)
 
 
 def test_symmetric_multiply_composes_one_line_forms():
@@ -270,7 +270,7 @@ def test_loop_kernel_translates_and_inverts_as_multiply_does(group):
     loop, encode = group.loop, group.from_form
     forms = list(map(group.to_form, xs))
     left = loop.lefts(forms)
-    assert list(map(encode, map(group.form_inverse, forms))) == [group.inverse(x) for x in xs]
+    assert all(group.multiply(x, encode(group.form_inverse(f))) == group.identity for x, f in zip(xs, forms))
     for x, form in zip(xs, forms):
         assert list(map(encode, left(form))) == [group.multiply(x, y) for y in xs]
     for y, form in zip(xs, forms):
@@ -281,11 +281,11 @@ def test_loop_kernel_translates_and_inverts_as_multiply_does(group):
 def test_inverse_is_the_two_sided_inverse_and_concatenates_the_factors(group):
     rng = random.Random(group.order)
     for x in (group.element_at(rng.randrange(group.order)) for _ in range(20)):
-        y = group.inverse(x)
+        y = encoded_inverse(group, x)
         assert group.multiply(x, y) == group.multiply(y, x) == group.identity
         if isinstance(group, DirectProductGroup):
             # the generator form the concatenation replaced
-            assert y == tuple(v for g, s in group._parts for v in g.inverse(x[s]))
+            assert y == tuple(v for g, s in group._parts for v in encoded_inverse(g, x[s]))
 
 
 #: every backend, with its smallest cases (C1, S1, S2, D1, D2), a nested direct
@@ -313,7 +313,6 @@ def test_each_backend_states_its_law_once_on_its_forms(group):
     assert group.identity_form == e
     for x, f in zip(elems, forms):
         inv = group.form_inverse(f)
-        assert group.from_form(inv) == group.inverse(x)
         assert group.form_multiply(f, inv) == e == group.form_multiply(inv, f)
         assert group.form_multiply(f, e) == f == group.form_multiply(e, f)
         for y, g in zip(elems, forms):
@@ -371,7 +370,7 @@ def test_dihedral_index_law_is_the_rotation_and_flip_law(n):
     # r^a s^e · r^b s^f = r^(a + b) s^f when e = 0 and r^(a - b) s^(1 - f) when e = 1
     g = DihedralGroup(n)
     for a, e in g.elements():
-        assert g.inverse((a, e)) == ((a, 1) if e else (-a % n, 0))
+        assert encoded_inverse(g, (a, e)) == ((a, 1) if e else (-a % n, 0))
         for b, f in g.elements():
             assert g.multiply((a, e), (b, f)) == (((a - b) if e else (a + b)) % n, e ^ f)
 
@@ -422,7 +421,7 @@ def test_heisenberg_matrix_product():
     for x in [(1, 2, 3), (4, 4, 0), (0, 1, 2)]:
         for y in [(2, 0, 1), (3, 3, 3)]:
             assert as_matrix(g.multiply(x, y)) == mat_mul(as_matrix(x), as_matrix(y))
-        assert mat_mul(as_matrix(x), as_matrix(g.inverse(x)))[0][1:] == (0, 0)
+        assert mat_mul(as_matrix(x), as_matrix(encoded_inverse(g, x)))[0][1:] == (0, 0)
 
 
 def test_direct_product_componentwise():
@@ -430,7 +429,7 @@ def test_direct_product_componentwise():
     assert g.order == 24
     assert g.identity == (0, 0, 0)
     assert g.multiply((1, 2, 1), (3, 1, 0)) == (0, 1, 1)
-    assert g.inverse((1, 2, 0)) == (3, 1, 0)
+    assert encoded_inverse(g, (1, 2, 0)) == (3, 1, 0)
 
 
 def test_table_group_from_cyclic_table():
@@ -439,9 +438,9 @@ def test_table_group_from_cyclic_table():
     g = TableGroup(table)
     assert g.identity == (0,)
     assert g.multiply((2,), (4,)) == (1,)
-    assert g.inverse((3,)) == (2,)
+    assert encoded_inverse(g, (3,)) == (2,)
     assert g.table == tuple(tuple(row) for row in table)
-    assert [g.inverse((i,)) for i in range(n)] == [(0,), (4,), (3,), (2,), (1,)]
+    assert [encoded_inverse(g, (i,)) for i in range(n)] == [(0,), (4,), (3,), (2,), (1,)]
 
 
 def test_table_group_rejects_bad_tables():
@@ -565,6 +564,10 @@ def test_group_equality_is_structural():
     assert CyclicGroup(8) == CyclicGroup(8)
     assert CyclicGroup(8) != CyclicGroup(9)
     assert CyclicGroup(2) != DihedralGroup(1)
+    # a foreign object is never equal to a group, through Group.__eq__'s NotImplemented
+    g = CyclicGroup(8)
+    assert g.__eq__(g.describe()) is NotImplemented
+    assert g != g.describe() and g != "cyclic"
 
 
 def test_group_from_spec_errors():

@@ -50,9 +50,9 @@ from conftest import (
     count_law,
     draw_subset,
     encode_one_line,
+    encoded_inverse,
     from_both_ends,
     on_side,
-    oracle_conv_table,
     oracle_inverse,
     oracle_level_set,
     oracle_overlaps,
@@ -90,6 +90,19 @@ def test_gset_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != GSet(C20, [(1,)])
     assert a != GSet(CyclicGroup(21), [(1,), (2,)])
+    # a foreign object is never equal to a set, through GSet.__eq__'s NotImplemented
+    assert a.__eq__(frozenset(a)) is NotImplemented
+    assert a != frozenset(a) and a != list(a)
+
+
+def test_gset_repr_shows_encodings_and_a_count_past_four():
+    s3 = SymmetricGroup(3)
+    # on S3 the encodings are Lehmer codes, whatever the internal forms
+    assert repr(GSet(s3, [encode_one_line(s3, (1, 0, 2))])) == "GSet(symmetric, [(1, 0, 0)])"
+    assert repr(GSet(s3, s3.elements())) == (
+        "GSet(symmetric, [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0), ... (6 total)])"
+    )
+    assert repr(GSet(C20, [(i,) for i in range(4)])) == "GSet(cyclic, [(0,), (1,), (2,), (3,)])"
 
 
 def test_group_mismatch_is_rejected():
@@ -250,16 +263,6 @@ def test_conv_table_on_subgroup_is_flat():
     assert GSet(C20, t) == h
 
 
-def test_conv_table_matches_oracle(stream):
-    for group in small_group_pool():
-        a = draw_subset(group, 1 + stream.below(6), stream)
-        b = draw_subset(group, 1 + stream.below(6), stream)
-        table = conv_table(a, b)
-        assert conv_counts(table) == oracle_conv_table(group, a.elements, b.elements)
-        for x, terms in table.items():
-            assert terms == [u for u in a if x in product(GSet(group, [u]), b)]
-
-
 def test_conv_table_with_inverse_lists_the_overlaps(stream):
     # the entry at t is A ∩ tA in canonical order, as the oracle lists it
     for group in small_group_pool():
@@ -362,7 +365,7 @@ def test_kernels_charge_their_multiplications():
     set_pair_budget(24)
     try:
         with pytest.raises(PairBudgetError) as info:
-            conv_table(INTERVAL, inverse_set(INTERVAL))
+            level_set(INTERVAL, 1)
         assert info.value.needed == 25
         with pytest.raises(PairBudgetError):
             row_product(INTERVAL, INTERVAL)
@@ -562,7 +565,7 @@ def test_symmetric_kernel_builds_the_sets_of_the_base_loop(name):
     square = _loop_product(base, a.elements, a.elements)
     half = _loop_product(base, square, inv)
     for xs, ys in [(a.elements, a.elements), (a.elements, inv), (square, inv), (half, inv),
-                   (inv, half), (square, [g.inverse(x) for x in square])]:
+                   (inv, half), (square, [encoded_inverse(g, x) for x in square])]:
         assert _loop_product(g.loop, xs, ys) == _loop_product(base, xs, ys)
 
 
@@ -640,7 +643,10 @@ LOOP_BACKENDS = [
 def test_loop_kernels_are_the_double_loop_over_multiply(monkeypatch, group, stream):
     # cyclic, dihedral and Heisenberg sets take the loop here, not the masks
     monkeypatch.setattr(group, "mask_kernel", None)
-    mul, inv = group.multiply, group.inverse
+    mul = group.multiply
+
+    def inv(x):
+        return encoded_inverse(group, x)
 
     def times(xs, ys):
         return {mul(x, y) for x in xs for y in ys}
@@ -649,16 +655,8 @@ def test_loop_kernels_are_the_double_loop_over_multiply(monkeypatch, group, stre
         a, b, t = (draw_subset(group, 1 + stream.below(min(group.order, 8)), stream) for _ in range(3))
         pairs = [(u, mul(u, v)) for u in a for v in b]
         assert product(a, b).elements == tuple(sorted(times(a, b)))
-        conv: dict = {}
-        for u, x in pairs:
-            conv.setdefault(x, []).append(u)
-        assert conv_table(a, b) == conv
-        assert conv_table(a, b, 2) == {x: terms for x, terms in conv.items() if len(terms) >= 2}
-        overlaps = {}
-        for u in a:
-            for v in a:
-                overlaps.setdefault(mul(u, inv(v)), []).append(u)
-        assert conv_table(a) == overlaps
+        # A ∩ tA for each t of AA⁻¹, by the double loop over (u, v⁻¹)
+        overlaps = conv_table(a)
         level, overlap = level_set(a, 2)
         assert level.elements == tuple(sorted(x for x, terms in overlaps.items() if len(terms) >= 2))
         # the lookup, keyed on forms, yields each overlap from both ends of its canonical order
@@ -777,8 +775,7 @@ def test_no_kernel_call_converts_an_element(monkeypatch):
             with monkeypatch.context() as m, on_side(side):
                 calls = _count_conversions(m, g)
                 product(a, b)
-                g.loop.conv_table(a, b, 1)
-                g.loop.conv_table(a, None, 1)
+                g.loop.level_set(a, 1)
                 level, overlap = level_set(a, 2)
                 for x in level.forms:
                     list(overlap(x))

@@ -18,6 +18,7 @@ from symgrowth.instances import (
     generate,
     perturbed_subgroup,
     random_set,
+    sweep_from_spec,
 )
 from symgrowth.prng import splitmix64
 from symgrowth.serialize import elements_to_json
@@ -203,7 +204,12 @@ def test_generate_subgroup_and_coset_union():
     assert set(union.elements) == {(0,), (1,), (6,), (7,), (12,), (13,), (18,), (19,)}
 
 
-def test_coset_union_uses_left_cosets():
+def _no_set_kernel(*args):
+    raise AssertionError("instance generation ran a set kernel")
+
+
+def test_coset_union_uses_left_cosets(monkeypatch):
+    monkeypatch.setattr(gset, "_kernel", _no_set_kernel)
     d4 = DihedralGroup(4)
     got = generate(spec({"type": "dihedral", "n": 4},
                         {"type": "coset_union", "generators": [[2, 0]],
@@ -211,10 +217,9 @@ def test_coset_union_uses_left_cosets():
     # (0,1) * {(0,0),(2,0)} under s r^2 = r^-2 s
     assert set(got.elements) == {(0, 1), (2, 1)}
     assert got == GSet(d4, [d4.multiply((0, 1), h) for h in closure(d4, [(2, 0)])])
-    # two cosets of a subgroup of order 28 in D140, which the cost rule puts on the masks
+    # two cosets of a subgroup of order 28 in D140, which gset.product would put on the masks
     d140 = DihedralGroup(140)
     sub = closure(d140, [(5, 0)])
-    assert gset._kernel(d140, 2, 2 * len(sub)) is d140.masks
     got = generate(spec({"type": "dihedral", "n": 140},
                         {"type": "coset_union", "generators": [[5, 0]], "reps": [[3, 0], [9, 1]]}))
     assert got == GSet(d140, [d140.multiply(rep, h) for rep in ((3, 0), (9, 1)) for h in sub])
@@ -222,20 +227,23 @@ def test_coset_union_uses_left_cosets():
 
 @pytest.mark.parametrize("group", BACKENDS, ids=lambda g: repr(g.describe()))
 def test_coset_union_is_the_rep_times_h_loop(monkeypatch, group):
-    # the union R·H is gset.product's, charged at most |R|·|H| pairs, with R
+    # the union R·H is built by the element law with no set kernel, and charged
+    # |R|·|H| for the distinct reps R after the closure's charges, with R
     # holding a repeated rep, and with |R| + |H| > |G|, where it is the whole group
     rng = random.Random(group.order)
     gen = group.element_at(rng.randrange(group.order))
-    sub = closure(group, [gen])
     few = [group.element_at(rng.randrange(group.order)) for _ in range(2)]
     charged = []
-    monkeypatch.setattr(gset, "charge_pairs", charged.append)
+    monkeypatch.setattr(instances, "charge_pairs", charged.append)
+    monkeypatch.setattr(gset, "_kernel", _no_set_kernel)
+    sub = closure(group, [gen])
+    closing = list(charged)
     for reps in (few + few[:1], [*group.elements(), gen]):
         charged.clear()
         got = generate(spec(group.describe(), {"type": "coset_union", "generators": elements_to_json([gen]),
                                                "reps": elements_to_json(reps)}))
         assert got == GSet(group, [group.multiply(rep, h) for rep in reps for h in sub])
-        assert sum(charged) <= len(reps) * len(sub)
+        assert charged == closing + [len(set(reps)) * len(sub)]
 
 
 def test_generate_interval():
@@ -353,3 +361,11 @@ def test_sweep_validates_grid():
         family_sweep(base, {"set.length": []})
     with pytest.raises(ParameterError):
         family_sweep(base, {"set.length.deep": [1]})
+
+
+def test_sweep_from_spec_refuses_a_spec_that_is_not_an_object():
+    base = spec({"type": "cyclic", "n": 30}, {"type": "interval", "start": 0, "length": 3})
+    assert sweep_from_spec({"base": base, "grid": {"set.length": [3]}}) == (base, {"set.length": [3]})
+    for bad in ([base], "sweep", None, 3):
+        with pytest.raises(ParameterError, match="must be a JSON object"):
+            sweep_from_spec(bad)

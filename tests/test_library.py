@@ -1,12 +1,13 @@
 """The library holds only what its commands run.
 
 Every public top-level function, class or constant in ``src/symgrowth``
-must be used somewhere in the package besides its own definition, and so
-must every public method or property of a class there, where a use is a
-name or an attribute (``x.name``).  A method that overrides one of a base
-class outside the package (``argparse.ArgumentParser.error``) is called
-from there and needs no use inside.  Code that only tests call belongs
-under ``tests/``.
+must be used somewhere in the package besides its own definition, where a
+use is a name.  So must every public method or property of a class there,
+where a use is an attribute (``x.name``) only: a local variable or
+parameter that shares a method's name does not call it.  A method that
+overrides one of a base class outside the package
+(``argparse.ArgumentParser.error``) is called from there and needs no use
+inside.  Code that only tests call belongs under ``tests/``.
 """
 
 import ast
@@ -20,6 +21,14 @@ PACKAGE = Path(symgrowth.__file__).resolve().parent
 
 # Names no command reaches that the library keeps anyway, each with its reason.
 ALLOWED: set[str] = set()
+
+# Class members no command reaches that the library keeps anyway, each with its reason.
+ALLOWED_MEMBERS = {
+    # the law on encodings, for callers that hold encodings: the benchmark
+    # harness times it and builds its table groups with it, and CI builds an
+    # S4 table with it
+    "Group.multiply",
+}
 
 
 def _defined_names(node):
@@ -53,12 +62,8 @@ def unused_public_names():
 
 
 def _mentions(node) -> Counter:
-    """How often each name occurs under ``node`` as a name or as an attribute."""
-    return Counter(
-        sub.id if isinstance(sub, ast.Name) else sub.attr
-        for sub in ast.walk(node)
-        if isinstance(sub, (ast.Name, ast.Attribute))
-    )
+    """How often each name occurs under ``node`` as an attribute (``x.name``)."""
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
 
 
 def _overrides_outside(module: str, cls: str, name: str) -> bool:
@@ -89,7 +94,7 @@ def test_every_public_name_in_src_is_used_in_src():
 
 
 def test_every_public_class_member_in_src_is_used_in_src():
-    unused = unused_public_members()
+    unused = [(module, name) for module, name in unused_public_members() if name not in ALLOWED_MEMBERS]
     assert unused == [], f"public methods or properties only tests reach; move them to tests/: {unused}"
 
 
@@ -98,9 +103,17 @@ def test_every_allowed_name_is_still_unused():
     assert {name for _, name in unused_public_names()} == ALLOWED
 
 
+def test_every_allowed_member_is_still_unused():
+    # likewise for a member: once a command calls it, its exemption goes
+    assert ALLOWED_MEMBERS <= {name for _, name in unused_public_members()}
+
+
 def test_the_member_rule_sees_attribute_uses_and_outside_overrides():
     tree = ast.parse("class A:\n    def f(self):\n        return self.g()\n    def g(self):\n        pass\n")
     counts = _mentions(tree)
     assert counts["g"] == 1 and counts["f"] == 0
+    # a local variable or a bare name that shares a method's name is no use of it
+    shadow = ast.parse("def h(x):\n    f = x\n    return f(g)\n")
+    assert _mentions(shadow)["f"] == 0 and _mentions(shadow)["g"] == 0
     assert _overrides_outside("cli", "_Parser", "error")
     assert not _overrides_outside("oracle", "VerificationReport", "as_dict")

@@ -36,7 +36,6 @@ from symgrowth.serialize import parse_fraction
 from symgrowth.growth import stable_neighbourhood
 from symgrowth.oracle import (
     VerificationReport,
-    oracle_outside,
     oracle_power,
     oracle_product,
     termination_cap,
@@ -44,6 +43,7 @@ from symgrowth.oracle import (
 )
 from symgrowth.symmetry import sym_set
 
+import conftest
 from conftest import (
     SIDES,
     CounterStream,
@@ -56,6 +56,7 @@ from conftest import (
     oracle_conv_value,
     oracle_inverse,
     oracle_level_set,
+    oracle_outside,
     oracle_overlap,
     oracle_overlaps,
     oracle_quadruples,
@@ -410,7 +411,7 @@ def test_outside_counts_and_charges_as_the_oracle(monkeypatch, side):
     # groups are the ones with masks, and on their masks side nothing may multiply
     monkeypatch.setattr(masks.Rotations, "cost", classmethod(SIDES["loop" if side == "loop" else "kronecker"]))
     charges = []
-    for module in (gset, oracle):
+    for module in (gset, conftest):
         monkeypatch.setattr(module, "charge_pairs", charges.append)
     stream = CounterStream(0x0E75)
     planted = inside = 0
@@ -656,7 +657,7 @@ def test_verify_multiplies_each_row_once_and_nothing_for_an_honest_containment(m
         return wrapped
 
     count_law(monkeypatch, CyclicGroup, multiply)
-    for name in ("_overlaps", "_sym_counts", "oracle_power", "oracle_outside"):
+    for name in ("_overlaps", "_sym_counts", "oracle_power", "_outside_quad"):
         monkeypatch.setattr(oracle, name, inside(name, getattr(oracle, name)))
     assert verify_certificate(cert, a.elements, instance=C3000_INTERVAL75).overall
 
@@ -668,7 +669,7 @@ def test_verify_multiplies_each_row_once_and_nothing_for_an_honest_containment(m
         "oracle_power": n_s * n_s,  # S·S at k = 2
     }
     assert n_a * n_a < sum(step["aprime_size"] * n_a for step in steps)
-    assert made == expected and made["oracle_outside"] == 0
+    assert made == expected and made["_outside_quad"] == 0
     assert sum(made.values()) == 21215
 
 
