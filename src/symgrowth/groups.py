@@ -10,9 +10,9 @@ index (last digit least significant), so sets of elements sort the same way
 in every run and in every implementation of the same encodings.  The
 ``Group`` base class derives ``order``, ``validate``, ``element_at``,
 ``index_of`` and ``elements`` (every element in encoding order) from
-``radices``, once for every backend, and ``identity`` as the all-zero
-tuple, element 0; only the table and direct-product backends, whose
-identity may have other digits, override it.
+``radices``, once for every backend, and ``identity`` from
+``identity_form``, which each backend states on its own form (the
+all-zero tuple's form unless it says otherwise).
 
 Encodings and their radices:
 
@@ -245,8 +245,8 @@ class Group(ABC):
 
     @property
     def identity(self) -> Element:
-        """The all-zero digit tuple, element 0 of the encoding order."""
-        return (0,) * len(self.radices)
+        """The identity's encoding, read from ``identity_form``."""
+        return self.from_form(self.identity_form)
 
     # -- the element law, stated once per backend on its internal form ---------
 
@@ -257,8 +257,8 @@ class Group(ABC):
 
     @functools.cached_property
     def identity_form(self):
-        """The identity's form: unless a backend says otherwise, the identity itself."""
-        return self.identity
+        """The identity's form: unless a backend says otherwise, the form of the all-zero tuple."""
+        return self.to_form((0,) * len(self.radices))
 
     @abstractmethod
     def form_multiply(self, f, g):
@@ -590,10 +590,6 @@ class DirectProductGroup(Group):
         # each factor with the slice of the concatenated encoding it owns
         self._parts = tuple(zip(factors, map(slice, (0,) + ends, ends)))
 
-    @property
-    def identity(self) -> Element:
-        return tuple(v for g in self.factors for v in g.identity)
-
     # The form is the tuple of the factors' forms, multiplied factor by
     # factor.  Plain loops, not comprehensions, so a nested product takes
     # one frame per level, no more than the JSON reader and writer take.
@@ -671,16 +667,18 @@ class TableGroup(Group):
         self.n = n
         self.radices = (n,)
         line = tuple(range(n))
+
+        def two_sided(i: int) -> bool:
+            # row i and column i both fix every index
+            return rows[i] == line and tuple(map(itemgetter(i), rows)) == line
+
         if identity_index is None:
-            identity_index = next(
-                (i for i in range(n) if rows[i] == line and tuple(map(itemgetter(i), rows)) == line),
-                None,
-            )
+            identity_index = next(filter(two_sided, range(n)), None)
             if identity_index is None:
                 raise InvalidGroupError("table has no two-sided identity")
         elif type(identity_index) is not int or not 0 <= identity_index < n:
             raise InvalidGroupError(f"identity index {identity_index!r} is not a row index")
-        elif rows[identity_index] != line or tuple(map(itemgetter(identity_index), rows)) != line:
+        elif not two_sided(identity_index):
             raise InvalidGroupError(f"designated identity {identity_index} is not two-sided")
         self.identity_index = self.identity_form = e = identity_index
         inv = tuple(row.index(e) for row in rows)
@@ -715,10 +713,6 @@ class TableGroup(Group):
                 reached |= fresh
                 fresh = {rows[x][g] for x in fresh for g in gens} - reached
         return gens
-
-    @property
-    def identity(self) -> Element:
-        return (self.identity_index,)
 
     # the form is the row index
     to_form = staticmethod(itemgetter(0))

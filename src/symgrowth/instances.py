@@ -113,10 +113,11 @@ def perturbed_subgroup(group: Group, generators: Iterable[Element], swaps: int, 
     complement (never the one just removed), both picked by the counter
     PRNG, so the size stays |H| while the structure degrades gradually.
     The admitted element is the k-th non-member in encoding order, found by
-    walking the members' sorted indices, so the complement is never listed.
+    walking the members' sorted indices, so the complement is never listed,
+    and each swap is charged the |H| steps of that walk.
     """
     base = closure(group, generators)
-    charge_pairs(group.order * max(swaps, 1))
+    charge_pairs(len(base) * max(swaps, 1))
     # the members' indices, ascending, so the j-th member in encoding order is indices[j]
     indices = [group.index_of(x) for x in base.elements]
     # |H| stays fixed, so when H = G no swap can change anything

@@ -224,12 +224,14 @@ class Rotations:
         least has tx in A for at least one of any n - least + 1 members x of
         A, so it lies in A·x⁻¹ for one of them, and the support is the union
         of those n - least + 1 right translates, over the first members of
-        A^-1, A·A⁻¹ itself only at least = 1.  It is built one translate at a
-        time and given up for the lanes as soon as its bit counts would cost
-        more than they do; when even a support of n elements, its least
-        size, would, no translate is made.  At least = 1 every t of the
-        complete support AA⁻¹ is in the level set, so it is returned with
-        its mask and nothing is bit-counted.
+        A^-1, A·A⁻¹ itself only at least = 1.  Bit-counting costs a 1-bit
+        translate per t, so a support of s elements costs less than the lanes
+        while s < ``most``: the lanes' ``cost`` less that of the n - least + 1
+        translates that build it, over one translate's steps.  It is built a
+        translate at a time, given up once it holds ``most`` elements, and
+        not begun when even n, its least size, is not fewer.  At least = 1
+        every t of the complete support AA⁻¹ is in the level set, so it is
+        returned with its mask and nothing is bit-counted.
         """
         m, n, radices = self.form(a), len(a), self.radices
         left, walk = self.lefts(m), self.from_both_ends
@@ -244,14 +246,9 @@ class Rotations:
             return [], None, overlap
         inv = sorted(map(a.group.form_inverse, a.forms))
         width = lane_width(n)
-        kronecker = self.cost(radices, n, width)
         r = n - least + 1
-        # the bit counts over a support of n t, its least size; the rule is affine in the translates,
-        # so from ``most`` t on they cost no less than the lanes
-        fewest = self.cost(radices, r + n)
-        if fewest < kronecker:
-            per_t = self.cost(radices, r + n + 1) - fewest
-            most = n + (kronecker - fewest) / per_t if per_t else math.inf
+        most = (self.cost(radices, n, width) - self.cost(radices, r)) / self._translate_steps(radices, 1)
+        if n < most:
             right, support = self.right, 0
             for x in islice(inv, r):
                 support |= right(m, x)
@@ -423,11 +420,8 @@ class HeisenbergMasks(Rotations):
         return self._rotate(m, a * self.p * self.p)
 
     def encode(self, forms: Iterable[Element]) -> int:
-        flags = bytearray(self.order)
         p = self.p
-        for a, b, c in forms:
-            flags[(a * p + b) * p + c] = 1
-        return self._from_flags(flags)
+        return super().encode((a * p + b) * p + c for a, b, c in forms)
 
     def decode(self, m: int) -> list[Element]:
         p, pp = self.p, self.p * self.p

@@ -116,7 +116,7 @@ def _overlaps(group: Group, a: list) -> dict:
 
 
 def _sym_counts(group: Group, a: list) -> dict:
-    """|A ∩ tA| for every t in AA⁻¹, keyed by its form in no particular order; A is given as its distinct forms.
+    """|A ∩ tA| for every t in AA⁻¹, keyed by its form in no particular order; A is given as its distinct forms, and is nonempty.
 
     |A ∩ tA| counts the pairs (u, w) of A with u·w⁻¹ = t.  The pairs u = w
     give t = e, |A| times, and swapping u and w turns t into t⁻¹.  So one
@@ -127,8 +127,6 @@ def _sym_counts(group: Group, a: list) -> dict:
     """
     n = len(a)
     charge_pairs(n * n)
-    if not a:
-        return {}
     row = group.form_row
     inv = group.form_inverse
     inverses = [inv(w) for w in a]

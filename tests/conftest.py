@@ -95,29 +95,6 @@ class CounterStream:
         return self.next() % bound
 
 
-def oracle_conv_value(group, a, b, x) -> int:
-    """Number of ways to write x = u*v with u in A, v in B, by double loop."""
-    a = tuple(a)
-    b = tuple(b)
-    charge_pairs(len(a) * len(b))
-    mul = group.multiply
-    return sum(1 for u in a for v in b if mul(u, v) == x)
-
-
-def oracle_conv_table(group, a, b) -> dict:
-    """Number of ways to write each x = u*v, by double loop; the reference for conv_table's entry lengths."""
-    a = tuple(a)
-    b = tuple(b)
-    charge_pairs(len(a) * len(b))
-    mul = group.multiply
-    counts = {}
-    for u in a:
-        for v in b:
-            w = mul(u, v)
-            counts[w] = counts.get(w, 0) + 1
-    return dict(sorted(counts.items()))
-
-
 def oracle_quadruples(group, b, c, d, e) -> int:
     """Count solutions of b*c = d*e by a literal quadruple loop."""
     b, c, d, e = tuple(b), tuple(c), tuple(d), tuple(e)
@@ -277,10 +254,11 @@ def check_iterated_power(a: GSet, eps, k: int) -> bool:
 
 #: stand-ins for the mask cost rule, ``masks.Rotations.cost``, that send every
 #: call to the loop, or to the masks with level-set counts by popcount, or to
-#: the masks with level-set counts by Kronecker lanes
+#: the masks with level-set counts by Kronecker lanes; popcount prices 1-bit
+#: translates at -inf, so the support's give-up size is infinite
 SIDES = {
     "loop": lambda cls, radices, translations, width=1: math.inf,
-    "popcount": lambda cls, radices, translations, width=1: -1 if width == 1 else 0,
+    "popcount": lambda cls, radices, translations, width=1: -math.inf if width == 1 else 0,
     "kronecker": lambda cls, radices, translations, width=1: 0,
 }
 

@@ -26,17 +26,20 @@ from symgrowth.serialize import canonical_dumps
 from symgrowth.symmetry import sym_set
 
 from conftest import (
+    SIDES,
     CounterStream,
     check_iterated_power,
     check_nesting,
     check_submultiplicativity,
     conv_table,
     from_both_ends,
+    oracle_inverse,
     oracle_level_set,
     oracle_overlap,
     oracle_overlaps,
     oracle_quadruples,
     oracle_sym_members,
+    on_side,
     pair_energy,
     record_acceptance,
     small_group_pool,
@@ -234,8 +237,14 @@ def test_criterion_termination(suite):
     assert not failures
 
 
+def _level_set_energy(a: GSet) -> int:
+    """Σ_t |A ∩ tA|², read from ``gset.level_set(A, 1)``, which is AA⁻¹, and its lookup of each A ∩ tA."""
+    level, overlap = level_set(a, 1)
+    return sum(len(list(overlap(t))) ** 2 for t in level.forms)
+
+
 def test_criterion_counting_identities():
-    """pair_energy equals the quadruple oracle; reversal identity is exact."""
+    """pair_energy and the level-set energy on every kernel equal the quadruple oracle; reversal identity is exact."""
     stream = CounterStream(0xC0117)
     pool = small_group_pool()
     draws = 0
@@ -251,6 +260,15 @@ def test_criterion_counting_identities():
         reversal = pair_energy(x, y, x, y) == pair_energy(
             inverse_set(x), x, y, inverse_set(y)
         )
+        # u·v⁻¹ = w·z⁻¹ has |A ∩ tA|² solutions with both sides t, on the loop and on
+        # the masks, which count a level set over a support or in Kronecker lanes
+        x_inv = oracle_inverse(group, x.elements)
+        energy = oracle_quadruples(group, x.elements, x_inv, x.elements, x_inv)
+        sides = SIDES if group.mask_kernel is not None else ["loop"]
+        for side in sides:
+            with on_side(side):
+                if _level_set_energy(GSet(group, x.elements)) != energy:
+                    failures += 1
         if fast != slow or not reversal:
             failures += 1
 
@@ -276,8 +294,9 @@ def test_criterion_counting_identities():
     record_acceptance(
         "counting identities",
         ok,
-        f"{draws} random quadruples (sizes <= 30), fast path vs 4-loop oracle "
-        f"and the reversal identity, {failures} mismatches",
+        f"{draws} random quadruples (sizes <= 30): by-definition convolution tables vs 4-loop oracle, "
+        "the reversal identity, and the energy of gset.level_set's overlaps on the loop and on masks' "
+        f"support and lanes vs 4-loop oracle, {failures} mismatches",
     )
     assert draws >= 500
     assert failures == 0

@@ -331,6 +331,21 @@ def test_table_spec_rows_must_be_lists_of_ints(capsys, tmp_path, table):
     assert json.loads(err.strip())["error"] == "InvalidGroupError"
 
 
+def test_a_table_that_needs_more_generators_than_a_group_exits_2(capsys, tmp_path):
+    # a two-sided identity, and each element its own two-sided inverse, yet the
+    # greedy generating set outgrows the 5.bit_length() = 3 generators any group
+    # of order 5 needs, so the table is refused before its associativity check
+    table = [[0, 1, 2, 3, 4], [1, 0, 2, 3, 4], [2, 1, 0, 3, 4], [3, 1, 2, 0, 4], [4, 1, 2, 3, 0]]
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"group": {"type": "table", "table": table},
+                                "set": {"type": "explicit", "elements": [[0]]}}))
+    code, out, err = run_cli(capsys, "stats", "--instance", str(path))
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert json.loads(line) == {"error": "InvalidGroupError",
+                                "message": "table needs more than 3 generators, so it is not a group"}
+
+
 SPEC_ERRORS = {
     "symmetric-limit-not-an-integer": ("stats", {**INTERVAL_SPEC, "group": {"type": "symmetric", "n": 3, "limit": "11"}},
                                        [], "ParameterError"),
@@ -554,6 +569,18 @@ def test_a_random_3_in_a_group_past_the_float_range_runs_on_the_loop(capsys, tmp
                  ["verify", "--instance", str(spec), "--certificate", str(cert)]):
         code, _, err = run_cli(capsys, *argv)
         assert code == 0, err
+
+
+def test_a_perturbed_subgroup_of_s10_is_charged_its_walk_not_the_group(capsys, tmp_path):
+    # 30 swaps on the closure of one transposition walk its 2 members each, 60 pairs;
+    # a charge of |S10| per swap, 108,864,000 pairs, would pass the default budget
+    spec = tmp_path / "s10.json"
+    spec.write_text(json.dumps({"group": {"type": "symmetric", "n": 10},
+                                "set": {"type": "perturbed_subgroup", "generators": [[1] + [0] * 9],
+                                        "swaps": 30, "seed": 1}}))
+    code, out, err = run_cli(capsys, "stats", "--instance", str(spec))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["stats"]["size"] == 2
 
 
 def test_budget_exhaustion_exit_code(capsys, interval_file):

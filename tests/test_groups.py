@@ -115,9 +115,11 @@ def test_element_at_is_a_bijection_in_order(group):
     assert elems == sorted(elems)
     assert list(group.elements()) == elems
     assert [group.index_of(x) for x in elems] == list(range(group.order))
+    # every backend inherits the base class's identity, read from its identity form
+    assert type(group).identity is Group.identity
+    assert group.to_form(group.identity) == group.identity_form
     if isinstance(group, (CyclicGroup, DihedralGroup, SymmetricGroup, HeisenbergGroup)):
-        # these backends inherit the base class's identity, the all-zero element 0
-        assert type(group).identity is Group.identity
+        # on these backends it is the all-zero element 0
         assert group.identity == elems[0]
 
 

@@ -242,7 +242,13 @@ def test_product_matches_oracle_on_random_draws(stream):
 def test_conv_table_small_example():
     c4 = CyclicGroup(4)
     a = GSet(c4, [(0,), (1,)])
-    assert conv_table(a, a) == {(0,): [(0,)], (1,): [(0,), (1,)], (2,): [(1,)]}
+    table = conv_table(a, a)
+    assert table == {(0,): [(0,)], (1,): [(0,), (1,)], (2,): [(1,)]}
+    # 1 = 0 + 1 = 1 + 0 two ways, and 3 no way
+    counts = conv_counts(table)
+    assert counts[(1,)] == 2
+    assert (3,) not in counts
+    assert counts == {(0,): 1, (1,): 2, (2,): 1}
 
 
 def test_conv_table_support_is_product_set():
@@ -768,9 +774,12 @@ def test_doubling_stats_on_s6_encodes_no_element(monkeypatch, spec):
 
 
 def test_no_kernel_call_converts_an_element(monkeypatch):
-    # every operand and every result is a set of forms; the sets are built first
+    # every operand and every result is a set of forms; the sets are built first, and so
+    # is the identity's form, a constant of the group that a Heisenberg group converts
+    # from the all-zero tuple once, on first read
     for g in (SymmetricGroup(6), CyclicGroup(40), DihedralGroup(20), HeisenbergGroup(3)):
         a, b, t = (random_set(g, 10, seed) for seed in range(3))
+        g.identity_form
         for side in ("loop", "kronecker", "popcount"):
             with monkeypatch.context() as m, on_side(side):
                 calls = _count_conversions(m, g)

@@ -52,8 +52,6 @@ from conftest import (
     draw_subset,
     failures,
     one_line,
-    oracle_conv_table,
-    oracle_conv_value,
     oracle_inverse,
     oracle_level_set,
     oracle_outside,
@@ -146,14 +144,6 @@ def test_oracle_power_charges_its_element_power_before_multiplying(monkeypatch):
     assert power == ((1,), (4,), (7,), (10,))
     assert seen["most_ahead"] == 0
     assert seen["multiplies"] < 100
-
-
-def test_oracle_conv_value_and_table():
-    c4 = CyclicGroup(4)
-    a = [(0,), (1,)]
-    assert oracle_conv_value(c4, a, a, (1,)) == 2
-    assert oracle_conv_value(c4, a, a, (3,)) == 0
-    assert oracle_conv_table(c4, a, a) == {(0,): 1, (1,): 2, (2,): 1}
 
 
 def test_oracle_quadruples_by_hand():

@@ -8,17 +8,19 @@ from hypothesis import strategies as st
 
 from symgrowth.errors import EmptySetError, ParameterError
 from symgrowth.groups import CyclicGroup, DihedralGroup
-from symgrowth.gset import GSet, inverse_set, product
+from symgrowth.gset import GSet, inverse_set, level_set, product
 from symgrowth.growth import shrink_step
 from symgrowth.symmetry import check_eta, sym_set
 
 from conftest import (
+    SIDES,
     check_iterated_power,
     check_nesting,
     check_submultiplicativity,
     conv_table,
     draw_fraction,
     draw_subset,
+    on_side,
     small_group_pool,
 )
 
@@ -56,6 +58,13 @@ def test_overlap_counts_shifted_intersection():
     assert overlaps[(2,)] == [(2,), (3,), (4,)]
     assert overlaps[(18,)] == [(0,), (1,), (2,)]   # shift by -2
     assert (10,) not in overlaps                   # A and 10 + A are disjoint
+    # the level set at 1 is AA⁻¹, and its lookup yields the same overlaps, on every kernel
+    for side in SIDES:
+        with on_side(side):
+            level, overlap = level_set(GSet(C20, INTERVAL.elements), 1)
+        assert level == GSet(C20, overlaps)
+        for t in level:
+            assert sorted(map(C20.from_form, overlap(C20.to_form(t)))) == overlaps[t]
 
 
 def test_interval_symmetry_sets():
