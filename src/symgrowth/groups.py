@@ -117,24 +117,17 @@ class Loop:
         return lambda x: map(multiply, itertools.repeat(x), ys)
 
     def times(self, xs: Collection, ys: Sequence) -> set:
-        """The forms of XY for forms xs and ys: X·y for each y, or x·Y for each x when ys is the longer.
+        """The forms of XY for forms xs and ys: X·y for each y.
 
-        When ys is the longer it adds x·Y for each x and stops once the set
-        holds the whole group.  Otherwise it adds X·y for each y until the
-        set misses fewer forms than X holds, and then finishes on the
-        complement: it lists the missing forms once, and for each remaining
-        y drops every missing g with g·y⁻¹ in X, which is g in X·y, until
-        none is missing.  The product is the group minus what is left, and
-        each of those rounds multiplies fewer forms than a translate would.
+        It adds X·y for each y until the set misses fewer forms than X
+        holds, and then finishes on the complement: it lists the missing
+        forms once, and for each remaining y drops every missing g with
+        g·y⁻¹ in X, which is g in X·y, until none is missing.  The product
+        is the group minus what is left, and each of those rounds multiplies
+        fewer forms than a translate would.
         """
         out: set = set()
         whole = self.group.order
-        if len(xs) < len(ys):
-            for translate in map(self.lefts(ys), xs):
-                out.update(translate)
-                if len(out) == whole:
-                    break
-            return out
         done = 0
         while done < len(ys) and whole - len(out) >= len(xs):
             out.update(self.right(xs, ys[done]))

@@ -18,21 +18,22 @@ tested by g·b⁻¹ in A; it is still charged the full |A|*|B| up front.
 
 Each operation is written once, over the kernel ``_kernel`` picks: the
 group's ``masks`` (see ``masks``: a set as an int mask over the group
-index, on cyclic, dihedral and Heisenberg groups) when the ``cost`` of its
-``mask_kernel`` beats the pairs the loop would multiply, built only then,
-and its ``loop`` (``groups.Loop``) otherwise.  Both present one protocol:
-a set's ``form``, right and left translates by forms, ``|`` and ``&`` on
-``form``, ``count``, and ``decode`` in canonical order; and each
-owns its strategy for each operation, so a ``gset`` function keeps only
-its checks, its charges and the kernel call.  Either way a call is
-charged the same pairs, as a bound.  ``row_product`` gives the row uB of
-each u in A as an int mask, so the shrink scan sizes the product of any
-subset of A with B by OR-ing rows; ``level_set`` gives each A ∩ tA on
-demand, from both ends of its canonical order, so a scan that stops early
-never reads the rest (both look up by forms; the loop files every
-overlap in one pass over A and A's inverted forms); ``outside`` tests
-whether xW meets T, so TW⁻¹ is never built; and ``doubling_stats``
-counts its sets without decoding them.
+index, on cyclic, dihedral and Heisenberg groups) when the ``cost`` of
+its ``mask_kernel`` beats both the pairs the loop would multiply and the
+pair budget, built only then, and its ``loop`` (``groups.Loop``)
+otherwise.  Both present one protocol: a set's ``form``, right and left
+translates by forms, ``|`` and ``&`` on ``form``, ``count``, and
+``decode`` in canonical order; and each owns its strategy for each
+operation, so a ``gset`` function keeps only its checks, its charges and
+the kernel call.  Either way a call is charged the same pairs, as a
+bound.  ``row_product`` gives the row uB of each u in A as an int mask,
+so the shrink scan sizes the product of any subset of A with B by OR-ing
+rows; ``level_set`` gives each A ∩ tA on demand, from both ends of its
+canonical order, so a scan that stops early never reads the rest (both
+look up by forms; the loop files every overlap in one pass over A and
+A's inverted forms); ``outside`` tests whether xW meets T, so TW⁻¹ is
+never built; and ``doubling_stats`` counts its sets without decoding
+them.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .budget import charge_pairs
+from .budget import charge_pairs, pair_budget
 from .errors import EmptySetError, GroupMismatchError, InvalidElementError
 from .groups import Element, Group, Loop
 from .masks import Rotations, lane_width
@@ -51,8 +52,9 @@ from .masks import Rotations, lane_width
 class GSet:
     """An immutable subset of a group, held as its members' forms in canonical order.
 
-    ``elements``, iteration and ``repr`` give the encodings, built on first
-    use and kept; a set built from encodings keeps those.
+    ``elements``, iteration and ``repr`` give the encodings, decoded from
+    the forms on first use and kept; ``x in s`` is False for any ``x``
+    that is not an encoding.
     """
 
     __slots__ = ("group", "forms", "_members", "_elems", "_mask")
@@ -61,19 +63,9 @@ class GSet:
         members = frozenset(elems)
         for x in members:
             group.validate(x)
-        self._hold(group, tuple(sorted(members)))
-
-    def _hold(self, group: Group, elems: tuple[Element, ...]) -> None:
-        self.group, self._elems, self._mask = group, elems, None
-        self.forms = tuple(map(group.to_form, elems))
+        self.group, self._elems, self._mask = group, None, None
+        self.forms = tuple(sorted(map(group.to_form, members)))
         self._members = frozenset(self.forms)
-
-    @classmethod
-    def _encoded(cls, group: Group, elems: Iterable[Element]) -> "GSet":
-        """A GSet of distinct encodings of members of ``group`` in canonical order, built without validation; it keeps them."""
-        self = cls.__new__(cls)
-        self._hold(group, tuple(elems))
-        return self
 
     @classmethod
     def _trusted(cls, group: Group, forms: Iterable, mask: int | None = None) -> "GSet":
@@ -95,8 +87,8 @@ class GSet:
     def __contains__(self, x: object) -> bool:
         try:
             self.group.validate(x)
-        except InvalidElementError:  # not an encoding: compare it with the encodings, as a set of them would
-            return x in frozenset(self.elements)
+        except InvalidElementError:  # not an encoding, so no member's
+            return False
         return self.group.to_form(x) in self._members
 
     def __eq__(self, other: object) -> bool:
@@ -143,13 +135,14 @@ class GSet:
 
 
 def _kernel(group: Group, translations: int, pairs: int, width: int = 1) -> Rotations | Loop:
-    """The group's masks when a call with ``translations`` translates costs less than ``pairs`` loop steps, else its loop.
+    """The group's masks when a call with ``translations`` translates costs less than ``pairs`` loop steps and the pair budget, else its loop.
 
     The rule, the ``cost`` of the group's ``mask_kernel``, reads only the
-    group's radices, so a group the masks do not pay on never builds them.
+    group's radices, so a group the masks do not pay on never builds them,
+    and no call builds masks that cost more steps than one charge may.
     """
     kernel = group.mask_kernel
-    if kernel is not None and kernel.cost(group.radices, translations, width) < pairs:
+    if kernel is not None and kernel.cost(group.radices, translations, width) < min(pairs, pair_budget()):
         return group.masks
     return group.loop
 
@@ -160,10 +153,9 @@ def product(a: GSet, b: GSet) -> GSet:
     If |A| + |B| > |G|, then AB = G without a multiplication: for each g,
     A and gB⁻¹ are too large to be disjoint, so g = xy with x in A, y in B.
     Otherwise it is the kernel's ``product``: on the masks an OR of
-    translates, on the loop translates of the longer operand that stop
-    once AB = G.  When |A| >= |B| and the translates miss fewer elements
-    than A holds, the loop finishes on the complement: each missing g is
-    dropped once g·b⁻¹ is in A for a remaining b.
+    translates, on the loop A·b for each b of B, until the translates miss
+    fewer elements than A holds; the loop then finishes on the complement:
+    each missing g is dropped once g·b⁻¹ is in A for a remaining b.
     """
     a.same_group(b)
     charge_pairs(len(a) * len(b))

@@ -103,7 +103,7 @@ def random_set(group: Group, size: int, seed: int) -> GSet:
         index = splitmix64(seed, counter) % group.order
         chosen.add(group.element_at(index))
         counter += 1
-    return GSet._encoded(group, sorted(chosen))
+    return GSet._trusted(group, sorted(map(group.to_form, chosen)))
 
 
 def perturbed_subgroup(group: Group, generators: Iterable[Element], swaps: int, seed: int) -> GSet:
@@ -132,7 +132,7 @@ def perturbed_subgroup(group: Group, generators: Iterable[Element], swaps: int, 
             added += 1
         del indices[removed]
         bisect.insort(indices, added)
-    return GSet._encoded(group, map(group.element_at, indices))
+    return GSet._trusted(group, [group.to_form(group.element_at(i)) for i in indices])
 
 
 def generate(spec: dict) -> GSet:
@@ -159,7 +159,7 @@ def generate(spec: dict) -> GSet:
 
     if kind == "explicit":
         elems = _coerce_all(group, set_spec.get("elements"), "explicit elements")
-        return GSet._encoded(group, sorted(set(elems)))
+        return GSet._trusted(group, sorted(set(map(group.to_form, elems))))
     if kind == "subgroup":
         return closure(group, _nonempty_list(set_spec.get("generators"), "subgroup generators"))
     if kind == "coset_union":
@@ -177,7 +177,8 @@ def generate(spec: dict) -> GSet:
         length = _nat(set_spec, "length", minimum=1)
         if length > group.order:
             raise ParameterError(f"interval length {length} exceeds the group order {group.order}")
-        return GSet._encoded(group, sorted(((start + i) % group.order,) for i in range(length)))
+        # a residue is its own form
+        return GSet._trusted(group, sorted((start + i) % group.order for i in range(length)))
     if kind == "ball":
         return ball(
             group,

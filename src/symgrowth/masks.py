@@ -229,9 +229,8 @@ class Rotations:
         while s < ``most``: the lanes' ``cost`` less that of the n - least + 1
         translates that build it, over one translate's steps.  It is built a
         translate at a time, given up once it holds ``most`` elements, and
-        not begun when even n, its least size, is not fewer.  At least = 1
-        every t of the complete support AA⁻¹ is in the level set, so it is
-        returned with its mask and nothing is bit-counted.
+        not begun when even n, its least size, is not fewer.  Each t of a
+        complete support is bit-counted.
         """
         m, n, radices = self.form(a), len(a), self.radices
         left, walk = self.lefts(m), self.from_both_ends
@@ -255,8 +254,6 @@ class Rotations:
                 if support.bit_count() >= most:
                     break
             else:
-                if least == 1:
-                    return self.decode(support), support, overlap
                 return [t for t in self.decode(support) if inside(t).bit_count() >= least], None, overlap
         wide = self.widen(width)
         lanes, right = wide.spread(m), wide.right

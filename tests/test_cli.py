@@ -592,6 +592,19 @@ def test_budget_exhaustion_exit_code(capsys, interval_file):
     assert "needs 25 pairs" in line["message"]
 
 
+def test_a_mask_kernel_past_the_budget_is_never_built(capsys, tmp_path):
+    # the masks of C10^12 hold ints of 10^12 bits; they cost fewer steps than
+    # the loop's pairs, but more than the cap, so the loop takes the call and
+    # is refused at its first charge of 2000^2 pairs
+    spec = tmp_path / "c-1e12.json"
+    spec.write_text(json.dumps({"group": {"type": "cyclic", "n": 10**12},
+                                "set": {"type": "random", "size": 2000, "seed": 3}}))
+    code, out, err = run_cli(capsys, "stats", "--instance", str(spec), "--budget-pairs", "1000000")
+    assert (code, out) == (3, "")
+    assert len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "PairBudgetError"
+
+
 def test_budget_does_not_leak_between_invocations(capsys, interval_file):
     code, _, _ = run_cli(capsys, "stats", "--instance", interval_file,
                          "--budget-pairs", "10")

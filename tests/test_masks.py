@@ -118,9 +118,10 @@ def test_level_set_and_its_overlaps_match_the_oracle(side, sets, scale):
 
 
 @pytest.mark.parametrize("group", [CyclicGroup(40), DihedralGroup(20), HeisenbergGroup(4)], ids=repr)
-def test_a_least_one_level_set_is_its_support_with_no_translate_after_it(monkeypatch, group):
+def test_a_least_one_level_set_bit_counts_its_support_like_any_other(monkeypatch, group):
     # at least 1 the support, the union of every translate A·x⁻¹, is AA⁻¹ and so
-    # the whole level set: it comes back with its mask, and no t is bit-counted
+    # the whole level set; each of its t is bit-counted once, one left translate
+    # each, as at any other threshold
     rng = random.Random(group.order)
     a = GSet(group, [group.element_at(i) for i in rng.sample(range(group.order), 9)])
     kernel = type(group.masks)
@@ -139,9 +140,8 @@ def test_a_least_one_level_set_is_its_support_with_no_translate_after_it(monkeyp
     monkeypatch.setattr(kernel, "lefts", lefts)
     with on_side("popcount"):
         level, overlap = level_set(fresh(a), 1)
-        assert made[0] == 0
+        assert made[0] == len(level)
         assert level.elements == oracle_level_set(group, a.elements, 1)
-        assert level._mask == group.masks.encode(level.forms)
         overlaps = oracle_overlaps(group, a)
         for t in level:
             assert list(map(group.from_form, overlap(group.to_form(t)))) == from_both_ends(overlaps[t])
